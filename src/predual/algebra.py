@@ -14,13 +14,13 @@ tags and signatures:
     VECTp     (add, zero, smul0..smul{p-1})   vector spaces over GF(p)
 
 The order matrix is stored only for POS; for lattice-like tags the order is
-derived from the operation tables.
+derived from the operation tables, once per instance (``FinAlgebra.leq``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 
 class StructureError(ValueError):
@@ -88,7 +88,14 @@ def is_ordered_tag(tag: str) -> bool:
 
 @dataclass(frozen=True)
 class FinAlgebra:
-    """Finite algebra: tag, carrier {0..size-1}, op tables, optional order."""
+    """Finite algebra: tag, carrier {0..size-1}, op tables, optional order.
+
+    Derived structure is computed on first use and kept on the instance:
+    ``leq`` (the order matrix), ``atoms``, ``join_irreducibles``, ``meets``,
+    the hash, and the dual built by ``duality.dual_object``.  None of it takes
+    part in equality, hashing, ``repr``, pickling or serialized documents,
+    which see only the four fields.
+    """
 
     tag: str
     size: int
@@ -106,6 +113,68 @@ class FinAlgebra:
 
     def carrier(self):
         return range(self.size)
+
+    def __hash__(self):
+        return self._hash
+
+    def __getstate__(self):
+        # a cached hash is only valid in the process that computed it
+        return {name: getattr(self, name) for name in ("tag", "size", "ops", "order")}
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.tag, self.size, self.ops, self.order))
+
+    @cached_property
+    def leq(self) -> tuple:
+        """The natural order, leq[x][y] iff x <= y (POS: the stored matrix)."""
+        tag, n = self.tag, self.size
+        if tag == "POS":
+            return self.order
+        if tag in ("JSL", "JSL0", "JSL01"):
+            join = self.op("join")
+            return tuple(tuple(join[x][y] == y for y in range(n)) for x in range(n))
+        if tag in ("DL01", "BA", "BR"):
+            meet = self.op("mul" if tag == "BR" else "meet")
+            return tuple(tuple(meet[x][y] == x for y in range(n)) for x in range(n))
+        raise StructureError(f"tag {tag} has no derived order")
+
+    @cached_property
+    def atoms(self) -> tuple:
+        """Minimal nonzero elements in the induced order, ascending."""
+        zero, leq = self.op("zero"), self.leq
+        nonzero = [x for x in self.carrier() if x != zero]
+        return tuple(
+            x for x in nonzero if not any(leq[y][x] for y in nonzero if y != x)
+        )
+
+    @cached_property
+    def join_irreducibles(self) -> tuple:
+        """Nonzero j with j = x v y implying j in {x, y}, ascending.
+
+        Equivalently, the join of the elements strictly below j is not j.
+        """
+        zero, join, leq = self.op("zero"), self.op("join"), self.leq
+        out = []
+        for j in self.carrier():
+            below = zero
+            for x in self.carrier():
+                if x != j and leq[x][j]:
+                    below = join[below][x]
+            if below != j:
+                out.append(j)
+        return tuple(out)
+
+    @cached_property
+    def meets(self) -> tuple:
+        """Meet table of a finite join-semilattice: the join of the common
+        lower bounds, or None where there is none (JSL without zero)."""
+        leq = self.leq
+        down = [
+            sum(1 << z for z in self.carrier() if leq[z][x]) for x in self.carrier()
+        ]
+        by_down = {mask: x for x, mask in enumerate(down)}
+        return tuple(tuple(by_down.get(dx & dy) for dy in down) for dx in down)
 
 
 def _freeze_table(table, arity, size):
@@ -315,24 +384,6 @@ def validate_algebra(a: FinAlgebra) -> list:
                         return out
         return out
     raise StructureError(f"unknown tag {tag}")
-
-
-# ---------------------------------------------------------------------------
-# derived order (used for atoms, join-irreducibles, duals)
-
-
-def alg_leq(a: FinAlgebra, x: int, y: int) -> bool:
-    """The natural order of a lattice-like algebra (POS: stored matrix)."""
-    tag = a.tag
-    if tag == "POS":
-        return a.order[x][y]
-    if tag in ("JSL", "JSL0", "JSL01"):
-        return a.op("join")[x][y] == y
-    if tag in ("DL01", "BA"):
-        return a.op("meet")[x][y] == x
-    if tag == "BR":
-        return a.op("mul")[x][y] == x
-    raise StructureError(f"tag {tag} has no derived order")
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,13 @@ from .langlib import (
     preimage_language,
     right_deriv,
 )
-from .preimage import algebra_preimage, check_preimage_laws, coalgebra_preimage, default_corpus
+from .preimage import (
+    LAWS,
+    algebra_preimage,
+    check_preimage_laws,
+    coalgebra_preimage,
+    default_corpus,
+)
 from .serialize import (
     dot_automaton,
     dot_hasse,
@@ -191,6 +197,16 @@ def cmd_eilenberg_check(args):
 
 
 def cmd_check_laws(args):
+    aliases = {"qfcomp": "qfprops"}
+    laws = [aliases.get(l, l) for l in args.laws.split(",")] if args.laws else list(LAWS)
+    unknown = [l for l in laws if l not in LAWS]
+    if unknown:
+        print(
+            f"usage error: unknown law(s) {', '.join(unknown)}; "
+            f"choose from {', '.join(LAWS)} (qfcomp = qfprops)",
+            file=sys.stderr,
+        )
+        return USAGE
     if args.corpus:
         with open(args.corpus) as fh:
             spec = json.load(fh)
@@ -221,9 +237,6 @@ def cmd_check_laws(args):
                 if q.states.size <= args.max_states
             ]
     report = check_preimage_laws(corpus)
-    laws = args.laws.split(",") if args.laws else list(report)
-    aliases = {"qfcomp": "qfprops"}
-    laws = [aliases.get(l, l) for l in laws]
     failed = False
     for law in laws:
         entry = report[law]

@@ -22,7 +22,6 @@ from .algebra import (
     AlgMorphism,
     FinAlgebra,
     StructureError,
-    alg_leq,
     all_morphisms,
     check_morphism,
     compose,
@@ -80,30 +79,12 @@ def _bad_side(pair, tag):
 
 def atoms_of(a: FinAlgebra) -> list:
     """Minimal nonzero elements of a BA or BR in its induced order."""
-    zero = a.op("zero")
-    nonzero = [x for x in a.carrier() if x != zero]
-    return [
-        x
-        for x in nonzero
-        if all(not alg_leq(a, y, x) for y in nonzero if y != x)
-    ]
+    return list(a.atoms)
 
 
 def join_irreducibles(a: FinAlgebra) -> list:
     """Nonzero j with j = x v y implying j in {x, y}."""
-    zero = a.op("zero")
-    join = a.op("join")
-    out = []
-    for j in a.carrier():
-        if j == zero:
-            continue
-        if all(
-            join[x][y] != j or j in (x, y)
-            for x in a.carrier()
-            for y in a.carrier()
-        ):
-            out.append(j)
-    return out
+    return list(a.join_irreducibles)
 
 
 def _downsets(order, n):
@@ -124,39 +105,29 @@ def _downsets(order, n):
     return out
 
 
-def _meet_table_from_join(a: FinAlgebra):
-    """Binary meets of a finite join-semilattice (join of lower bounds)."""
-    n = a.size
-    join = a.op("join")
-
-    def leq(x, y):
-        return join[x][y] == y
-
-    table = []
-    for x in range(n):
-        row = []
-        for y in range(n):
-            lbs = [z for z in range(n) if leq(z, x) and leq(z, y)]
-            acc = lbs[0]
-            for z in lbs[1:]:
-                acc = join[acc][z]
-            row.append(acc)
-        table.append(tuple(row))
-    return tuple(table)
-
-
 # ---------------------------------------------------------------------------
 # dual objects
 
 
 def dual_object(pair: str, a: FinAlgebra) -> FinAlgebra:
-    """The dual finite algebra on the other side of the pair."""
-    side = side_of(pair, a.tag)
-    p = vect_prime(a.tag)
+    """The dual finite algebra on the other side of the pair.
 
+    Each tag belongs to exactly one pair, so the dual depends on a alone: it
+    is built once and kept on the instance.
+    """
+    side = side_of(pair, a.tag)
+    if vect_prime(a.tag) is not None:
+        return a  # [Q, GF(p)] with the standard basis is Q itself
+    derived = vars(a)
+    if "_dual" not in derived:
+        derived["_dual"] = _build_dual(pair, side, a)
+    return derived["_dual"]
+
+
+def _build_dual(pair: str, side: str, a: FinAlgebra) -> FinAlgebra:
     if pair == "BA":
         if side == "C":
-            k = len(atoms_of(a))
+            k = len(a.atoms)
             return make_algebra("SET", k, {})
         size = 1 << a.size
         return make_algebra(
@@ -173,10 +144,8 @@ def dual_object(pair: str, a: FinAlgebra) -> FinAlgebra:
 
     if pair == "DL01":
         if side == "C":
-            irr = join_irreducibles(a)
-            order = tuple(
-                tuple(alg_leq(a, x, y) for y in irr) for x in irr
-            )
+            irr, leq = a.join_irreducibles, a.leq
+            order = tuple(tuple(leq[x][y] for y in irr) for x in irr)
             return make_algebra("POS", len(irr), {}, order)
         masks = _downsets(a.order, a.size)
         index = {m: i for i, m in enumerate(masks)}
@@ -192,20 +161,15 @@ def dual_object(pair: str, a: FinAlgebra) -> FinAlgebra:
         )
 
     if pair == "JSL0":
-        meet = _meet_table_from_join(a)
         join = a.op("join")
         top = 0
         for x in a.carrier():
             top = join[top][x]
-        return make_algebra("JSL0", a.size, {"join": meet, "zero": top})
-
-    if p is not None:
-        return a  # [Q, GF(p)] with the standard basis is Q itself
+        return make_algebra("JSL0", a.size, {"join": a.meets, "zero": top})
 
     if pair == "BR":
         if side == "C":
-            ats = atoms_of(a)
-            return make_algebra("SET_STAR", len(ats) + 1, {"point": 0})
+            return make_algebra("SET_STAR", len(a.atoms) + 1, {"point": 0})
         point = a.op("point")
         others = [x for x in a.carrier() if x != point]
         size = 1 << len(others)
@@ -224,43 +188,23 @@ def dual_object(pair: str, a: FinAlgebra) -> FinAlgebra:
             one = a.op("one")
             rest = [x for x in a.carrier() if x != one]
             index = {x: i for i, x in enumerate(rest)}
-            meet = _meet_table_from_join(a)
+            meet = a.meets
             table = tuple(tuple(index[meet[x][y]] for y in rest) for x in rest)
             return make_algebra("JSL", len(rest), {"join": table})
         # JSL side: adjoin a new bottom, then reverse the order
         n = a.size
         join = a.op("join")
-
-        def leq(x, y):
-            return join[x][y] == y
-
         new = n  # the adjoined element; becomes the top of the JSL01
-        size = n + 1
-        table = []
-        for x in range(size):
-            row = []
-            for y in range(size):
-                if x == new or y == new:
-                    row.append(new)
-                    continue
-                lbs = [z for z in range(n) if leq(z, x) and leq(z, y)]
-                if not lbs:
-                    row.append(new)
-                else:
-                    acc = lbs[0]
-                    for z in lbs[1:]:
-                        acc = join[acc][z]
-                    row.append(acc)
-            table.append(tuple(row))
+        table = tuple(
+            tuple(new if m is None else m for m in row) + (new,) for row in a.meets
+        ) + ((new,) * (n + 1),)
         if n == 0:
             zero = new
         else:
             zero = 0
             for x in range(n):
                 zero = join[zero][x]
-        return make_algebra(
-            "JSL01", size, {"join": tuple(table), "zero": zero, "one": new}
-        )
+        return make_algebra("JSL01", n + 1, {"join": table, "zero": zero, "one": new})
 
     raise StructureError(f"unsupported pair {pair}")
 
@@ -328,11 +272,12 @@ def dual_morphism(pair: str, h: AlgMorphism) -> AlgMorphism:
 
     if pair in ("BA", "DL01") and side == "C":
         # hat h(r) = meet { q : h(q) >= r }
-        ats_r = atoms_of(r) if pair == "BA" else join_irreducibles(r)
-        ats_q = atoms_of(q) if pair == "BA" else join_irreducibles(q)
+        ats_r = r.atoms if pair == "BA" else r.join_irreducibles
+        ats_q = q.atoms if pair == "BA" else q.join_irreducibles
+        leq_r = r.leq
         table = []
         for rr in ats_r:
-            above = [x for x in q.carrier() if alg_leq(r, rr, h.table[x])]
+            above = [x for x in q.carrier() if leq_r[rr][h.table[x]]]
             table.append(ats_q.index(_meet_of(q, above)))
         return AlgMorphism(dr, dq, tuple(table))
 
@@ -361,19 +306,18 @@ def dual_morphism(pair: str, h: AlgMorphism) -> AlgMorphism:
 
     if pair == "JSL0":
         # hat h(r) = join { q : h(q) <= r }, join formed in the source
-        zero_q = q.op("zero")
+        zero_q, leq_r = q.op("zero"), r.leq
         table = []
         for rr in r.carrier():
-            below = [x for x in q.carrier() if alg_leq(r, h.table[x], rr)]
+            below = [x for x in q.carrier() if leq_r[h.table[x]][rr]]
             table.append(_join_of(q, below, zero_q))
         return AlgMorphism(dr, dq, tuple(table))
 
     if pair == "BR" and side == "C":
-        ats_r = atoms_of(r)
-        ats_q = atoms_of(q)
+        ats_q, leq_r = q.atoms, r.leq
         table = [0]  # basepoint to basepoint
-        for rr in ats_r:
-            above = [x for x in q.carrier() if alg_leq(r, rr, h.table[x])]
+        for rr in r.atoms:
+            above = [x for x in q.carrier() if leq_r[rr][h.table[x]]]
             if above:
                 m = _meet_of(q, above)
                 table.append(ats_q.index(m) + 1)
@@ -402,10 +346,10 @@ def dual_morphism(pair: str, h: AlgMorphism) -> AlgMorphism:
         one_q = q.op("one")
         rest_q = [x for x in q.carrier() if x != one_q]
         rest_r = [x for x in r.carrier() if x != r.op("one")]
-        zero_q = q.op("zero")
+        zero_q, leq_r = q.op("zero"), r.leq
         table = []
         for rr in rest_r:
-            below = [x for x in q.carrier() if alg_leq(r, h.table[x], rr)]
+            below = [x for x in q.carrier() if leq_r[h.table[x]][rr]]
             val = _join_of(q, below, zero_q)
             table.append(rest_q.index(val))
         return AlgMorphism(dr, dq, tuple(table))
@@ -413,20 +357,16 @@ def dual_morphism(pair: str, h: AlgMorphism) -> AlgMorphism:
     if pair == "JSL01" and side == "D":
         # fullness construction: h(q) = meet { r : q <= gbar(r) } in the duals
         # g: P1 -> P2 dualizes to a JSL01 morphism dual(P2) -> dual(P1)
-        p1, p2 = q, r
         d1, d2 = dq, dr  # dual(P1), dual(P2): JSL01 algebras
         top1, top2 = d1.op("one"), d2.op("one")
 
         def gbar(x):
             return top2 if x == top1 else h.table[x]
 
-        def leq2(x, y):
-            return d2.op("join")[x][y] == y
-
-        meet1 = _meet_table_from_join(d1)
+        meet1, leq2 = d1.meets, d2.leq
         table = []
         for x in d2.carrier():
-            above = [rr for rr in d1.carrier() if leq2(x, gbar(rr))]
+            above = [rr for rr in d1.carrier() if leq2[x][gbar(rr)]]
             acc = above[0]
             for z in above[1:]:
                 acc = meet1[acc][z]
@@ -443,18 +383,19 @@ def dual_morphism(pair: str, h: AlgMorphism) -> AlgMorphism:
 def eta(pair: str, a: FinAlgebra) -> AlgMorphism:
     """Canonical isomorphism a -> dual(dual(a))."""
     side = side_of(pair, a.tag)
-    dd = dual_object(pair, dual_object(pair, a))
+    d = dual_object(pair, a)
+    dd = dual_object(pair, d)
     p = vect_prime(a.tag)
 
     if p is not None or pair == "JSL0":
         return AlgMorphism(a, dd, tuple(range(a.size)))
-    if pair == "BA" and side == "C":
-        ats = atoms_of(a)
+    if pair in ("BA", "BR") and side == "C":
+        leq = a.leq
         table = []
         for x in a.carrier():
             mask = 0
-            for i, at in enumerate(ats):
-                if alg_leq(a, at, x):
+            for i, at in enumerate(a.atoms):
+                if leq[at][x]:
                     mask |= 1 << i
             table.append(mask)
         return AlgMorphism(a, dd, tuple(table))
@@ -462,23 +403,20 @@ def eta(pair: str, a: FinAlgebra) -> AlgMorphism:
         # atoms of the powerset BA are the singleton masks 1 << x, ascending
         return AlgMorphism(a, dd, tuple(range(a.size)))
     if pair == "DL01" and side == "C":
-        irr = join_irreducibles(a)
-        masks = _downsets(
-            tuple(tuple(alg_leq(a, x, y) for y in irr) for x in irr), len(irr)
-        )
+        irr, leq = a.join_irreducibles, a.leq
+        masks = _downsets(d.order, d.size)
         index = {m: i for i, m in enumerate(masks)}
         table = []
         for x in a.carrier():
             mask = 0
             for i, j in enumerate(irr):
-                if alg_leq(a, j, x):
+                if leq[j][x]:
                     mask |= 1 << i
             table.append(index[mask])
         return AlgMorphism(a, dd, tuple(table))
     if pair == "DL01" and side == "D":
         masks = _downsets(a.order, a.size)
-        lattice = dual_object(pair, a)
-        irr = join_irreducibles(lattice)
+        irr = d.join_irreducibles
         table = []
         for x in a.carrier():
             down = 0
@@ -487,21 +425,10 @@ def eta(pair: str, a: FinAlgebra) -> AlgMorphism:
                     down |= 1 << y
             table.append(irr.index(masks.index(down)))
         return AlgMorphism(a, dd, tuple(table))
-    if pair == "BR" and side == "C":
-        ats = atoms_of(a)
-        table = []
-        for x in a.carrier():
-            mask = 0
-            for i, at in enumerate(ats):
-                if alg_leq(a, at, x):
-                    mask |= 1 << i
-            table.append(mask)
-        return AlgMorphism(a, dd, tuple(table))
     if pair == "BR" and side == "D":
         point = a.op("point")
         others = [x for x in a.carrier() if x != point]
-        ring = dual_object(pair, a)
-        ats = atoms_of(ring)
+        ats = d.atoms
         table = []
         for x in a.carrier():
             if x == point:

@@ -279,17 +279,16 @@ def dot_automaton(value) -> str:
 
 def dot_hasse(a: FinAlgebra) -> str:
     """Hasse diagram of a lattice-like algebra or poset."""
-    from .algebra import alg_leq
-
+    leq = a.leq
     lines = ["digraph hasse {", "  rankdir=BT;"]
     for x in range(a.size):
         lines.append(f'  n{x} [shape=none label="{x}"];')
     for x in range(a.size):
         for y in range(a.size):
-            if x == y or not alg_leq(a, x, y):
+            if x == y or not leq[x][y]:
                 continue
             if any(
-                alg_leq(a, x, z) and alg_leq(a, z, y) and z not in (x, y)
+                leq[x][z] and leq[z][y] and z not in (x, y)
                 for z in range(a.size)
             ):
                 continue

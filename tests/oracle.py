@@ -101,3 +101,56 @@ def _state_language_subset(l: RegularLanguage, s1: int, s2: int) -> bool:
                 seen.add(t)
                 stack.append(t)
     return True
+
+
+# ---------------------------------------------------------------------------
+# order-theoretic structure of a finite algebra, by brute force from the tables
+
+
+def natural_order(a):
+    """order[x][y] iff x <= y: x v y = y where there is a join; in a Boolean
+    ring, x = y z for some z."""
+    n = a.size
+    ops = dict(a.ops)
+    if "join" in ops:
+        join = ops["join"]
+        return [[join[x][y] == y for y in range(n)] for x in range(n)]
+    mul = ops["mul"]
+    return [[any(mul[y][z] == x for z in range(n)) for y in range(n)] for x in range(n)]
+
+
+def atoms(a):
+    """Nonzero x with nothing but zero and x below it, ascending."""
+    order, zero = natural_order(a), dict(a.ops)["zero"]
+    return [
+        x
+        for x in range(a.size)
+        if x != zero and all(y in (zero, x) for y in range(a.size) if order[y][x])
+    ]
+
+
+def join_irreducibles(a):
+    """Nonzero j such that j = x v y only for j in {x, y}, ascending."""
+    ops = dict(a.ops)
+    join, zero = ops["join"], ops["zero"]
+    n = a.size
+    return [
+        j
+        for j in range(n)
+        if j != zero
+        and all(join[x][y] != j or j in (x, y) for x in range(n) for y in range(n))
+    ]
+
+
+def meets(a):
+    """meet[x][y]: the greatest common lower bound, None when there is none."""
+    order, n = natural_order(a), a.size
+    table = []
+    for x in range(n):
+        row = []
+        for y in range(n):
+            lower = [z for z in range(n) if order[z][x] and order[z][y]]
+            greatest = [z for z in lower if all(order[w][z] for w in lower)]
+            row.append(greatest[0] if greatest else None)
+        table.append(tuple(row))
+    return tuple(table)

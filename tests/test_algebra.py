@@ -1,7 +1,9 @@
 import itertools
+import pickle
 
 import pytest
 
+import oracle
 from predual.algebra import (
     AlgMorphism,
     BoundExceeded,
@@ -23,6 +25,8 @@ from predual.algebra import (
     pushforward_order,
     validate_algebra,
 )
+from predual.duality import dual_object
+from predual.serialize import dumps
 
 
 def two_chain_jsl0():
@@ -313,3 +317,53 @@ def test_enumerated_algebras_validate_and_are_pairwise_noniso():
         for i, a in enumerate(algs):
             for b in algs[i + 1 :]:
                 assert are_isomorphic(a, b) is None
+
+
+def _fresh_copy(a):
+    return make_algebra(a.tag, a.size, a.op_dict(), a.order)
+
+
+@pytest.mark.parametrize(
+    "pair,a",
+    [
+        ("BA", enumerate_algebras("BA", 8)[0]),
+        ("DL01", enumerate_algebras("DL01", 5)[-1]),
+        ("JSL01", enumerate_algebras("JSL01", 5)[-1]),
+        ("BR", enumerate_algebras("BR", 4)[0]),
+    ],
+)
+def test_cached_structure_stays_out_of_equality_hash_and_documents(pair, a):
+    fresh = _fresh_copy(a)
+    doc, text = dumps(a), repr(a)
+    a.leq
+    if pair in ("BA", "BR"):
+        a.atoms
+    if pair != "BR":
+        a.meets, a.join_irreducibles
+    dual_object(pair, a)
+    assert a == fresh and fresh == a
+    assert hash(a) == hash(fresh)
+    assert dumps(a) == doc == dumps(fresh)
+    assert repr(a) == text == repr(fresh)
+    restored = pickle.loads(pickle.dumps(a))
+    assert set(vars(restored)) == {"tag", "size", "ops", "order"}
+    assert restored == a and hash(restored) == hash(a)
+
+
+def _orderly_algebras():
+    for tag, sizes in (("JSL0", range(1, 6)), ("JSL01", range(1, 6)), ("DL01", range(1, 6)),
+                       ("BA", (1, 2, 4, 8)), ("BR", (1, 2, 4, 8))):
+        for n in sizes:
+            yield from enumerate_algebras(tag, n)
+
+
+def test_cached_order_atoms_irreducibles_and_meets_match_brute_force():
+    for a in _orderly_algebras():
+        assert [list(row) for row in a.leq] == oracle.natural_order(a)
+        if a.tag in ("BA", "BR"):
+            assert list(a.atoms) == oracle.atoms(a)
+        if a.tag != "BR":
+            assert list(a.join_irreducibles) == oracle.join_irreducibles(a)
+            assert a.meets == oracle.meets(a)
+        if a.tag in ("BA", "DL01"):
+            assert a.meets == a.op("meet")

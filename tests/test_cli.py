@@ -234,3 +234,11 @@ def test_dot_outputs(capsys):
     )
     assert code == 0
     assert out.startswith("digraph automaton")
+
+
+def test_check_laws_rejects_an_unknown_law_before_running(capsys):
+    code, out, err = run_cli(capsys, "check-laws", "--laws", "lrev,bogus", "--pairs", "BA")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error:") and "bogus" in err
+    assert err.count("\n") == 1

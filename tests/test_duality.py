@@ -2,6 +2,7 @@ import pytest
 
 from predual.algebra import (
     AlgMorphism,
+    StructureError,
     all_morphisms,
     are_isomorphic,
     check_morphism,
@@ -214,3 +215,25 @@ def test_join_irreducibles_of_chain():
     assert join_irreducibles(dl) == [1, 2]
     d = dual_object("DL01", dl)
     assert d.size == 2 and d.order[0][1]
+
+
+def test_atoms_of_returns_a_fresh_list():
+    br = four_element_br()
+    atoms = atoms_of(br)
+    atoms.append(0)
+    atoms[0] = 3
+    assert atoms_of(br) == [1, 2]
+    join = tuple(tuple(max(x, y) for y in range(3)) for x in range(3))
+    meet = tuple(tuple(min(x, y) for y in range(3)) for x in range(3))
+    dl = make_algebra("DL01", 3, {"meet": meet, "join": join, "zero": 0, "one": 2})
+    irr = join_irreducibles(dl)
+    irr.clear()
+    assert join_irreducibles(dl) == [1, 2]
+
+
+@pytest.mark.parametrize("pair,wrong", [("BA", "BR"), ("BA", "DL01"), ("JSL0", "JSL01")])
+def test_dual_object_checks_the_pair_after_caching(pair, wrong):
+    a = canonical_constants(pair).O_C
+    dual_object(pair, a)
+    with pytest.raises(StructureError):
+        dual_object(wrong, a)
