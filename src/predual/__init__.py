@@ -61,7 +61,6 @@ from .langlib import (
 from .automata import (
     Coalgebra,
     LAlgebra,
-    OutputMorphism,
     dual_automaton,
     dual_automaton_inv,
     dual_generated_monoid,

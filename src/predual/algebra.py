@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import getitem
 
 
 class StructureError(ValueError):
@@ -92,9 +93,9 @@ class FinAlgebra:
 
     Derived structure is computed on first use and kept on the instance:
     ``leq`` (the order matrix), ``atoms``, ``join_irreducibles``, ``meets``,
-    the hash, and the dual built by ``duality.dual_object``.  None of it takes
-    part in equality, hashing, ``repr``, pickling or serialized documents,
-    which see only the four fields.
+    ``downsets``, the hash, and the dual built by ``duality.dual_object``.
+    None of it takes part in equality, hashing, ``repr``, pickling or
+    serialized documents, which see only the four fields.
     """
 
     tag: str
@@ -175,6 +176,17 @@ class FinAlgebra:
         ]
         by_down = {mask: x for x, mask in enumerate(down)}
         return tuple(tuple(by_down.get(dx & dy) for dy in down) for dx in down)
+
+    @cached_property
+    def downsets(self) -> tuple:
+        """The down-closed subsets of a POS as bitmasks, ascending."""
+        n, order = self.size, self.order
+        below = [sum(1 << y for y in range(n) if order[y][x]) for x in range(n)]
+        return tuple(
+            mask
+            for mask in range(1 << n)
+            if all(below[x] & ~mask == 0 for x in range(n) if mask >> x & 1)
+        )
 
 
 def _freeze_table(table, arity, size):
@@ -534,30 +546,139 @@ def subalgebra_on(a: FinAlgebra, subset) -> tuple:
 
 def generated_subalgebra(a: FinAlgebra, seeds) -> AlgMorphism:
     """Inclusion of the smallest subalgebra containing seeds (and constants)."""
-    sig = signature(a.tag)
-    closed = set(seeds)
-    for name, arity in sig.items():
-        if arity == 0:
-            closed.add(a.op(name))
-    frontier = True
-    while frontier:
-        frontier = False
-        current = sorted(closed)
-        for name, arity in sig.items():
-            t = a.op(name)
-            if arity == 1:
-                for x in current:
-                    if t[x] not in closed:
-                        closed.add(t[x])
-                        frontier = True
-            elif arity == 2:
-                for x in current:
-                    for y in current:
-                        if t[x][y] not in closed:
-                            closed.add(t[x][y])
-                            frontier = True
-    _, inclusion = subalgebra_on(a, closed)
+    elements, _, _ = closure(dict.fromkeys(seeds), closure_ops(a))
+    _, inclusion = subalgebra_on(a, elements)
     return inclusion
+
+
+# ---------------------------------------------------------------------------
+# the closure kernel
+
+
+def closure(seeds, ops, cap=None, on_new=None):
+    """Least superset of the seeds closed under ops, with every op's table.
+
+    seeds maps each seed element to its witness; ops is a sequence of
+    (arity, fn, commutative) with arity 0, 1 or 2 and fn acting on elements.
+    Evaluation is semi-naive, by rounds: the first round applies every op to
+    the seeds (constants included), each later round only to the argument
+    tuples that hold an element found in the round before, and a commutative
+    op only to pairs (x, y) with x found no later than y.  Within a round ops
+    go in the given order and tuples in lexicographic order of discovery, so
+    each element is first produced by the tuple that a naive loop over all
+    tuples of every round meets first.
+
+    on_new(x, k, ws), if given, is called when ops[k] first yields x, with ws
+    the witnesses of the arguments, and returns the witness of x; to stop the
+    closure it raises, and the exception propagates.  CapExceeded is raised
+    once more than cap elements are known.
+
+    Returns (elements, witnesses, tables): elements in discovery order and
+    tables[k] the table of ops[k] over element indices, an index for a
+    constant, a list for a unary op and a list of rows for a binary one.
+    """
+    elements = list(seeds)
+    witnesses = list(seeds.values())
+    index = {x: i for i, x in enumerate(elements)}
+    tables = [None if arity == 0 else [] for arity, _, _ in ops]
+
+    def add(x, k, args):
+        w = on_new(x, k, [witnesses[a] for a in args]) if on_new else None
+        i = index[x] = len(elements)
+        elements.append(x)
+        witnesses.append(w)
+        if cap is not None and i >= cap:
+            raise CapExceeded(f"closure exceeded cap {cap}")
+        return i
+
+    old, first = 0, True
+    while first or old < len(elements):
+        n = len(elements)
+        for k, (arity, fn, commutative) in enumerate(ops):
+            table = tables[k]
+            if arity == 0:
+                if first:
+                    x = fn()
+                    tables[k] = index[x] if x in index else add(x, k, ())
+            elif arity == 1:
+                for i in range(old, n):
+                    x = fn(elements[i])
+                    r = index.get(x)
+                    table.append(add(x, k, (i,)) if r is None else r)
+            else:
+                for row in table:
+                    row.extend([None] * (n - old))
+                table.extend([None] * n for _ in range(old, n))
+                for i in range(n):
+                    x, row = elements[i], table[i]
+                    for j in range(old if i < old else i if commutative else 0, n):
+                        y = fn(x, elements[j])
+                        r = index.get(y)
+                        row[j] = r = add(y, k, (i, j)) if r is None else r
+                        if commutative:
+                            table[j][i] = r
+        old, first = n, False
+    return elements, witnesses, tables
+
+
+def sort_closure(closed, key=None):
+    """A closure() result with its elements sorted (by key, if given) and its
+    tables over the sorted order."""
+    elements, witnesses, tables = closed
+    key = key or (lambda x: x)
+    order = sorted(range(len(elements)), key=lambda i: key(elements[i]))
+    pos = [0] * len(order)
+    for new, old in enumerate(order):
+        pos[old] = new
+
+    def relabel(t):
+        if isinstance(t, int):
+            return pos[t]
+        if isinstance(t[0], int):
+            return tuple(pos[t[i]] for i in order)
+        return tuple(tuple(pos[t[i][j]] for j in order) for i in order)
+
+    return (
+        [elements[i] for i in order],
+        [witnesses[i] for i in order],
+        [relabel(t) for t in tables],
+    )
+
+
+def table_fn(arity, table):
+    """An operation table as a closure() op function on carrier elements."""
+    if arity == 0:
+        return lambda: table
+    if arity == 1:
+        return table.__getitem__
+    return lambda x, y: table[x][y]
+
+
+def componentwise_fn(arity, tables):
+    """Operation tables as a closure() op function on tuples, tables[i]
+    acting on entry i."""
+    if arity == 0:
+        constant = tuple(tables)
+        return lambda: constant
+    if arity == 1:
+        return lambda x: tuple(map(getitem, tables, x))
+    return lambda x, y: tuple(map(getitem, map(getitem, tables, x), y))
+
+
+def closure_ops(algebras) -> list:
+    """The operations of a signature, sorted by name, as closure() ops: on
+    the elements of one algebra, or componentwise on tuples when algebras is
+    a list of algebras of one tag (entry i in algebras[i]).  Every binary
+    operation of the supported signatures is commutative."""
+    if isinstance(algebras, FinAlgebra):
+        return [
+            (arity, table_fn(arity, algebras.op(name)), True)
+            for name, arity in sorted(signature(algebras.tag).items())
+        ]
+    return [
+        (arity, componentwise_fn(arity, [a.op(name) for a in algebras]), True)
+        for name, arity in sorted(signature(algebras[0].tag).items())
+    ]
 
 
 @dataclass(frozen=True)
@@ -772,10 +893,6 @@ def combine_elements(a: FinAlgebra, weighted) -> int:
 
 # ---------------------------------------------------------------------------
 # morphism enumeration / isomorphism search
-
-
-def _op_items(alg: FinAlgebra):
-    return [(name, signature(alg.tag)[name], alg.op(name)) for name, _ in alg.ops]
 
 
 def _search_maps(

@@ -9,6 +9,7 @@ two, sending the output morphism to the initial-state selector.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .algebra import (
@@ -16,11 +17,16 @@ from .algebra import (
     FinAlgebra,
     StructureError,
     _search_maps,
+    all_morphisms,
     check_morphism,
     combine_elements,
+    enumerate_algebras,
+    generated_subalgebra,
     product,
     signature,
+    standardize_vect,
     validate_algebra,
+    vect_prime,
 )
 from .duality import (
     PAIR_D_SIDE,
@@ -37,15 +43,21 @@ from .langlib import (
     FreeElement,
     RegularLanguage,
     closure_under_ops_and_derivs,
-    free_combine,
+    free_mul,
     free_word,
     free_zero,
     from_components,
-    language_op,
-    left_deriv,
+    make_free,
+    rev_free,
     right_deriv,
 )
-from .monoids import GeneratedDMonoid, make_dmonoid, validate_dmonoid
+from .monoids import (
+    GeneratedDMonoid,
+    associated_lalgebra,
+    dmonoid_closure,
+    make_dmonoid,
+    validate_dmonoid,
+)
 
 
 def pair_of_d_tag(tag: str) -> str:
@@ -85,14 +97,6 @@ class LAlgebra:
         raise StructureError(f"letter {letter!r} not in alphabet")
 
 
-@dataclass(frozen=True)
-class OutputMorphism:
-    """A D-morphism from an LAlgebra's states to O_D (a choice of finals)."""
-
-    host: LAlgebra
-    table: tuple
-
-
 def make_coalgebra(pair, alphabet, states, trans: dict, out) -> Coalgebra:
     alphabet = tuple(alphabet)
     if states.tag != c_tag(pair):
@@ -108,8 +112,6 @@ def make_coalgebra(pair, alphabet, states, trans: dict, out) -> Coalgebra:
 
 
 def _vect_encoding_errors(states: FinAlgebra) -> list:
-    from .algebra import standardize_vect, vect_prime
-
     if vect_prime(states.tag) is None:
         return []
     _, perm = standardize_vect(states)
@@ -256,11 +258,10 @@ def language_of_state(q: Coalgebra, state: int) -> RegularLanguage:
 
 def language_of_output(a: LAlgebra, out) -> RegularLanguage:
     """Minimal automaton of {w : out(alpha_w(init)) = 1}."""
-    table = out.table if isinstance(out, OutputMorphism) else tuple(out)
     delta = [
         tuple(a.tr(x)[s] for x in a.alphabet) for s in range(a.states.size)
     ]
-    finals = {s for s in range(a.states.size) if table[s] == 1}
+    finals = {s for s in range(a.states.size) if out[s] == 1}
     return from_components(a.alphabet, delta, finals, a.init)
 
 
@@ -285,8 +286,6 @@ def shift_initial(a: LAlgebra, x: FreeElement) -> LAlgebra:
 
 def shift_initial_co(q: Coalgebra, x: FreeElement) -> Coalgebra:
     """Q_x, defined through the dual: dual(Q_x) = dual(Q) with init e(rev x)."""
-    from .langlib import rev_free
-
     shifted = shift_initial(dual_automaton(q), rev_free(x))
     qx = relabel_double_dual(q.pair, q.states, dual_automaton_inv(shifted))
     assert qx.trans == q.trans
@@ -374,8 +373,6 @@ def is_subcoalgebra_of_rho(q: Coalgebra) -> bool:
             if t not in seen:
                 seen.add(t)
                 frontier.append(t)
-    from .algebra import generated_subalgebra
-
     closure = generated_subalgebra(a.states, seen)
     crit_reach = closure.source.size == a.states.size
 
@@ -426,29 +423,12 @@ def generated_local_variety(pair: str, seeds, cap: int = 4096) -> Coalgebra:
     tag = c_tag(pair)
     langs = closure_under_ops_and_derivs(tag, seeds, cap)
     alphabet = langs[0].alphabet
-    index = {l: i for i, l in enumerate(langs)}
-    sig = signature(tag)
-    ops = {}
-    for name, arity in sig.items():
-        if arity == 0:
-            ops[name] = index[language_op(tag, name, [langs[0]])]
-        elif arity == 1:
-            ops[name] = tuple(index[language_op(tag, name, [l])] for l in langs)
-        else:
-            ops[name] = tuple(
-                tuple(index[language_op(tag, name, [l1, l2])] for l2 in langs)
-                for l1 in langs
-            )
-    states = FinAlgebra(tag, len(langs), tuple(sorted(ops.items())), None)
+    states = FinAlgebra(tag, len(langs), tuple(sorted(langs.ops.items())), None)
     errors = validate_algebra(states)
     if errors:
         raise StructureError(f"closure is not a valid {tag} algebra: {errors[0]}")
-    trans = {
-        a: tuple(index[left_deriv(l, a)] for l in langs) for a in alphabet
-    }
+    trans = langs.trans
     out = tuple(1 if l.accepts("") else 0 for l in langs)
-    from .algebra import standardize_vect, vect_prime
-
     if vect_prime(tag) is not None:
         # dual maps read matrices off the standard basis encoding
         states, perm = standardize_vect(states)
@@ -512,8 +492,7 @@ def language_quotient(q: Coalgebra):
 
 def output_value(a: LAlgebra, out, x) -> int:
     """The D-morphism view of an output: (out . e_A)(x) on a free element."""
-    table = out.table if isinstance(out, OutputMorphism) else out
-    return table[eval_free(a, x)]
+    return out[eval_free(a, x)]
 
 
 # ---------------------------------------------------------------------------
@@ -551,12 +530,11 @@ def dual_generated_monoid(q: Coalgebra, assume_local_variety: bool = False) -> G
                     nxt.append(t)
         frontier = nxt
     if len(reprs) < n:
-        _close_reprs_under_ops(a, reprs)
+        elements, witnesses, _ = dmonoid_closure(reprs, a.states)
+        reprs = dict(zip(elements, witnesses))
     if len(reprs) < n:
         raise AssertionError("dual carrier not generated by words and D-operations")
     _minimize_reprs(a, reprs)
-    from .langlib import free_mul
-
     mult = tuple(
         tuple(eval_free(a, free_mul(reprs[x], reprs[y])) for y in range(n))
         for x in range(n)
@@ -567,40 +545,8 @@ def dual_generated_monoid(q: Coalgebra, assume_local_variety: bool = False) -> G
         raise AssertionError(f"dual monoid fails validation: {problems[0]}")
     gens = tuple((letter, run_word(a, letter)) for letter in alphabet)
     g = GeneratedDMonoid(base, alphabet, gens, tuple(sorted(reprs.items())))
-    from .monoids import associated_lalgebra
-
     assert associated_lalgebra(g) == a, "associated L-algebra differs from the dual"
     return g
-
-
-def _close_reprs_under_ops(a: LAlgebra, reprs: dict):
-    tag = a.states.tag
-    sig = signature(tag)
-    changed = True
-    while changed:
-        changed = False
-        current = list(reprs)
-        for name, arity in sorted(sig.items()):
-            op = a.states.op(name)
-            if arity == 0:
-                if op not in reprs:
-                    reprs[op] = free_zero(tag, a.alphabet)
-                    changed = True
-            elif arity == 1:
-                k = int(name[4:]) if name.startswith("smul") else 1
-                for x in current:
-                    if op[x] not in reprs:
-                        reprs[op[x]] = free_combine(tag, a.alphabet, [(reprs[x], k)])
-                        changed = True
-            else:
-                for x in current:
-                    for y in current:
-                        z = op[x][y]
-                        if z not in reprs:
-                            reprs[z] = free_combine(
-                                tag, a.alphabet, [(reprs[x], 1), (reprs[y], 1)]
-                            )
-                            changed = True
 
 
 def _minimize_reprs(a: LAlgebra, reprs: dict):
@@ -618,24 +564,17 @@ def _minimize_reprs(a: LAlgebra, reprs: dict):
     else:
         if len(words) > 12:
             return  # candidate pool too large; keep constructed reps
-        from itertools import combinations
-        from .algebra import vect_prime
-
         p = vect_prime(tag)
         candidates = [free_zero(tag, a.alphabet)]
         coeffs = range(1, (p or 2))
         pool = []
         for r in range(1, len(words) + 1):
-            for combo in combinations(words, r):
+            for combo in itertools.combinations(words, r):
                 if p is None or p == 2:
                     pool.append([(w, 1) for w in combo])
                 else:
-                    from itertools import product as iproduct
-
-                    for cs in iproduct(coeffs, repeat=r):
+                    for cs in itertools.product(coeffs, repeat=r):
                         pool.append(list(zip(combo, cs)))
-        from .langlib import make_free
-
         candidates += [make_free(tag, a.alphabet, pairs) for pairs in pool]
     candidates.sort(key=FreeElement.sort_key)
     best = {}
@@ -686,8 +625,6 @@ def enumerate_coalgebras(pair, alphabet, max_states, limit=None):
     transitions range over all endomorphisms and outputs over all morphisms
     to O_C.  limit caps the total count (deterministic prefix).
     """
-    from .algebra import all_morphisms, enumerate_algebras, vect_prime
-
     bundle = canonical_constants(pair)
     tag = c_tag(pair)
     alphabet = tuple(alphabet)
@@ -703,8 +640,6 @@ def enumerate_coalgebras(pair, alphabet, max_states, limit=None):
         for states in enumerate_algebras(tag, n):
             endos = [f.table for f in all_morphisms(states, states)]
             outs = [f.table for f in all_morphisms(states, bundle.O_C)]
-            import itertools
-
             for combo in itertools.product(endos, repeat=len(alphabet)):
                 for out in outs:
                     yield Coalgebra(

@@ -11,14 +11,26 @@ import argparse
 import json
 import sys
 
-from .algebra import BoundExceeded, CapExceeded, StructureError, validate_algebra
+from .algebra import (
+    AlgMorphism,
+    BoundExceeded,
+    CapExceeded,
+    FinAlgebra,
+    StructureError,
+    enumerate_algebras,
+    validate_algebra,
+)
 from .automata import (
+    Coalgebra,
+    LAlgebra,
     dual_generated_monoid,
     generated_local_variety,
     languages_of,
 )
-from .duality import PAIRS, dual_morphism, dual_object, verify_preduality
+from .duality import PAIRS, d_tag, dual_morphism, dual_object, verify_preduality
 from .langlib import (
+    RegexSyntaxError,
+    RegularLanguage,
     language_to_regex,
     left_deriv,
     parse_regex,
@@ -31,6 +43,7 @@ from .preimage import (
     check_preimage_laws,
     coalgebra_preimage,
     default_corpus,
+    default_morphisms,
 )
 from .serialize import (
     dot_automaton,
@@ -69,8 +82,6 @@ def _read_language(args):
 
 
 def cmd_enumerate(args):
-    from .algebra import enumerate_algebras
-
     algs = enumerate_algebras(args.tag, args.size)
     if args.json:
         sys.stdout.write(dumps({"kind": "list", "items": [to_doc(a) for a in algs]}))
@@ -87,8 +98,6 @@ def cmd_dualize(args):
         sys.stdout.write(json.dumps(report, sort_keys=True, default=str, indent=2) + "\n")
         return OK if report["ok"] else COUNTEREXAMPLE
     value = _load(args.infile)
-    from .algebra import AlgMorphism, FinAlgebra
-
     if isinstance(value, FinAlgebra):
         problems = validate_algebra(value)
         if problems:
@@ -147,9 +156,6 @@ def cmd_syntactic(args):
 def cmd_preimage(args):
     value = _load(args.automaton) if args.automaton else _read_language(args)
     f = _load(args.map)
-    from .automata import Coalgebra, LAlgebra
-    from .langlib import RegularLanguage
-
     if isinstance(value, RegularLanguage):
         return _emit(args, preimage_language(value, f))
     if isinstance(value, Coalgebra):
@@ -212,9 +218,6 @@ def cmd_check_laws(args):
             spec = json.load(fh)
         pairs = tuple(spec.get("pairs", ("BA", "JSL0")))
         corpus = {}
-        from .preimage import default_morphisms
-        from .duality import d_tag
-
         for pair in pairs:
             varieties = []
             for alphabet, regexes in spec["seeds"].items():
@@ -349,7 +352,7 @@ def main(argv=None) -> int:
     except (StructureError, AssertionError) as e:
         print(f"violation: {e}", file=sys.stderr)
         return COUNTEREXAMPLE
-    except FileNotFoundError as e:
+    except (FileNotFoundError, RegexSyntaxError) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return USAGE
 

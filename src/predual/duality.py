@@ -29,6 +29,8 @@ from .algebra import (
     free_algebra,
     identity_morphism,
     make_algebra,
+    relabel_algebra,
+    validate_algebra,
     vect_prime,
 )
 
@@ -87,24 +89,6 @@ def join_irreducibles(a: FinAlgebra) -> list:
     return list(a.join_irreducibles)
 
 
-def _downsets(order, n):
-    """All down-closed subsets as bitmasks, ascending."""
-    out = []
-    for mask in range(1 << n):
-        ok = True
-        for x in range(n):
-            if mask >> x & 1:
-                for y in range(n):
-                    if order[y][x] and not (mask >> y & 1):
-                        ok = False
-                        break
-            if not ok:
-                break
-        if ok:
-            out.append(mask)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # dual objects
 
@@ -147,7 +131,7 @@ def _build_dual(pair: str, side: str, a: FinAlgebra) -> FinAlgebra:
             irr, leq = a.join_irreducibles, a.leq
             order = tuple(tuple(leq[x][y] for y in irr) for x in irr)
             return make_algebra("POS", len(irr), {}, order)
-        masks = _downsets(a.order, a.size)
+        masks = a.downsets
         index = {m: i for i, m in enumerate(masks)}
         return make_algebra(
             "DL01",
@@ -292,8 +276,7 @@ def dual_morphism(pair: str, h: AlgMorphism) -> AlgMorphism:
                         pre |= 1 << x
                 table.append(pre)
             return AlgMorphism(dr, dq, tuple(table))
-        masks_r = _downsets(r.order, r.size)
-        masks_q = _downsets(q.order, q.size)
+        masks_r, masks_q = r.downsets, q.downsets
         index_q = {m: i for i, m in enumerate(masks_q)}
         table = []
         for mask in masks_r:
@@ -404,7 +387,7 @@ def eta(pair: str, a: FinAlgebra) -> AlgMorphism:
         return AlgMorphism(a, dd, tuple(range(a.size)))
     if pair == "DL01" and side == "C":
         irr, leq = a.join_irreducibles, a.leq
-        masks = _downsets(d.order, d.size)
+        masks = d.downsets
         index = {m: i for i, m in enumerate(masks)}
         table = []
         for x in a.carrier():
@@ -415,7 +398,7 @@ def eta(pair: str, a: FinAlgebra) -> AlgMorphism:
             table.append(index[mask])
         return AlgMorphism(a, dd, tuple(table))
     if pair == "DL01" and side == "D":
-        masks = _downsets(a.order, a.size)
+        masks = a.downsets
         irr = d.join_irreducibles
         table = []
         for x in a.carrier():
@@ -475,9 +458,6 @@ class ConstantsBundle:
     ident: tuple
     out_one_C: AlgMorphism  # the morphism 1_C -> O_C choosing 1
     relabel_OD: tuple  # dual_object(one_C) index -> O_D index
-
-
-from .algebra import relabel_algebra as _relabel_algebra
 
 
 def _two_chain(tag):
@@ -561,7 +541,7 @@ def canonical_constants(pair: str) -> ConstantsBundle:
         perm = (0, 1) if pos == 1 else (1, 0)
     else:
         perm = tuple(range(raw_od.size))  # VECT(p) with p > 2: keep raw labels
-    o_d = _relabel_algebra(raw_od, perm)
+    o_d = relabel_algebra(raw_od, perm)
     one_out_d = perm[pos]
 
     ident = tuple(range(o_c.size)) if o_c.size == o_d.size else None
@@ -713,8 +693,6 @@ def verify_preduality(pair: str, max_size: int, dual_morphism_fn=None) -> dict:
     report["objects"] = len(c_objs) + len(d_objs)
 
     # double-dual isomorphism + object validity, both sides
-    from .algebra import validate_algebra
-
     for obj in c_objs + d_objs:
         dual = dual_object(pair, obj)
         if validate_algebra(dual):

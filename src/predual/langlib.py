@@ -14,7 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import CapExceeded, StructureError, vect_prime
+from .algebra import (
+    CapExceeded,
+    StructureError,
+    closure,
+    signature,
+    sort_closure,
+    vect_prime,
+)
 
 
 class RegexSyntaxError(ValueError):
@@ -664,16 +671,6 @@ def compose_free(f: DMonoidMorphismFree, g: DMonoidMorphismFree) -> DMonoidMorph
     )
 
 
-def dagger(f: DMonoidMorphismFree) -> DMonoidMorphismFree:
-    """Conjugation by reversal: letter images are reversed wordwise."""
-    return make_free_morphism(
-        f.tag,
-        f.source_alphabet,
-        f.target_alphabet,
-        {b: rev_free(f.image(b)) for b in f.source_alphabet},
-    )
-
-
 def preimage_language(l: RegularLanguage, f: DMonoidMorphismFree) -> RegularLanguage:
     """{w over the source alphabet : eval_language(l, f*(w)) = 1}.
 
@@ -778,9 +775,28 @@ def preimage_language(l: RegularLanguage, f: DMonoidMorphismFree) -> RegularLang
 # closure under derivatives and language operations
 
 
+def signature_ops(tag: str, lang: RegularLanguage) -> list:
+    """The tag's operations, in signature order, as closure() ops on
+    languages over lang's alphabet (constants read the alphabet off lang)."""
+
+    def op(name, arity):
+        if arity == 0:
+            return lambda: language_op(tag, name, [lang])
+        return lambda *operands: language_op(tag, name, operands)
+
+    return [(arity, op(name, arity), True) for name, arity in signature(tag).items()]
+
+
+class LanguageClosure(list):
+    """The languages of a closure in sort order, with the closure's tables
+    over that order: ``ops`` maps each operation of the tag's signature to
+    its table, ``trans`` each letter to the table of left derivatives."""
+
+
 def closure_under_ops_and_derivs(tag: str, seeds, cap: int = 4096):
     """Least set of languages containing seeds, closed under both derivatives
-    and the tag's language operations (with constants).  Returns a sorted list.
+    and the tag's language operations (with constants).  Returns a sorted list
+    (a LanguageClosure, which also carries the operation tables).
     """
     seeds = list(seeds)
     if not seeds:
@@ -788,43 +804,16 @@ def closure_under_ops_and_derivs(tag: str, seeds, cap: int = 4096):
     alphabet = seeds[0].alphabet
     if any(s.alphabet != alphabet for s in seeds):
         raise StructureError("seeds must share an alphabet")
-    current = set(seeds)
-    current.add(empty_language(alphabet))
-    if tag in ("BA", "DL01"):
-        current.add(full_language(alphabet))
-    while True:
-        added = set()
-
-        def consider(lang):
-            if lang not in current and lang not in added:
-                added.add(lang)
-
-        for lang in current:
-            for a in alphabet:
-                consider(left_deriv(lang, a))
-                consider(right_deriv(lang, a))
-        if tag == "BA":
-            for lang in current:
-                consider(complement(lang))
-        langs = sorted(current, key=RegularLanguage.sort_key)
-        for i, l1 in enumerate(langs):
-            for l2 in langs[i:]:
-                if tag in ("BA", "DL01"):
-                    consider(union(l1, l2))
-                    consider(intersection(l1, l2))
-                elif tag == "JSL0":
-                    consider(union(l1, l2))
-                elif tag == "VECT2":
-                    consider(symmetric_difference(l1, l2))
-                else:  # BR
-                    consider(symmetric_difference(l1, l2))
-                    consider(intersection(l1, l2))
-        if not added:
-            break
-        current |= added
-        if len(current) > cap:
-            raise CapExceeded(f"language closure exceeded cap {cap}")
-    return sorted(current, key=RegularLanguage.sort_key)
+    ops = [(1, lambda l, a=a: left_deriv(l, a), False) for a in alphabet]
+    ops += [(1, lambda l, a=a: right_deriv(l, a), False) for a in alphabet]
+    ops += signature_ops(tag, seeds[0])
+    langs, _, tables = sort_closure(
+        closure(dict.fromkeys(seeds), ops, cap), key=RegularLanguage.sort_key
+    )
+    result = LanguageClosure(langs)
+    result.trans = dict(zip(alphabet, tables))
+    result.ops = dict(zip(signature(tag), tables[2 * len(alphabet):]))
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -944,11 +933,6 @@ def _transpose_series(s: RationalSeries) -> RationalSeries:
 def minimize_series(s: RationalSeries) -> RationalSeries:
     """Schutzenberger minimization: reachability then observability reduction."""
     return _transpose_series(_forward_reduce(_transpose_series(_forward_reduce(s))))
-
-
-def series_of_state(automaton: RationalSeries) -> RationalSeries:
-    """Minimal rational series of a (possibly non-minimal) linear automaton."""
-    return minimize_series(automaton)
 
 
 def series_of_language(l: RegularLanguage, p: int) -> RationalSeries:

@@ -9,6 +9,7 @@ idempotent semiring; for SET_STAR the basepoint must be an absorbing zero.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .algebra import (
@@ -17,10 +18,16 @@ from .algebra import (
     FinAlgebra,
     StructureError,
     check_morphism,
+    closure,
+    closure_ops,
     combine_elements,
+    componentwise_fn,
+    make_algebra,
     product,
     signature,
+    sort_closure,
     subalgebra_on,
+    table_fn,
     table_isomorphism,
 )
 from .langlib import (
@@ -28,9 +35,7 @@ from .langlib import (
     FreeElement,
     free_combine,
     free_mul,
-    free_unit,
     free_word,
-    free_zero,
     make_free_morphism,
     rev_free,
 )
@@ -192,9 +197,8 @@ def transition_dmonoid(lalg, cap: int = 64) -> EndoMonoidView:
     tag = host.tag
     alphabet = lalg.alphabet
     ident = tuple(range(n))
-    witness = {ident: free_unit(tag, alphabet) if tag not in ("SET", "POS") else free_word(tag, alphabet, "")}
+    witness = {ident: free_word(tag, alphabet, "")}
     trans = dict(lalg.trans)
-    order = [ident]
     # word closure first: BFS in shortlex order gives minimal word witnesses
     frontier = [ident]
     while frontier:
@@ -203,86 +207,57 @@ def transition_dmonoid(lalg, cap: int = 64) -> EndoMonoidView:
             for a in alphabet:
                 u = _compose_tables(t, trans[a])
                 if u not in witness:
-                    w = witness[t]
-                    witness[u] = free_mul(w, free_word(tag, alphabet, a))
-                    order.append(u)
+                    witness[u] = free_mul(witness[t], free_word(tag, alphabet, a))
                     nxt.append(u)
-                    if len(order) > cap:
+                    if len(witness) > cap:
                         raise CapExceeded(f"transition monoid exceeds cap {cap}")
         frontier = nxt
-    # pointwise D-operation closure
-    sig = signature(tag)
-    changed = True
-    while changed:
-        changed = False
-        current = list(order)
-        for name, arity in sorted(sig.items()):
-            op = host.op(name)
-            if arity == 0:
-                t = tuple(op for _ in range(n))
-                if t not in witness:
-                    witness[t] = (
-                        free_zero(tag, alphabet)
-                        if tag not in ("SET", "POS")
-                        else None
-                    )
-                    order.append(t)
-                    changed = True
-            elif arity == 1:
-                for t in current:
-                    u = tuple(op[v] for v in t)
-                    if u not in witness:
-                        k = int(name[4:]) if name.startswith("smul") else 1
-                        witness[u] = free_combine(tag, alphabet, [(witness[t], k)])
-                        order.append(u)
-                        changed = True
-            else:
-                for t1 in current:
-                    for t2 in current:
-                        u = tuple(op[x][y] for x, y in zip(t1, t2))
-                        if u not in witness:
-                            witness[u] = free_combine(
-                                tag, alphabet, [(witness[t1], 1), (witness[t2], 1)]
-                            )
-                            order.append(u)
-                            changed = True
-                if changed:
-                    break
-        if len(order) > cap:
-            raise CapExceeded(f"transition monoid exceeds cap {cap}")
-    elements = tuple(sorted(order))
+    # pointwise D-operation closure; composition distributes over the
+    # D-operations, so the result stays closed under it
+    elements, witnesses, tables = sort_closure(
+        dmonoid_closure(witness, [host] * n, cap=cap)
+    )
     index = {t: i for i, t in enumerate(elements)}
-    ops = {}
-    for name, arity in sig.items():
-        op = host.op(name)
-        if arity == 0:
-            ops[name] = index[tuple(op for _ in range(n))]
-        elif arity == 1:
-            ops[name] = tuple(index[tuple(op[v] for v in t)] for t in elements)
-        else:
-            ops[name] = tuple(
-                tuple(index[tuple(op[x][y] for x, y in zip(t1, t2))] for t2 in elements)
-                for t1 in elements
-            )
     horder = None
     if host.order is not None:
         horder = tuple(
             tuple(all(host.order[x][y] for x, y in zip(t1, t2)) for t2 in elements)
             for t1 in elements
         )
-    from .algebra import make_algebra
-
-    carrier = make_algebra(tag, len(elements), ops, horder)
+    carrier = make_algebra(
+        tag, len(elements), dict(zip(sorted(signature(tag)), tables)), horder
+    )
     mult = tuple(
         tuple(index[_compose_tables(t1, t2)] for t2 in elements) for t1 in elements
     )
     monoid = make_dmonoid(carrier, mult, index[ident])
     return EndoMonoidView(
-        host,
-        elements,
-        monoid,
-        tuple(sorted((t, witness[t]) for t in elements if witness[t] is not None)),
+        host, tuple(elements), monoid, tuple(zip(elements, witnesses))
     )
+
+
+def dmonoid_closure(seeds: dict, carriers, mult=None, cap=None):
+    """closure() of seeds, a dict element -> free-element witness, under the
+    multiplication function mult (if given) and then the D-operations of
+    carriers (as in closure_ops).
+
+    A new element's witness is built by the operation that found it: the
+    product of the argument witnesses for mult, their combination (weighted
+    by k for smulk) for a D-operation, the empty combination for a constant.
+    """
+    some = next(iter(seeds.values()))
+    tag, alphabet = some.tag, some.alphabet
+    names = ["mul"] * (mult is not None) + sorted(signature(tag))
+    ops = [(2, mult, False)] * (mult is not None) + closure_ops(carriers)
+
+    def witness(x, k, ws):
+        name = names[k]
+        if name == "mul":
+            return free_mul(*ws)
+        coeff = int(name[4:]) if name.startswith("smul") else 1
+        return free_combine(tag, alphabet, [(w, coeff) for w in ws])
+
+    return closure(seeds, ops, cap, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -309,75 +284,6 @@ def dmonoid_product(m1: DMonoid, m2: DMonoid):
     return make_dmonoid(prod, mult, enc(m1.unit, m2.unit)), enc
 
 
-def _generated_sub_dmonoid(m: DMonoid, seeds: dict):
-    """Closure of seed elements (with witnesses) under mult and D-operations.
-
-    seeds: element -> FreeElement witness; the unit must be included.
-    Returns (elements sorted, witness dict).
-    """
-    tag = m.carrier.tag
-    sig = signature(tag)
-    witness = dict(seeds)
-    changed = True
-    while changed:
-        changed = False
-        current = list(witness)
-        for x in current:
-            for y in current:
-                z = m.mult[x][y]
-                if z not in witness:
-                    witness[z] = free_mul(witness[x], witness[y])
-                    changed = True
-        for name, arity in sorted(sig.items()):
-            op = m.carrier.op(name)
-            if arity == 0:
-                if op not in witness:
-                    witness[op] = free_zero(tag, next(iter(seeds.values())).alphabet)
-                    changed = True
-            elif arity == 1:
-                k = int(name[4:]) if name.startswith("smul") else 1
-                for x in current:
-                    z = op[x]
-                    if z not in witness:
-                        witness[z] = free_combine(
-                            tag, witness[x].alphabet, [(witness[x], k)]
-                        )
-                        changed = True
-            else:
-                for x in current:
-                    for y in current:
-                        z = op[x][y]
-                        if z not in witness:
-                            witness[z] = free_combine(
-                                tag,
-                                witness[x].alphabet,
-                                [(witness[x], 1), (witness[y], 1)],
-                            )
-                            changed = True
-    return sorted(witness), witness
-
-
-def generated_dmonoid_from(m: DMonoid, alphabet, gen_images: dict) -> GeneratedDMonoid:
-    """Sigma-generated sub-D-monoid of m (image of the induced morphism)."""
-    tag = m.carrier.tag
-    seeds = {m.unit: free_word(tag, alphabet, "")}
-    for a in alphabet:
-        seeds.setdefault(gen_images[a], free_word(tag, alphabet, a))
-    elems, witness = _generated_sub_dmonoid(m, seeds)
-    sub, inclusion = subalgebra_on(m.carrier, elems)
-    index = {e: i for i, e in enumerate(elems)}
-    mult = tuple(
-        tuple(index[m.mult[x][y]] for y in elems) for x in elems
-    )
-    base = make_dmonoid(sub, mult, index[m.unit])
-    return GeneratedDMonoid(
-        base,
-        tuple(alphabet),
-        tuple((a, index[gen_images[a]]) for a in alphabet),
-        tuple((index[e], witness[e]) for e in elems),
-    )
-
-
 def subdirect_product(g1: GeneratedDMonoid, g2: GeneratedDMonoid) -> GeneratedDMonoid:
     """Image of the pairing of two Sigma-generated D-monoids in their product.
 
@@ -389,24 +295,25 @@ def subdirect_product(g1: GeneratedDMonoid, g2: GeneratedDMonoid) -> GeneratedDM
     if g1.base.carrier.tag != g2.base.carrier.tag:
         raise StructureError("subdirect product requires a common tag")
     prod, enc = dmonoid_product(g1.base, g2.base)
-    gen_images = {a: enc(g1.gen(a), g2.gen(a)) for a in g1.alphabet}
-    result = generated_dmonoid_from(prod, g1.alphabet, gen_images)
-    elems = _subdirect_carrier_elements(g1, g2)
+    tag, alphabet = prod.carrier.tag, g1.alphabet
+    gen_images = {a: enc(g1.gen(a), g2.gen(a)) for a in alphabet}
+    seeds = {prod.unit: free_word(tag, alphabet, "")}
+    for a in alphabet:
+        seeds.setdefault(gen_images[a], free_word(tag, alphabet, a))
+    elems, witnesses, tables = sort_closure(
+        dmonoid_closure(seeds, prod.carrier, table_fn(2, prod.mult))
+    )
     n2 = g2.base.size
     assert {e // n2 for e in elems} == set(range(g1.base.size))
     assert {e % n2 for e in elems} == set(range(g2.base.size))
-    return result
-
-
-def _subdirect_carrier_elements(g1: GeneratedDMonoid, g2: GeneratedDMonoid):
-    """Original product-carrier indices of the subdirect image."""
-    prod, enc = dmonoid_product(g1.base, g2.base)
-    tag = g1.base.carrier.tag
-    seeds = {enc(g1.base.unit, g2.base.unit): free_word(tag, g1.alphabet, "")}
-    for a in g1.alphabet:
-        seeds.setdefault(enc(g1.gen(a), g2.gen(a)), free_word(tag, g1.alphabet, a))
-    elems, _ = _generated_sub_dmonoid(prod, seeds)
-    return elems
+    sub, _ = subalgebra_on(prod.carrier, elems)
+    index = {e: i for i, e in enumerate(elems)}
+    return GeneratedDMonoid(
+        make_dmonoid(sub, tables[0], index[prod.unit]),
+        alphabet,
+        tuple((a, index[gen_images[a]]) for a in alphabet),
+        tuple(enumerate(witnesses)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -424,23 +331,22 @@ def dmonoid_power(m: DMonoid, n: int, cap: int = 4096) -> DMonoid:
 
 def minimal_generators(m: DMonoid) -> list:
     """A greedy small generating set (under mult and D-operations)."""
+    ops = [(2, table_fn(2, m.mult), False)] + closure_ops(m.carrier)
+
+    def closure_of(gs):
+        return set(closure(dict.fromkeys([m.unit, *gs]), ops)[0])
+
     gens: list = []
-    tag = m.carrier.tag
-    alphabet = ("g",)
-
-    def closure(gs):
-        seeds = {m.unit: free_word(tag, alphabet, "")}
-        for x in gs:
-            seeds.setdefault(x, free_word(tag, alphabet, "g"))
-        elems, _ = _generated_sub_dmonoid(m, seeds)
-        return set(elems)
-
-    covered = closure(gens)
+    covered = closure_of(gens)
     while len(covered) < m.size:
         nxt = min(x for x in range(m.size) if x not in covered)
         gens.append(nxt)
-        covered = closure(gens)
+        covered = closure_of(gens)
     return gens
+
+
+class _Conflict(Exception):
+    """Two candidate values met on one element of the power."""
 
 
 def divides(candidate, generator: DMonoid, n_max: int = 2, cap: int = 4096):
@@ -448,9 +354,10 @@ def divides(candidate, generator: DMonoid, n_max: int = 2, cap: int = 4096):
 
     Returns True / False, or None when a cap was exceeded (inconclusive,
     deliberately distinct from False).  The search lifts a generating set of
-    the candidate to tuples of the power and closes under multiplication and
-    the D-operations, propagating candidate values; a consistent, surjective,
-    structure-preserving valuation is a witness division.
+    the candidate to tuples of the power and closes the pairs (power element,
+    candidate value) under multiplication and the D-operations; a closure in
+    which no power element gets two values, onto the candidate and
+    monotone, is a witness division.
     """
     if isinstance(candidate, GeneratedDMonoid):
         cand = candidate.base
@@ -460,8 +367,12 @@ def divides(candidate, generator: DMonoid, n_max: int = 2, cap: int = 4096):
         gens = minimal_generators(cand)
     if cand.carrier.tag != generator.carrier.tag:
         raise StructureError("divides requires equal tags")
-    tag = cand.carrier.tag
-    sig = signature(tag)
+
+    def label(pair, k, ws):
+        z, v = pair
+        if value.setdefault(z, v) != v:
+            raise _Conflict
+
     inconclusive = False
     for n in range(1, n_max + 1):
         try:
@@ -472,70 +383,15 @@ def divides(candidate, generator: DMonoid, n_max: int = 2, cap: int = 4096):
         if power.size ** len(gens) > 500_000:
             inconclusive = True
             break
-        import itertools as _it
-
-        for tuples in _it.product(range(power.size), repeat=len(gens)):
+        ops = [(2, componentwise_fn(2, (power.mult, cand.mult)), False)]
+        ops += closure_ops([power.carrier, cand.carrier])
+        for tuples in itertools.product(range(power.size), repeat=len(gens)):
             value = {power.unit: cand.unit}
-            consistent = True
-            for t, g in zip(tuples, gens):
-                if value.get(t, g) != g:
-                    consistent = False
-                    break
-                value[t] = g
-            if not consistent:
+            if any(value.setdefault(t, g) != g for t, g in zip(tuples, gens)):
                 continue
-            changed = True
-            while changed and consistent:
-                changed = False
-                current = list(value)
-                for x in current:
-                    for y in current:
-                        z = power.mult[x][y]
-                        v = cand.mult[value[x]][value[y]]
-                        if z not in value:
-                            value[z] = v
-                            changed = True
-                        elif value[z] != v:
-                            consistent = False
-                            break
-                    if not consistent:
-                        break
-                if not consistent:
-                    break
-                for name, arity in sorted(sig.items()):
-                    op_p = power.carrier.op(name)
-                    op_c = cand.carrier.op(name)
-                    if arity == 0:
-                        if op_p not in value:
-                            value[op_p] = op_c
-                            changed = True
-                        elif value[op_p] != op_c:
-                            consistent = False
-                    elif arity == 1:
-                        for x in current:
-                            z, v = op_p[x], op_c[value[x]]
-                            if z not in value:
-                                value[z] = v
-                                changed = True
-                            elif value[z] != v:
-                                consistent = False
-                                break
-                    else:
-                        for x in current:
-                            for y in current:
-                                z = op_p[x][y]
-                                v = op_c[value[x]][value[y]]
-                                if z not in value:
-                                    value[z] = v
-                                    changed = True
-                                elif value[z] != v:
-                                    consistent = False
-                                    break
-                            if not consistent:
-                                break
-                    if not consistent:
-                        break
-            if not consistent:
+            try:
+                closure(dict.fromkeys(value.items()), ops, on_new=label)
+            except _Conflict:
                 continue
             if set(value.values()) != set(range(cand.size)):
                 continue

@@ -9,6 +9,8 @@ free morphisms.
 
 from __future__ import annotations
 
+import itertools
+
 from .algebra import (
     AlgMorphism,
     CapExceeded,
@@ -354,8 +356,6 @@ def check_preimage_laws(corpus=None, state_cap: int = 12) -> dict:
 
 
 def _short_words(alphabet, n):
-    import itertools
-
     out = []
     for k in range(n + 1):
         for t in itertools.product(alphabet, repeat=k):

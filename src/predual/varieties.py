@@ -8,7 +8,21 @@ never materialized as classes.
 
 from __future__ import annotations
 
-from .algebra import CapExceeded, StructureError, all_morphisms
+import itertools
+
+from .algebra import (
+    CapExceeded,
+    StructureError,
+    all_morphisms,
+    closure,
+    closure_ops,
+    componentwise_fn,
+    make_algebra,
+    signature,
+    sort_closure,
+    standardize_vect,
+    vect_prime,
+)
 from .automata import (
     Coalgebra,
     dual_automaton,
@@ -22,9 +36,11 @@ from .automata import (
 from .duality import canonical_constants, d_tag
 from .langlib import (
     RegularLanguage,
+    free_word,
     make_free_morphism,
     parse_regex,
     rev_free,
+    signature_ops,
 )
 from .monoids import (
     DMonoid,
@@ -32,9 +48,11 @@ from .monoids import (
     are_dmonoids_isomorphic,
     associated_lalgebra,
     divides,
+    dmonoid_closure,
     make_dmonoid,
     transition_dmonoid,
 )
+from .preimage import coalgebra_preimage
 
 
 def representative_morphisms(q: Coalgebra, delta):
@@ -51,8 +69,6 @@ def representative_morphisms(q: Coalgebra, delta):
     view = transition_dmonoid(a)
     tag = a.states.tag
     images = [rev_free(w) for _, w in view.witnesses]
-    import itertools
-
     out = []
     for combo in itertools.product(images, repeat=len(delta)):
         out.append(
@@ -70,58 +86,24 @@ def simple_variety_languages(q: Coalgebra, delta, cap: int = 4096) -> Coalgebra:
     under the C-side operations and both derivatives, and asserts that the
     derivative closure adds nothing beyond the algebraic closure.
     """
-    from .preimage import coalgebra_preimage
-    from .langlib import closure_under_ops_and_derivs
-
     if not is_local_variety(q):
         raise StructureError("generator must be a local variety")
     collected = set()
     for f in representative_morphisms(q, delta):
         qf = coalgebra_preimage(q, f)
         collected.update(languages_of(qf))
-    langs = closure_under_ops_and_derivs(q.pair, sorted(collected, key=RegularLanguage.sort_key), cap)
+    seeds = sorted(collected, key=RegularLanguage.sort_key)
+    variety = generated_local_variety(q.pair, seeds, cap)
     # property check: the algebraic closure of the collected languages is
     # already closed under both derivatives
-    algebraic = _algebraic_closure(q.pair, collected, cap)
-    assert set(langs) == algebraic, "derivative closure added languages"
-    return generated_local_variety(q.pair, sorted(langs, key=RegularLanguage.sort_key), cap)
+    algebraic = _algebraic_closure(q.pair, seeds, cap)
+    assert variety.states.size == len(algebraic), "derivative closure added languages"
+    return variety
 
 
 def _algebraic_closure(tag, seeds, cap):
-    from .langlib import empty_language, full_language, language_op
-
-    seeds = sorted(seeds, key=RegularLanguage.sort_key)
-    alphabet = seeds[0].alphabet
-    current = set(seeds)
-    current.add(empty_language(alphabet))
-    if tag in ("BA", "DL01"):
-        current.add(full_language(alphabet))
-    changed = True
-    while changed:
-        changed = False
-        langs = sorted(current, key=RegularLanguage.sort_key)
-        for i, l1 in enumerate(langs):
-            if tag == "BA":
-                c = language_op(tag, "not", [l1])
-                if c not in current:
-                    current.add(c)
-                    changed = True
-            for l2 in langs[i:]:
-                if tag in ("BA", "DL01"):
-                    new = [language_op(tag, "meet", [l1, l2]), language_op(tag, "join", [l1, l2])]
-                elif tag == "JSL0":
-                    new = [language_op(tag, "join", [l1, l2])]
-                elif tag == "VECT2":
-                    new = [language_op(tag, "add", [l1, l2])]
-                else:
-                    new = [language_op(tag, "add", [l1, l2]), language_op(tag, "mul", [l1, l2])]
-                for lang in new:
-                    if lang not in current:
-                        current.add(lang)
-                        changed = True
-        if len(current) > cap:
-            raise CapExceeded("algebraic closure exceeded cap")
-    return current
+    elements, _, _ = closure(dict.fromkeys(seeds), signature_ops(tag, seeds[0]), cap)
+    return elements
 
 
 def free_monoid_in_simple_pseudovariety(d: DMonoid, sigma) -> GeneratedDMonoid:
@@ -135,92 +117,43 @@ def free_monoid_in_simple_pseudovariety(d: DMonoid, sigma) -> GeneratedDMonoid:
     sigma = tuple(sigma)
     if d.size > 4 or len(sigma) > 2:
         raise CapExceeded("free-monoid construction bounded at |D| <= 4, |Sigma| <= 2")
-    import itertools
-
     assignments = list(itertools.product(range(d.size), repeat=len(sigma)))
+    width = len(assignments)
     gen_images = {
         a: tuple(u[i] for u in assignments) for i, a in enumerate(sigma)
     }
-    from .langlib import free_mul, free_word, free_zero, free_combine
-    from .algebra import signature
-
     tag = d.carrier.tag
-    witness = {tuple(d.unit for _ in assignments): free_word(tag, sigma, "")}
+    unit = (d.unit,) * width
+    seeds = {unit: free_word(tag, sigma, "")}
     for a in sigma:
-        witness.setdefault(gen_images[a], free_word(tag, sigma, a))
-    sig = signature(tag)
-    changed = True
-    while changed:
-        changed = False
-        current = list(witness)
-        for t1 in current:
-            for t2 in current:
-                prod = tuple(d.mult[x][y] for x, y in zip(t1, t2))
-                if prod not in witness:
-                    witness[prod] = free_mul(witness[t1], witness[t2])
-                    changed = True
-        for name, arity in sorted(sig.items()):
-            op = d.carrier.op(name)
-            if arity == 0:
-                t = tuple(op for _ in assignments)
-                if t not in witness:
-                    witness[t] = free_zero(tag, sigma)
-                    changed = True
-            elif arity == 1:
-                k = int(name[4:]) if name.startswith("smul") else 1
-                for t1 in current:
-                    t = tuple(op[x] for x in t1)
-                    if t not in witness:
-                        witness[t] = free_combine(tag, sigma, [(witness[t1], k)])
-                        changed = True
-            else:
-                for t1 in current:
-                    for t2 in current:
-                        t = tuple(op[x][y] for x, y in zip(t1, t2))
-                        if t not in witness:
-                            witness[t] = free_combine(
-                                tag, sigma, [(witness[t1], 1), (witness[t2], 1)]
-                            )
-                            changed = True
-        if len(witness) > 512:
-            raise CapExceeded("free monoid closure exceeded cap")
-    elements = sorted(witness)
+        seeds.setdefault(gen_images[a], free_word(tag, sigma, a))
+    elements, witnesses, tables = sort_closure(
+        dmonoid_closure(
+            seeds, [d.carrier] * width, componentwise_fn(2, [d.mult] * width), cap=512
+        )
+    )
     index = {t: i for i, t in enumerate(elements)}
-    from .algebra import make_algebra, vect_prime, standardize_vect
-
-    ops = {}
-    for name, arity in sig.items():
-        op = d.carrier.op(name)
-        if arity == 0:
-            ops[name] = index[tuple(op for _ in assignments)]
-        elif arity == 1:
-            ops[name] = tuple(index[tuple(op[x] for x in t)] for t in elements)
-        else:
-            ops[name] = tuple(
-                tuple(index[tuple(op[x][y] for x, y in zip(t1, t2))] for t2 in elements)
-                for t1 in elements
-            )
     order = None
     if d.carrier.order is not None:
         order = tuple(
             tuple(all(d.carrier.order[x][y] for x, y in zip(t1, t2)) for t2 in elements)
             for t1 in elements
         )
+    ops = dict(zip(sorted(signature(tag)), tables[1:]))
     carrier = make_algebra(tag, len(elements), ops, order)
     perm = tuple(range(len(elements)))
     if vect_prime(tag) is not None:
         carrier, perm = standardize_vect(carrier)
     mult = [[None] * len(elements) for _ in elements]
-    for t1 in elements:
-        for t2 in elements:
-            prod = tuple(d.mult[x][y] for x, y in zip(t1, t2))
-            mult[perm[index[t1]]][perm[index[t2]]] = perm[index[prod]]
-    base = make_dmonoid(carrier, tuple(tuple(r) for r in mult), perm[index[tuple(d.unit for _ in assignments)]])
+    for i, row in enumerate(tables[0]):
+        for j, k in enumerate(row):
+            mult[perm[i]][perm[j]] = perm[k]
+    base = make_dmonoid(carrier, mult, perm[index[unit]])
     return GeneratedDMonoid(
         base,
         sigma,
         tuple((a, perm[index[gen_images[a]]]) for a in sigma),
-        tuple(sorted((perm[index[t]], witness[t]) for t in elements)),
+        tuple(sorted((perm[i], w) for i, w in enumerate(witnesses))),
     )
 
 
@@ -269,8 +202,6 @@ def recognizes_language(free: GeneratedDMonoid, pair: str, lang: RegularLanguage
     of a function (single-valued over the first component).  The image is the
     closure of the word pairs under the componentwise D-operations.
     """
-    from .algebra import signature
-
     a = associated_lalgebra(free)
     if tuple(lang.alphabet) != a.alphabet:
         raise StructureError("alphabet mismatch")
@@ -289,33 +220,9 @@ def recognizes_language(free: GeneratedDMonoid, pair: str, lang: RegularLanguage
                 seen.add(nxt)
                 frontier.append(nxt)
     # close under the D-operations, componentwise
-    sig = signature(a.states.tag)
-    changed = True
-    while changed:
-        changed = False
-        current = list(pairs)
-        for name, arity in sorted(sig.items()):
-            op_f = a.states.op(name)
-            op_o = o_d.op(name)
-            if arity == 0:
-                if (op_f, op_o) not in pairs:
-                    pairs.add((op_f, op_o))
-                    changed = True
-            elif arity == 1:
-                for m, v in current:
-                    t = (op_f[m], op_o[v])
-                    if t not in pairs:
-                        pairs.add(t)
-                        changed = True
-            else:
-                for m1, v1 in current:
-                    for m2, v2 in current:
-                        t = (op_f[m1][m2], op_o[v1][v2])
-                        if t not in pairs:
-                            pairs.add(t)
-                            changed = True
+    elements, _, _ = closure(dict.fromkeys(pairs), closure_ops([a.states, o_d]))
     values = {}
-    for m, v in pairs:
+    for m, v in elements:
         if values.setdefault(m, v) != v:
             return False
     if a.states.order is not None:

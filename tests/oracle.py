@@ -7,6 +7,8 @@ induce the same transition function, which is exactly context equivalence
 Nothing here touches the duality pipeline.
 """
 
+import itertools
+
 from predual.langlib import RegularLanguage, parse_regex
 
 
@@ -54,8 +56,6 @@ def syntactic_monoid_size(regex, alphabet=None) -> int:
 def context_equivalent(l: RegularLanguage, u: str, v: str, max_len: int) -> bool:
     """Literal bounded-context oracle: u ~ v iff xuy and xvy agree for all
     contexts with |x|,|y| <= max_len."""
-    import itertools
-
     for k1 in range(max_len + 1):
         for x in itertools.product(l.alphabet, repeat=k1):
             x = "".join(x)
@@ -154,3 +154,57 @@ def meets(a):
             row.append(greatest[0] if greatest else None)
         table.append(tuple(row))
     return tuple(table)
+
+
+def downsets(a):
+    """Down-closed subsets of a POS as bitmasks, ascending, by definition."""
+    n, order = a.size, a.order
+    return [
+        mask
+        for mask in range(1 << n)
+        if all(
+            mask >> y & 1
+            for x in range(n)
+            if mask >> x & 1
+            for y in range(n)
+            if order[y][x]
+        )
+    ]
+
+
+# ---------------------------------------------------------------------------
+# closure by naive rounds, as the hand-written fixpoint loops computed it
+
+
+def naive_closure(seeds, ops, on_new=None):
+    """Reference for predual.algebra.closure, same arguments and result.
+
+    Every round applies every op to every argument tuple (ordered, even for
+    a commutative op) of the elements known when the round starts: ops in
+    the given order, tuples in lexicographic order of discovery.  The tables
+    are filled afterwards by applying each op to every tuple once more.
+    """
+    elements = list(seeds)
+    witnesses = list(seeds.values())
+    index = {x: i for i, x in enumerate(elements)}
+    while True:
+        current = list(elements)
+        for k, (arity, fn, _) in enumerate(ops):
+            for args in itertools.product(current, repeat=arity):
+                x = fn(*args)
+                if x not in index:
+                    ws = [witnesses[index[y]] for y in args]
+                    witnesses.append(on_new(x, k, ws) if on_new else None)
+                    index[x] = len(elements)
+                    elements.append(x)
+        if len(elements) == len(current):
+            break
+    tables = []
+    for arity, fn, _ in ops:
+        if arity == 0:
+            tables.append(index[fn()])
+        elif arity == 1:
+            tables.append([index[fn(x)] for x in elements])
+        else:
+            tables.append([[index[fn(x, y)] for y in elements] for x in elements])
+    return elements, witnesses, tables

@@ -330,15 +330,18 @@ def _fresh_copy(a):
         ("DL01", enumerate_algebras("DL01", 5)[-1]),
         ("JSL01", enumerate_algebras("JSL01", 5)[-1]),
         ("BR", enumerate_algebras("BR", 4)[0]),
+        ("DL01", enumerate_algebras("POS", 4)[-1]),
     ],
 )
 def test_cached_structure_stays_out_of_equality_hash_and_documents(pair, a):
     fresh = _fresh_copy(a)
     doc, text = dumps(a), repr(a)
     a.leq
-    if pair in ("BA", "BR"):
+    if a.tag == "POS":
+        a.downsets
+    elif pair in ("BA", "BR"):
         a.atoms
-    if pair != "BR":
+    if pair != "BR" and a.tag != "POS":
         a.meets, a.join_irreducibles
     dual_object(pair, a)
     assert a == fresh and fresh == a
@@ -367,3 +370,6 @@ def test_cached_order_atoms_irreducibles_and_meets_match_brute_force():
             assert a.meets == oracle.meets(a)
         if a.tag in ("BA", "DL01"):
             assert a.meets == a.op("meet")
+    for n in range(1, 6):
+        for a in enumerate_algebras("POS", n):
+            assert list(a.downsets) == oracle.downsets(a)

@@ -242,3 +242,33 @@ def test_check_laws_rejects_an_unknown_law_before_running(capsys):
     assert out == ""
     assert err.startswith("usage error:") and "bogus" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("sample", ["ε", "∅"])
+def test_eilenberg_check_sample_without_letters_is_a_usage_error(capsys, tmp_path, sample):
+    monoid = {
+        "kind": "dmonoid",
+        "tag": "SET",
+        "carrier": {"kind": "algebra", "tag": "SET", "size": 2, "ops": {}},
+        "mult": [[0, 1], [1, 0]],
+        "unit": 0,
+    }
+    mpath = tmp_path / "z2.mon"
+    mpath.write_text(json.dumps(monoid))
+    spath = tmp_path / "samples.json"
+    spath.write_text(json.dumps([sample], ensure_ascii=False))
+    code, out, err = run_cli(
+        capsys, "eilenberg-check", "--monoid", str(mpath), "--samples", str(spath)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error:") and "alphabet" in err
+    assert err.count("\n") == 1
+
+
+def test_syntactic_malformed_regex_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "syntactic", "--tag", "BA", "--regex", "(")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error:")
+    assert err.count("\n") == 1

@@ -3,14 +3,13 @@ import random
 
 import pytest
 
-from predual.algebra import StructureError
+from predual.algebra import StructureError, signature
 from predual.langlib import (
     DMonoidMorphismFree,
     RegexSyntaxError,
     apply_free,
     closure_under_ops_and_derivs,
     complement,
-    dagger,
     empty_language,
     eval_language,
     free_mul,
@@ -213,14 +212,6 @@ def test_preimage_agrees_with_wordwise_eval():
                     )
 
 
-def test_dagger():
-    f = make_free_morphism("SET", "b", "ab", {"b": free_word("SET", "ab", "ab")})
-    assert dagger(f).image("b") == free_word("SET", "ab", "ba")
-    g = make_free_morphism("SET", "b", "ab", {"b": free_word("SET", "ab", "aba")})
-    assert dagger(g).image("b") == g.image("b")
-    assert dagger(dagger(f)) == f
-
-
 def test_apply_free_multiplicativity():
     f = make_free_morphism(
         "JSL0", "b", "a", {"b": make_free("JSL0", "a", [("a", 1), ("aa", 1)])}
@@ -244,6 +235,25 @@ def test_closure_ba_of_even_a():
         empty_language("a"),
     }
     assert set(langs) == expected
+
+
+def test_closure_tables_match_the_language_operations():
+    for tag in ("BA", "DL01", "JSL0", "VECT2", "BR"):
+        langs = closure_under_ops_and_derivs(tag, [parse_regex("a*b")])
+        index = {l: i for i, l in enumerate(langs)}
+        for name, arity in signature(tag).items():
+            if arity == 0:
+                want = index[language_op(tag, name, langs[:1])]
+            elif arity == 1:
+                want = tuple(index[language_op(tag, name, [l])] for l in langs)
+            else:
+                want = tuple(
+                    tuple(index[language_op(tag, name, [l1, l2])] for l2 in langs)
+                    for l1 in langs
+                )
+            assert langs.ops[name] == want, (tag, name)
+        for a in langs[0].alphabet:
+            assert langs.trans[a] == tuple(index[left_deriv(l, a)] for l in langs)
 
 
 def test_closure_jsl0_of_empty_is_singleton():
