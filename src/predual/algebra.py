@@ -92,8 +92,9 @@ class FinAlgebra:
     """Finite algebra: tag, carrier {0..size-1}, op tables, optional order.
 
     Derived structure is computed on first use and kept on the instance:
-    ``leq`` (the order matrix), ``atoms``, ``join_irreducibles``, ``meets``,
-    ``downsets``, the hash, and the dual built by ``duality.dual_object``.
+    ``sig_ops`` (the tables with their arities), ``leq`` (the order matrix),
+    ``atoms``, ``join_irreducibles``, ``meets``, ``downsets``, the hash, and
+    the dual built by ``duality.dual_object``.
     None of it takes part in equality, hashing, ``repr``, pickling or
     serialized documents, which see only the four fields.
     """
@@ -125,6 +126,12 @@ class FinAlgebra:
     @cached_property
     def _hash(self) -> int:
         return hash((self.tag, self.size, self.ops, self.order))
+
+    @cached_property
+    def sig_ops(self) -> tuple:
+        """The (arity, table) pairs of the operations, in sorted name order."""
+        sig = signature(self.tag)
+        return tuple((sig[name], table) for name, table in self.ops)
 
     @cached_property
     def leq(self) -> tuple:
@@ -230,14 +237,6 @@ def make_algebra(tag: str, size: int, ops: dict, order=None) -> FinAlgebra:
     elif is_ordered_tag(tag):
         raise StructureError("POS algebras require an order matrix")
     return FinAlgebra(tag, size, frozen, order)
-
-
-def apply_op(table, args):
-    if isinstance(table, int):
-        return table
-    if len(args) == 1:
-        return table[args[0]]
-    return table[args[0]][args[1]]
 
 
 # ---------------------------------------------------------------------------
@@ -621,6 +620,47 @@ def closure(seeds, ops, cap=None, on_new=None):
     return elements, witnesses, tables
 
 
+def explore(start, letters, step, cap=None):
+    """The states reachable from start under step, breadth-first.
+
+    Each state is stepped by every letter, in the given order, before the
+    next state is taken up, so states are numbered in discovery order and
+    the first path found to each state is shortlex-least.  CapExceeded is
+    raised once more than cap states are known.
+
+    Returns (states, delta) with delta[i][k] the index of
+    step(states[i], letters[k]).
+    """
+    states = [start]
+    index = {start: 0}
+    delta = []
+    for x in states:
+        row = []
+        for letter in letters:
+            y = step(x, letter)
+            j = index.get(y)
+            if j is None:
+                j = index[y] = len(states)
+                states.append(y)
+                if cap is not None and j >= cap:
+                    raise CapExceeded(f"explore exceeded cap {cap}")
+            row.append(j)
+        delta.append(tuple(row))
+    return states, delta
+
+
+def shortlex_words(delta, letters) -> list:
+    """The shortlex-least word reaching each state of an explore() result:
+    the first (state i, letter) that reaches a new state gives it the word
+    of i followed by the letter."""
+    words = [""] + [None] * (len(delta) - 1)
+    for i, row in enumerate(delta):
+        for letter, j in zip(letters, row):
+            if words[j] is None:
+                words[j] = words[i] + letter
+    return words
+
+
 def sort_closure(closed, key=None):
     """A closure() result with its elements sorted (by key, if given) and its
     tables over the sorted order."""
@@ -671,13 +711,10 @@ def closure_ops(algebras) -> list:
     a list of algebras of one tag (entry i in algebras[i]).  Every binary
     operation of the supported signatures is commutative."""
     if isinstance(algebras, FinAlgebra):
-        return [
-            (arity, table_fn(arity, algebras.op(name)), True)
-            for name, arity in sorted(signature(algebras.tag).items())
-        ]
+        return [(arity, table_fn(arity, table), True) for arity, table in algebras.sig_ops]
     return [
-        (arity, componentwise_fn(arity, [a.op(name) for a in algebras]), True)
-        for name, arity in sorted(signature(algebras[0].tag).items())
+        (column[0][0], componentwise_fn(column[0][0], [t for _, t in column]), True)
+        for column in zip(*(a.sig_ops for a in algebras))
     ]
 
 
@@ -1006,10 +1043,10 @@ def all_morphisms(a: FinAlgebra, b: FinAlgebra, fixed=None) -> list:
     """All homomorphisms a -> b (monotone for ordered tags)."""
     if a.tag != b.tag:
         return []
-    src = [(ar, a.op(name)) for name, ar in sorted(signature(a.tag).items())]
-    dst = [(ar, b.op(name)) for name, ar in sorted(signature(b.tag).items())]
     result = []
-    for table in _search_maps(src, dst, a.size, b.size, a.order, b.order, False, fixed):
+    for table in _search_maps(
+        a.sig_ops, b.sig_ops, a.size, b.size, a.order, b.order, False, fixed
+    ):
         f = AlgMorphism(a, b, table)
         ok, _ = check_morphism(f)
         if ok:
@@ -1056,9 +1093,7 @@ def are_isomorphic(a: FinAlgebra, b: FinAlgebra, max_size: int = 12):
         return None
     if a.size > max_size:
         raise BoundExceeded(f"isomorphism search bounded at {max_size} elements")
-    ops_a = [(ar, a.op(name)) for name, ar in sorted(signature(a.tag).items())]
-    ops_b = [(ar, b.op(name)) for name, ar in sorted(signature(b.tag).items())]
-    table = table_isomorphism(a.size, ops_a, ops_b, a.order, b.order)
+    table = table_isomorphism(a.size, a.sig_ops, b.sig_ops, a.order, b.order)
     if table is None:
         return None
     return AlgMorphism(a, b, table)

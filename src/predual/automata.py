@@ -21,8 +21,10 @@ from .algebra import (
     check_morphism,
     combine_elements,
     enumerate_algebras,
+    explore,
     generated_subalgebra,
     product,
+    shortlex_words,
     signature,
     standardize_vect,
     validate_algebra,
@@ -296,54 +298,37 @@ def shift_initial_co(q: Coalgebra, x: FreeElement) -> Coalgebra:
 # coalgebra homomorphisms (bounded search)
 
 
+def _automaton_hom(src, dst, fixed=None, allowed=None):
+    """The first table found that is a morphism of the state algebras and
+    commutes with every letter, or None (exhaustive).  Transitions act as
+    unary operations, so the generic forced-propagation search applies;
+    fixed and allowed constrain it as in _search_maps."""
+    if src.pair != dst.pair or src.alphabet != dst.alphabet:
+        raise StructureError("mismatched automata")
+    src_ops = [*src.states.sig_ops, *((1, src.tr(a)) for a in src.alphabet)]
+    dst_ops = [*dst.states.sig_ops, *((1, dst.tr(a)) for a in src.alphabet)]
+    for table in _search_maps(
+        src_ops, dst_ops, src.states.size, dst.states.size,
+        src.states.order, dst.states.order, False, fixed, allowed,
+    ):
+        ok, _ = check_morphism(AlgMorphism(src.states, dst.states, table))
+        if ok:
+            return table
+    return None
+
+
 def find_coalgebra_hom(src: Coalgebra, dst: Coalgebra):
     """A T_Sigma-coalgebra homomorphism src -> dst, or None (exhaustive).
 
     The table must be a C-algebra morphism, commute with every letter, and
-    satisfy dst.out o h = src.out.  Transitions act as unary operations, so
-    the generic forced-propagation search applies.
+    satisfy dst.out o h = src.out.
     """
-    if src.pair != dst.pair or src.alphabet != dst.alphabet:
-        raise StructureError("mismatched automata")
-    sig = sorted(signature(src.states.tag).items())
-    src_ops = [(ar, src.states.op(name)) for name, ar in sig]
-    dst_ops = [(ar, dst.states.op(name)) for name, ar in sig]
-    for a in src.alphabet:
-        src_ops.append((1, src.tr(a)))
-        dst_ops.append((1, dst.tr(a)))
-
-    def allowed(x, v):
-        return dst.out[v] == src.out[x]
-
-    for table in _search_maps(
-        src_ops, dst_ops, src.states.size, dst.states.size,
-        src.states.order, dst.states.order, False, allowed=allowed,
-    ):
-        ok, _ = check_morphism(AlgMorphism(src.states, dst.states, table))
-        if ok:
-            return table
-    return None
+    return _automaton_hom(src, dst, allowed=lambda x, v: dst.out[v] == src.out[x])
 
 
 def find_lalgebra_hom(src: LAlgebra, dst: LAlgebra):
     """An L_Sigma-algebra homomorphism src -> dst, or None (exhaustive)."""
-    if src.pair != dst.pair or src.alphabet != dst.alphabet:
-        raise StructureError("mismatched automata")
-    sig = sorted(signature(src.states.tag).items())
-    src_ops = [(ar, src.states.op(name)) for name, ar in sig]
-    dst_ops = [(ar, dst.states.op(name)) for name, ar in sig]
-    for a in src.alphabet:
-        src_ops.append((1, src.tr(a)))
-        dst_ops.append((1, dst.tr(a)))
-    for table in _search_maps(
-        src_ops, dst_ops, src.states.size, dst.states.size,
-        src.states.order, dst.states.order, False,
-        fixed={src.init: dst.init},
-    ):
-        ok, _ = check_morphism(AlgMorphism(src.states, dst.states, table))
-        if ok:
-            return table
-    return None
+    return _automaton_hom(src, dst, fixed={src.init: dst.init})
 
 
 # ---------------------------------------------------------------------------
@@ -364,15 +349,7 @@ def is_subcoalgebra_of_rho(q: Coalgebra) -> bool:
     crit_langs = len(set(langs)) == q.states.size
 
     a = dual_automaton(q)
-    seen = {a.init}
-    frontier = [a.init]
-    while frontier:
-        s = frontier.pop()
-        for letter in a.alphabet:
-            t = a.tr(letter)[s]
-            if t not in seen:
-                seen.add(t)
-                frontier.append(t)
+    seen, _ = explore(a.init, a.alphabet, lambda s, letter: a.tr(letter)[s])
     closure = generated_subalgebra(a.states, seen)
     crit_reach = closure.source.size == a.states.size
 
@@ -499,7 +476,7 @@ def output_value(a: LAlgebra, out, x) -> int:
 # the dual Sigma-generated D-monoid
 
 
-def dual_generated_monoid(q: Coalgebra, assume_local_variety: bool = False) -> GeneratedDMonoid:
+def dual_generated_monoid(q: Coalgebra) -> GeneratedDMonoid:
     """The dual D-monoid of a local variety, with representative elements.
 
     The carrier is the dual object of the states; the unit is e(eps), the
@@ -508,27 +485,18 @@ def dual_generated_monoid(q: Coalgebra, assume_local_variety: bool = False) -> G
     reachable by words alone (possible outside SET/POS) get canonical
     D-combinations of word representatives.
     """
-    if not assume_local_variety and not is_local_variety(q):
+    if not is_local_variety(q):
         raise StructureError("dual_generated_monoid requires a local variety")
     a = dual_automaton(q)
     tag = a.states.tag
     alphabet = a.alphabet
     n = a.states.size
     # breadth-first word reachability gives shortlex-minimal word representatives
-    reprs = {a.init: free_word(tag, alphabet, "")}
-    word_of = {a.init: ""}
-    frontier = [a.init]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for letter in alphabet:
-                t = a.tr(letter)[s]
-                if t not in reprs:
-                    w = word_of[s] + letter
-                    word_of[t] = w
-                    reprs[t] = free_word(tag, alphabet, w)
-                    nxt.append(t)
-        frontier = nxt
+    states, delta = explore(a.init, alphabet, lambda s, letter: a.tr(letter)[s])
+    reprs = {
+        s: free_word(tag, alphabet, w)
+        for s, w in zip(states, shortlex_words(delta, alphabet))
+    }
     if len(reprs) < n:
         elements, witnesses, _ = dmonoid_closure(reprs, a.states)
         reprs = dict(zip(elements, witnesses))

@@ -46,6 +46,7 @@ from .preimage import (
     default_morphisms,
 )
 from .serialize import (
+    DocumentError,
     dot_automaton,
     dot_hasse,
     dumps,
@@ -352,7 +353,7 @@ def main(argv=None) -> int:
     except (StructureError, AssertionError) as e:
         print(f"violation: {e}", file=sys.stderr)
         return COUNTEREXAMPLE
-    except (FileNotFoundError, RegexSyntaxError) as e:
+    except (FileNotFoundError, RegexSyntaxError, DocumentError) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return USAGE
 

@@ -22,6 +22,8 @@ from .algebra import (
     AlgMorphism,
     FinAlgebra,
     StructureError,
+    _powerset_ba,
+    _powerset_br,
     all_morphisms,
     check_morphism,
     compose,
@@ -113,18 +115,7 @@ def _build_dual(pair: str, side: str, a: FinAlgebra) -> FinAlgebra:
         if side == "C":
             k = len(a.atoms)
             return make_algebra("SET", k, {})
-        size = 1 << a.size
-        return make_algebra(
-            "BA",
-            size,
-            {
-                "meet": tuple(tuple(x & y for y in range(size)) for x in range(size)),
-                "join": tuple(tuple(x | y for y in range(size)) for x in range(size)),
-                "not": tuple((size - 1) ^ x for x in range(size)),
-                "zero": 0,
-                "one": size - 1,
-            },
-        )
+        return _powerset_ba(a.size)
 
     if pair == "DL01":
         if side == "C":
@@ -154,18 +145,7 @@ def _build_dual(pair: str, side: str, a: FinAlgebra) -> FinAlgebra:
     if pair == "BR":
         if side == "C":
             return make_algebra("SET_STAR", len(a.atoms) + 1, {"point": 0})
-        point = a.op("point")
-        others = [x for x in a.carrier() if x != point]
-        size = 1 << len(others)
-        return make_algebra(
-            "BR",
-            size,
-            {
-                "add": tuple(tuple(x ^ y for y in range(size)) for x in range(size)),
-                "mul": tuple(tuple(x & y for y in range(size)) for x in range(size)),
-                "zero": 0,
-            },
-        )
+        return _powerset_br(a.size - 1)  # one atom per non-basepoint element
 
     if pair == "JSL01":
         if side == "C":

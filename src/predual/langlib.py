@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import (
-    CapExceeded,
     StructureError,
     closure,
+    explore,
     signature,
     sort_closure,
     vect_prime,
@@ -319,25 +319,8 @@ def parse_regex(text: str, alphabet=None) -> RegularLanguage:
         alphabet = list(alphabet)
         if not set(letters) <= set(alphabet):
             raise StructureError(f"regex letters {sorted(letters)} not in alphabet {alphabet}")
-    states = {ast: 0}
-    worklist = [ast]
-    rows = {}
-    finals = set()
-    while worklist:
-        r = worklist.pop(0)
-        if len(states) > 10000:
-            raise CapExceeded("regex state cap exceeded")
-        row = []
-        for a in alphabet:
-            d = _deriv(r, a)
-            if d not in states:
-                states[d] = len(states)
-                worklist.append(d)
-            row.append(states[d])
-        rows[states[r]] = tuple(row)
-        if _nullable(r):
-            finals.add(states[r])
-    delta = [rows[i] for i in range(len(states))]
+    states, delta = explore(ast, alphabet, _deriv, cap=10000)
+    finals = {i for i, r in enumerate(states) if _nullable(r)}
     return _minimize(alphabet, len(states), delta, finals, 0)
 
 
@@ -354,10 +337,6 @@ def empty_language(alphabet) -> RegularLanguage:
 def full_language(alphabet) -> RegularLanguage:
     k = len(alphabet)
     return RegularLanguage(tuple(alphabet), 1, ((0,) * k,), frozenset({0}))
-
-
-def epsilon_language(alphabet) -> RegularLanguage:
-    return parse_regex("ε", alphabet)
 
 
 def _product(l1: RegularLanguage, l2: RegularLanguage, keep) -> RegularLanguage:
@@ -407,34 +386,14 @@ def right_deriv(l: RegularLanguage, a) -> RegularLanguage:
     return _minimize(l.alphabet, l.size, l.delta, finals, 0)
 
 
-def word_deriv(l: RegularLanguage, word) -> RegularLanguage:
-    for a in word:
-        l = left_deriv(l, a)
-    return l
-
-
 def reversal(l: RegularLanguage) -> RegularLanguage:
     """Reverse-language DFA via the reversed-subset construction."""
-    k = len(l.alphabet)
-    start = frozenset(l.finals)
-    states = {start: 0}
-    worklist = [start]
-    delta = []
-    finals = set()
-    while worklist:
-        s = worklist.pop(0)
-        row = []
-        for i in range(k):
-            t = frozenset(q for q in range(l.size) if l.delta[q][i] in s)
-            if t not in states:
-                states[t] = len(states)
-                worklist.append(t)
-            row.append(states[t])
-        while len(delta) <= states[s]:
-            delta.append(None)
-        delta[states[s]] = tuple(row)
-        if 0 in s:
-            finals.add(states[s])
+
+    def step(s, i):
+        return frozenset(q for q in range(l.size) if l.delta[q][i] in s)
+
+    states, delta = explore(frozenset(l.finals), range(len(l.alphabet)), step)
+    finals = {i for i, s in enumerate(states) if 0 in s}
     return _minimize(l.alphabet, len(delta), delta, finals, 0)
 
 
@@ -708,29 +667,15 @@ def preimage_language(l: RegularLanguage, f: DMonoidMorphismFree) -> RegularLang
         return _minimize(src, l.size + 1, delta, set(l.finals), 0)
 
     if tag == "JSL0":
-        start = frozenset({0})
-        states = {start: 0}
-        worklist = [start]
-        delta = []
-        finals = set()
-        while worklist:
-            cur = worklist.pop(0)
-            row = []
-            for b in src:
-                nxt = frozenset(run(s, w) for s in cur for w, _ in f.image(b).pairs)
-                if nxt not in states:
-                    states[nxt] = len(states)
-                    worklist.append(nxt)
-                row.append(states[nxt])
-            while len(delta) <= states[cur]:
-                delta.append(None)
-            delta[states[cur]] = tuple(row)
-            if cur & l.finals:
-                finals.add(states[cur])
+
+        def subset_step(cur, b):
+            return frozenset(run(s, w) for s in cur for w, _ in f.image(b).pairs)
+
+        states, delta = explore(frozenset({0}), src, subset_step)
+        finals = {i for i, cur in enumerate(states) if cur & l.finals}
         return _minimize(src, len(delta), delta, finals, 0)
 
     # VECT(p): state = coefficient vector over the DFA states
-    start = tuple(1 if s == 0 else 0 for s in range(l.size))
     mats = {}
     for b in src:
         mat = [[0] * l.size for _ in range(l.size)]
@@ -738,36 +683,20 @@ def preimage_language(l: RegularLanguage, f: DMonoidMorphismFree) -> RegularLang
             for s in range(l.size):
                 mat[s][run(s, w)] = (mat[s][run(s, w)] + c) % p
         mats[b] = mat
-    states = {start: 0}
-    worklist = [start]
-    delta = []
-    finals = set()
-    while worklist:
-        cur = worklist.pop(0)
-        if len(states) > 4096:
-            raise CapExceeded("preimage vector-state cap exceeded")
-        row = []
-        for b in src:
-            mat = mats[b]
-            nxt = [0] * l.size
-            for s, coeff in enumerate(cur):
-                if coeff:
-                    for t in range(l.size):
-                        if mat[s][t]:
-                            nxt[t] = (nxt[t] + coeff * mat[s][t]) % p
-            nxt = tuple(nxt)
-            if nxt not in states:
-                states[nxt] = len(states)
-                worklist.append(nxt)
-            row.append(states[nxt])
-        while len(delta) <= states[cur]:
-            delta.append(None)
-        delta[states[cur]] = tuple(row)
-        value = 0
-        for s in l.finals:
-            value = (value + cur[s]) % p
-        if value == 1:
-            finals.add(states[cur])
+
+    def vector_step(cur, b):
+        mat = mats[b]
+        nxt = [0] * l.size
+        for s, coeff in enumerate(cur):
+            if coeff:
+                for t in range(l.size):
+                    if mat[s][t]:
+                        nxt[t] = (nxt[t] + coeff * mat[s][t]) % p
+        return tuple(nxt)
+
+    start = tuple(1 if s == 0 else 0 for s in range(l.size))
+    states, delta = explore(start, src, vector_step, cap=4096)
+    finals = {i for i, cur in enumerate(states) if sum(cur[s] for s in l.finals) % p == 1}
     return _minimize(src, len(delta), delta, finals, 0)
 
 

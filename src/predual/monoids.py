@@ -22,8 +22,10 @@ from .algebra import (
     closure_ops,
     combine_elements,
     componentwise_fn,
+    explore,
     make_algebra,
     product,
+    shortlex_words,
     signature,
     sort_closure,
     subalgebra_on,
@@ -197,21 +199,15 @@ def transition_dmonoid(lalg, cap: int = 64) -> EndoMonoidView:
     tag = host.tag
     alphabet = lalg.alphabet
     ident = tuple(range(n))
-    witness = {ident: free_word(tag, alphabet, "")}
     trans = dict(lalg.trans)
     # word closure first: BFS in shortlex order gives minimal word witnesses
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for t in frontier:
-            for a in alphabet:
-                u = _compose_tables(t, trans[a])
-                if u not in witness:
-                    witness[u] = free_mul(witness[t], free_word(tag, alphabet, a))
-                    nxt.append(u)
-                    if len(witness) > cap:
-                        raise CapExceeded(f"transition monoid exceeds cap {cap}")
-        frontier = nxt
+    reached, delta = explore(
+        ident, alphabet, lambda t, a: _compose_tables(t, trans[a]), cap
+    )
+    witness = {
+        t: free_word(tag, alphabet, w)
+        for t, w in zip(reached, shortlex_words(delta, alphabet))
+    }
     # pointwise D-operation closure; composition distributes over the
     # D-operations, so the result stays closed under it
     elements, witnesses, tables = sort_closure(
@@ -412,11 +408,8 @@ def are_dmonoids_isomorphic(m1: DMonoid, m2: DMonoid):
     """Isomorphism of D-monoids: carrier iso + mult/unit compatible."""
     if m1.size != m2.size or m1.carrier.tag != m2.carrier.tag:
         return None
-    sig = sorted(signature(m1.carrier.tag).items())
-    ops1 = [(ar, m1.carrier.op(name)) for name, ar in sig]
-    ops2 = [(ar, m2.carrier.op(name)) for name, ar in sig]
-    ops1 += [(2, m1.mult), (0, m1.unit)]
-    ops2 += [(2, m2.mult), (0, m2.unit)]
+    ops1 = [*m1.carrier.sig_ops, (2, m1.mult), (0, m1.unit)]
+    ops2 = [*m2.carrier.sig_ops, (2, m2.mult), (0, m2.unit)]
     return table_isomorphism(
         m1.size, ops1, ops2, m1.carrier.order, m2.carrier.order
     )

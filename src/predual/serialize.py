@@ -232,11 +232,20 @@ def to_doc(value) -> dict:
     raise StructureError(f"no document form for {type(value).__name__}")
 
 
+class DocumentError(ValueError):
+    """A document that is not a JSON object or lacks a required key."""
+
+
 def from_doc(doc):
+    if not isinstance(doc, dict):
+        raise DocumentError(f"expected a JSON object, got {type(doc).__name__}")
     kind = doc.get("kind")
     if kind not in _FROM_DOC:
         raise StructureError(f"unknown document kind {kind!r}")
-    return _FROM_DOC[kind](doc)
+    try:
+        return _FROM_DOC[kind](doc)
+    except KeyError as e:
+        raise DocumentError(f"{kind} document lacks the key {e}") from None
 
 
 def dumps(value) -> str:

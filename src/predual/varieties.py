@@ -17,6 +17,7 @@ from .algebra import (
     closure,
     closure_ops,
     componentwise_fn,
+    explore,
     make_algebra,
     signature,
     sort_closure,
@@ -208,19 +209,15 @@ def recognizes_language(free: GeneratedDMonoid, pair: str, lang: RegularLanguage
     bundle = canonical_constants(pair)
     o_d = bundle.O_D
     # word pairs by BFS over (monoid element, DFA state)
-    seen = {(a.init, 0)}
-    frontier = [(a.init, 0)]
-    pairs = set()
-    while frontier:
-        m, s = frontier.pop()
-        pairs.add((m, 1 if s in lang.finals else 0))
-        for i, letter in enumerate(a.alphabet):
-            nxt = (a.tr(letter)[m], lang.delta[s][i])
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
+    tables = [a.tr(letter) for letter in a.alphabet]
+    reached, _ = explore(
+        (a.init, 0),
+        range(len(tables)),
+        lambda ms, i: (tables[i][ms[0]], lang.delta[ms[1]][i]),
+    )
+    pairs = dict.fromkeys((m, 1 if s in lang.finals else 0) for m, s in reached)
     # close under the D-operations, componentwise
-    elements, _, _ = closure(dict.fromkeys(pairs), closure_ops([a.states, o_d]))
+    elements, _, _ = closure(pairs, closure_ops([a.states, o_d]))
     values = {}
     for m, v in elements:
         if values.setdefault(m, v) != v:

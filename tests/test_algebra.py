@@ -23,6 +23,7 @@ from predual.algebra import (
     pairing,
     product,
     pushforward_order,
+    signature,
     validate_algebra,
 )
 from predual.duality import dual_object
@@ -337,6 +338,8 @@ def test_cached_structure_stays_out_of_equality_hash_and_documents(pair, a):
     fresh = _fresh_copy(a)
     doc, text = dumps(a), repr(a)
     a.leq
+    sig = signature(a.tag)
+    assert a.sig_ops == tuple((sig[name], a.op(name)) for name in sorted(sig))
     if a.tag == "POS":
         a.downsets
     elif pair in ("BA", "BR"):

@@ -272,3 +272,20 @@ def test_syntactic_malformed_regex_is_a_usage_error(capsys):
     assert out == ""
     assert err.startswith("usage error:")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([1, 2], "expected a JSON object, got list"),
+        ({"kind": "algebra", "tag": "JSL0", "ops": {"join": [[0]], "zero": 0}},
+         "algebra document lacks the key 'size'"),
+    ],
+)
+def test_dualize_malformed_document_is_a_usage_error(capsys, tmp_path, doc, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "dualize", "--pair", "JSL0", "--in", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"usage error: {message}\n"

@@ -1,15 +1,26 @@
-"""The closure kernel against the naive round-based loops it replaced.
+"""The closure and exploration kernels against brute-force references.
 
 oracle.naive_closure applies every operation to every argument tuple in
-every round; the kernel must find the same elements in the same order, build
-the same witnesses and return complete operation tables.
+every round; the closure kernel must find the same elements in the same
+order, build the same witnesses and return complete operation tables.  The
+exploration kernel must reach exactly the reachable states of a DFA and
+give each the shortlex-least word that reaches it.
 """
 
 import itertools
 import random
 
 import oracle
-from predual.algebra import closure, closure_ops, componentwise_fn, table_fn
+import pytest
+from predual.algebra import (
+    CapExceeded,
+    closure,
+    closure_ops,
+    componentwise_fn,
+    explore,
+    shortlex_words,
+    table_fn,
+)
 from predual.automata import dual_generated_monoid, generated_local_variety
 from predual.langlib import free_combine, free_mul, free_word, free_zero, parse_regex
 from predual.monoids import dmonoid_closure
@@ -115,3 +126,51 @@ def test_divides_pair_closure_stops_where_the_naive_loop_does():
                 stopped += got[1] is not None
                 completed += got[1] is None
     assert stopped and completed
+
+
+def random_dfas(count=200, seed=5):
+    """Seeded complete DFAs: (start, letters in a shuffled order, delta)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 8)
+        letters = rng.sample("abc", rng.randint(1, 3))
+        delta = {(s, a): rng.randrange(n) for s in range(n) for a in letters}
+        yield rng.randrange(n), "".join(letters), delta
+
+
+def test_explore_reaches_exactly_the_reachable_states():
+    for start, letters, delta in random_dfas():
+        states, rows = explore(start, letters, lambda s, a: delta[s, a])
+        reachable, stack = {start}, [start]
+        while stack:
+            s = stack.pop()
+            for a in letters:
+                if delta[s, a] not in reachable:
+                    reachable.add(delta[s, a])
+                    stack.append(delta[s, a])
+        assert states[0] == start
+        assert sorted(states) == sorted(reachable)
+        for i, row in enumerate(rows):
+            assert [states[j] for j in row] == [delta[states[i], a] for a in letters]
+
+
+def test_shortlex_words_are_the_first_words_in_shortlex_order():
+    for start, letters, delta in random_dfas():
+        states, rows = explore(start, letters, lambda s, a: delta[s, a])
+        first = {}
+        for length in range(len(states)):  # every state is reached in < n letters
+            for word in itertools.product(letters, repeat=length):
+                s = start
+                for a in word:
+                    s = delta[s, a]
+                first.setdefault(s, "".join(word))
+        assert dict(zip(states, shortlex_words(rows, letters))) == first
+
+
+def test_explore_cap_fires_exactly_above_the_reachable_count():
+    for start, letters, delta in random_dfas(count=50, seed=9):
+        n = len(explore(start, letters, lambda s, a: delta[s, a])[0])
+        explore(start, letters, lambda s, a: delta[s, a], cap=n)
+        if n > 1:
+            with pytest.raises(CapExceeded, match=f"explore exceeded cap {n - 1}$"):
+                explore(start, letters, lambda s, a: delta[s, a], cap=n - 1)
