@@ -14,7 +14,8 @@ tags and signatures:
     VECTp     (add, zero, smul0..smul{p-1})   vector spaces over GF(p)
 
 The order matrix is stored only for POS; for lattice-like tags the order is
-derived from the operation tables, once per instance (``FinAlgebra.leq``).
+derived from the operation tables, once per instance (``FinAlgebra.leq``),
+and SET and SET_STAR are discretely ordered.
 """
 
 from __future__ import annotations
@@ -135,10 +136,13 @@ class FinAlgebra:
 
     @cached_property
     def leq(self) -> tuple:
-        """The natural order, leq[x][y] iff x <= y (POS: the stored matrix)."""
+        """The natural order, leq[x][y] iff x <= y (POS: the stored matrix;
+        SET, SET_STAR: the discrete order)."""
         tag, n = self.tag, self.size
         if tag == "POS":
             return self.order
+        if tag in ("SET", "SET_STAR"):
+            return tuple(tuple(x == y for y in range(n)) for x in range(n))
         if tag in ("JSL", "JSL0", "JSL01"):
             join = self.op("join")
             return tuple(tuple(join[x][y] == y for y in range(n)) for x in range(n))
@@ -186,9 +190,10 @@ class FinAlgebra:
 
     @cached_property
     def downsets(self) -> tuple:
-        """The down-closed subsets of a POS as bitmasks, ascending."""
-        n, order = self.size, self.order
-        below = [sum(1 << y for y in range(n) if order[y][x]) for x in range(n)]
+        """The down-closed subsets as bitmasks, ascending (SET, SET_STAR: all
+        subsets)."""
+        n, leq = self.size, self.leq
+        below = [sum(1 << y for y in range(n) if leq[y][x]) for x in range(n)]
         return tuple(
             mask
             for mask in range(1 << n)

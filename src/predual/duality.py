@@ -2,19 +2,29 @@
 
 Pairs are named by their C-side tag:
 
-    BA     <->  SET        (Stone: atoms)
-    DL01   <->  POS        (Birkhoff: join-irreducibles / downsets)
+    BA     <->  SET        (Birkhoff, discrete case: Stone duality)
+    DL01   <->  POS        (Birkhoff: join-irreducibles / down-sets)
+    BR     <->  SET_STAR   (Birkhoff, pointed case)
     JSL0   <->  JSL0       (self-dual: opposite semilattice)
     VECTp  <->  VECTp      (dual space, fixed standard basis)
-    BR     <->  SET_STAR   (atoms plus a fresh basepoint)
     JSL01  <->  JSL        (drop the top / adjoin a bottom and reverse)
 
-Dual objects reuse ascending carrier-index order for atoms and
-join-irreducibles, so dualization is deterministic and serializable.
+BA, DL01 and BR are one construction, finite Birkhoff duality.  The points
+of a C-side algebra are its join-irreducibles (in BA and BR, its atoms) in
+the algebra's order; the dual of a D-side object is the lattice of its
+down-closed subsets, each C-side operation read as a set operation.  SET
+and SET_STAR carry the discrete order, so every subset is down-closed: that
+is Stone duality.  The pointed case puts a basepoint in front of the points
+and keeps only the subsets that avoid it.
+
+Dual objects reuse ascending carrier-index order for points and ascending
+bitmask order for down-sets, so dualization is deterministic and
+serializable.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -22,16 +32,16 @@ from .algebra import (
     AlgMorphism,
     FinAlgebra,
     StructureError,
-    _powerset_ba,
-    _powerset_br,
     all_morphisms,
     check_morphism,
+    combine_elements,
     compose,
     enumerate_algebras,
     free_algebra,
     identity_morphism,
     make_algebra,
     relabel_algebra,
+    signature,
     validate_algebra,
     vect_prime,
 )
@@ -78,17 +88,38 @@ def _bad_side(pair, tag):
 
 
 # ---------------------------------------------------------------------------
-# atoms / irreducibles
+# finite Birkhoff duality: points and down-sets
+
+# the Birkhoff pairs, with the number of basepoints in front of the points
+_BASEPOINTS = {"BA": 0, "DL01": 0, "BR": 1}
+
+# the binary C-side operations of the Birkhoff pairs as set operations
+_SET_OPS = {
+    "meet": operator.and_,
+    "mul": operator.and_,
+    "join": operator.or_,
+    "add": operator.xor,
+}
 
 
-def atoms_of(a: FinAlgebra) -> list:
-    """Minimal nonzero elements of a BA or BR in its induced order."""
-    return list(a.atoms)
+def _points(a: FinAlgebra) -> tuple:
+    """The join-irreducibles of a C-side algebra, ascending.
+
+    A BR has no join operation; its join-irreducibles are its atoms."""
+    return a.atoms if a.tag == "BR" else a.join_irreducibles
 
 
-def join_irreducibles(a: FinAlgebra) -> list:
-    """Nonzero j with j = x v y implying j in {x, y}."""
-    return list(a.join_irreducibles)
+def _masks(p: FinAlgebra) -> dict:
+    """Down-set bitmask -> its index in the dual of a D-side object.
+
+    The down-sets are taken in ascending order, in a SET_STAR only those that
+    avoid the point.  The map is built once and kept on the instance."""
+    derived = vars(p)
+    if "_masks" not in derived:
+        avoid = 1 << p.op("point") if p.tag == "SET_STAR" else 0
+        kept = [m for m in p.downsets if not m & avoid]
+        derived["_masks"] = {m: i for i, m in enumerate(kept)}
+    return derived["_masks"]
 
 
 # ---------------------------------------------------------------------------
@@ -111,29 +142,30 @@ def dual_object(pair: str, a: FinAlgebra) -> FinAlgebra:
 
 
 def _build_dual(pair: str, side: str, a: FinAlgebra) -> FinAlgebra:
-    if pair == "BA":
-        if side == "C":
-            k = len(a.atoms)
-            return make_algebra("SET", k, {})
-        return _powerset_ba(a.size)
+    if pair in _BASEPOINTS and side == "C":
+        # the points in the algebra's order; SET_STAR puts a basepoint first
+        pts, leq, d = _points(a), a.leq, d_tag(pair)
+        if d == "POS":
+            order = tuple(tuple(leq[x][y] for y in pts) for x in pts)
+            return make_algebra(d, len(pts), {}, order)
+        return free_algebra(d, pts)[0]  # atoms are pairwise incomparable
 
-    if pair == "DL01":
-        if side == "C":
-            irr, leq = a.join_irreducibles, a.leq
-            order = tuple(tuple(leq[x][y] for y in irr) for x in irr)
-            return make_algebra("POS", len(irr), {}, order)
-        masks = a.downsets
-        index = {m: i for i, m in enumerate(masks)}
-        return make_algebra(
-            "DL01",
-            len(masks),
-            {
-                "meet": tuple(tuple(index[x & y] for y in masks) for x in masks),
-                "join": tuple(tuple(index[x | y] for y in masks) for x in masks),
-                "zero": index[0],
-                "one": index[(1 << a.size) - 1],
-            },
-        )
+    if pair in _BASEPOINTS:
+        # the down-set lattice, each C-side operation read as a set operation
+        index = _masks(a)
+        masks, top = tuple(index), max(index)
+        sig = signature(pair)
+        ops = {
+            name: tuple(tuple(index[f(x, y)] for y in masks) for x in masks)
+            for name, f in _SET_OPS.items()
+            if name in sig
+        }
+        ops["zero"] = index[0]
+        if "one" in sig:
+            ops["one"] = index[top]
+        if "not" in sig:
+            ops["not"] = tuple(index[top ^ x] for x in masks)
+        return make_algebra(pair, len(masks), ops)
 
     if pair == "JSL0":
         join = a.op("join")
@@ -141,11 +173,6 @@ def _build_dual(pair: str, side: str, a: FinAlgebra) -> FinAlgebra:
         for x in a.carrier():
             top = join[top][x]
         return make_algebra("JSL0", a.size, {"join": a.meets, "zero": top})
-
-    if pair == "BR":
-        if side == "C":
-            return make_algebra("SET_STAR", len(a.atoms) + 1, {"point": 0})
-        return _powerset_br(a.size - 1)  # one atom per non-basepoint element
 
     if pair == "JSL01":
         if side == "C":
@@ -175,14 +202,6 @@ def _build_dual(pair: str, side: str, a: FinAlgebra) -> FinAlgebra:
 
 # ---------------------------------------------------------------------------
 # dual morphisms
-
-
-def _meet_of(a: FinAlgebra, elems):
-    meet = a.op("meet") if a.tag in ("BA", "DL01") else a.op("mul")
-    acc = elems[0]
-    for x in elems[1:]:
-        acc = meet[acc][x]
-    return acc
 
 
 def _join_of(a: FinAlgebra, elems, empty):
@@ -234,34 +253,30 @@ def dual_morphism(pair: str, h: AlgMorphism) -> AlgMorphism:
         table = _vect_table_from_matrix(transposed, td, sd, p)
         return AlgMorphism(dr, dq, table)
 
-    if pair in ("BA", "DL01") and side == "C":
-        # hat h(r) = meet { q : h(q) >= r }
-        ats_r = r.atoms if pair == "BA" else r.join_irreducibles
-        ats_q = q.atoms if pair == "BA" else q.join_irreducibles
-        leq_r = r.leq
-        table = []
-        for rr in ats_r:
+    if pair in _BASEPOINTS and side == "C":
+        # a point r goes to the point meet { q : h(q) >= r }, and in BR to the
+        # basepoint when h(q) >= r for no q
+        base, pts_q, leq_q, leq_r = _BASEPOINTS[pair], _points(q), q.leq, r.leq
+        table = [0] * base
+        for rr in _points(r):
             above = [x for x in q.carrier() if leq_r[rr][h.table[x]]]
-            table.append(ats_q.index(_meet_of(q, above)))
+            if not above:
+                table.append(0)
+                continue
+            least = above[0]  # h preserves meets, so the meet lies in above
+            for x in above[1:]:
+                if leq_q[x][least]:
+                    least = x
+            table.append(base + pts_q.index(least))
         return AlgMorphism(dr, dq, tuple(table))
 
-    if pair in ("BA", "DL01") and side == "D":
-        # dual of g: X -> Y is preimage on subsets / downsets
-        if pair == "BA":
-            table = []
-            for mask in range(1 << r.size):
-                pre = 0
-                for x in range(q.size):
-                    if mask >> h.table[x] & 1:
-                        pre |= 1 << x
-                table.append(pre)
-            return AlgMorphism(dr, dq, tuple(table))
-        masks_r, masks_q = r.downsets, q.downsets
-        index_q = {m: i for i, m in enumerate(masks_q)}
+    if pair in _BASEPOINTS:
+        # the dual of g: X -> Y is preimage on down-sets
+        index_q = _masks(q)
         table = []
-        for mask in masks_r:
+        for mask in _masks(r):
             pre = 0
-            for x in range(q.size):
+            for x in q.carrier():
                 if mask >> h.table[x] & 1:
                     pre |= 1 << x
             table.append(index_q[pre])
@@ -274,33 +289,6 @@ def dual_morphism(pair: str, h: AlgMorphism) -> AlgMorphism:
         for rr in r.carrier():
             below = [x for x in q.carrier() if leq_r[h.table[x]][rr]]
             table.append(_join_of(q, below, zero_q))
-        return AlgMorphism(dr, dq, tuple(table))
-
-    if pair == "BR" and side == "C":
-        ats_q, leq_r = q.atoms, r.leq
-        table = [0]  # basepoint to basepoint
-        for rr in r.atoms:
-            above = [x for x in q.carrier() if leq_r[rr][h.table[x]]]
-            if above:
-                m = _meet_of(q, above)
-                table.append(ats_q.index(m) + 1)
-            else:
-                table.append(0)
-        return AlgMorphism(dr, dq, tuple(table))
-
-    if pair == "BR" and side == "D":
-        point_q, point_r = q.op("point"), r.op("point")
-        others_q = [x for x in q.carrier() if x != point_q]
-        others_r = [x for x in r.carrier() if x != point_r]
-        pos_q = {x: i for i, x in enumerate(others_q)}
-        table = []
-        for mask in range(1 << len(others_r)):
-            chosen = {others_r[i] for i in range(len(others_r)) if mask >> i & 1}
-            pre = 0
-            for x in others_q:
-                if h.table[x] in chosen:
-                    pre |= 1 << pos_q[x]
-            table.append(pre)
         return AlgMorphism(dr, dq, tuple(table))
 
     if pair == "JSL01" and side == "C":
@@ -352,52 +340,28 @@ def eta(pair: str, a: FinAlgebra) -> AlgMorphism:
 
     if p is not None or pair == "JSL0":
         return AlgMorphism(a, dd, tuple(range(a.size)))
-    if pair in ("BA", "BR") and side == "C":
-        leq = a.leq
+    if pair in _BASEPOINTS and side == "C":
+        # x goes to the down-set of the points below it
+        base, pts, leq, index = _BASEPOINTS[pair], _points(a), a.leq, _masks(d)
         table = []
         for x in a.carrier():
             mask = 0
-            for i, at in enumerate(a.atoms):
-                if leq[at][x]:
-                    mask |= 1 << i
-            table.append(mask)
-        return AlgMorphism(a, dd, tuple(table))
-    if pair == "BA" and side == "D":
-        # atoms of the powerset BA are the singleton masks 1 << x, ascending
-        return AlgMorphism(a, dd, tuple(range(a.size)))
-    if pair == "DL01" and side == "C":
-        irr, leq = a.join_irreducibles, a.leq
-        masks = d.downsets
-        index = {m: i for i, m in enumerate(masks)}
-        table = []
-        for x in a.carrier():
-            mask = 0
-            for i, j in enumerate(irr):
+            for i, j in enumerate(pts):
                 if leq[j][x]:
-                    mask |= 1 << i
+                    mask |= 1 << (base + i)
             table.append(index[mask])
         return AlgMorphism(a, dd, tuple(table))
-    if pair == "DL01" and side == "D":
-        masks = a.downsets
-        irr = d.join_irreducibles
+    if pair in _BASEPOINTS:
+        # x goes to the point that is its principal down-set; the point of a
+        # SET_STAR, whose down-set is not in the dual, goes to the basepoint
+        base, pts, leq, index = _BASEPOINTS[pair], _points(d), a.leq, _masks(a)
         table = []
         for x in a.carrier():
             down = 0
             for y in a.carrier():
-                if a.order[y][x]:
+                if leq[y][x]:
                     down |= 1 << y
-            table.append(irr.index(masks.index(down)))
-        return AlgMorphism(a, dd, tuple(table))
-    if pair == "BR" and side == "D":
-        point = a.op("point")
-        others = [x for x in a.carrier() if x != point]
-        ats = d.atoms
-        table = []
-        for x in a.carrier():
-            if x == point:
-                table.append(0)
-            else:
-                table.append(ats.index(1 << others.index(x)) + 1)
+            table.append(base + pts.index(index[down]) if down in index else 0)
         return AlgMorphism(a, dd, tuple(table))
     if pair == "JSL01" and side == "C":
         one = a.op("one")
@@ -440,80 +404,28 @@ class ConstantsBundle:
     relabel_OD: tuple  # dual_object(one_C) index -> O_D index
 
 
-def _two_chain(tag):
-    if tag == "BA":
-        return make_algebra(
-            "BA",
-            2,
-            {"meet": ((0, 0), (0, 1)), "join": ((0, 1), (1, 1)), "not": (1, 0),
-             "zero": 0, "one": 1},
-        )
-    if tag == "DL01":
-        return make_algebra(
-            "DL01",
-            2,
-            {"meet": ((0, 0), (0, 1)), "join": ((0, 1), (1, 1)), "zero": 0, "one": 1},
-        )
-    if tag == "JSL0":
-        return make_algebra("JSL0", 2, {"join": ((0, 1), (1, 1)), "zero": 0})
-    if tag == "JSL01":
-        return make_algebra(
-            "JSL01", 2, {"join": ((0, 1), (1, 1)), "zero": 0, "one": 1}
-        )
-    if tag == "BR":
-        return make_algebra(
-            "BR", 2, {"add": ((0, 1), (1, 0)), "mul": ((0, 0), (0, 1)), "zero": 0}
-        )
-    raise StructureError(tag)
-
-
 @lru_cache(maxsize=None)
 def canonical_constants(pair: str) -> ConstantsBundle:
-    """The fixed constant choices of the pair's table."""
-    p = vect_prime(c_tag(pair))
+    """The fixed constant choices of the pair's table, derived.
 
-    if pair == "BA":
-        # free BA on one generator: powerset on atoms {not-gen, gen};
-        # the generator is element 2 so the dual of 1_{O_C} lands on index 1
-        one_c = enumerate_algebras("BA", 4)[0]
-        gen_c = 2
-        o_c = _two_chain("BA")
-        out_one = AlgMorphism(one_c, o_c, (0, 0, 1, 1))
-    elif pair == "DL01":
-        # free DL01 on one generator: 3-chain bottom < gen < top
-        join = tuple(tuple(max(x, y) for y in range(3)) for x in range(3))
-        meet = tuple(tuple(min(x, y) for y in range(3)) for x in range(3))
-        one_c = make_algebra("DL01", 3, {"meet": meet, "join": join, "zero": 0, "one": 2})
-        gen_c = 1
-        o_c = _two_chain("DL01")
-        out_one = AlgMorphism(one_c, o_c, (0, 1, 1))
-    elif pair == "JSL0":
-        one_c = _two_chain("JSL0")
-        gen_c = 1
-        o_c = _two_chain("JSL0")
-        out_one = AlgMorphism(one_c, o_c, (0, 1))
-    elif p is not None:
-        one_c, _ = free_algebra(pair, ["x"])
-        gen_c = 1
-        o_c = one_c
-        out_one = identity_morphism(one_c)
-    elif pair == "BR":
-        one_c = _two_chain("BR")
-        gen_c = 1
-        o_c = one_c
-        out_one = identity_morphism(one_c)
-    elif pair == "JSL01":
-        # free JSL01 on one generator: 3-chain 0 < gen < 1
-        join = tuple(tuple(max(x, y) for y in range(3)) for x in range(3))
-        one_c = make_algebra("JSL01", 3, {"join": join, "zero": 0, "one": 2})
-        gen_c = 1
-        o_c = _two_chain("JSL01")
-        out_one = AlgMorphism(one_c, o_c, (0, 1, 1))
-    else:
-        raise StructureError(f"unknown pair {pair}")
+    O_C is the two-element algebra (VECTp: GF(p), which is also one_C).
+    one_C, the free algebra on one generator, is the algebra of its size
+    whose elements ``_selector_table`` lists as terms in the generator; the
+    generator is the term that evaluates to v at every v of O_C.  one_D is
+    dual_object(O_C); its generator is the least element no constant names.
+    """
+    tag = c_tag(pair)
+    o_c = enumerate_algebras(tag, vect_prime(tag) or 2)[0]
+    selectors = [_selector_table(pair, o_c, v) for v in o_c.carrier()]
+    one_c = enumerate_algebras(tag, len(selectors[1]))[0]
+    gen_c = next(
+        x for x in one_c.carrier() if all(sel[x] == v for v, sel in enumerate(selectors))
+    )
+    out_one = AlgMorphism(one_c, o_c, selectors[1])
 
     one_d = dual_object(pair, o_c)
-    gen_d = _generator_of_one_d(pair, one_d)
+    named = {table for arity, table in one_d.sig_ops if arity == 0}
+    gen_d = min(x for x in one_d.carrier() if x not in named)
 
     raw_od = dual_object(pair, one_c)
     pos = dual_morphism(pair, out_one).table[gen_d]
@@ -541,63 +453,41 @@ def canonical_constants(pair: str) -> ConstantsBundle:
     )
 
 
-def _generator_of_one_d(pair: str, one_d: FinAlgebra) -> int:
-    """Index of the free generator inside dual_object(O_C)."""
-    tag = one_d.tag
-    if tag in ("SET", "POS", "JSL"):
-        assert one_d.size == 1
-        return 0
-    if tag == "JSL0":
-        return 1 - one_d.op("zero")  # the non-zero element of the 2-chain
-    if tag == "SET_STAR":
-        return 1 - one_d.op("point")
-    if vect_prime(tag) is not None:
-        return 1
-    raise StructureError(tag)
+def _selector_table(pair: str, states: FinAlgebra, elem: int) -> tuple:
+    """The elements of 1_C, as terms in its generator, evaluated at elem."""
+    if pair == "BA":
+        return (states.op("zero"), states.op("not")[elem], elem, states.op("one"))
+    if pair in ("DL01", "JSL01"):
+        return (states.op("zero"), elem, states.op("one"))
+    if pair in ("JSL0", "BR"):
+        return (states.op("zero"), elem)
+    p = vect_prime(c_tag(pair))
+    if p is not None:
+        return tuple(states.op(f"smul{k}")[elem] for k in range(p))
+    raise StructureError(pair)
 
 
 def one_c_selector(pair: str, states: FinAlgebra, elem: int) -> AlgMorphism:
     """The unique C-morphism 1_C -> states sending the generator to elem."""
-    bundle = canonical_constants(pair)
-    one_c = bundle.one_C
-    if pair == "BA":
-        table = (states.op("zero"), states.op("not")[elem], elem, states.op("one"))
-    elif pair in ("DL01", "JSL01"):
-        table = (states.op("zero"), elem, states.op("one"))
-    elif pair == "JSL0":
-        table = (states.op("zero"), elem)
-    elif vect_prime(pair) is not None:
-        p = vect_prime(pair)
-        table = tuple(states.op(f"smul{k}")[elem] for k in range(p))
-    elif pair == "BR":
-        table = (states.op("zero"), elem)
-    else:
-        raise StructureError(pair)
-    return AlgMorphism(one_c, states, table)
+    one_c = canonical_constants(pair).one_C
+    return AlgMorphism(one_c, states, _selector_table(pair, states, elem))
 
 
 def init_selector_table(pair: str, states: FinAlgebra, init: int) -> AlgMorphism:
-    """The unique D-morphism one_D -> states sending the generator to init."""
+    """The unique D-morphism one_D -> states sending the generator to init.
+
+    Each element of one_D is c * generator for one coefficient c (the empty
+    combination where a constant names the element) and goes to c * init.
+    """
     bundle = canonical_constants(pair)
-    one_d = bundle.one_D
-    tag = one_d.tag
-    if tag in ("SET", "POS", "JSL"):
-        table = (init,)
-    elif tag == "JSL0":
-        table = [None, None]
-        table[bundle.gen_one_D] = init
-        table[one_d.op("zero")] = states.op("zero")
-        table = tuple(table)
-    elif tag == "SET_STAR":
-        table = [None, None]
-        table[bundle.gen_one_D] = init
-        table[one_d.op("point")] = states.op("point")
-        table = tuple(table)
-    elif vect_prime(tag) is not None:
-        p = vect_prime(tag)
-        table = tuple(states.op(f"smul{k}")[init] for k in range(p))
-    else:
-        raise StructureError(tag)
+    one_d, gen = bundle.one_D, bundle.gen_one_D
+    coeff = {
+        combine_elements(one_d, [(gen, c)]): c for c in range(1, vect_prime(pair) or 2)
+    }
+    table = tuple(
+        combine_elements(states, [(init, coeff[y])] if y in coeff else [])
+        for y in one_d.carrier()
+    )
     return AlgMorphism(one_d, states, table)
 
 

@@ -317,8 +317,10 @@ def parse_regex(text: str, alphabet=None) -> RegularLanguage:
             raise RegexSyntaxError("cannot infer an alphabet; pass one explicitly", 0)
     else:
         alphabet = list(alphabet)
-        if not set(letters) <= set(alphabet):
-            raise StructureError(f"regex letters {sorted(letters)} not in alphabet {alphabet}")
+        outside = letters - set(alphabet)
+        if outside:
+            pos = min(text.index(ch) for ch in outside)
+            raise RegexSyntaxError(f"letter {text[pos]!r} not in alphabet {alphabet}", pos)
     states, delta = explore(ast, alphabet, _deriv, cap=10000)
     finals = {i for i, r in enumerate(states) if _nullable(r)}
     return _minimize(alphabet, len(states), delta, finals, 0)

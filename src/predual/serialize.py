@@ -19,7 +19,7 @@ from .langlib import (
     free_zero,
     make_free_morphism,
 )
-from .monoids import DMonoid, GeneratedDMonoid, make_dmonoid
+from .monoids import DMonoid, GeneratedDMonoid, make_dmonoid, validate_dmonoid
 
 
 def _table_to_lists(table, arity):
@@ -49,7 +49,7 @@ def algebra_from_doc(doc) -> FinAlgebra:
     order = doc.get("order")
     if order is not None:
         order = [[bool(v) for v in row] for row in order]
-    return make_algebra(doc["tag"], doc["size"], doc["ops"], order)
+    return make_algebra(doc["tag"], doc["size"], _object(doc, "ops"), order)
 
 
 def morphism_doc(f: AlgMorphism) -> dict:
@@ -64,7 +64,9 @@ def morphism_doc(f: AlgMorphism) -> dict:
 
 def morphism_from_doc(doc) -> AlgMorphism:
     return make_morphism(
-        algebra_from_doc(doc["source"]), algebra_from_doc(doc["target"]), doc["map"]
+        algebra_from_doc(_object(doc, "source")),
+        algebra_from_doc(_object(doc, "target")),
+        doc["map"],
     )
 
 
@@ -111,11 +113,12 @@ def free_morphism_doc(f: DMonoidMorphismFree) -> dict:
 
 
 def free_morphism_from_doc(doc) -> DMonoidMorphismFree:
+    images = _object(doc, "images")
     return make_free_morphism(
         doc["tag"],
         doc["source_alphabet"],
         doc["target_alphabet"],
-        {b: free_element_from_doc(d) for b, d in doc["images"].items()},
+        {b: free_element_from_doc(_object(images, b)) for b in images},
     )
 
 
@@ -134,8 +137,8 @@ def coalgebra_from_doc(doc) -> Coalgebra:
     return make_coalgebra(
         doc["pair"],
         doc["alphabet"],
-        algebra_from_doc(doc["states"]),
-        {a: tuple(t) for a, t in doc["trans"].items()},
+        algebra_from_doc(_object(doc, "states")),
+        {a: tuple(t) for a, t in _object(doc, "trans").items()},
         doc["out"],
     )
 
@@ -155,8 +158,8 @@ def lalgebra_from_doc(doc) -> LAlgebra:
     return make_lalgebra(
         doc["pair"],
         doc["alphabet"],
-        algebra_from_doc(doc["states"]),
-        {a: tuple(t) for a, t in doc["trans"].items()},
+        algebra_from_doc(_object(doc, "states")),
+        {a: tuple(t) for a, t in _object(doc, "trans").items()},
         doc["init"],
     )
 
@@ -172,7 +175,11 @@ def dmonoid_doc(m: DMonoid) -> dict:
 
 
 def dmonoid_from_doc(doc) -> DMonoid:
-    return make_dmonoid(algebra_from_doc(doc["carrier"]), doc["mult"], doc["unit"])
+    m = make_dmonoid(algebra_from_doc(_object(doc, "carrier")), doc["mult"], doc["unit"])
+    problems = validate_dmonoid(m)
+    if problems:
+        raise DocumentError(f"{doc['kind']} document is not a D-monoid: {problems[0]}")
+    return m
 
 
 def generated_dmonoid_doc(g: GeneratedDMonoid) -> dict:
@@ -187,16 +194,13 @@ def generated_dmonoid_doc(g: GeneratedDMonoid) -> dict:
 
 
 def generated_dmonoid_from_doc(doc) -> GeneratedDMonoid:
-    base = make_dmonoid(
-        algebra_from_doc(doc["carrier"]), doc["mult"], doc["unit"]
-    )
+    base = dmonoid_from_doc(doc)
+    reprs = _object(doc, "representatives")
     return GeneratedDMonoid(
         base,
         tuple(doc["alphabet"]),
-        tuple(sorted(doc["generators"].items())),
-        tuple(
-            sorted((int(e), free_element_from_doc(d)) for e, d in doc["representatives"].items())
-        ),
+        tuple(sorted(_object(doc, "generators").items())),
+        tuple(sorted((int(e), free_element_from_doc(_object(reprs, e))) for e in reprs)),
     )
 
 
@@ -233,7 +237,16 @@ def to_doc(value) -> dict:
 
 
 class DocumentError(ValueError):
-    """A document that is not a JSON object or lacks a required key."""
+    """A document that is not a JSON object, lacks a required key, or
+    describes a D-monoid that breaks its laws."""
+
+
+def _object(doc, key):
+    """doc[key], which must itself be a JSON object."""
+    value = doc[key]
+    if not isinstance(value, dict):
+        raise DocumentError(f"{key!r} must be a JSON object, got {type(value).__name__}")
+    return value
 
 
 def from_doc(doc):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from predual.algebra import enumerate_algebras
 from predual.cli import main
 from predual.serialize import dumps, from_doc, loads, to_doc
 
@@ -280,6 +281,8 @@ def test_syntactic_malformed_regex_is_a_usage_error(capsys):
         ([1, 2], "expected a JSON object, got list"),
         ({"kind": "algebra", "tag": "JSL0", "ops": {"join": [[0]], "zero": 0}},
          "algebra document lacks the key 'size'"),
+        ({"kind": "morphism", "tag": "JSL0", "source": [1], "target": {}, "map": []},
+         "'source' must be a JSON object, got list"),
     ],
 )
 def test_dualize_malformed_document_is_a_usage_error(capsys, tmp_path, doc, message):
@@ -289,3 +292,33 @@ def test_dualize_malformed_document_is_a_usage_error(capsys, tmp_path, doc, mess
     assert code == 2
     assert out == ""
     assert err == f"usage error: {message}\n"
+
+
+def test_dualize_dot_draws_the_discrete_order_of_a_set(capsys, tmp_path):
+    ba4 = to_doc(enumerate_algebras("BA", 4)[0])
+    path = tmp_path / "ba4.alg"
+    path.write_text(json.dumps(ba4))
+    code, out, err = run_cli(capsys, "dualize", "--pair", "BA", "--in", str(path), "--dot")
+    assert code == 0 and err == ""
+    assert out == (
+        "digraph hasse {\n  rankdir=BT;\n"
+        '  n0 [shape=none label="0"];\n  n1 [shape=none label="1"];\n}\n'
+    )
+
+
+def test_varlang_rejects_a_dmonoid_that_breaks_its_laws(capsys, tmp_path):
+    monoid = {
+        "kind": "dmonoid",
+        "tag": "SET",
+        "carrier": {"kind": "algebra", "tag": "SET", "size": 2, "ops": {}},
+        "mult": [[0, 0], [1, 0]],
+        "unit": 0,
+    }
+    path = tmp_path / "bad.mon"
+    path.write_text(json.dumps(monoid))
+    code, out, err = run_cli(
+        capsys, "varlang", "--monoid", str(path), "--alphabet", "a", "--pair", "BA"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "usage error: dmonoid document is not a D-monoid: unit law fails at 1\n"

@@ -1,5 +1,6 @@
 import pytest
 
+import oracle
 from predual.algebra import (
     AlgMorphism,
     StructureError,
@@ -15,12 +16,10 @@ from predual.algebra import (
 )
 from predual.duality import (
     MAIN_PAIRS,
-    atoms_of,
     canonical_constants,
     dual_morphism,
     dual_object,
     eta,
-    join_irreducibles,
     verify_preduality,
 )
 
@@ -51,7 +50,7 @@ def test_dual_of_jsl0_chain_is_reversed_chain():
 
 def test_dual_of_four_element_br_is_three_point_pointed_set():
     br = four_element_br()
-    assert atoms_of(br) == [1, 2]
+    assert br.atoms == (1, 2)
     d = dual_object("BR", br)
     assert d.tag == "SET_STAR" and d.size == 3
 
@@ -94,7 +93,7 @@ def test_br_star_branch_triggers_exactly_when_nothing_above():
                 for r in targets:
                     for h in all_morphisms(q, r):
                         d = dual_morphism("BR", h)
-                        ats_r = atoms_of(r)
+                        ats_r = r.atoms
                         for i, rr in enumerate(ats_r):
                             above = [
                                 x
@@ -150,6 +149,32 @@ def test_bundle_duals_match_stored_constants(pair):
     # the dual of 1_{O_C} corresponds to the element 1 of O_D
     pos = dual_morphism(pair, b.out_one_C).table[b.gen_one_D]
     assert b.relabel_OD[pos] == b.one_out_D
+
+
+@pytest.mark.parametrize("pair,sizes", [("BA", (1, 2, 4, 8)), ("DL01", range(1, 6)),
+                                        ("BR", (1, 2, 4, 8))])
+def test_birkhoff_dual_is_hom_into_o_c(pair, sizes):
+    # element i of the dual is x -> [points[i] <= x] (BR: element 0 is the
+    # zero map), the dual is all of Hom(Q, O_C), and dualizing a morphism is
+    # precomposition; verify_preduality cannot see a relabelling of the dual
+    o_c = canonical_constants(pair).O_C
+    algs = [q for n in sizes for q in enumerate_algebras(pair, n)]
+    named = {}
+    for q in algs:
+        order = oracle.natural_order(q)
+        points = oracle.join_irreducibles(q) if pair == "DL01" else oracle.atoms(q)
+        homs = [tuple(int(order[p][x]) for x in q.carrier()) for p in points]
+        if pair == "BR":
+            homs.insert(0, (0,) * q.size)
+        assert len(homs) == len(set(homs)) == dual_object(pair, q).size
+        assert set(homs) == {f.table for f in all_morphisms(q, o_c)}
+        named[q] = homs
+    for q in algs:
+        for r in algs:
+            for h in all_morphisms(q, r):
+                d = dual_morphism(pair, h)
+                for j, f in enumerate(named[r]):
+                    assert named[q][d.table[j]] == tuple(f[y] for y in h.table)
 
 
 @pytest.mark.parametrize(
@@ -212,23 +237,9 @@ def test_join_irreducibles_of_chain():
     join = tuple(tuple(max(x, y) for y in range(3)) for x in range(3))
     meet = tuple(tuple(min(x, y) for y in range(3)) for x in range(3))
     dl = make_algebra("DL01", 3, {"meet": meet, "join": join, "zero": 0, "one": 2})
-    assert join_irreducibles(dl) == [1, 2]
+    assert dl.join_irreducibles == (1, 2)
     d = dual_object("DL01", dl)
     assert d.size == 2 and d.order[0][1]
-
-
-def test_atoms_of_returns_a_fresh_list():
-    br = four_element_br()
-    atoms = atoms_of(br)
-    atoms.append(0)
-    atoms[0] = 3
-    assert atoms_of(br) == [1, 2]
-    join = tuple(tuple(max(x, y) for y in range(3)) for x in range(3))
-    meet = tuple(tuple(min(x, y) for y in range(3)) for x in range(3))
-    dl = make_algebra("DL01", 3, {"meet": meet, "join": join, "zero": 0, "one": 2})
-    irr = join_irreducibles(dl)
-    irr.clear()
-    assert join_irreducibles(dl) == [1, 2]
 
 
 @pytest.mark.parametrize("pair,wrong", [("BA", "BR"), ("BA", "DL01"), ("JSL0", "JSL01")])

@@ -67,6 +67,9 @@ def test_parse_errors_are_positional():
     with pytest.raises(RegexSyntaxError) as e:
         parse_regex("a|*b")
     assert e.value.pos == 2
+    with pytest.raises(RegexSyntaxError) as e:
+        parse_regex("a(b|c)*", "ab")
+    assert e.value.pos == 4
 
 
 def test_equivalent_regexes_share_canonical_form():
@@ -202,7 +205,7 @@ def test_preimage_agrees_with_wordwise_eval():
             for rx in langs:
                 try:
                     l = parse_regex(rx, tgt)
-                except StructureError:
+                except RegexSyntaxError:
                     continue  # regex letters outside this target alphabet
                 pre = preimage_language(l, f)
                 for w in words_upto(src, 6):
