@@ -77,6 +77,7 @@ from .automata import (
     run_word_co,
     shift_initial,
     shift_initial_co,
+    syntactic_lalgebra,
 )
 from .monoids import (
     DMonoid,

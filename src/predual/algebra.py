@@ -192,13 +192,31 @@ class FinAlgebra:
     def downsets(self) -> tuple:
         """The down-closed subsets as bitmasks, ascending (SET, SET_STAR: all
         subsets)."""
-        n, leq = self.size, self.leq
-        below = [sum(1 << y for y in range(n) if leq[y][x]) for x in range(n)]
-        return tuple(
-            mask
-            for mask in range(1 << n)
-            if all(below[x] & ~mask == 0 for x in range(n) if mask >> x & 1)
-        )
+        return tuple(sorted(downset_masks(self.leq)))
+
+
+def downset_masks(leq, limit=None) -> list:
+    """The down-closed subsets of the order leq[x][y] (x <= y) as bitmasks.
+
+    The elements are decided along a linear extension, so that an element
+    can join once everything below it has, and every branch ends in a
+    down-set: the work is linear in the number found, not in 2^n.  With a
+    limit the search stops once more than limit are found.
+    """
+    n = len(leq)
+    below = [sum(1 << y for y in range(n) if y != x and leq[y][x]) for x in range(n)]
+    extension = sorted(range(n), key=lambda x: bin(below[x]).count("1"))
+    found, stack = [], [(0, 0)]
+    while stack and (limit is None or len(found) <= limit):
+        k, mask = stack.pop()
+        if k == n:
+            found.append(mask)
+            continue
+        x = extension[k]
+        stack.append((k + 1, mask))
+        if below[x] & ~mask == 0:
+            stack.append((k + 1, mask | 1 << x))
+    return found
 
 
 def _freeze_table(table, arity, size):
@@ -559,7 +577,7 @@ def generated_subalgebra(a: FinAlgebra, seeds) -> AlgMorphism:
 # the closure kernel
 
 
-def closure(seeds, ops, cap=None, on_new=None):
+def closure(seeds, ops, cap=None, on_new=None, stage="closure"):
     """Least superset of the seeds closed under ops, with every op's table.
 
     seeds maps each seed element to its witness; ops is a sequence of
@@ -575,7 +593,7 @@ def closure(seeds, ops, cap=None, on_new=None):
     on_new(x, k, ws), if given, is called when ops[k] first yields x, with ws
     the witnesses of the arguments, and returns the witness of x; to stop the
     closure it raises, and the exception propagates.  CapExceeded is raised
-    once more than cap elements are known.
+    once more than cap elements are known; its message names the stage.
 
     Returns (elements, witnesses, tables): elements in discovery order and
     tables[k] the table of ops[k] over element indices, an index for a
@@ -592,7 +610,7 @@ def closure(seeds, ops, cap=None, on_new=None):
         elements.append(x)
         witnesses.append(w)
         if cap is not None and i >= cap:
-            raise CapExceeded(f"closure exceeded cap {cap}")
+            raise CapExceeded(f"{stage} exceeded cap {cap}")
         return i
 
     old, first = 0, True
@@ -625,13 +643,13 @@ def closure(seeds, ops, cap=None, on_new=None):
     return elements, witnesses, tables
 
 
-def explore(start, letters, step, cap=None):
+def explore(start, letters, step, cap=None, stage="explore"):
     """The states reachable from start under step, breadth-first.
 
     Each state is stepped by every letter, in the given order, before the
     next state is taken up, so states are numbered in discovery order and
     the first path found to each state is shortlex-least.  CapExceeded is
-    raised once more than cap states are known.
+    raised once more than cap states are known; its message names the stage.
 
     Returns (states, delta) with delta[i][k] the index of
     step(states[i], letters[k]).
@@ -648,7 +666,7 @@ def explore(start, letters, step, cap=None):
                 j = index[y] = len(states)
                 states.append(y)
                 if cap is not None and j >= cap:
-                    raise CapExceeded(f"explore exceeded cap {cap}")
+                    raise CapExceeded(f"{stage} exceeded cap {cap}")
             row.append(j)
         delta.append(tuple(row))
     return states, delta

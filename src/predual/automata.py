@@ -14,16 +14,21 @@ from dataclasses import dataclass
 
 from .algebra import (
     AlgMorphism,
+    CapExceeded,
     FinAlgebra,
     StructureError,
     _search_maps,
     all_morphisms,
     check_morphism,
     combine_elements,
+    downset_masks,
     enumerate_algebras,
     explore,
+    free_algebra,
     generated_subalgebra,
+    make_algebra,
     product,
+    relabel_algebra,
     shortlex_words,
     signature,
     standardize_vect,
@@ -31,10 +36,12 @@ from .algebra import (
     vect_prime,
 )
 from .duality import (
+    BIRKHOFF_PAIRS,
     PAIR_D_SIDE,
     c_tag,
     canonical_constants,
     d_tag,
+    downset_index,
     dual_morphism,
     dual_object,
     eta,
@@ -123,18 +130,26 @@ def _vect_encoding_errors(states: FinAlgebra) -> list:
 
 
 def validate_coalgebra(q: Coalgebra) -> list:
-    out = []
     errs = validate_algebra(q.states) + _vect_encoding_errors(q.states)
     if errs:
         return [f"states: {e}" for e in errs]
-    for a in q.alphabet:
-        ok, why = check_morphism(AlgMorphism(q.states, q.states, q.tr(a)))
+    maps = [(f"transition {a!r}", q.states, q.tr(a)) for a in q.alphabet]
+    return _morphism_errors(q.states, maps + [("output", canonical_constants(q.pair).O_C, q.out)])
+
+
+def _morphism_errors(source: FinAlgebra, maps) -> list:
+    """The failure, if any, of each (name, target, table) to be a morphism
+    from source; a table must first send every element to an element."""
+    out = []
+    for name, target, table in maps:
+        if len(table) != source.size or not all(
+            type(v) is int and 0 <= v < target.size for v in table
+        ):
+            out.append(f"{name}: not a map from {source.size} to {target.size} elements")
+            continue
+        ok, why = check_morphism(AlgMorphism(source, target, table))
         if not ok:
-            out.append(f"transition {a!r}: {why}")
-    bundle = canonical_constants(q.pair)
-    ok, why = check_morphism(AlgMorphism(q.states, bundle.O_C, q.out))
-    if not ok:
-        out.append(f"output: {why}")
+            out.append(f"{name}: {why}")
     return out
 
 
@@ -153,15 +168,11 @@ def make_lalgebra(pair, alphabet, states, trans: dict, init: int) -> LAlgebra:
 
 
 def validate_lalgebra(a: LAlgebra) -> list:
-    out = []
     errs = validate_algebra(a.states) + _vect_encoding_errors(a.states)
     if errs:
         return [f"states: {e}" for e in errs]
-    for x in a.alphabet:
-        ok, why = check_morphism(AlgMorphism(a.states, a.states, a.tr(x)))
-        if not ok:
-            out.append(f"transition {x!r}: {why}")
-    if not 0 <= a.init < a.states.size:
+    out = _morphism_errors(a.states, [(f"transition {x!r}", a.states, a.tr(x)) for x in a.alphabet])
+    if type(a.init) is not int or not 0 <= a.init < a.states.size:
         out.append("initial state out of range")
     return out
 
@@ -393,10 +404,14 @@ def local_variety_witness(q: Coalgebra):
 def generated_local_variety(pair: str, seeds, cap: int = 4096) -> Coalgebra:
     """Least local variety containing the seed languages, as a coalgebra.
 
-    The closure is computed on canonical automata; the states algebra carries
-    the pair's C-side structure, transitions are left derivatives and the
-    output is acceptance of the empty word.
+    Its states are its languages in sort-key order with the pair's C-side
+    structure, transitions are left derivatives and the output is acceptance
+    of the empty word.  For BA, DL01 and BR it is the dual of the syntactic
+    L-algebra; JSL0 and VECT2 close the seeds under both derivatives and the
+    language operations.  CapExceeded is raised above cap languages.
     """
+    if pair in BIRKHOFF_PAIRS:
+        return _dual_variety(pair, seeds, cap)
     tag = c_tag(pair)
     langs = closure_under_ops_and_derivs(tag, seeds, cap)
     alphabet = langs[0].alphabet
@@ -473,21 +488,177 @@ def output_value(a: LAlgebra, out, x) -> int:
 
 
 # ---------------------------------------------------------------------------
+# the syntactic L-algebra: the dual of a local variety, built on its monoid
+
+SYNTACTIC_CAP = 512
+
+
+def syntactic_lalgebra(pair: str, seeds) -> LAlgebra:
+    """The dual L-algebra of the local variety generated by the seeds.
+
+    For the Birkhoff pairs BA, DL01 and BR it is built on the syntactic
+    monoid, never on the variety: the syntactic D-monoid is the transition
+    D-monoid of the minimal automaton (Adamek, Milius and Urbat).  M is the
+    transition monoid of the disjoint union of the seeds' minimal DFAs, that
+    is Syn(L) for one seed and the subdirect product of the seeds' syntactic
+    monoids for several; CapExceeded is raised above SYNTACTIC_CAP elements.
+    init is the unit and a letter a acts by m -> [a] m, so a word is read as
+    the class of its reversal: the transition monoid of the reversed
+    language, acting on the right.  The carrier is labelled as dual_object
+    labels the points of the variety, by the sort keys of their languages:
+
+    - BA: the atoms, the class of one element;
+    - DL01: the join-irreducibles, the up-set of one element in the
+      syntactic order (u m v in L implies u n v in L for m <= n); the
+      carrier is ordered by their inclusion;
+    - BR: the atoms behind the basepoint, into which the element whose class
+      lies in no quotient u^-1 L v^-1, if there is one, merges.
+
+    JSL0 and VECT2 dualize generated_local_variety, checked as a local
+    variety.
+    """
+    if pair in BIRKHOFF_PAIRS:
+        return _birkhoff_syntactic(pair, seeds, SYNTACTIC_CAP)[0]
+    q = generated_local_variety(pair, seeds)
+    if not is_local_variety(q):
+        raise StructureError("the closure of the seeds is not a local variety")
+    return dual_automaton(q)
+
+
+def _birkhoff_syntactic(pair, seeds, cap):
+    """(a, elements, language): syntactic_lalgebra's a, elements[x] the monoid
+    element of carrier element x (None for the basepoint), and language(S)
+    the language of the words whose class lies in the set S of elements."""
+    seeds = list(seeds)
+    if not seeds:
+        raise StructureError("need at least one seed language")
+    alphabet = seeds[0].alphabet
+    if any(s.alphabet != alphabet for s in seeds):
+        raise StructureError("seeds must share an alphabet")
+    delta, finals = [], set()
+    for l in seeds:
+        base = len(delta)
+        delta += [tuple(base + t for t in row) for row in l.delta]
+        finals.update(base + s for s in l.finals)
+    columns = tuple(zip(*delta))  # columns[i][q]: state q read with letter i
+    tables, right = explore(
+        tuple(range(len(delta))), columns,
+        lambda t, column: tuple(map(column.__getitem__, t)), cap, "syntactic monoid",
+    )
+    index = {t: m for m, t in enumerate(tables)}
+    left = [[index[tuple(map(t.__getitem__, column))] for column in columns] for t in tables]
+
+    def language(elems):
+        return from_components(alphabet, right, elems, 0)
+
+    tag = d_tag(pair)
+    points = range(len(tables))
+    if tag == "POS":
+        incl = _state_inclusion(delta, finals)
+        leq = [[all(map(lambda x, y: incl[x][y], s, t)) for t in tables] for s in tables]
+        langs = {m: language([n for n in points if leq[m][n]]) for m in points}
+    else:
+        if tag == "SET_STAR":
+            live = _live_states(delta, finals)
+            points = [m for m in points if live.intersection(tables[m])]
+        langs = {m: language([m]) for m in points}
+    ranked = sorted(points, key=lambda m: langs[m].sort_key())
+    if len(set(langs.values())) < len(ranked):
+        raise StructureError("two elements of the syntactic monoid have one language")
+    elements = [None] * (tag == "SET_STAR") + ranked
+    label = {m: x for x, m in enumerate(elements)}
+    if tag == "POS":
+        order = tuple(tuple(leq[n][m] for n in ranked) for m in ranked)
+        carrier = make_algebra(tag, len(ranked), {}, order)
+    else:
+        carrier = free_algebra(tag, ranked)[0]
+    # an element missing from label is the one that merges into the basepoint
+    trans = {
+        a: tuple(0 if m is None else label.get(left[m][i], 0) for m in elements)
+        for i, a in enumerate(alphabet)
+    }
+    a = LAlgebra(pair, alphabet, carrier, tuple(sorted(trans.items())), label.get(0, 0))
+    return a, elements, language
+
+
+def _state_inclusion(delta, finals):
+    """incl[p][q]: the language of state p lies in that of state q, as the
+    greatest relation that respects acceptance and every letter."""
+    n = len(delta)
+    incl = [[p not in finals or q in finals for q in range(n)] for p in range(n)]
+    changed = True
+    while changed:
+        changed = False
+        for p in range(n):
+            for q in range(n):
+                if incl[p][q] and not all(map(lambda x, y: incl[x][y], delta[p], delta[q])):
+                    incl[p][q] = False
+                    changed = True
+    return incl
+
+
+def _live_states(delta, finals) -> set:
+    """The states whose language is not empty."""
+    live = set(finals)
+    while True:
+        more = {q for q, row in enumerate(delta) if q not in live and live.intersection(row)}
+        if not more:
+            return live
+        live |= more
+
+
+def _dual_variety(pair, seeds, cap):
+    """generated_local_variety for a Birkhoff pair: the dual coalgebra of the
+    syntactic L-algebra, its states relabelled into language order.
+
+    The state of a down-set S of the carrier accepts the words whose class
+    lies in S; these languages must be pairwise distinct, the first criterion
+    of is_subcoalgebra_of_rho.
+    """
+    a, elements, language = _birkhoff_syntactic(pair, seeds, cap)
+    base = int(elements[0] is None)
+    points_leq = [row[base:] for row in a.states.leq[base:]]
+    if len(downset_masks(points_leq, cap)) > cap:
+        raise CapExceeded(f"local variety exceeded cap {cap}")
+    q = dual_automaton_inv(a)
+    langs = [
+        language([m for x, m in enumerate(elements) if mask >> x & 1])
+        for mask in downset_index(a.states)
+    ]
+    if len(set(langs)) < len(langs):
+        raise StructureError("two states of the dual coalgebra accept one language")
+    order = sorted(range(len(langs)), key=lambda s: langs[s].sort_key())
+    perm = [0] * len(order)
+    for new, old in enumerate(order):
+        perm[old] = new
+    trans = {x: tuple(perm[t[old]] for old in order) for x, t in q.trans}
+    return Coalgebra(
+        pair, q.alphabet, relabel_algebra(q.states, perm),
+        tuple(sorted(trans.items())), tuple(q.out[old] for old in order),
+    )
+
+
+# ---------------------------------------------------------------------------
 # the dual Sigma-generated D-monoid
 
 
-def dual_generated_monoid(q: Coalgebra) -> GeneratedDMonoid:
-    """The dual D-monoid of a local variety, with representative elements.
+def dual_generated_monoid(a) -> GeneratedDMonoid:
+    """The Sigma-generated D-monoid whose associated L-algebra is a.
 
-    The carrier is the dual object of the states; the unit is e(eps), the
-    multiplication is defined on representatives via e(x) o e(y) = e(x * y).
-    Word representatives are shortlex-minimal (breadth-first); elements not
-    reachable by words alone (possible outside SET/POS) get canonical
-    D-combinations of word representatives.
+    a is an L-algebra such as syntactic_lalgebra's; a local variety given as
+    a coalgebra is checked and dualized first.  The carrier is a's states;
+    the unit is e(eps) = init, the multiplication is defined on
+    representatives via e(x) o e(y) = e(x * y).  Word representatives are
+    shortlex-minimal (breadth-first); elements not reachable by words alone
+    (possible outside SET/POS) get canonical D-combinations of word
+    representatives.  StructureError is raised unless the carrier is
+    generated by words and D-operations, the table passes validate_dmonoid
+    and its associated L-algebra is a.
     """
-    if not is_local_variety(q):
-        raise StructureError("dual_generated_monoid requires a local variety")
-    a = dual_automaton(q)
+    if isinstance(a, Coalgebra):
+        if not is_local_variety(a):
+            raise StructureError("dual_generated_monoid requires a local variety")
+        a = dual_automaton(a)
     tag = a.states.tag
     alphabet = a.alphabet
     n = a.states.size
@@ -501,7 +672,7 @@ def dual_generated_monoid(q: Coalgebra) -> GeneratedDMonoid:
         elements, witnesses, _ = dmonoid_closure(reprs, a.states)
         reprs = dict(zip(elements, witnesses))
     if len(reprs) < n:
-        raise AssertionError("dual carrier not generated by words and D-operations")
+        raise StructureError("carrier not generated by words and D-operations")
     _minimize_reprs(a, reprs)
     mult = tuple(
         tuple(eval_free(a, free_mul(reprs[x], reprs[y])) for y in range(n))
@@ -510,10 +681,11 @@ def dual_generated_monoid(q: Coalgebra) -> GeneratedDMonoid:
     base = make_dmonoid(a.states, mult, a.init)
     problems = validate_dmonoid(base)
     if problems:
-        raise AssertionError(f"dual monoid fails validation: {problems[0]}")
+        raise StructureError(f"dual monoid fails validation: {problems[0]}")
     gens = tuple((letter, run_word(a, letter)) for letter in alphabet)
     g = GeneratedDMonoid(base, alphabet, gens, tuple(sorted(reprs.items())))
-    assert associated_lalgebra(g) == a, "associated L-algebra differs from the dual"
+    if associated_lalgebra(g) != a:
+        raise StructureError("associated L-algebra differs from the input")
     return g
 
 

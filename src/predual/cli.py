@@ -26,6 +26,7 @@ from .automata import (
     dual_generated_monoid,
     generated_local_variety,
     languages_of,
+    syntactic_lalgebra,
 )
 from .duality import PAIRS, d_tag, dual_morphism, dual_object, verify_preduality
 from .langlib import (
@@ -140,8 +141,7 @@ def cmd_localvariety(args):
 
 def cmd_syntactic(args):
     lang = parse_regex(args.regex, args.alphabet)
-    q = generated_local_variety(args.tag, [lang])
-    g = dual_generated_monoid(q)
+    g = dual_generated_monoid(syntactic_lalgebra(args.tag, [lang]))
     # informally called the syntactic D-monoid: the dual Sigma-generated
     # D-monoid of the local variety generated by the language
     if args.json:

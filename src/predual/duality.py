@@ -92,6 +92,7 @@ def _bad_side(pair, tag):
 
 # the Birkhoff pairs, with the number of basepoints in front of the points
 _BASEPOINTS = {"BA": 0, "DL01": 0, "BR": 1}
+BIRKHOFF_PAIRS = tuple(_BASEPOINTS)
 
 # the binary C-side operations of the Birkhoff pairs as set operations
 _SET_OPS = {
@@ -109,17 +110,17 @@ def _points(a: FinAlgebra) -> tuple:
     return a.atoms if a.tag == "BR" else a.join_irreducibles
 
 
-def _masks(p: FinAlgebra) -> dict:
+def downset_index(p: FinAlgebra) -> dict:
     """Down-set bitmask -> its index in the dual of a D-side object.
 
     The down-sets are taken in ascending order, in a SET_STAR only those that
     avoid the point.  The map is built once and kept on the instance."""
     derived = vars(p)
-    if "_masks" not in derived:
+    if "_downset_index" not in derived:
         avoid = 1 << p.op("point") if p.tag == "SET_STAR" else 0
         kept = [m for m in p.downsets if not m & avoid]
-        derived["_masks"] = {m: i for i, m in enumerate(kept)}
-    return derived["_masks"]
+        derived["_downset_index"] = {m: i for i, m in enumerate(kept)}
+    return derived["_downset_index"]
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +153,7 @@ def _build_dual(pair: str, side: str, a: FinAlgebra) -> FinAlgebra:
 
     if pair in _BASEPOINTS:
         # the down-set lattice, each C-side operation read as a set operation
-        index = _masks(a)
+        index = downset_index(a)
         masks, top = tuple(index), max(index)
         sig = signature(pair)
         ops = {
@@ -272,9 +273,9 @@ def dual_morphism(pair: str, h: AlgMorphism) -> AlgMorphism:
 
     if pair in _BASEPOINTS:
         # the dual of g: X -> Y is preimage on down-sets
-        index_q = _masks(q)
+        index_q = downset_index(q)
         table = []
-        for mask in _masks(r):
+        for mask in downset_index(r):
             pre = 0
             for x in q.carrier():
                 if mask >> h.table[x] & 1:
@@ -342,7 +343,7 @@ def eta(pair: str, a: FinAlgebra) -> AlgMorphism:
         return AlgMorphism(a, dd, tuple(range(a.size)))
     if pair in _BASEPOINTS and side == "C":
         # x goes to the down-set of the points below it
-        base, pts, leq, index = _BASEPOINTS[pair], _points(a), a.leq, _masks(d)
+        base, pts, leq, index = _BASEPOINTS[pair], _points(a), a.leq, downset_index(d)
         table = []
         for x in a.carrier():
             mask = 0
@@ -354,7 +355,7 @@ def eta(pair: str, a: FinAlgebra) -> AlgMorphism:
     if pair in _BASEPOINTS:
         # x goes to the point that is its principal down-set; the point of a
         # SET_STAR, whose down-set is not in the dual, goes to the basepoint
-        base, pts, leq, index = _BASEPOINTS[pair], _points(d), a.leq, _masks(a)
+        base, pts, leq, index = _BASEPOINTS[pair], _points(d), a.leq, downset_index(a)
         table = []
         for x in a.carrier():
             down = 0

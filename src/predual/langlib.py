@@ -321,7 +321,7 @@ def parse_regex(text: str, alphabet=None) -> RegularLanguage:
         if outside:
             pos = min(text.index(ch) for ch in outside)
             raise RegexSyntaxError(f"letter {text[pos]!r} not in alphabet {alphabet}", pos)
-    states, delta = explore(ast, alphabet, _deriv, cap=10000)
+    states, delta = explore(ast, alphabet, _deriv, 10000, "regex states")
     finals = {i for i, r in enumerate(states) if _nullable(r)}
     return _minimize(alphabet, len(states), delta, finals, 0)
 
@@ -697,7 +697,7 @@ def preimage_language(l: RegularLanguage, f: DMonoidMorphismFree) -> RegularLang
         return tuple(nxt)
 
     start = tuple(1 if s == 0 else 0 for s in range(l.size))
-    states, delta = explore(start, src, vector_step, cap=4096)
+    states, delta = explore(start, src, vector_step, 4096, "preimage vector states")
     finals = {i for i, cur in enumerate(states) if sum(cur[s] for s in l.finals) % p == 1}
     return _minimize(src, len(delta), delta, finals, 0)
 
@@ -739,7 +739,8 @@ def closure_under_ops_and_derivs(tag: str, seeds, cap: int = 4096):
     ops += [(1, lambda l, a=a: right_deriv(l, a), False) for a in alphabet]
     ops += signature_ops(tag, seeds[0])
     langs, _, tables = sort_closure(
-        closure(dict.fromkeys(seeds), ops, cap), key=RegularLanguage.sort_key
+        closure(dict.fromkeys(seeds), ops, cap, stage="language closure"),
+        key=RegularLanguage.sort_key,
     )
     result = LanguageClosure(langs)
     result.trans = dict(zip(alphabet, tables))

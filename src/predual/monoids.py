@@ -202,7 +202,8 @@ def transition_dmonoid(lalg, cap: int = 64) -> EndoMonoidView:
     trans = dict(lalg.trans)
     # word closure first: BFS in shortlex order gives minimal word witnesses
     reached, delta = explore(
-        ident, alphabet, lambda t, a: _compose_tables(t, trans[a]), cap
+        ident, alphabet, lambda t, a: _compose_tables(t, trans[a]), cap,
+        "transition monoid",
     )
     witness = {
         t: free_word(tag, alphabet, w)
@@ -211,7 +212,7 @@ def transition_dmonoid(lalg, cap: int = 64) -> EndoMonoidView:
     # pointwise D-operation closure; composition distributes over the
     # D-operations, so the result stays closed under it
     elements, witnesses, tables = sort_closure(
-        dmonoid_closure(witness, [host] * n, cap=cap)
+        dmonoid_closure(witness, [host] * n, cap=cap, stage="transition monoid")
     )
     index = {t: i for i, t in enumerate(elements)}
     horder = None
@@ -232,7 +233,7 @@ def transition_dmonoid(lalg, cap: int = 64) -> EndoMonoidView:
     )
 
 
-def dmonoid_closure(seeds: dict, carriers, mult=None, cap=None):
+def dmonoid_closure(seeds: dict, carriers, mult=None, cap=None, stage="closure"):
     """closure() of seeds, a dict element -> free-element witness, under the
     multiplication function mult (if given) and then the D-operations of
     carriers (as in closure_ops).
@@ -240,6 +241,7 @@ def dmonoid_closure(seeds: dict, carriers, mult=None, cap=None):
     A new element's witness is built by the operation that found it: the
     product of the argument witnesses for mult, their combination (weighted
     by k for smulk) for a D-operation, the empty combination for a constant.
+    stage names the closure in a CapExceeded message.
     """
     some = next(iter(seeds.values()))
     tag, alphabet = some.tag, some.alphabet
@@ -253,7 +255,7 @@ def dmonoid_closure(seeds: dict, carriers, mult=None, cap=None):
         coeff = int(name[4:]) if name.startswith("smul") else 1
         return free_combine(tag, alphabet, [(w, coeff) for w in ws])
 
-    return closure(seeds, ops, cap, witness)
+    return closure(seeds, ops, cap, witness, stage)
 
 
 # ---------------------------------------------------------------------------
@@ -316,13 +318,19 @@ def subdirect_product(g1: GeneratedDMonoid, g2: GeneratedDMonoid) -> GeneratedDM
 # divisibility
 
 
+def dmonoid_powers(m: DMonoid, n_max: int, cap: int = 4096) -> list:
+    """[m^1, ..., m^n_max], each the product of the one before with m, ending
+    before the first power larger than cap."""
+    powers = []
+    while len(powers) < n_max and m.size ** (len(powers) + 1) <= cap:
+        powers.append(dmonoid_product(powers[-1], m)[0] if powers else m)
+    return powers
+
+
 def dmonoid_power(m: DMonoid, n: int, cap: int = 4096) -> DMonoid:
     if m.size**n > cap:
         raise CapExceeded(f"power {m.size}^{n} exceeds cap {cap}")
-    acc = m
-    for _ in range(n - 1):
-        acc, _ = dmonoid_product(acc, m)
-    return acc
+    return dmonoid_powers(m, n, cap)[-1]
 
 
 def minimal_generators(m: DMonoid) -> list:
@@ -345,7 +353,7 @@ class _Conflict(Exception):
     """Two candidate values met on one element of the power."""
 
 
-def divides(candidate, generator: DMonoid, n_max: int = 2, cap: int = 4096):
+def divides(candidate, generator: DMonoid, n_max: int = 2, cap: int = 4096, powers=None):
     """Is the candidate a quotient of a sub-D-monoid of generator^n, n <= n_max?
 
     Returns True / False, or None when a cap was exceeded (inconclusive,
@@ -353,7 +361,9 @@ def divides(candidate, generator: DMonoid, n_max: int = 2, cap: int = 4096):
     the candidate to tuples of the power and closes the pairs (power element,
     candidate value) under multiplication and the D-operations; a closure in
     which no power element gets two values, onto the candidate and
-    monotone, is a witness division.
+    monotone, is a witness division.  powers, if given, is
+    dmonoid_powers(generator, n_max, cap), for callers that test many
+    candidates against one generator.
     """
     if isinstance(candidate, GeneratedDMonoid):
         cand = candidate.base
@@ -369,13 +379,10 @@ def divides(candidate, generator: DMonoid, n_max: int = 2, cap: int = 4096):
         if value.setdefault(z, v) != v:
             raise _Conflict
 
-    inconclusive = False
-    for n in range(1, n_max + 1):
-        try:
-            power = dmonoid_power(generator, n, cap)
-        except CapExceeded:
-            inconclusive = True
-            break
+    if powers is None:
+        powers = dmonoid_powers(generator, n_max, cap)
+    inconclusive = len(powers) < n_max
+    for power in powers:
         if power.size ** len(gens) > 500_000:
             inconclusive = True
             break

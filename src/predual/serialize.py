@@ -82,9 +82,25 @@ def language_doc(l: RegularLanguage) -> dict:
 
 
 def language_from_doc(doc) -> RegularLanguage:
-    return from_components(
-        doc["alphabet"], doc["delta"], doc["finals"], doc.get("initial", 0)
-    )
+    alphabet, delta, finals = doc["alphabet"], doc["delta"], doc["finals"]
+    initial = doc.get("initial", 0)
+    n = len(delta) if isinstance(delta, list) else 0
+    if not n or not all(
+        isinstance(row, list) and len(row) == len(alphabet) and _states(row, n)
+        for row in delta
+    ):
+        raise DocumentError(
+            f"language delta must be a non-empty list of rows, each of "
+            f"{len(alphabet)} states below the number of rows"
+        )
+    if not (isinstance(finals, list) and _states(finals + [initial], n)):
+        raise DocumentError(f"language finals and initial must be states below {n}")
+    return from_components(alphabet, delta, finals, initial)
+
+
+def _states(values, n) -> bool:
+    """Every value is a state index below n."""
+    return all(type(v) is int and 0 <= v < n for v in values)
 
 
 def free_element_doc(x: FreeElement) -> dict:
@@ -134,13 +150,9 @@ def coalgebra_doc(q: Coalgebra) -> dict:
 
 
 def coalgebra_from_doc(doc) -> Coalgebra:
-    return make_coalgebra(
-        doc["pair"],
-        doc["alphabet"],
-        algebra_from_doc(_object(doc, "states")),
-        {a: tuple(t) for a, t in _object(doc, "trans").items()},
-        doc["out"],
-    )
+    states = algebra_from_doc(_object(doc, "states"))
+    trans = {a: tuple(t) for a, t in _object(doc, "trans").items()}
+    return _lawful(doc, make_coalgebra, states, trans, doc["out"])
 
 
 def lalgebra_doc(a: LAlgebra) -> dict:
@@ -155,13 +167,19 @@ def lalgebra_doc(a: LAlgebra) -> dict:
 
 
 def lalgebra_from_doc(doc) -> LAlgebra:
-    return make_lalgebra(
-        doc["pair"],
-        doc["alphabet"],
-        algebra_from_doc(_object(doc, "states")),
-        {a: tuple(t) for a, t in _object(doc, "trans").items()},
-        doc["init"],
-    )
+    states = algebra_from_doc(_object(doc, "states"))
+    trans = {a: tuple(t) for a, t in _object(doc, "trans").items()}
+    return _lawful(doc, make_lalgebra, states, trans, doc["init"])
+
+
+def _lawful(doc, make, states, trans, last):
+    """make(pair, alphabet, states, trans, last), whose validation failures
+    (a wrong states tag, a table entry that names no element, a transition
+    or output that is no morphism) are document errors."""
+    try:
+        return make(doc["pair"], doc["alphabet"], states, trans, last)
+    except StructureError as e:
+        raise DocumentError(f"{doc['kind']} document breaks its laws: {e}") from None
 
 
 def dmonoid_doc(m: DMonoid) -> dict:
@@ -237,8 +255,9 @@ def to_doc(value) -> dict:
 
 
 class DocumentError(ValueError):
-    """A document that is not a JSON object, lacks a required key, or
-    describes a D-monoid that breaks its laws."""
+    """A document that is not a JSON object, lacks a required key, names a
+    state a language does not have, or describes a D-monoid, coalgebra or
+    L-algebra that breaks its laws."""
 
 
 def _object(doc, key):

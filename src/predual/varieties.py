@@ -33,6 +33,7 @@ from .automata import (
     is_local_variety,
     language_of_output,
     languages_of,
+    syntactic_lalgebra,
 )
 from .duality import canonical_constants, d_tag
 from .langlib import (
@@ -50,6 +51,7 @@ from .monoids import (
     associated_lalgebra,
     divides,
     dmonoid_closure,
+    dmonoid_powers,
     make_dmonoid,
     transition_dmonoid,
 )
@@ -103,7 +105,9 @@ def simple_variety_languages(q: Coalgebra, delta, cap: int = 4096) -> Coalgebra:
 
 
 def _algebraic_closure(tag, seeds, cap):
-    elements, _, _ = closure(dict.fromkeys(seeds), signature_ops(tag, seeds[0]), cap)
+    elements, _, _ = closure(
+        dict.fromkeys(seeds), signature_ops(tag, seeds[0]), cap, stage="algebraic closure"
+    )
     return elements
 
 
@@ -130,7 +134,8 @@ def free_monoid_in_simple_pseudovariety(d: DMonoid, sigma) -> GeneratedDMonoid:
         seeds.setdefault(gen_images[a], free_word(tag, sigma, a))
     elements, witnesses, tables = sort_closure(
         dmonoid_closure(
-            seeds, [d.carrier] * width, componentwise_fn(2, [d.mult] * width), cap=512
+            seeds, [d.carrier] * width, componentwise_fn(2, [d.mult] * width),
+            cap=512, stage="free monoid",
         )
     )
     index = {t: i for i, t in enumerate(elements)}
@@ -237,11 +242,12 @@ def check_eilenberg_simple(d: DMonoid, pair: str, sample_regexes, n_max: int = 2
     The language side asks whether the free monoid of the pseudovariety
     recognizes L (equivalently, L lies in languages_of_simple_pseudovariety);
     the monoid side runs the bounded division search on the dual generated
-    monoid of L's local variety.  Cap overruns on either side mark the sample
-    inconclusive, never as a pass.
+    monoid of L's syntactic L-algebra, against powers of d built once.  Cap
+    overruns on either side mark the sample inconclusive, never as a pass.
     """
     report = {"pair": pair, "checked": 0, "mismatches": [], "inconclusive": []}
     free_cache = {}
+    powers = dmonoid_powers(d, n_max)
     for rx in sample_regexes:
         if isinstance(rx, tuple):
             rx, alphabet = rx
@@ -259,9 +265,8 @@ def check_eilenberg_simple(d: DMonoid, pair: str, sample_regexes, n_max: int = 2
             report["inconclusive"].append(rx)
             continue
         member = recognizes_language(free_cache[sigma], pair, lang)
-        local = generated_local_variety(pair, [lang])
-        s = dual_generated_monoid(local)
-        verdict = divides(s, d, n_max)
+        s = dual_generated_monoid(syntactic_lalgebra(pair, [lang]))
+        verdict = divides(s, d, n_max, powers=powers)
         if verdict is None:
             report["inconclusive"].append(rx)
         elif verdict != member:

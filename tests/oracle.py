@@ -9,7 +9,9 @@ Nothing here touches the duality pipeline.
 
 import itertools
 
-from predual.langlib import RegularLanguage, parse_regex
+from predual.algebra import FinAlgebra
+from predual.automata import Coalgebra
+from predual.langlib import RegularLanguage, closure_under_ops_and_derivs, parse_regex
 
 
 def transition_monoid(l: RegularLanguage):
@@ -101,6 +103,23 @@ def _state_language_subset(l: RegularLanguage, s1: int, s2: int) -> bool:
                 seen.add(t)
                 stack.append(t)
     return True
+
+
+# ---------------------------------------------------------------------------
+# local varieties by closure, as generated_local_variety once built them
+
+
+def closure_local_variety(pair, seeds, cap=4096):
+    """Reference for generated_local_variety on BA, DL01 and BR: the seeds
+    closed under both derivatives and the pair's language operations, the
+    coalgebra read off the closure's tables (these pairs need no basis
+    encoding).  Its states are the languages in sort-key order."""
+    langs = closure_under_ops_and_derivs(pair, seeds, cap)
+    states = FinAlgebra(pair, len(langs), tuple(sorted(langs.ops.items())), None)
+    out = tuple(1 if l.accepts("") else 0 for l in langs)
+    return Coalgebra(
+        pair, langs[0].alphabet, states, tuple(sorted(langs.trans.items())), out
+    )
 
 
 # ---------------------------------------------------------------------------

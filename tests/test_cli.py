@@ -322,3 +322,75 @@ def test_varlang_rejects_a_dmonoid_that_breaks_its_laws(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err == "usage error: dmonoid document is not a D-monoid: unit law fails at 1\n"
+
+
+@pytest.mark.parametrize(
+    "delta, message",
+    [
+        ([[5]], "language delta must be a non-empty list of rows, each of 1 states below "
+                "the number of rows"),
+        ([[0, 0]], "language delta must be a non-empty list of rows, each of 1 states below "
+                   "the number of rows"),
+        ([], "language delta must be a non-empty list of rows, each of 1 states below "
+             "the number of rows"),
+    ],
+)
+def test_language_document_naming_a_missing_state_is_a_usage_error(
+    capsys, tmp_path, delta, message
+):
+    path = tmp_path / "lang.json"
+    path.write_text(json.dumps({"kind": "language", "alphabet": ["a"], "delta": delta,
+                                "finals": []}))
+    code, out, err = run_cli(capsys, "minimize", "--in", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"usage error: {message}\n"
+
+
+def test_language_document_with_a_final_state_out_of_range_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "lang.json"
+    path.write_text(json.dumps({"kind": "language", "alphabet": ["a"], "delta": [[0]],
+                                "finals": [1]}))
+    code, out, err = run_cli(capsys, "minimize", "--in", str(path))
+    assert (code, out) == (2, "")
+    assert err == "usage error: language finals and initial must be states below 1\n"
+
+
+def _broken_automaton(kind, key, value):
+    """A BR coalgebra or L-algebra document with one entry replaced."""
+    from predual.automata import dual_automaton, generated_local_variety
+    from predual.langlib import parse_regex
+
+    q = generated_local_variety("BR", [parse_regex("(aa)*")])
+    doc = to_doc(q if kind == "coalgebra" else dual_automaton(q))
+    if key == "trans":
+        doc["trans"]["a"][0] = value
+    elif key == "init":
+        doc["init"] = value
+    else:
+        doc["out"] = [value] * len(doc["out"])
+    return doc
+
+
+@pytest.mark.parametrize(
+    "kind, key, value",
+    [
+        ("coalgebra", "out", 1),  # the output sends zero to 1
+        ("lalgebra", "trans", 1),  # the transition moves the basepoint
+        ("coalgebra", "trans", 99),  # a state the coalgebra does not have
+        ("lalgebra", "init", 99),
+    ],
+)
+def test_automaton_document_breaking_its_laws_is_a_usage_error(
+    capsys, tmp_path, kind, key, value
+):
+    apath = tmp_path / "automaton.json"
+    apath.write_text(json.dumps(_broken_automaton(kind, key, value)))
+    image = {"kind": "free-element", "tag": "SET_STAR", "alphabet": ["a"], "pairs": [["a", 1]]}
+    fpath = tmp_path / "f.json"
+    fpath.write_text(json.dumps({"kind": "free-morphism", "tag": "SET_STAR",
+                                 "source_alphabet": ["a"], "target_alphabet": ["a"],
+                                 "images": {"a": image}}))
+    code, out, err = run_cli(capsys, "preimage", "--map", str(fpath), "--automaton", str(apath))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage error: {kind} document breaks its laws: ")
+    assert err.count("\n") == 1
