@@ -11,6 +11,7 @@ from .algebra import (
     CapExceeded,
     FactorizationPair,
     FinAlgebra,
+    InternalInvariantError,
     StructureError,
     are_isomorphic,
     check_morphism,

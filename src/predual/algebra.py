@@ -37,6 +37,16 @@ class CapExceeded(RuntimeError):
     """A configurable closure/search cap was hit; result is inconclusive."""
 
 
+class InternalInvariantError(RuntimeError):
+    """Two computations of one fact disagree: a fault in the program, not
+    in its input.  Raised explicitly, so the cross-checks run under -O."""
+
+
+def check_invariant(holds: bool, message: str) -> None:
+    if not holds:
+        raise InternalInvariantError(message)
+
+
 VECT_PRIMES = (2, 3, 5)
 
 

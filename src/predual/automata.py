@@ -19,6 +19,7 @@ from .algebra import (
     StructureError,
     _search_maps,
     all_morphisms,
+    check_invariant,
     check_morphism,
     combine_elements,
     downset_masks,
@@ -52,7 +53,6 @@ from .langlib import (
     FreeElement,
     RegularLanguage,
     closure_under_ops_and_derivs,
-    free_mul,
     free_word,
     free_zero,
     from_components,
@@ -301,7 +301,7 @@ def shift_initial_co(q: Coalgebra, x: FreeElement) -> Coalgebra:
     """Q_x, defined through the dual: dual(Q_x) = dual(Q) with init e(rev x)."""
     shifted = shift_initial(dual_automaton(q), rev_free(x))
     qx = relabel_double_dual(q.pair, q.states, dual_automaton_inv(shifted))
-    assert qx.trans == q.trans
+    check_invariant(qx.trans == q.trans, "shifting the initial state changed the transitions")
     return qx
 
 
@@ -352,7 +352,7 @@ HOM_SEARCH_BOUND = 8
 def is_subcoalgebra_of_rho(q: Coalgebra) -> bool:
     """True iff q embeds in the coalgebra of all regular languages.
 
-    Computes both criteria and asserts agreement: (i) all states accept
+    Computes both criteria and checks that they agree: (i) all states accept
     pairwise distinct languages; (ii) the dual L-algebra is reachable
     (word images generate the carrier under the D-operations).
     """
@@ -364,7 +364,7 @@ def is_subcoalgebra_of_rho(q: Coalgebra) -> bool:
     closure = generated_subalgebra(a.states, seen)
     crit_reach = closure.source.size == a.states.size
 
-    assert crit_langs == crit_reach, "rho-subcoalgebra criteria disagree"
+    check_invariant(crit_langs == crit_reach, "rho-subcoalgebra criteria disagree")
     return crit_langs
 
 
@@ -387,7 +387,7 @@ def is_local_variety(q: Coalgebra) -> bool:
             find_coalgebra_hom(right_derivative_view(q, a), q) is not None
             for a in q.alphabet
         )
-        assert crit_langs == crit_hom, "local-variety criteria disagree"
+        check_invariant(crit_langs == crit_hom, "local-variety criteria disagree")
     return crit_langs
 
 
@@ -674,8 +674,21 @@ def dual_generated_monoid(a) -> GeneratedDMonoid:
     if len(reprs) < n:
         raise StructureError("carrier not generated by words and D-operations")
     _minimize_reprs(a, reprs)
+    # e(x * y) = combination of alpha_w(x) over the words w of y's
+    # representative, since every alpha_w is a D-morphism; column[w][x] is
+    # the run of w from x
+    column = {}
+    for w in {w for fe in reprs.values() for w, _ in fe.pairs}:
+        table = range(n)
+        for letter in w:
+            step = a.tr(letter)
+            table = [step[s] for s in table]
+        column[w] = table
     mult = tuple(
-        tuple(eval_free(a, free_mul(reprs[x], reprs[y])) for y in range(n))
+        tuple(
+            combine_elements(a.states, [(column[w][x], c) for w, c in reprs[y].pairs])
+            for y in range(n)
+        )
         for x in range(n)
     )
     base = make_dmonoid(a.states, mult, a.init)

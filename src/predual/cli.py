@@ -1,8 +1,9 @@
 """Command-line surface tying the modules together.
 
 Exit codes: 0 success, 1 law violation or counterexample found, 2 usage
-error, 3 cap exceeded or inconclusive verdict.  All diagnostics go to
-stderr; documents and reports go to stdout.
+error, 3 cap exceeded or inconclusive verdict, 4 an internal cross-check
+failed (two computations of one fact disagree: a fault in predual).  All
+diagnostics go to stderr; documents and reports go to stdout.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from .algebra import (
     BoundExceeded,
     CapExceeded,
     FinAlgebra,
+    InternalInvariantError,
     StructureError,
     enumerate_algebras,
     validate_algebra,
@@ -58,7 +60,7 @@ from .serialize import (
 )
 from .varieties import check_eilenberg_simple, languages_of_simple_pseudovariety
 
-OK, COUNTEREXAMPLE, USAGE, INCONCLUSIVE = 0, 1, 2, 3
+OK, COUNTEREXAMPLE, USAGE, INCONCLUSIVE, INTERNAL = 0, 1, 2, 3, 4
 
 
 def _load(path):
@@ -350,9 +352,12 @@ def main(argv=None) -> int:
     except (BoundExceeded, CapExceeded) as e:
         print(f"cap exceeded: {e}", file=sys.stderr)
         return INCONCLUSIVE
-    except (StructureError, AssertionError) as e:
+    except StructureError as e:
         print(f"violation: {e}", file=sys.stderr)
         return COUNTEREXAMPLE
+    except InternalInvariantError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return INTERNAL
     except (FileNotFoundError, RegexSyntaxError, DocumentError) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return USAGE

@@ -24,6 +24,7 @@ serializable.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -35,7 +36,6 @@ from .algebra import (
     all_morphisms,
     check_morphism,
     combine_elements,
-    compose,
     enumerate_algebras,
     free_algebra,
     identity_morphism,
@@ -541,7 +541,11 @@ def verify_preduality(pair: str, max_size: int, dual_morphism_fn=None) -> dict:
     double-dual isomorphism (eta) and its naturality; hom-set bijection
     |Hom(Q,R)| = |Hom(R^,Q^)|; faithfulness of dualization.  Returns a report
     dict; report["ok"] is False iff some law has a counterexample, recorded
-    with a minimal witness.
+    with a minimal witness.  The morphism laws run on integer tables: homs
+    are searched once per ordered pair of objects (both sides share the
+    search), each hom is dualized once and each eta computed once, and
+    composites are tuple lookups.  A dual whose ends do not meet where
+    composition needs them raises StructureError("morphisms not composable").
     """
     dualize = dual_morphism_fn or dual_morphism
     report = {
@@ -564,82 +568,76 @@ def verify_preduality(pair: str, max_size: int, dual_morphism_fn=None) -> dict:
     report["objects"] = len(c_objs) + len(d_objs)
 
     # double-dual isomorphism + object validity, both sides
-    for obj in c_objs + d_objs:
+    etas = {}
+    for k, obj in enumerate(c_objs + d_objs):
         dual = dual_object(pair, obj)
         if validate_algebra(dual):
             fail("dual-validates", f"dual of {obj.tag} size {obj.size}")
             continue
-        e = eta(pair, obj)
+        e = etas[k] = eta(pair, obj)
         ok, why = check_morphism(e)
         if not ok or len(set(e.table)) != obj.size or e.target.size != obj.size:
             fail("double-dual-iso", f"{obj.tag} size {obj.size}: {why}")
 
-    # morphism-level laws on the C side and between dual objects
-    hom_cache = {}
-    dual_cache = {}
+    # morphism-level laws on the C side and between dual objects, on tables
+    hom_cache, arrows, duals, ends = {}, {}, {}, {}
 
     def homs(a, b):
-        key = (a, b)
-        if key not in hom_cache:
-            hom_cache[key] = all_morphisms(a, b)
-        return hom_cache[key]
+        if (a, b) not in hom_cache:
+            hom_cache[a, b] = [h.table for h in all_morphisms(a, b)]
+        return hom_cache[a, b]
 
-    def dual_of(a, b, h):
-        key = (a, b, h.table)
-        if key not in dual_cache:
-            dual_cache[key] = dualize(pair, h)
-        return dual_cache[key]
+    def dual_of(i, j, table):
+        d = duals[i, j][table] = dualize(pair, AlgMorphism(c_objs[i], c_objs[j], table))
+        # the duals of all homs into (out of) an object start (end) at one
+        # object, so that dual(h) o dual(g) is defined
+        if ends.setdefault(j, d.source) != d.source or ends.setdefault(i, d.target) != d.target:
+            raise StructureError("morphisms not composable")
+        return d
 
     for q in c_objs:
         ident_dual = dualize(pair, identity_morphism(q))
         if ident_dual.table != tuple(range(ident_dual.source.size)):
             fail("dual-of-identity", f"{q.tag} size {q.size}")
-    for q in c_objs:
-        for r in c_objs:
-            hs = homs(q, r)
-            report["morphisms"] += len(hs)
-            tables = set()
-            for h in hs:
-                dh = dual_of(q, r, h)
-                ok, why = check_morphism(dh)
-                if not ok:
-                    fail("dual-is-morphism", f"{q.size}->{r.size}: {why}")
-                tables.add(dh.table)
-            if len(tables) != len(hs):
-                fail("faithfulness", f"{q.size}->{r.size}")
-            dcount = len(homs(dual_object(pair, r), dual_object(pair, q)))
-            report["hom_counts"].append((q.size, r.size, len(hs), dcount))
-            if dcount != len(hs):
-                fail(
-                    "hom-count",
-                    f"|Hom({q.tag}{q.size},{r.tag}{r.size})|={len(hs)} vs dual {dcount}",
-                )
-            for h in hs:
-                ddh = dualize(pair, dual_of(q, r, h))
-                lhs = compose(ddh, eta(pair, q))
-                rhs = compose(eta(pair, r), h)
-                if lhs.table != rhs.table:
-                    fail("eta-naturality", f"{q.size}->{r.size} table {h.table}")
-                    break
-    # contravariant functoriality over composable C-side pairs
-    for q in c_objs:
-        for r in c_objs:
-            hs_qr = homs(q, r)
-            if not hs_qr:
-                continue
-            for s in c_objs:
-                hs_rs = homs(r, s)
-                for h in hs_qr:
-                    dh = dual_of(q, r, h)
-                    for g in hs_rs:
-                        dg = dual_of(r, s, g)
-                        lhs = dual_of(q, s, compose(g, h))
-                        rhs = compose(dh, dg)
-                        report["compositions"] += 1
-                        if lhs.table != rhs.table:
-                            fail(
-                                "functoriality",
-                                f"{q.size}->{r.size}->{s.size}: {h.table},{g.table}",
-                            )
-                            return report
+    c_etas = [etas.get(i) or eta(pair, q) for i, q in enumerate(c_objs)]
+    for (i, q), (j, r) in itertools.product(enumerate(c_objs), repeat=2):
+        duals[i, j] = {}
+        hs = arrows[i, j] = [(h, dual_of(i, j, h)) for h in homs(q, r)]
+        report["morphisms"] += len(hs)
+        for _, dh in hs:
+            ok, why = check_morphism(dh)
+            if not ok:
+                fail("dual-is-morphism", f"{q.size}->{r.size}: {why}")
+        if len({dh.table for _, dh in hs}) != len(hs):
+            fail("faithfulness", f"{q.size}->{r.size}")
+        dcount = len(homs(dual_object(pair, r), dual_object(pair, q)))
+        report["hom_counts"].append((q.size, r.size, len(hs), dcount))
+        if dcount != len(hs):
+            fail(
+                "hom-count",
+                f"|Hom({q.tag}{q.size},{r.tag}{r.size})|={len(hs)} vs dual {dcount}",
+            )
+        eta_q, eta_r = c_etas[i], c_etas[j].table
+        for h, dh in hs:
+            ddh = dualize(pair, dh)
+            if ddh.source != eta_q.target:
+                raise StructureError("morphisms not composable")
+            # ddh o eta_q = eta_r o h
+            if tuple(map(ddh.table.__getitem__, eta_q.table)) != tuple(map(eta_r.__getitem__, h)):
+                fail("eta-naturality", f"{q.size}->{r.size} table {h}")
+                break
+    # contravariant functoriality over composable C-side pairs:
+    # dual(g o h) = dual(h) o dual(g)
+    for i, j, k in itertools.product(range(len(c_objs)), repeat=3):
+        d_ik = duals[i, k]
+        for h, dh in arrows[i, j]:
+            after_dh = dh.table.__getitem__
+            for g, dg in arrows[j, k]:
+                report["compositions"] += 1
+                gh = tuple(map(g.__getitem__, h))
+                lhs = d_ik.get(gh) or dual_of(i, k, gh)
+                if lhs.table != tuple(map(after_dh, dg.table)):
+                    sizes = "->".join(str(c_objs[x].size) for x in (i, j, k))
+                    fail("functoriality", f"{sizes}: {h},{g}")
+                    return report
     return report

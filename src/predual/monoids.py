@@ -17,6 +17,7 @@ from .algebra import (
     CapExceeded,
     FinAlgebra,
     StructureError,
+    check_invariant,
     check_morphism,
     closure,
     closure_ops,
@@ -286,7 +287,7 @@ def subdirect_product(g1: GeneratedDMonoid, g2: GeneratedDMonoid) -> GeneratedDM
     """Image of the pairing of two Sigma-generated D-monoids in their product.
 
     Both projections onto the factors are surjective (the factors are
-    Sigma-generated); this is asserted during construction.
+    Sigma-generated); this is checked during construction.
     """
     if g1.alphabet != g2.alphabet:
         raise StructureError("subdirect product requires a common alphabet")
@@ -302,8 +303,11 @@ def subdirect_product(g1: GeneratedDMonoid, g2: GeneratedDMonoid) -> GeneratedDM
         dmonoid_closure(seeds, prod.carrier, table_fn(2, prod.mult))
     )
     n2 = g2.base.size
-    assert {e // n2 for e in elems} == set(range(g1.base.size))
-    assert {e % n2 for e in elems} == set(range(g2.base.size))
+    check_invariant(
+        {e // n2 for e in elems} == set(range(g1.base.size))
+        and {e % n2 for e in elems} == set(range(g2.base.size)),
+        "a projection of the subdirect product is not surjective",
+    )
     sub, _ = subalgebra_on(prod.carrier, elems)
     index = {e: i for i, e in enumerate(elems)}
     return GeneratedDMonoid(

@@ -14,6 +14,7 @@ import itertools
 from .algebra import (
     AlgMorphism,
     CapExceeded,
+    InternalInvariantError,
     StructureError,
     check_morphism,
     combine_elements,
@@ -81,7 +82,7 @@ def algebra_preimage(a: LAlgebra, f: DMonoidMorphismFree) -> LAlgebra:
     for b, t in trans.items():
         ok, why = check_morphism(AlgMorphism(a.states, a.states, t))
         if not ok:
-            raise AssertionError(f"alpha_x left the endomorphisms at {b!r}: {why}")
+            raise InternalInvariantError(f"alpha_x left the endomorphisms at {b!r}: {why}")
     return LAlgebra(
         a.pair, tuple(f.source_alphabet), a.states,
         tuple(sorted((b, t) for b, t in trans.items())), a.init,

@@ -14,6 +14,7 @@ from .algebra import (
     CapExceeded,
     StructureError,
     all_morphisms,
+    check_invariant,
     closure,
     closure_ops,
     componentwise_fn,
@@ -86,7 +87,7 @@ def simple_variety_languages(q: Coalgebra, delta, cap: int = 4096) -> Coalgebra:
     """The Delta-component of the simple variety generated by q.
 
     Collects the state languages of all representative preimages Q^f, closes
-    under the C-side operations and both derivatives, and asserts that the
+    under the C-side operations and both derivatives, and checks that the
     derivative closure adds nothing beyond the algebraic closure.
     """
     if not is_local_variety(q):
@@ -100,7 +101,7 @@ def simple_variety_languages(q: Coalgebra, delta, cap: int = 4096) -> Coalgebra:
     # property check: the algebraic closure of the collected languages is
     # already closed under both derivatives
     algebraic = _algebraic_closure(q.pair, seeds, cap)
-    assert variety.states.size == len(algebraic), "derivative closure added languages"
+    check_invariant(variety.states.size == len(algebraic), "derivative closure added languages")
     return variety
 
 
@@ -180,7 +181,7 @@ def languages_of_simple_pseudovariety(d: DMonoid, sigma, pair: str, cap: int = 4
     """The Sigma-languages of the simple pseudovariety generated by d.
 
     Returns the local variety of all languages recognized by the free monoid
-    of the pseudovariety; asserts it agrees with the dual coalgebra of that
+    of the pseudovariety; checks that it agrees with the dual coalgebra of that
     free monoid (language sets coincide) and that its dual monoid is
     isomorphic to the free monoid.
     """
@@ -190,12 +191,14 @@ def languages_of_simple_pseudovariety(d: DMonoid, sigma, pair: str, cap: int = 4
     langs = recognized_languages(free, pair)
     variety = generated_local_variety(pair, langs, cap)
     dual_coalg = dual_automaton_inv(associated_lalgebra(free))
-    assert set(languages_of(variety)) == set(languages_of(dual_coalg)), (
-        "recognized languages differ from the dual coalgebra's state languages"
+    check_invariant(
+        set(languages_of(variety)) == set(languages_of(dual_coalg)),
+        "recognized languages differ from the dual coalgebra's state languages",
     )
     g = dual_generated_monoid(variety)
-    assert are_dmonoids_isomorphic(g.base, free.base) is not None, (
-        "dual monoid of the language variety differs from the free monoid"
+    check_invariant(
+        are_dmonoids_isomorphic(g.base, free.base) is not None,
+        "dual monoid of the language variety differs from the free monoid",
     )
     return variety
 

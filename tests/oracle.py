@@ -4,13 +4,23 @@ The syntactic-monoid oracle computes the two-sided congruence classes of a
 regular language directly on its minimal DFA: words are identified iff they
 induce the same transition function, which is exactly context equivalence
 (contexts u,v correspond to a reachable state and a distinguishing suffix).
-Nothing here touches the duality pipeline.
+That oracle does not touch the duality pipeline.  verify_preduality_by_compose
+shares the dualization formulas with predual and evaluates the duality laws
+on AlgMorphism objects with compose, as verify_preduality once did.
 """
 
 import itertools
 
-from predual.algebra import FinAlgebra
+from predual.algebra import (
+    FinAlgebra,
+    all_morphisms,
+    check_morphism,
+    compose,
+    identity_morphism,
+    validate_algebra,
+)
 from predual.automata import Coalgebra
+from predual.duality import _objects_for, dual_morphism, dual_object, eta
 from predual.langlib import RegularLanguage, closure_under_ops_and_derivs, parse_regex
 
 
@@ -227,3 +237,119 @@ def naive_closure(seeds, ops, on_new=None):
         else:
             tables.append([[index[fn(x, y)] for y in elements] for x in elements])
     return elements, witnesses, tables
+
+
+# ---------------------------------------------------------------------------
+# duality laws on AlgMorphism objects, as verify_preduality checked them
+
+
+def verify_preduality_by_compose(pair: str, max_size: int, dual_morphism_fn=None) -> dict:
+    """Reference for predual.duality.verify_preduality, same arguments and
+    result: the morphism laws built from AlgMorphism objects and compose.
+
+    Checks: dual objects validate; dual(id) = id; contravariant functoriality;
+    double-dual isomorphism (eta) and its naturality; hom-set bijection
+    |Hom(Q,R)| = |Hom(R^,Q^)|; faithfulness of dualization.  Returns a report
+    dict; report["ok"] is False iff some law has a counterexample, recorded
+    with a minimal witness.
+    """
+    dualize = dual_morphism_fn or dual_morphism
+    report = {
+        "pair": pair,
+        "ok": True,
+        "objects": 0,
+        "morphisms": 0,
+        "compositions": 0,
+        "failures": [],
+        "hom_counts": [],
+    }
+
+    def fail(law, witness):
+        report["ok"] = False
+        report["failures"].append({"law": law, "witness": witness})
+
+    c_objs = _objects_for(pair, "C", max_size)
+    d_side_max = max((dual_object(pair, q).size for q in c_objs), default=0)
+    d_objs = _objects_for(pair, "D", min(max_size, max(d_side_max, 1)))
+    report["objects"] = len(c_objs) + len(d_objs)
+
+    # double-dual isomorphism + object validity, both sides
+    for obj in c_objs + d_objs:
+        dual = dual_object(pair, obj)
+        if validate_algebra(dual):
+            fail("dual-validates", f"dual of {obj.tag} size {obj.size}")
+            continue
+        e = eta(pair, obj)
+        ok, why = check_morphism(e)
+        if not ok or len(set(e.table)) != obj.size or e.target.size != obj.size:
+            fail("double-dual-iso", f"{obj.tag} size {obj.size}: {why}")
+
+    # morphism-level laws on the C side and between dual objects
+    hom_cache = {}
+    dual_cache = {}
+
+    def homs(a, b):
+        key = (a, b)
+        if key not in hom_cache:
+            hom_cache[key] = all_morphisms(a, b)
+        return hom_cache[key]
+
+    def dual_of(a, b, h):
+        key = (a, b, h.table)
+        if key not in dual_cache:
+            dual_cache[key] = dualize(pair, h)
+        return dual_cache[key]
+
+    for q in c_objs:
+        ident_dual = dualize(pair, identity_morphism(q))
+        if ident_dual.table != tuple(range(ident_dual.source.size)):
+            fail("dual-of-identity", f"{q.tag} size {q.size}")
+    for q in c_objs:
+        for r in c_objs:
+            hs = homs(q, r)
+            report["morphisms"] += len(hs)
+            tables = set()
+            for h in hs:
+                dh = dual_of(q, r, h)
+                ok, why = check_morphism(dh)
+                if not ok:
+                    fail("dual-is-morphism", f"{q.size}->{r.size}: {why}")
+                tables.add(dh.table)
+            if len(tables) != len(hs):
+                fail("faithfulness", f"{q.size}->{r.size}")
+            dcount = len(homs(dual_object(pair, r), dual_object(pair, q)))
+            report["hom_counts"].append((q.size, r.size, len(hs), dcount))
+            if dcount != len(hs):
+                fail(
+                    "hom-count",
+                    f"|Hom({q.tag}{q.size},{r.tag}{r.size})|={len(hs)} vs dual {dcount}",
+                )
+            for h in hs:
+                ddh = dualize(pair, dual_of(q, r, h))
+                lhs = compose(ddh, eta(pair, q))
+                rhs = compose(eta(pair, r), h)
+                if lhs.table != rhs.table:
+                    fail("eta-naturality", f"{q.size}->{r.size} table {h.table}")
+                    break
+    # contravariant functoriality over composable C-side pairs
+    for q in c_objs:
+        for r in c_objs:
+            hs_qr = homs(q, r)
+            if not hs_qr:
+                continue
+            for s in c_objs:
+                hs_rs = homs(r, s)
+                for h in hs_qr:
+                    dh = dual_of(q, r, h)
+                    for g in hs_rs:
+                        dg = dual_of(r, s, g)
+                        lhs = dual_of(q, s, compose(g, h))
+                        rhs = compose(dh, dg)
+                        report["compositions"] += 1
+                        if lhs.table != rhs.table:
+                            fail(
+                                "functoriality",
+                                f"{q.size}->{r.size}->{s.size}: {h.table},{g.table}",
+                            )
+                            return report
+    return report

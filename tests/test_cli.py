@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -394,3 +398,28 @@ def test_automaton_document_breaking_its_laws_is_a_usage_error(
     assert (code, out) == (2, "")
     assert err.startswith(f"usage error: {kind} document breaks its laws: ")
     assert err.count("\n") == 1
+
+
+# language_of_state answers one language for every state, so the two
+# criteria of is_subcoalgebra_of_rho disagree on the JSL0 local variety
+INJECTED_FAULT = """
+import sys
+import predual.automata as automata
+from predual.cli import main
+from predual.langlib import parse_regex
+
+assert False  # stripped under -O
+automata.language_of_state = lambda q, state: parse_regex("a", "ab")
+sys.exit(main(["syntactic", "--tag", "JSL0", "--regex", "(ab)*"]))
+"""
+
+
+def test_a_failed_cross_check_exits_4_under_python_O():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", INJECTED_FAULT],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (run.returncode, run.stdout) == (4, "")
+    assert run.stderr == "internal error: rho-subcoalgebra criteria disagree\n"

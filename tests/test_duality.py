@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 import oracle
@@ -20,6 +22,7 @@ from predual.duality import (
     dual_morphism,
     dual_object,
     eta,
+    side_of,
     verify_preduality,
 )
 
@@ -187,19 +190,61 @@ def test_verify_preduality_passes(pair, max_size):
     assert report["morphisms"] > 0
 
 
-def test_verify_preduality_detects_corruption():
-    def corrupted(pair, h):
-        d = dual_morphism(pair, h)
-        if d.source.size >= 2 and len(set(d.table)) >= 2:
-            t = list(d.table)
-            t[0], t[1] = t[1], t[0]
-            return AlgMorphism(d.source, d.target, tuple(t))
-        return d
+def corrupted(pair, h):
+    d = dual_morphism(pair, h)
+    if d.source.size >= 2 and len(set(d.table)) >= 2:
+        t = list(d.table)
+        t[0], t[1] = t[1], t[0]
+        return AlgMorphism(d.source, d.target, tuple(t))
+    return d
 
+
+def moved_source(side):
+    """A dualizer whose duals of the side's morphisms start at a copy of the
+    right object with one more, unused operation, so they no longer compose;
+    the copy is checked and dualized as the object is."""
+
+    def dualize(pair, h):
+        d = dual_morphism(pair, h)
+        if side_of(pair, h.source.tag) != side:
+            return d
+        copy = dataclasses.replace(d.source, ops=d.source.ops + (("unused", 0),))
+        return AlgMorphism(copy, d.target, d.table)
+
+    return dualize
+
+
+def test_verify_preduality_detects_corruption():
     report = verify_preduality("BA", 4, dual_morphism_fn=corrupted)
     assert not report["ok"]
     assert any(f["law"] for f in report["failures"])
     assert all("witness" in f for f in report["failures"])
+
+
+@pytest.mark.parametrize(
+    "pair,max_size",
+    [("BA", 8), ("BR", 8), ("JSL0", 4), ("JSL01", 4), ("DL01", 4), ("VECT2", 4)],
+)
+def test_verify_preduality_matches_the_compose_route(pair, max_size):
+    # the whole report: counts, hom counts, witnesses and their order
+    assert verify_preduality(pair, max_size) == oracle.verify_preduality_by_compose(
+        pair, max_size
+    )
+
+
+def test_corrupted_duals_fail_as_on_the_compose_route():
+    report = verify_preduality("BA", 4, dual_morphism_fn=corrupted)
+    assert report == oracle.verify_preduality_by_compose("BA", 4, dual_morphism_fn=corrupted)
+    assert report["failures"]
+
+
+# C: the duals of homs meet at no one object (dual(h) o dual(g) undefined);
+# D: a double dual does not start where eta ends (ddh o eta undefined)
+@pytest.mark.parametrize("side", ["C", "D"])
+@pytest.mark.parametrize("route", [verify_preduality, oracle.verify_preduality_by_compose])
+def test_duals_that_do_not_compose_raise(route, side):
+    with pytest.raises(StructureError, match="^morphisms not composable$"):
+        route("BR", 4, dual_morphism_fn=moved_source(side))
 
 
 def test_jsl0_dual_morphisms_are_meet_preserving_pointwise():

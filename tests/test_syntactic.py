@@ -21,12 +21,14 @@ import pytest
 from predual.algebra import CapExceeded
 from predual.automata import (
     dual_generated_monoid,
+    eval_free,
     generated_local_variety,
     languages_of,
     syntactic_lalgebra,
 )
 from predual.cli import main
-from predual.langlib import closure_under_ops_and_derivs, parse_regex
+from predual.duality import MAIN_PAIRS
+from predual.langlib import closure_under_ops_and_derivs, free_mul, parse_regex
 from predual.monoids import transition_dmonoid
 from predual.serialize import dumps, generated_dmonoid_doc
 
@@ -105,6 +107,27 @@ def test_large_ba_syntactic_monoids_finish(regex, order):
     assert time.perf_counter() - start < 1.0
     assert (code, err) == (0, "")
     assert out.startswith(f"order {order} dual generated D-monoid\n")
+
+
+@pytest.mark.parametrize("pair", MAIN_PAIRS)
+def test_multiplication_is_evaluation_of_free_products(pair):
+    zeros = combinations = 0
+    for rx, alphabet in CORPUS:
+        a = syntactic_lalgebra(pair, [parse_regex(rx, alphabet)])
+        g = dual_generated_monoid(a)
+        reprs = dict(g.reprs)
+        n = a.states.size
+        assert g.base.mult == tuple(
+            tuple(eval_free(a, free_mul(reprs[x], reprs[y])) for y in range(n))
+            for x in range(n)
+        ), rx
+        zeros += any(fe.is_zero() for fe in reprs.values())
+        combinations += any(len(fe.pairs) > 1 for fe in reprs.values())
+    # BR's basepoint is the zero; JSL0 and VECT2 need joins and sums of words
+    if pair == "BR":
+        assert zeros
+    if pair in ("JSL0", "VECT2"):
+        assert combinations
 
 
 FAULTS = """
