@@ -46,7 +46,6 @@ from .langlib import (
     free_word,
     free_zero,
     left_deriv,
-    language_op,
     make_free,
     make_free_morphism,
     make_series,

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_, or_
 
 from .algebra import (
     AlgMorphism,
@@ -21,6 +23,7 @@ from .algebra import (
     all_morphisms,
     check_invariant,
     check_morphism,
+    closure,
     combine_elements,
     downset_masks,
     enumerate_algebras,
@@ -59,6 +62,7 @@ from .langlib import (
     make_free,
     rev_free,
     right_deriv,
+    syntactic_masks,
 )
 from .monoids import (
     GeneratedDMonoid,
@@ -407,8 +411,8 @@ def generated_local_variety(pair: str, seeds, cap: int = 4096) -> Coalgebra:
     Its states are its languages in sort-key order with the pair's C-side
     structure, transitions are left derivatives and the output is acceptance
     of the empty word.  For BA, DL01 and BR it is the dual of the syntactic
-    L-algebra; JSL0 and VECT2 close the seeds under both derivatives and the
-    language operations.  CapExceeded is raised above cap languages.
+    L-algebra; JSL0 and VECT2 close the seeds as masks over their syntactic
+    monoid (closure_under_ops_and_derivs).  CapExceeded is raised above cap.
     """
     if pair in BIRKHOFF_PAIRS:
         return _dual_variety(pair, seeds, cap)
@@ -505,14 +509,15 @@ def syntactic_lalgebra(pair: str, seeds) -> LAlgebra:
     init is the unit and a letter a acts by m -> [a] m, so a word is read as
     the class of its reversal: the transition monoid of the reversed
     language, acting on the right.  The carrier is labelled as dual_object
-    labels the points of the variety, by the sort keys of their languages:
+    labels the points of the variety, by the sort keys of their languages;
+    a quotient u^-1 L v^-1 is a set of elements (langlib.syntactic_masks):
 
     - BA: the atoms, the class of one element;
     - DL01: the join-irreducibles, the up-set of one element in the
-      syntactic order (u m v in L implies u n v in L for m <= n); the
+      syntactic order (m <= n iff every quotient holding m holds n); the
       carrier is ordered by their inclusion;
-    - BR: the atoms behind the basepoint, into which the element whose class
-      lies in no quotient u^-1 L v^-1, if there is one, merges.
+    - BR: the atoms behind the basepoint, into which the element that lies
+      in no quotient, if there is one, merges.
 
     JSL0 and VECT2 dualize generated_local_variety, checked as a local
     variety.
@@ -528,47 +533,30 @@ def syntactic_lalgebra(pair: str, seeds) -> LAlgebra:
 def _birkhoff_syntactic(pair, seeds, cap):
     """(a, elements, language): syntactic_lalgebra's a, elements[x] the monoid
     element of carrier element x (None for the basepoint), and language(S)
-    the language of the words whose class lies in the set S of elements."""
+    the language of the words whose class lies in the bitmask S of elements."""
     seeds = list(seeds)
-    if not seeds:
-        raise StructureError("need at least one seed language")
+    left, derivatives, masks, language = syntactic_masks(seeds, cap, "syntactic monoid")
     alphabet = seeds[0].alphabet
-    if any(s.alphabet != alphabet for s in seeds):
-        raise StructureError("seeds must share an alphabet")
-    delta, finals = [], set()
-    for l in seeds:
-        base = len(delta)
-        delta += [tuple(base + t for t in row) for row in l.delta]
-        finals.update(base + s for s in l.finals)
-    columns = tuple(zip(*delta))  # columns[i][q]: state q read with letter i
-    tables, right = explore(
-        tuple(range(len(delta))), columns,
-        lambda t, column: tuple(map(column.__getitem__, t)), cap, "syntactic monoid",
-    )
-    index = {t: m for m, t in enumerate(tables)}
-    left = [[index[tuple(map(t.__getitem__, column))] for column in columns] for t in tables]
-
-    def language(elems):
-        return from_components(alphabet, right, elems, 0)
-
+    quotients = closure(dict.fromkeys(masks), derivatives)[0]  # the u^-1 L v^-1
     tag = d_tag(pair)
-    points = range(len(tables))
+    points = range(len(left))
     if tag == "POS":
-        incl = _state_inclusion(delta, finals)
-        leq = [[all(map(lambda x, y: incl[x][y], s, t)) for t in tables] for s in tables]
-        langs = {m: language([n for n in points if leq[m][n]]) for m in points}
+        # the up-set of m: the elements in every quotient that holds m
+        full = (1 << len(left)) - 1
+        up = [reduce(and_, (q for q in quotients if q >> m & 1), full) for m in points]
+        langs = {m: language(up[m]) for m in points}
     else:
         if tag == "SET_STAR":
-            live = _live_states(delta, finals)
-            points = [m for m in points if live.intersection(tables[m])]
-        langs = {m: language([m]) for m in points}
+            live = reduce(or_, quotients)
+            points = [m for m in points if live >> m & 1]
+        langs = {m: language(1 << m) for m in points}
     ranked = sorted(points, key=lambda m: langs[m].sort_key())
     if len(set(langs.values())) < len(ranked):
         raise StructureError("two elements of the syntactic monoid have one language")
     elements = [None] * (tag == "SET_STAR") + ranked
     label = {m: x for x, m in enumerate(elements)}
     if tag == "POS":
-        order = tuple(tuple(leq[n][m] for n in ranked) for m in ranked)
+        order = tuple(tuple(bool(up[n] >> m & 1) for n in ranked) for m in ranked)
         carrier = make_algebra(tag, len(ranked), {}, order)
     else:
         carrier = free_algebra(tag, ranked)[0]
@@ -579,32 +567,6 @@ def _birkhoff_syntactic(pair, seeds, cap):
     }
     a = LAlgebra(pair, alphabet, carrier, tuple(sorted(trans.items())), label.get(0, 0))
     return a, elements, language
-
-
-def _state_inclusion(delta, finals):
-    """incl[p][q]: the language of state p lies in that of state q, as the
-    greatest relation that respects acceptance and every letter."""
-    n = len(delta)
-    incl = [[p not in finals or q in finals for q in range(n)] for p in range(n)]
-    changed = True
-    while changed:
-        changed = False
-        for p in range(n):
-            for q in range(n):
-                if incl[p][q] and not all(map(lambda x, y: incl[x][y], delta[p], delta[q])):
-                    incl[p][q] = False
-                    changed = True
-    return incl
-
-
-def _live_states(delta, finals) -> set:
-    """The states whose language is not empty."""
-    live = set(finals)
-    while True:
-        more = {q for q, row in enumerate(delta) if q not in live and live.intersection(row)}
-        if not more:
-            return live
-        live |= more
 
 
 def _dual_variety(pair, seeds, cap):
@@ -622,7 +584,7 @@ def _dual_variety(pair, seeds, cap):
         raise CapExceeded(f"local variety exceeded cap {cap}")
     q = dual_automaton_inv(a)
     langs = [
-        language([m for x, m in enumerate(elements) if mask >> x & 1])
+        language(sum(1 << m for x, m in enumerate(elements) if mask >> x & 1))
         for mask in downset_index(a.states)
     ]
     if len(set(langs)) < len(langs):

@@ -63,9 +63,20 @@ from .varieties import check_eilenberg_simple, languages_of_simple_pseudovariety
 OK, COUNTEREXAMPLE, USAGE, INCONCLUSIVE, INTERNAL = 0, 1, 2, 3, 4
 
 
-def _load(path):
+def _read_json(path):
     with open(path) as fh:
-        return from_doc(json.load(fh))
+        try:
+            return json.load(fh)
+        except ValueError as e:  # not JSON, or not text
+            raise DocumentError(f"{path} is not JSON: {e}") from None
+
+
+def _load(path):
+    return from_doc(_read_json(path))
+
+
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
 
 
 def _emit(args, value, human=None):
@@ -131,11 +142,16 @@ def cmd_deriv(args):
 
 def cmd_localvariety(args):
     if args.seeds:
-        with open(args.seeds) as fh:
-            seed_doc = json.load(fh)
-        seeds = [parse_regex(rx, args.alphabet) for rx in seed_doc]
+        regexes = _read_json(args.seeds)
+        if not (_strings(regexes) and regexes):
+            raise DocumentError("seeds must be a non-empty JSON list of regex strings")
+    elif args.regex is None:
+        raise DocumentError("localvariety needs --seeds or --regex")
     else:
-        seeds = [parse_regex(args.regex, args.alphabet)]
+        regexes = [args.regex]
+    seeds = [parse_regex(rx, args.alphabet) for rx in regexes]
+    if len({l.alphabet for l in seeds}) > 1:
+        raise DocumentError("seeds over different alphabets need --alphabet")
     q = generated_local_variety(args.tag, seeds)
     human = f"local variety with {q.states.size} languages over {''.join(q.alphabet)}\n"
     return _emit(args, q, human)
@@ -193,8 +209,11 @@ def cmd_varlang(args):
 
 def cmd_eilenberg_check(args):
     m = _load(args.monoid)
-    with open(args.samples) as fh:
-        samples = json.load(fh)
+    samples = _read_json(args.samples)
+    if not isinstance(samples, list) or not all(
+        isinstance(s, str) or _strings(s) and len(s) == 2 for s in samples
+    ):
+        raise DocumentError("samples must be a JSON list of regexes and [regex, alphabet] pairs")
     samples = [tuple(s) if isinstance(s, list) else s for s in samples]
     report = check_eilenberg_simple(m, args.pair, samples, args.nmax)
     sys.stdout.write(json.dumps(report, sort_keys=True, default=str, indent=2) + "\n")
@@ -217,8 +236,7 @@ def cmd_check_laws(args):
         )
         return USAGE
     if args.corpus:
-        with open(args.corpus) as fh:
-            spec = json.load(fh)
+        spec = _read_json(args.corpus)
         pairs = tuple(spec.get("pairs", ("BA", "JSL0")))
         corpus = {}
         for pair in pairs:

@@ -25,9 +25,8 @@ serializable.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .algebra import (
     AlgMorphism,
@@ -35,6 +34,7 @@ from .algebra import (
     StructureError,
     all_morphisms,
     check_morphism,
+    closure,
     combine_elements,
     enumerate_algebras,
     free_algebra,
@@ -94,13 +94,25 @@ def _bad_side(pair, tag):
 _BASEPOINTS = {"BA": 0, "DL01": 0, "BR": 1}
 BIRKHOFF_PAIRS = tuple(_BASEPOINTS)
 
-# the binary C-side operations of the Birkhoff pairs as set operations
-_SET_OPS = {
-    "meet": operator.and_,
-    "mul": operator.and_,
-    "join": operator.or_,
-    "add": operator.xor,
+# each C-side operation as an operation on the subsets (bitmasks) of a set
+# whose full subset is top: the down-sets of a Birkhoff dual, and in langlib
+# the languages of a local variety as sets of syntactic-monoid elements
+SET_OPS = {
+    "meet": lambda top, x, y: x & y,
+    "mul": lambda top, x, y: x & y,
+    "join": lambda top, x, y: x | y,
+    "add": lambda top, x, y: x ^ y,
+    "not": lambda top, x: top ^ x,
+    "zero": lambda top: 0,
+    "one": lambda top: top,
+    "smul0": lambda top, x: 0,
+    "smul1": lambda top, x: x,
 }
+
+
+def set_ops(tag: str, top: int) -> list:
+    """The tag's operations, in signature order, as closure() ops on subsets of top."""
+    return [(arity, partial(SET_OPS[name], top), True) for name, arity in signature(tag).items()]
 
 
 def _points(a: FinAlgebra) -> tuple:
@@ -154,19 +166,8 @@ def _build_dual(pair: str, side: str, a: FinAlgebra) -> FinAlgebra:
     if pair in _BASEPOINTS:
         # the down-set lattice, each C-side operation read as a set operation
         index = downset_index(a)
-        masks, top = tuple(index), max(index)
-        sig = signature(pair)
-        ops = {
-            name: tuple(tuple(index[f(x, y)] for y in masks) for x in masks)
-            for name, f in _SET_OPS.items()
-            if name in sig
-        }
-        ops["zero"] = index[0]
-        if "one" in sig:
-            ops["one"] = index[top]
-        if "not" in sig:
-            ops["not"] = tuple(index[top ^ x] for x in masks)
-        return make_algebra(pair, len(masks), ops)
+        _, _, tables = closure(dict.fromkeys(index), set_ops(pair, max(index)))
+        return make_algebra(pair, len(index), dict(zip(signature(pair), tables)))
 
     if pair == "JSL0":
         join = a.op("join")

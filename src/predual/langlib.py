@@ -22,6 +22,7 @@ from .algebra import (
     sort_closure,
     vect_prime,
 )
+from .duality import MAIN_PAIRS, set_ops
 
 
 class RegexSyntaxError(ValueError):
@@ -399,37 +400,6 @@ def reversal(l: RegularLanguage) -> RegularLanguage:
     return _minimize(l.alphabet, len(delta), delta, finals, 0)
 
 
-LANGUAGE_OPS = {
-    "BA": ("meet", "join", "not", "zero", "one"),
-    "DL01": ("meet", "join", "zero", "one"),
-    "JSL0": ("join", "zero"),
-    "VECT2": ("add", "zero", "smul0", "smul1"),
-    "BR": ("add", "mul", "zero"),
-}
-
-
-def language_op(tag: str, op: str, operands) -> RegularLanguage:
-    """Apply a C-side algebraic operation to languages (per the tag signature)."""
-    if tag not in LANGUAGE_OPS or op not in LANGUAGE_OPS[tag]:
-        raise StructureError(f"operation {op!r} is not in the {tag} signature")
-    operands = list(operands)
-    if op == "join":
-        return union(*operands)
-    if op == "meet" or (op == "mul" and tag == "BR"):
-        return intersection(*operands)
-    if op == "not":
-        return complement(operands[0])
-    if op == "add":
-        return symmetric_difference(*operands)
-    if op == "smul0":
-        return empty_language(operands[0].alphabet)
-    if op == "smul1":
-        return operands[0]
-    if op == "zero":
-        return empty_language(operands[0].alphabet)
-    return full_language(operands[0].alphabet)  # one
-
-
 # ---------------------------------------------------------------------------
 # free D-monoid elements
 
@@ -703,19 +673,58 @@ def preimage_language(l: RegularLanguage, f: DMonoidMorphismFree) -> RegularLang
 
 
 # ---------------------------------------------------------------------------
-# closure under derivatives and language operations
+# the languages of a local variety as sets of syntactic-monoid elements
 
 
-def signature_ops(tag: str, lang: RegularLanguage) -> list:
-    """The tag's operations, in signature order, as closure() ops on
-    languages over lang's alphabet (constants read the alphabet off lang)."""
+def syntactic_masks(seeds, cap, stage):
+    """The syntactic monoid M of the seeds, over which every language of
+    their local variety is a set of elements (Gehrke, Grigorieff and Pin).
 
-    def op(name, arity):
-        if arity == 0:
-            return lambda: language_op(tag, name, [lang])
-        return lambda *operands: language_op(tag, name, operands)
+    M is the transition monoid of the disjoint union of the seeds' minimal
+    DFAs (Syn(L) for one seed), built by explore from the unit, element 0,
+    under cap and stage.  Returns (left, derivatives, masks, language):
 
-    return [(arity, op(name, arity), True) for name, arity in signature(tag).items()]
+    - left[m][i] is a m for the i-th letter a;
+    - derivatives are the left and then the right derivative by each letter
+      as closure() ops on bitmasks over M, the preimage of a mask under the
+      left or right Cayley table;
+    - masks[k] is the bitmask of the elements whose words lie in seeds[k];
+    - language(mask) is the language of the words whose class lies in mask.
+    """
+    seeds = list(seeds)
+    if not seeds:
+        raise StructureError("need at least one seed language")
+    alphabet = seeds[0].alphabet
+    if any(s.alphabet != alphabet for s in seeds):
+        raise StructureError("seeds must share an alphabet")
+    delta, finals, starts = [], set(), []
+    for l in seeds:
+        starts.append(len(delta))
+        delta += [tuple(starts[-1] + t for t in row) for row in l.delta]
+        finals.update(starts[-1] + s for s in l.finals)
+    columns = tuple(zip(*delta))  # columns[i][q]: state q read with letter i
+    tables, right = explore(
+        tuple(range(len(delta))), columns,
+        lambda t, column: tuple(map(column.__getitem__, t)), cap, stage,
+    )
+    index = {t: m for m, t in enumerate(tables)}
+    left = [[index[tuple(map(t.__getitem__, column))] for column in columns] for t in tables]
+
+    def preimage(cayley, i):
+        pre = [0] * len(tables)  # pre[n]: the elements m with cayley[m][i] = n
+        for m, row in enumerate(cayley):
+            pre[row[i]] |= 1 << m
+        return lambda mask: sum(p for n, p in enumerate(pre) if mask >> n & 1)
+
+    derivatives = [
+        (1, preimage(cayley, i), False) for cayley in (left, right) for i in range(len(columns))
+    ]
+    masks = [sum(1 << m for m, t in enumerate(tables) if t[s] in finals) for s in starts]
+
+    def language(mask):
+        return from_components(alphabet, right, [m for m in range(len(right)) if mask >> m & 1], 0)
+
+    return left, derivatives, masks, language
 
 
 class LanguageClosure(list):
@@ -728,21 +737,28 @@ def closure_under_ops_and_derivs(tag: str, seeds, cap: int = 4096):
     """Least set of languages containing seeds, closed under both derivatives
     and the tag's language operations (with constants).  Returns a sorted list
     (a LanguageClosure, which also carries the operation tables).
+
+    The closure runs on bitmasks over the seeds' syntactic monoid
+    (syntactic_masks): a derivative is the preimage of a mask under a Cayley
+    table and an operation is its set operation in duality.SET_OPS.  Each
+    language is built once, from its mask, when the closure is complete.
     """
+    if tag not in MAIN_PAIRS:
+        raise StructureError(f"{tag} has no operations on languages")
     seeds = list(seeds)
-    if not seeds:
-        raise StructureError("need at least one seed language")
+    # M never outgrows the closure: two elements of M are told apart by a
+    # quotient u^-1 L v^-1 of a seed L, so the closure, which holds these
+    # quotients and their unions or sums, has at least |M| languages.
+    # Exploring M under the closure's own cap and stage therefore raises
+    # CapExceeded only where the closure would, as long as the distinct
+    # seeds, which the closure does not count, are at most cap.
+    left, derivatives, masks, language = syntactic_masks(seeds, cap, "language closure")
+    ops = derivatives + set_ops(tag, (1 << len(left)) - 1)
+    closed = closure(dict.fromkeys(masks), ops, cap, stage="language closure")
+    langs = {mask: language(mask) for mask in closed[0]}
+    masks, _, tables = sort_closure(closed, key=lambda mask: langs[mask].sort_key())
+    result = LanguageClosure(map(langs.get, masks))
     alphabet = seeds[0].alphabet
-    if any(s.alphabet != alphabet for s in seeds):
-        raise StructureError("seeds must share an alphabet")
-    ops = [(1, lambda l, a=a: left_deriv(l, a), False) for a in alphabet]
-    ops += [(1, lambda l, a=a: right_deriv(l, a), False) for a in alphabet]
-    ops += signature_ops(tag, seeds[0])
-    langs, _, tables = sort_closure(
-        closure(dict.fromkeys(seeds), ops, cap, stage="language closure"),
-        key=RegularLanguage.sort_key,
-    )
-    result = LanguageClosure(langs)
     result.trans = dict(zip(alphabet, tables))
     result.ops = dict(zip(signature(tag), tables[2 * len(alphabet):]))
     return result

@@ -36,14 +36,14 @@ from .automata import (
     languages_of,
     syntactic_lalgebra,
 )
-from .duality import canonical_constants, d_tag
+from .duality import canonical_constants, d_tag, set_ops
 from .langlib import (
     RegularLanguage,
     free_word,
     make_free_morphism,
     parse_regex,
     rev_free,
-    signature_ops,
+    syntactic_masks,
 )
 from .monoids import (
     DMonoid,
@@ -106,8 +106,11 @@ def simple_variety_languages(q: Coalgebra, delta, cap: int = 4096) -> Coalgebra:
 
 
 def _algebraic_closure(tag, seeds, cap):
+    """The seeds closed under the tag's operations alone, as bitmasks over
+    their syntactic monoid (the masks of closure_under_ops_and_derivs)."""
+    left, _, masks, _ = syntactic_masks(seeds, cap, "algebraic closure")
     elements, _, _ = closure(
-        dict.fromkeys(seeds), signature_ops(tag, seeds[0]), cap, stage="algebraic closure"
+        dict.fromkeys(masks), set_ops(tag, (1 << len(left)) - 1), cap, stage="algebraic closure"
     )
     return elements
 

@@ -4,7 +4,9 @@ The syntactic-monoid oracle computes the two-sided congruence classes of a
 regular language directly on its minimal DFA: words are identified iff they
 induce the same transition function, which is exactly context equivalence
 (contexts u,v correspond to a reachable state and a distinguishing suffix).
-That oracle does not touch the duality pipeline.  verify_preduality_by_compose
+That oracle does not touch the duality pipeline.  closure_under_ops_and_derivs
+closes whole languages under DFA products and derivatives, where predual
+closes bitmasks over the syntactic monoid.  verify_preduality_by_compose
 shares the dualization formulas with predual and evaluates the duality laws
 on AlgMorphism objects with compose, as verify_preduality once did.
 """
@@ -13,15 +15,31 @@ import itertools
 
 from predual.algebra import (
     FinAlgebra,
+    StructureError,
     all_morphisms,
     check_morphism,
+    closure,
     compose,
     identity_morphism,
+    signature,
+    sort_closure,
     validate_algebra,
 )
 from predual.automata import Coalgebra
 from predual.duality import _objects_for, dual_morphism, dual_object, eta
-from predual.langlib import RegularLanguage, closure_under_ops_and_derivs, parse_regex
+from predual.langlib import (
+    LanguageClosure,
+    RegularLanguage,
+    complement,
+    empty_language,
+    full_language,
+    intersection,
+    left_deriv,
+    parse_regex,
+    right_deriv,
+    symmetric_difference,
+    union,
+)
 
 
 def transition_monoid(l: RegularLanguage):
@@ -116,7 +134,75 @@ def _state_language_subset(l: RegularLanguage, s1: int, s2: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# local varieties by closure, as generated_local_variety once built them
+# local varieties by closure of language products, as
+# closure_under_ops_and_derivs and generated_local_variety once built them
+
+
+LANGUAGE_OPS = {
+    "BA": ("meet", "join", "not", "zero", "one"),
+    "DL01": ("meet", "join", "zero", "one"),
+    "JSL0": ("join", "zero"),
+    "VECT2": ("add", "zero", "smul0", "smul1"),
+    "BR": ("add", "mul", "zero"),
+}
+
+
+def language_op(tag: str, op: str, operands) -> RegularLanguage:
+    """Apply a C-side algebraic operation to languages (per the tag signature)."""
+    if tag not in LANGUAGE_OPS or op not in LANGUAGE_OPS[tag]:
+        raise StructureError(f"operation {op!r} is not in the {tag} signature")
+    operands = list(operands)
+    if op == "join":
+        return union(*operands)
+    if op == "meet" or (op == "mul" and tag == "BR"):
+        return intersection(*operands)
+    if op == "not":
+        return complement(operands[0])
+    if op == "add":
+        return symmetric_difference(*operands)
+    if op == "smul0":
+        return empty_language(operands[0].alphabet)
+    if op == "smul1":
+        return operands[0]
+    if op == "zero":
+        return empty_language(operands[0].alphabet)
+    return full_language(operands[0].alphabet)  # one
+
+
+def signature_ops(tag: str, lang: RegularLanguage) -> list:
+    """The tag's operations, in signature order, as closure() ops on
+    languages over lang's alphabet (constants read the alphabet off lang)."""
+
+    def op(name, arity):
+        if arity == 0:
+            return lambda: language_op(tag, name, [lang])
+        return lambda *operands: language_op(tag, name, operands)
+
+    return [(arity, op(name, arity), True) for name, arity in signature(tag).items()]
+
+
+def closure_under_ops_and_derivs(tag: str, seeds, cap: int = 4096):
+    """Least set of languages containing seeds, closed under both derivatives
+    and the tag's language operations (with constants).  Returns a sorted list
+    (a LanguageClosure, which also carries the operation tables).
+    """
+    seeds = list(seeds)
+    if not seeds:
+        raise StructureError("need at least one seed language")
+    alphabet = seeds[0].alphabet
+    if any(s.alphabet != alphabet for s in seeds):
+        raise StructureError("seeds must share an alphabet")
+    ops = [(1, lambda l, a=a: left_deriv(l, a), False) for a in alphabet]
+    ops += [(1, lambda l, a=a: right_deriv(l, a), False) for a in alphabet]
+    ops += signature_ops(tag, seeds[0])
+    langs, _, tables = sort_closure(
+        closure(dict.fromkeys(seeds), ops, cap, stage="language closure"),
+        key=RegularLanguage.sort_key,
+    )
+    result = LanguageClosure(langs)
+    result.trans = dict(zip(alphabet, tables))
+    result.ops = dict(zip(signature(tag), tables[2 * len(alphabet):]))
+    return result
 
 
 def closure_local_variety(pair, seeds, cap=4096):

@@ -359,6 +359,56 @@ def test_language_document_with_a_final_state_out_of_range_is_a_usage_error(caps
     assert err == "usage error: language finals and initial must be states below 1\n"
 
 
+# input files by name; each name in an argv below stands for its path
+INPUT_FILES = {
+    "text.json": b"not JSON",
+    "bytes.json": b"\xff\xfe\x00",
+    "z2.mon": json.dumps({
+        "kind": "dmonoid", "tag": "SET",
+        "carrier": {"kind": "algebra", "tag": "SET", "size": 2, "ops": {}},
+        "mult": [[0, 1], [1, 0]], "unit": 0,
+    }).encode(),
+    "ints.json": b"[1]",
+    "object.json": b'{"x": 1}',
+    "empty.json": b"[]",
+    "two-alphabets.json": b'["a*", "b*"]',
+    "short-pair.json": b'[["a"]]',
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # a file that is not JSON, under every flag that reads one
+        ["minimize", "--in", "text.json"],
+        ["minimize", "--in", "bytes.json"],
+        ["preimage", "--map", "text.json", "--regex", "(ab)*"],
+        ["preimage", "--map", "text.json", "--automaton", "text.json"],
+        ["varlang", "--monoid", "text.json", "--alphabet", "a", "--pair", "BA"],
+        ["localvariety", "--tag", "BA", "--seeds", "text.json"],
+        ["eilenberg-check", "--monoid", "z2.mon", "--samples", "text.json"],
+        ["check-laws", "--corpus", "text.json"],
+        # seeds are a non-empty list of strings over one alphabet
+        ["localvariety", "--tag", "BA", "--seeds", "ints.json"],
+        ["localvariety", "--tag", "BA", "--seeds", "object.json"],
+        ["localvariety", "--tag", "BA", "--seeds", "empty.json"],
+        ["localvariety", "--tag", "BA", "--seeds", "two-alphabets.json"],
+        ["localvariety", "--tag", "BA"],
+        # samples are strings or [regex, alphabet] pairs of strings
+        ["eilenberg-check", "--monoid", "z2.mon", "--samples", "ints.json"],
+        ["eilenberg-check", "--monoid", "z2.mon", "--samples", "short-pair.json"],
+        ["eilenberg-check", "--monoid", "z2.mon", "--samples", "object.json"],
+    ],
+)
+def test_malformed_cli_input_is_a_usage_error(capsys, tmp_path, argv):
+    for name, content in INPUT_FILES.items():
+        (tmp_path / name).write_bytes(content)
+    argv = [str(tmp_path / a) if a in INPUT_FILES else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
 def _broken_automaton(kind, key, value):
     """A BR coalgebra or L-algebra document with one entry replaced."""
     from predual.automata import dual_automaton, generated_local_variety

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from oracle import language_op
 
 from predual.algebra import StructureError, signature
 from predual.langlib import (
@@ -18,7 +19,6 @@ from predual.langlib import (
     full_language,
     identity_free_morphism,
     intersection,
-    language_op,
     language_to_regex,
     left_deriv,
     make_free,

@@ -1,10 +1,14 @@
-"""The syntactic L-algebra against the closure route it replaced.
+"""The syntactic L-algebra and the mask closure against the closure route
+they replaced.
 
 For BA, DL01 and BR, syntactic builds the dual of a language's local variety
 on its syntactic monoid, and localvariety dualizes that L-algebra again.
 oracle.closure_local_variety closes the seed languages under derivatives and
 the language operations instead, as generated_local_variety did for every
-pair; both routes must give the same languages and the same bytes.
+pair; both routes must give the same languages and the same bytes.  For all
+five pairs, closure_under_ops_and_derivs closes bitmasks over the syntactic
+monoid; oracle.closure_under_ops_and_derivs closes the languages themselves
+by DFA products, and both must give the same closure.
 """
 
 import contextlib
@@ -18,6 +22,8 @@ from pathlib import Path
 
 import oracle
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from predual.algebra import CapExceeded
 from predual.automata import (
     dual_generated_monoid,
@@ -63,7 +69,7 @@ def check_localvariety(pair, regexes, alphabet, tmp_path):
     reference = oracle.closure_local_variety(pair, seeds)
     q = generated_local_variety(pair, seeds)
     assert q == reference, regexes
-    assert set(languages_of(q)) == set(closure_under_ops_and_derivs(pair, seeds))
+    assert set(languages_of(q)) == set(oracle.closure_under_ops_and_derivs(pair, seeds))
     path = tmp_path / "seeds.json"
     path.write_text(json.dumps(regexes, ensure_ascii=False))
     code, out, err = run_cli(
@@ -107,6 +113,63 @@ def test_large_ba_syntactic_monoids_finish(regex, order):
     assert time.perf_counter() - start < 1.0
     assert (code, err) == (0, "")
     assert out.startswith(f"order {order} dual generated D-monoid\n")
+
+
+ROUTES = (closure_under_ops_and_derivs, oracle.closure_under_ops_and_derivs)
+
+
+def closures_of(tag, seeds, cap):
+    """Both routes' closures at cap, or both routes' CapExceeded messages."""
+    results = []
+    for route in ROUTES:
+        try:
+            got = route(tag, seeds, cap)
+            results.append((list(got), got.trans, got.ops))
+        except CapExceeded as e:
+            results.append(str(e))
+    return results
+
+
+@pytest.mark.parametrize("tag", MAIN_PAIRS)
+def test_mask_closure_equals_the_product_closure(tag):
+    cases = [([rx], alphabet) for rx, alphabet in CORPUS]
+    cases += [(list(regexes), "ab") for regexes in SEED_SETS]
+    if tag in ("DL01", "BR"):
+        cases += [(["ab", "ba"], "ab"), (["(ab)*", "a(a|b)*"], "ab")]
+    for regexes, alphabet in cases:
+        seeds = [parse_regex(rx, alphabet) for rx in regexes]
+        size = len(closure_under_ops_and_derivs(tag, seeds))
+        got, want = closures_of(tag, seeds, size)
+        assert got == want, (tag, regexes)  # languages in order, trans and ops
+        # a closure that adds no language to its seeds never hits the cap
+        if size > len(set(seeds)):
+            message = f"language closure exceeded cap {size - 1}"
+            assert closures_of(tag, seeds, size - 1) == [message] * 2, (tag, regexes)
+
+
+def regexes(depth):
+    """Regexes over {a, b} of nesting depth at most depth."""
+    if depth == 0:
+        return st.sampled_from(["a", "b", "ε", "∅"])
+    sub = regexes(depth - 1)
+    return st.one_of(
+        sub,
+        st.builds("({}{})".format, sub, sub),
+        st.builds("({}|{})".format, sub, sub),
+        st.builds("({}&{})".format, sub, sub),
+        st.builds("({})*".format, sub),
+        st.builds("~({})".format, sub),
+    )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(regexes(3))
+@example("(((aa)(aa))(ba))")  # over the cap under every pair
+def test_mask_closure_equals_the_product_closure_on_random_regexes(regex):
+    seeds = [parse_regex(regex, "ab")]
+    for tag in MAIN_PAIRS:
+        got, want = closures_of(tag, seeds, 256)
+        assert got == want, (tag, regex)
 
 
 @pytest.mark.parametrize("pair", MAIN_PAIRS)
