@@ -9,6 +9,7 @@ diagnostics go to stderr; documents and reports go to stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -30,7 +31,7 @@ from .automata import (
     languages_of,
     syntactic_lalgebra,
 )
-from .duality import PAIRS, d_tag, dual_morphism, dual_object, verify_preduality
+from .duality import MAIN_PAIRS, PAIRS, d_tag, dual_morphism, dual_object, verify_preduality
 from .langlib import (
     RegexSyntaxError,
     RegularLanguage,
@@ -141,6 +142,8 @@ def cmd_deriv(args):
 
 
 def cmd_localvariety(args):
+    if args.seeds and args.regex is not None:
+        raise DocumentError("localvariety takes --seeds or --regex, not both")
     if args.seeds:
         regexes = _read_json(args.seeds)
         if not (_strings(regexes) and regexes):
@@ -237,7 +240,18 @@ def cmd_check_laws(args):
         return USAGE
     if args.corpus:
         spec = _read_json(args.corpus)
-        pairs = tuple(spec.get("pairs", ("BA", "JSL0")))
+        if not (
+            isinstance(spec, dict)
+            and isinstance(spec.get("seeds"), dict)
+            and all(_strings(rxs) for rxs in spec["seeds"].values())
+        ):
+            raise DocumentError(
+                "corpus must be a JSON object whose seeds map each alphabet "
+                "to a list of regex strings"
+            )
+        pairs = spec.get("pairs", ["BA", "JSL0"])
+        if not (_strings(pairs) and set(pairs) <= set(MAIN_PAIRS)):
+            raise DocumentError(f"corpus pairs must be a list of {', '.join(MAIN_PAIRS)}")
         corpus = {}
         for pair in pairs:
             varieties = []
@@ -273,7 +287,11 @@ def cmd_check_laws(args):
     return COUNTEREXAMPLE if failed else OK
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and shared by later ones:
+    no argument has a mutable default, and argparse looks up the output
+    streams and the terminal width when it prints, not when it is built."""
     p = argparse.ArgumentParser(
         prog="predual",
         description="finite duality-based algebraic automata lab",
@@ -313,7 +331,7 @@ def build_parser():
     sp.set_defaults(fn=cmd_deriv)
 
     sp = sub.add_parser("localvariety", help="closure of seeds into a local variety")
-    sp.add_argument("--tag", required=True, choices=("BA", "DL01", "JSL0", "VECT2", "BR"))
+    sp.add_argument("--tag", required=True, choices=MAIN_PAIRS)
     sp.add_argument("--seeds", help="JSON file with a list of regexes")
     sp.add_argument("--regex", help="single seed regex")
     sp.add_argument("--alphabet")
@@ -322,7 +340,7 @@ def build_parser():
     sp.set_defaults(fn=cmd_localvariety)
 
     sp = sub.add_parser("syntactic", help="dual generated D-monoid of a language")
-    sp.add_argument("--tag", required=True, choices=("BA", "DL01", "JSL0", "VECT2", "BR"))
+    sp.add_argument("--tag", required=True, choices=MAIN_PAIRS)
     sp.add_argument("--regex", required=True)
     sp.add_argument("--alphabet")
     sp.add_argument("--json", action="store_true")
@@ -338,14 +356,14 @@ def build_parser():
     sp = sub.add_parser("varlang", help="languages of a simple pseudovariety")
     sp.add_argument("--monoid", required=True, help="dmonoid document path")
     sp.add_argument("--alphabet", required=True)
-    sp.add_argument("--pair", required=True, choices=("BA", "DL01", "JSL0", "VECT2", "BR"))
+    sp.add_argument("--pair", required=True, choices=MAIN_PAIRS)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(fn=cmd_varlang)
 
     sp = sub.add_parser("eilenberg-check", help="bounded Eilenberg correspondence")
     sp.add_argument("--monoid", required=True)
     sp.add_argument("--samples", required=True, help="JSON list of sample regexes")
-    sp.add_argument("--pair", default="BA", choices=("BA", "DL01", "JSL0", "VECT2", "BR"))
+    sp.add_argument("--pair", default="BA", choices=MAIN_PAIRS)
     sp.add_argument("--nmax", type=int, default=2)
     sp.set_defaults(fn=cmd_eilenberg_check)
 

@@ -4,7 +4,9 @@ The syntactic-monoid oracle computes the two-sided congruence classes of a
 regular language directly on its minimal DFA: words are identified iff they
 induce the same transition function, which is exactly context equivalence
 (contexts u,v correspond to a reachable state and a distinguishing suffix).
-That oracle does not touch the duality pipeline.  closure_under_ops_and_derivs
+That oracle does not touch the duality pipeline.  validate_dmonoid tests the
+D-monoid laws on every triple and every section, where predual tests them
+on a generating set (Light's test).  closure_under_ops_and_derivs
 closes whole languages under DFA products and derivatives, where predual
 closes bitmasks over the syntactic monoid.  verify_preduality_by_compose
 shares the dualization formulas with predual and evaluates the duality laws
@@ -14,6 +16,7 @@ on AlgMorphism objects with compose, as verify_preduality once did.
 import itertools
 
 from predual.algebra import (
+    AlgMorphism,
     FinAlgebra,
     StructureError,
     all_morphisms,
@@ -40,6 +43,7 @@ from predual.langlib import (
     symmetric_difference,
     union,
 )
+from predual.monoids import DMonoid
 
 
 def transition_monoid(l: RegularLanguage):
@@ -439,3 +443,37 @@ def verify_preduality_by_compose(pair: str, max_size: int, dual_morphism_fn=None
                             )
                             return report
     return report
+
+
+def validate_dmonoid(m: DMonoid) -> list:
+    """Monoid axioms + bimorphism law (+ zero absorption for SET_STAR)."""
+    out = []
+    n = m.size
+    mult = m.mult
+    for x in range(n):
+        if mult[m.unit][x] != x or mult[x][m.unit] != x:
+            out.append(f"unit law fails at {x}")
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if mult[mult[x][y]][z] != mult[x][mult[y][z]]:
+                    out.append(f"associativity fails at ({x},{y},{z})")
+                    break
+            else:
+                continue
+            break
+    for x in range(n):
+        left = AlgMorphism(m.carrier, m.carrier, tuple(mult[x][y] for y in range(n)))
+        right = AlgMorphism(m.carrier, m.carrier, tuple(mult[y][x] for y in range(n)))
+        ok, why = check_morphism(left)
+        if not ok:
+            out.append(f"left multiplication by {x} is not a D-endomorphism: {why}")
+        ok, why = check_morphism(right)
+        if not ok:
+            out.append(f"right multiplication by {x} is not a D-endomorphism: {why}")
+    if m.carrier.tag == "SET_STAR":
+        point = m.carrier.op("point")
+        for x in range(n):
+            if mult[x][point] != point or mult[point][x] != point:
+                out.append(f"zero absorption fails at {x}")
+    return out

@@ -372,7 +372,11 @@ INPUT_FILES = {
     "object.json": b'{"x": 1}',
     "empty.json": b"[]",
     "two-alphabets.json": b'["a*", "b*"]',
+    "seeds.json": b'["a*"]',
     "short-pair.json": b'[["a"]]',
+    "int-seeds.json": b'{"seeds": {"a": [1]}}',
+    "list-seeds.json": b'{"seeds": []}',
+    "jsl01-corpus.json": b'{"pairs": ["JSL01"], "seeds": {"a": ["a*"]}}',
 }
 
 
@@ -398,6 +402,14 @@ INPUT_FILES = {
         ["eilenberg-check", "--monoid", "z2.mon", "--samples", "ints.json"],
         ["eilenberg-check", "--monoid", "z2.mon", "--samples", "short-pair.json"],
         ["eilenberg-check", "--monoid", "z2.mon", "--samples", "object.json"],
+        # a corpus is an object whose seeds map alphabets to regex lists and
+        # whose optional pairs are language tags
+        ["check-laws", "--corpus", "ints.json"],
+        ["check-laws", "--corpus", "int-seeds.json"],
+        ["check-laws", "--corpus", "list-seeds.json"],
+        ["check-laws", "--corpus", "jsl01-corpus.json"],
+        # --seeds and --regex exclude each other
+        ["localvariety", "--tag", "BA", "--seeds", "seeds.json", "--regex", "b*"],
     ],
 )
 def test_malformed_cli_input_is_a_usage_error(capsys, tmp_path, argv):
@@ -473,3 +485,58 @@ def test_a_failed_cross_check_exits_4_under_python_O():
     )
     assert (run.returncode, run.stdout) == (4, "")
     assert run.stderr == "internal error: rho-subcoalgebra criteria disagree\n"
+
+
+def _readme_calls(tmp_path):
+    """Every CLI example of the README, the documents they read written into
+    tmp_path, then an argparse usage error, a help text and a usage error
+    of a command."""
+    chain2 = {"kind": "algebra", "tag": "JSL0", "size": 2,
+              "ops": {"join": [[0, 1], [1, 1]], "zero": 0}}
+    z2 = {"kind": "dmonoid", "tag": "SET",
+          "carrier": {"kind": "algebra", "tag": "SET", "size": 2, "ops": {}},
+          "mult": [[0, 1], [1, 0]], "unit": 0}
+    image = {"kind": "free-element", "tag": "SET", "alphabet": ["a", "b"], "pairs": [["ab", 1]]}
+    f = {"kind": "free-morphism", "tag": "SET", "source_alphabet": ["b"],
+         "target_alphabet": ["a", "b"], "images": {"b": image}}
+    docs = {"chain2.alg": chain2, "z2.json": z2, "f.json": f,
+            "samples.json": ["(aa)*", "(ab)*", "a*"], "seeds.json": ["a*"]}
+    for name, doc in docs.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    path = {name: str(tmp_path / name) for name in docs}
+    return [
+        ["syntactic", "--tag", "BA", "--regex", "(ab)*"],
+        ["syntactic", "--tag", "JSL0", "--regex", "(ab)*", "--json"],
+        ["localvariety", "--tag", "BA", "--regex", "(aa)*", "--json"],
+        ["minimize", "--regex", "(a|b)*abb", "--json"],
+        ["deriv", "--side", "right", "--letter", "b", "--regex", "(ab)*"],
+        ["dualize", "--pair", "JSL0", "--in", path["chain2.alg"]],
+        ["dualize", "--pair", "BA", "--check", "--max-size", "8"],
+        ["preimage", "--map", path["f.json"], "--regex", "(ab)*"],
+        ["varlang", "--monoid", path["z2.json"], "--alphabet", "a", "--pair", "BA"],
+        ["eilenberg-check", "--monoid", path["z2.json"], "--samples", path["samples.json"],
+         "--nmax", "2"],
+        ["check-laws", "--laws", "lrev,cpre,proppre", "--pairs", "BA,JSL0"],
+        ["enumerate", "--tag", "JSL0", "--size", "4"],
+        ["syntactic", "--tag", "XX", "--regex", "a"],
+        ["syntactic", "--help"],
+        ["localvariety", "--tag", "BA", "--seeds", path["seeds.json"], "--regex", "b*"],
+    ]
+
+
+def test_the_parser_is_built_once_and_reused(capsys, tmp_path, monkeypatch):
+    from predual import cli
+
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setenv("COLUMNS", "80")  # the help text wraps at the terminal width
+    calls = _readme_calls(tmp_path)
+    first = [run_cli(capsys, *argv) for argv in calls]
+    assert [run_cli(capsys, *argv) for argv in calls] == first
+    assert [code for code, _, _ in first[-3:]] == [2, 0, 2]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONIOENCODING="utf-8",
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    for i in (0, -3, -2):  # a document, an argparse usage error, a help text
+        run = subprocess.run([sys.executable, "-m", "predual.cli", *calls[i]],
+                             capture_output=True, encoding="utf-8", env=env, timeout=120)
+        assert (run.returncode, run.stdout, run.stderr) == first[i], calls[i]

@@ -8,7 +8,10 @@ the language operations instead, as generated_local_variety did for every
 pair; both routes must give the same languages and the same bytes.  For all
 five pairs, closure_under_ops_and_derivs closes bitmasks over the syntactic
 monoid; oracle.closure_under_ops_and_derivs closes the languages themselves
-by DFA products, and both must give the same closure.
+by DFA products, and both must give the same closure.  validate_dmonoid
+tests the D-monoid laws at a generating set (Light's test); it must pass and
+fail the tables that oracle.validate_dmonoid, which tests every triple and
+every section, passes and fails.
 """
 
 import contextlib
@@ -24,7 +27,7 @@ import oracle
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from predual.algebra import CapExceeded
+from predual.algebra import CapExceeded, explore, make_algebra
 from predual.automata import (
     dual_generated_monoid,
     eval_free,
@@ -35,7 +38,7 @@ from predual.automata import (
 from predual.cli import main
 from predual.duality import MAIN_PAIRS
 from predual.langlib import closure_under_ops_and_derivs, free_mul, parse_regex
-from predual.monoids import transition_dmonoid
+from predual.monoids import DMonoid, make_dmonoid, transition_dmonoid, validate_dmonoid
 from predual.serialize import dumps, generated_dmonoid_doc
 
 PAIRS = ("BA", "DL01", "BR")
@@ -191,6 +194,57 @@ def test_multiplication_is_evaluation_of_free_products(pair):
         assert zeros
     if pair in ("JSL0", "VECT2"):
         assert combinations
+
+
+@pytest.mark.parametrize("pair", MAIN_PAIRS)
+def test_light_test_passes_the_corpus_monoids(pair):
+    for rx, alphabet in CORPUS:
+        m = dual_generated_monoid(syntactic_lalgebra(pair, [parse_regex(rx, alphabet)])).base
+        assert validate_dmonoid(m) == oracle.validate_dmonoid(m) == [], rx
+
+
+def _agree(m):
+    return (validate_dmonoid(m) == []) == (oracle.validate_dmonoid(m) == [])
+
+
+@pytest.mark.parametrize("pair", MAIN_PAIRS)
+def test_light_test_agrees_with_the_full_check_on_single_entry_changes(pair):
+    m = dual_generated_monoid(syntactic_lalgebra(pair, [parse_regex("(ab)*")])).base
+    for x, row in enumerate(m.mult):
+        for y, old in enumerate(row):
+            for v in range(m.size):
+                if v != old:
+                    mult = m.mult[:x] + (row[:y] + (v,) + row[y + 1:],) + m.mult[x + 1:]
+                    assert _agree(DMonoid(m.carrier, mult, m.unit)), (x, y, v)
+
+
+@st.composite
+def unital_tables(draw):
+    """A table on 1-4 elements with unit 0 and the rest drawn at random, or
+    the transformation monoid of 1-3 maps of three points with at most one
+    entry changed."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 4))
+        cells = iter(draw(st.lists(st.integers(0, n - 1), min_size=(n - 1) ** 2,
+                                   max_size=(n - 1) ** 2)))
+        mult = [list(range(n))] + [[x] + [next(cells) for _ in range(n - 1)]
+                                   for x in range(1, n)]
+    else:
+        maps = draw(st.lists(st.tuples(*[st.integers(0, 2)] * 3), min_size=1, max_size=3))
+        elems, _ = explore((0, 1, 2), maps, lambda t, f: tuple(f[v] for v in t))
+        index = {t: i for i, t in enumerate(elems)}
+        n = len(elems)
+        mult = [[index[tuple(u[v] for v in t)] for u in elems] for t in elems]
+        if draw(st.booleans()):
+            mult[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(
+                st.integers(0, n - 1))
+    return make_dmonoid(make_algebra("SET", n, {}), mult, 0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(unital_tables())
+def test_light_test_agrees_with_the_full_check_on_random_tables(m):
+    assert _agree(m)
 
 
 FAULTS = """
