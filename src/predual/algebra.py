@@ -1141,10 +1141,13 @@ def _posets_upto(n: int):
     """All posets on {0..n-1} whose order refines the index order, up to iso.
 
     Every finite poset has a linear extension, so these representatives are
-    exhaustive up to isomorphism.
+    exhaustive up to isomorphism.  A candidate is tested for isomorphism only
+    against the posets found with the same sorted (down-set size, up-set
+    size) pairs of its elements, an isomorphism invariant.
     """
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     found = []
+    by_invariant = {}
     for mask in range(1 << len(pairs)):
         rel = [[i == j for j in range(n)] for i in range(n)]
         for b, (i, j) in enumerate(pairs):
@@ -1166,9 +1169,12 @@ def _posets_upto(n: int):
         if not ok:
             continue
         matrix = tuple(tuple(row) for row in rel)
+        invariant = tuple(sorted((sum(row[x] for row in rel), sum(rel[x])) for x in range(n)))
+        same = by_invariant.setdefault(invariant, [])
         if not any(
-            table_isomorphism(n, [], [], matrix, other) is not None for other in found
+            table_isomorphism(n, [], [], matrix, other) is not None for other in same
         ):
+            same.append(matrix)
             found.append(matrix)
     return tuple(found)
 

@@ -246,13 +246,18 @@ def run_word(a: LAlgebra, word) -> int:
     return s
 
 
+def word_table(m, word) -> tuple:
+    """The state each state of the coalgebra or L-algebra m reaches on word,
+    its letters applied first to last: the table of gamma_w or alpha_w."""
+    table = tuple(range(m.states.size))
+    for letter in word:
+        table = tuple(map(m.tr(letter).__getitem__, table))
+    return table
+
+
 def run_word_co(q: Coalgebra, word) -> AlgMorphism:
     """gamma_w as a composite endomorphism table."""
-    t = tuple(range(q.states.size))
-    for ch in word:
-        step = q.tr(ch)
-        t = tuple(step[v] for v in t)
-    return AlgMorphism(q.states, q.states, t)
+    return AlgMorphism(q.states, q.states, word_table(q, word))
 
 
 def eval_free(a: LAlgebra, x: FreeElement) -> int:
@@ -353,14 +358,14 @@ def find_lalgebra_hom(src: LAlgebra, dst: LAlgebra):
 HOM_SEARCH_BOUND = 8
 
 
-def is_subcoalgebra_of_rho(q: Coalgebra) -> bool:
-    """True iff q embeds in the coalgebra of all regular languages.
+def _rho_languages(q: Coalgebra):
+    """(the languages of q's states, whether q is a subcoalgebra of rho).
 
     Computes both criteria and checks that they agree: (i) all states accept
     pairwise distinct languages; (ii) the dual L-algebra is reachable
     (word images generate the carrier under the D-operations).
     """
-    langs = [language_of_state(q, s) for s in range(q.states.size)]
+    langs = languages_of(q)
     crit_langs = len(set(langs)) == q.states.size
 
     a = dual_automaton(q)
@@ -369,7 +374,13 @@ def is_subcoalgebra_of_rho(q: Coalgebra) -> bool:
     crit_reach = closure.source.size == a.states.size
 
     check_invariant(crit_langs == crit_reach, "rho-subcoalgebra criteria disagree")
-    return crit_langs
+    return langs, crit_langs
+
+
+def is_subcoalgebra_of_rho(q: Coalgebra) -> bool:
+    """True iff q embeds in the coalgebra of all regular languages (both
+    criteria of _rho_languages, checked against each other)."""
+    return _rho_languages(q)[1]
 
 
 def is_local_variety(q: Coalgebra) -> bool:
@@ -380,9 +391,10 @@ def is_local_variety(q: Coalgebra) -> bool:
     a coalgebra homomorphism (Q)_a -> Q exists for every letter.  Both are
     computed and must agree.
     """
-    if not is_subcoalgebra_of_rho(q):
+    langs, in_rho = _rho_languages(q)
+    if not in_rho:
         raise StructureError("is_local_variety requires a subcoalgebra of rho")
-    langs = {language_of_state(q, s) for s in range(q.states.size)}
+    langs = set(langs)
     crit_langs = all(
         right_deriv(l, a) in langs for l in langs for a in q.alphabet
     )
@@ -639,13 +651,7 @@ def dual_generated_monoid(a) -> GeneratedDMonoid:
     # e(x * y) = combination of alpha_w(x) over the words w of y's
     # representative, since every alpha_w is a D-morphism; column[w][x] is
     # the run of w from x
-    column = {}
-    for w in {w for fe in reprs.values() for w, _ in fe.pairs}:
-        table = range(n)
-        for letter in w:
-            step = a.tr(letter)
-            table = [step[s] for s in table]
-        column[w] = table
+    column = {w: word_table(a, w) for w in {w for fe in reprs.values() for w, _ in fe.pairs}}
     mult = tuple(
         tuple(
             combine_elements(a.states, [(column[w][x], c) for w, c in reprs[y].pairs])

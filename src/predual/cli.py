@@ -80,6 +80,13 @@ def _strings(value) -> bool:
     return isinstance(value, list) and all(isinstance(x, str) for x in value)
 
 
+def _language_tags(pairs, source):
+    """pairs, which must be a list of language tags (duality.MAIN_PAIRS)."""
+    if not (_strings(pairs) and set(pairs) <= set(MAIN_PAIRS)):
+        raise DocumentError(f"{source} must be a list of {', '.join(MAIN_PAIRS)}")
+    return pairs
+
+
 def _emit(args, value, human=None):
     if getattr(args, "dot", False):
         sys.stdout.write(dot_automaton(value))
@@ -249,11 +256,8 @@ def cmd_check_laws(args):
                 "corpus must be a JSON object whose seeds map each alphabet "
                 "to a list of regex strings"
             )
-        pairs = spec.get("pairs", ["BA", "JSL0"])
-        if not (_strings(pairs) and set(pairs) <= set(MAIN_PAIRS)):
-            raise DocumentError(f"corpus pairs must be a list of {', '.join(MAIN_PAIRS)}")
         corpus = {}
-        for pair in pairs:
+        for pair in _language_tags(spec.get("pairs", ["BA", "JSL0"]), "corpus pairs"):
             varieties = []
             for alphabet, regexes in spec["seeds"].items():
                 for rx in regexes:
@@ -265,8 +269,8 @@ def cmd_check_laws(args):
                 "morphisms": default_morphisms(d_tag(pair)),
             }
     else:
-        pairs = tuple(args.pairs.split(",")) if args.pairs else ("BA", "JSL0")
-        corpus = default_corpus(pairs=pairs)
+        pairs = args.pairs.split(",") if args.pairs else ["BA", "JSL0"]
+        corpus = default_corpus(pairs=tuple(_language_tags(pairs, "--pairs")))
     if args.max_states:
         for pair in corpus:
             corpus[pair]["varieties"] = [

@@ -13,6 +13,7 @@ alphabet order, so structural equality coincides with language equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .algebra import (
     StructureError,
@@ -242,11 +243,14 @@ class RegularLanguage:
         except ValueError:
             raise StructureError(f"letter {a!r} not in alphabet {self.alphabet}") from None
 
-    def accepts(self, word) -> bool:
-        s = 0
+    def run(self, word, state=0) -> int:
+        """The state reached from state by reading word."""
         for ch in word:
-            s = self.delta[s][self.letter_index(ch)]
-        return s in self.finals
+            state = self.delta[state][self.letter_index(ch)]
+        return state
+
+    def accepts(self, word) -> bool:
+        return self.run(word) in self.finals
 
     def is_empty(self) -> bool:
         return not self.finals
@@ -412,10 +416,11 @@ def _shortlex(w):
 class FreeElement:
     """Element of the free D-monoid on an alphabet, in canonical form.
 
-    pairs is a shortlex-sorted tuple of (word, coefficient).  SET/POS carry
-    exactly one word; JSL0 a finite set (coefficients 1); VECT(p) a weighted
-    finite set (coefficients in 1..p-1); SET_STAR at most one word, with the
-    empty tuple denoting the absorbing zero.
+    pairs is the _combination of (word, coefficient) pairs, sorted by
+    shortlex: SET/POS carry exactly one word; JSL0 a finite set
+    (coefficients 1); VECT(p) a weighted finite set (coefficients in
+    1..p-1); SET_STAR at most one word, with the empty tuple denoting the
+    absorbing zero.
     """
 
     tag: str
@@ -425,40 +430,58 @@ class FreeElement:
     def is_zero(self):
         return not self.pairs
 
-    def single_word(self):
-        if len(self.pairs) != 1:
-            raise StructureError(f"{self.tag} element is not a single word")
-        return self.pairs[0][0]
-
     def sort_key(self):
         return (len(self.pairs),) + tuple(
             (_shortlex(w), c) for w, c in self.pairs
         )
 
 
-def make_free(tag: str, alphabet, pairs) -> FreeElement:
-    """Canonicalize a list of (word, coeff) pairs into a FreeElement."""
-    alphabet = tuple(alphabet)
+def _combination(tag, pairs, key):
+    """The D-combination of (item, coefficient) pairs in the free D-monoid
+    of the tag, as the canonical tuple of (item, coefficient) pairs sorted
+    by key(item).
+
+    SET and POS: exactly one item; SET_STAR: at most one item, none being
+    the zero; JSL0: a set, every coefficient 1; VECT(p): the coefficients
+    of equal items summed mod p, zero sums dropped.  Items are words for
+    free elements and automaton states for preimage_language's lift.
+    """
     p = vect_prime(tag)
     acc = {}
-    for w, c in pairs:
-        w = str(w)
-        if any(ch not in alphabet for ch in w):
-            raise StructureError(f"word {w!r} not over alphabet {alphabet}")
-        if tag in ("SET", "POS", "SET_STAR", "JSL0"):
+    for item, c in pairs:
+        if p is not None:
+            acc[item] = (acc.get(item, 0) + c) % p
+        elif tag in ("SET", "POS", "SET_STAR", "JSL0"):
             if c != 1:
                 raise StructureError("coefficients must be 1 for this tag")
-            acc[w] = 1
-        elif p is not None:
-            acc[w] = (acc.get(w, 0) + c) % p
+            acc[item] = 1
         else:
             raise StructureError(f"tag {tag} has no free monoid here")
-    items = tuple(sorted(((w, c) for w, c in acc.items() if c), key=lambda x: _shortlex(x[0])))
+    items = tuple((x, acc[x]) for x in sorted(acc, key=key) if acc[x])
     if tag in ("SET", "POS") and len(items) != 1:
         raise StructureError(f"{tag} elements are single words")
     if tag == "SET_STAR" and len(items) > 1:
         raise StructureError("SET_STAR elements are a word or zero")
-    return FreeElement(tag, alphabet, items)
+    return items
+
+
+def _value(tag, combination, finals) -> int:
+    """The output of a combination whose items are read by membership in
+    finals: for VECT(p) the sum mod p of the coefficients of the items in
+    finals, for the other tags 1 iff some item is in finals."""
+    p = vect_prime(tag)
+    total = sum(c for x, c in combination if x in finals)
+    return total % p if p is not None else min(total, 1)
+
+
+def make_free(tag: str, alphabet, pairs) -> FreeElement:
+    """Canonicalize a list of (word, coeff) pairs into a FreeElement."""
+    alphabet = tuple(alphabet)
+    pairs = [(str(w), c) for w, c in pairs]
+    for w, _ in pairs:
+        if any(ch not in alphabet for ch in w):
+            raise StructureError(f"word {w!r} not over alphabet {alphabet}")
+    return FreeElement(tag, alphabet, _combination(tag, pairs, _shortlex))
 
 
 def free_word(tag, alphabet, word) -> FreeElement:
@@ -483,33 +506,14 @@ def free_mul(x: FreeElement, y: FreeElement) -> FreeElement:
     """Multiplication of the free D-monoid: (weighted) concatenation."""
     if x.tag != y.tag or x.alphabet != y.alphabet:
         raise StructureError("tag/alphabet mismatch")
-    p = vect_prime(x.tag)
-    acc = {}
-    for w1, c1 in x.pairs:
-        for w2, c2 in y.pairs:
-            w = w1 + w2
-            if x.tag == "JSL0":
-                acc[w] = 1
-            elif p is not None:
-                acc[w] = (acc.get(w, 0) + c1 * c2) % p
-            else:
-                acc[w] = 1
-    return make_free(x.tag, x.alphabet, [(w, c) for w, c in acc.items() if c])
+    pairs = [(w1 + w2, c1 * c2) for w1, c1 in x.pairs for w2, c2 in y.pairs]
+    return FreeElement(x.tag, x.alphabet, _combination(x.tag, pairs, _shortlex))
 
 
 def free_combine(tag, alphabet, weighted) -> FreeElement:
     """D-structure combination of free elements: joins / weighted sums."""
-    p = vect_prime(tag)
-    acc = {}
-    for elem, coeff in weighted:
-        for w, c in elem.pairs:
-            if tag == "JSL0":
-                acc[w] = 1
-            elif p is not None:
-                acc[w] = (acc.get(w, 0) + coeff * c) % p
-            else:
-                raise StructureError(f"{tag} has no combination structure")
-    return make_free(tag, alphabet, [(w, c) for w, c in acc.items() if c])
+    pairs = [(w, coeff * c) for elem, coeff in weighted for w, c in elem.pairs]
+    return FreeElement(tag, tuple(alphabet), _combination(tag, pairs, _shortlex))
 
 
 def eval_language(l: RegularLanguage, x: FreeElement) -> int:
@@ -521,16 +525,7 @@ def eval_language(l: RegularLanguage, x: FreeElement) -> int:
     """
     if tuple(x.alphabet) != l.alphabet:
         raise StructureError("alphabet mismatch")
-    p = vect_prime(x.tag)
-    if x.tag in ("SET", "POS", "SET_STAR"):
-        return 1 if x.pairs and l.accepts(x.pairs[0][0]) else 0
-    if x.tag == "JSL0":
-        return 1 if any(l.accepts(w) for w, _ in x.pairs) else 0
-    total = 0
-    for w, c in x.pairs:
-        if l.accepts(w):
-            total = (total + c) % p
-    return total
+    return _value(x.tag, [(l.run(w), c) for w, c in x.pairs], l.finals)
 
 
 # ---------------------------------------------------------------------------
@@ -577,16 +572,8 @@ def apply_free(f: DMonoidMorphismFree, x: FreeElement) -> FreeElement:
     """The unique multiplicative-and-structural extension applied to x."""
     if x.tag != f.tag or tuple(x.alphabet) != f.source_alphabet:
         raise StructureError("element does not match the morphism source")
-    terms = []
-    for w, c in x.pairs:
-        img = free_unit(f.tag, f.target_alphabet)
-        for ch in w:
-            img = free_mul(img, f.image(ch))
-        terms.append((img, c))
-    if f.tag in ("SET", "POS"):
-        return terms[0][0]
-    if f.tag == "SET_STAR":
-        return terms[0][0] if terms else free_zero(f.tag, f.target_alphabet)
+    unit = free_unit(f.tag, f.target_alphabet)
+    terms = [(reduce(free_mul, map(f.image, w), unit), c) for w, c in x.pairs]
     return free_combine(f.tag, f.target_alphabet, terms)
 
 
@@ -605,70 +592,27 @@ def compose_free(f: DMonoidMorphismFree, g: DMonoidMorphismFree) -> DMonoidMorph
 def preimage_language(l: RegularLanguage, f: DMonoidMorphismFree) -> RegularLanguage:
     """{w over the source alphabet : eval_language(l, f*(w)) = 1}.
 
-    Implemented by lifting the automaton of l through f with the transition
-    semantics of the tag (word composition, subset tracking for JSL0,
-    GF(p) vector tracking for VECT, dead-state absorption for SET_STAR).
+    The automaton of l is lifted into the free D-monoid: a state of the
+    lift is a _combination of states of l (a single state for SET and POS,
+    a state or the dead zero for SET_STAR, a subset for JSL0, a GF(p)
+    vector for VECT), sorted by state and starting from state 0 with
+    coefficient 1.  The letter b takes state s to moves[b][s], the runs of
+    s on the words of f(b) with their coefficients; a lift state steps to
+    the combination of its states' moves, the coefficients multiplied.  A
+    lift state is final when its _value over the finals of l is 1.  VECT
+    lifts stop at 4096 states.
     """
     if tuple(f.target_alphabet) != l.alphabet:
         raise StructureError("morphism target does not match language alphabet")
     src = tuple(f.source_alphabet)
-    tag = f.tag
-    p = vect_prime(tag)
+    moves = [[[(l.run(w, s), c) for w, c in f.image(b).pairs] for s in range(l.size)] for b in src]
 
-    def run(state, word):
-        for ch in word:
-            state = l.delta[state][l.letter_index(ch)]
-        return state
+    def step(state, b):
+        return _combination(f.tag, [(t, c * d) for s, c in state for t, d in moves[b][s]], int)
 
-    if tag in ("SET", "POS"):
-        delta = tuple(
-            tuple(run(s, f.image(b).single_word()) for b in src) for s in range(l.size)
-        )
-        return _minimize(src, l.size, delta, set(l.finals), 0)
-
-    if tag == "SET_STAR":
-        dead = l.size  # absorbing reject state for zero images
-        delta = []
-        for s in range(l.size):
-            row = []
-            for b in src:
-                img = f.image(b)
-                row.append(dead if img.is_zero() else run(s, img.single_word()))
-            delta.append(tuple(row))
-        delta.append(tuple(dead for _ in src))
-        return _minimize(src, l.size + 1, delta, set(l.finals), 0)
-
-    if tag == "JSL0":
-
-        def subset_step(cur, b):
-            return frozenset(run(s, w) for s in cur for w, _ in f.image(b).pairs)
-
-        states, delta = explore(frozenset({0}), src, subset_step)
-        finals = {i for i, cur in enumerate(states) if cur & l.finals}
-        return _minimize(src, len(delta), delta, finals, 0)
-
-    # VECT(p): state = coefficient vector over the DFA states
-    mats = {}
-    for b in src:
-        mat = [[0] * l.size for _ in range(l.size)]
-        for w, c in f.image(b).pairs:
-            for s in range(l.size):
-                mat[s][run(s, w)] = (mat[s][run(s, w)] + c) % p
-        mats[b] = mat
-
-    def vector_step(cur, b):
-        mat = mats[b]
-        nxt = [0] * l.size
-        for s, coeff in enumerate(cur):
-            if coeff:
-                for t in range(l.size):
-                    if mat[s][t]:
-                        nxt[t] = (nxt[t] + coeff * mat[s][t]) % p
-        return tuple(nxt)
-
-    start = tuple(1 if s == 0 else 0 for s in range(l.size))
-    states, delta = explore(start, src, vector_step, 4096, "preimage vector states")
-    finals = {i for i, cur in enumerate(states) if sum(cur[s] for s in l.finals) % p == 1}
+    cap = 4096 if vect_prime(f.tag) is not None else None
+    states, delta = explore(((0, 1),), range(len(src)), step, cap, "preimage vector states")
+    finals = {i for i, state in enumerate(states) if _value(f.tag, state, l.finals) == 1}
     return _minimize(src, len(delta), delta, finals, 0)
 
 

@@ -36,6 +36,7 @@ from .automata import (
     run_word,
     shift_initial_co,
     state_output_morphism,
+    word_table,
 )
 from .duality import d_tag
 from .langlib import (
@@ -59,19 +60,11 @@ def alpha_x(a: LAlgebra, x: FreeElement):
     """The endomorphism alpha_x: words compose, payloads combine pointwise."""
     if x.tag != d_tag(a.pair) or tuple(x.alphabet) != a.alphabet:
         raise StructureError("free element does not match the automaton")
-    n = a.states.size
-    word_tables = []
-    for w, c in x.pairs:
-        t = tuple(range(n))
-        for ch in w:
-            step = a.tr(ch)
-            t = tuple(step[v] for v in t)
-        word_tables.append((t, c))
-    table = tuple(
+    word_tables = [(word_table(a, w), c) for w, c in x.pairs]
+    return tuple(
         combine_elements(a.states, [(t[s], c) for t, c in word_tables])
-        for s in range(n)
+        for s in range(a.states.size)
     )
-    return table
 
 
 def algebra_preimage(a: LAlgebra, f: DMonoidMorphismFree) -> LAlgebra:

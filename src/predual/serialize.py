@@ -113,9 +113,15 @@ def free_element_doc(x: FreeElement) -> dict:
 
 
 def free_element_from_doc(doc) -> FreeElement:
-    if not doc["pairs"]:
-        return free_zero(doc["tag"], doc["alphabet"])
-    return make_free(doc["tag"], doc["alphabet"], [(w, c) for w, c in doc["pairs"]])
+    alphabet, pairs = _letters(doc, "alphabet"), doc["pairs"]
+    if not (isinstance(pairs, list) and all(
+        isinstance(p, list) and len(p) == 2 and isinstance(p[0], str) and type(p[1]) is int
+        for p in pairs
+    )):
+        raise DocumentError("'pairs' must be a list of [word, integer] pairs")
+    if not pairs:
+        return free_zero(doc["tag"], alphabet)
+    return make_free(doc["tag"], alphabet, [(w, c) for w, c in pairs])
 
 
 def free_morphism_doc(f: DMonoidMorphismFree) -> dict:
@@ -132,8 +138,8 @@ def free_morphism_from_doc(doc) -> DMonoidMorphismFree:
     images = _object(doc, "images")
     return make_free_morphism(
         doc["tag"],
-        doc["source_alphabet"],
-        doc["target_alphabet"],
+        _letters(doc, "source_alphabet"),
+        _letters(doc, "target_alphabet"),
         {b: free_element_from_doc(_object(images, b)) for b in images},
     )
 
@@ -256,8 +262,9 @@ def to_doc(value) -> dict:
 
 class DocumentError(ValueError):
     """A document that is not a JSON object, lacks a required key, names a
-    state a language does not have, or describes a D-monoid, coalgebra or
-    L-algebra that breaks its laws."""
+    state a language does not have, has an alphabet that is not a list of
+    strings or free-element pairs that are not [word, integer] pairs, or
+    describes a D-monoid, coalgebra or L-algebra that breaks its laws."""
 
 
 def _object(doc, key):
@@ -265,6 +272,14 @@ def _object(doc, key):
     value = doc[key]
     if not isinstance(value, dict):
         raise DocumentError(f"{key!r} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _letters(doc, key):
+    """doc[key], which must be a list of strings."""
+    value = doc[key]
+    if not (isinstance(value, list) and all(isinstance(a, str) for a in value)):
+        raise DocumentError(f"{key!r} must be a list of strings")
     return value
 
 

@@ -11,6 +11,10 @@ closes whole languages under DFA products and derivatives, where predual
 closes bitmasks over the syntactic monoid.  verify_preduality_by_compose
 shares the dualization formulas with predual and evaluates the duality laws
 on AlgMorphism objects with compose, as verify_preduality once did.
+make_free, free_mul, free_combine, eval_language, apply_free and
+preimage_language are the per-tag rules predual had before its one
+D-combination rule, and _posets_upto tests a candidate poset for
+isomorphism against every poset found so far.
 """
 
 import itertools
@@ -23,16 +27,23 @@ from predual.algebra import (
     check_morphism,
     closure,
     compose,
+    explore,
     identity_morphism,
     signature,
     sort_closure,
+    table_isomorphism,
     validate_algebra,
+    vect_prime,
 )
 from predual.automata import Coalgebra
 from predual.duality import _objects_for, dual_morphism, dual_object, eta
 from predual.langlib import (
+    DMonoidMorphismFree,
+    FreeElement,
     LanguageClosure,
     RegularLanguage,
+    _minimize,
+    _shortlex,
     complement,
     empty_language,
     full_language,
@@ -477,3 +488,231 @@ def validate_dmonoid(m: DMonoid) -> list:
             if mult[x][point] != point or mult[point][x] != point:
                 out.append(f"zero absorption fails at {x}")
     return out
+
+
+# ---------------------------------------------------------------------------
+# free D-monoid elements and preimages: predual's per-tag rules as they were
+# written before the one D-combination rule of langlib._combination, copied
+# unchanged except that a word image is read as img.pairs[0][0] (the
+# FreeElement.single_word method is gone)
+
+
+def make_free(tag: str, alphabet, pairs) -> FreeElement:
+    """Canonicalize a list of (word, coeff) pairs into a FreeElement."""
+    alphabet = tuple(alphabet)
+    p = vect_prime(tag)
+    acc = {}
+    for w, c in pairs:
+        w = str(w)
+        if any(ch not in alphabet for ch in w):
+            raise StructureError(f"word {w!r} not over alphabet {alphabet}")
+        if tag in ("SET", "POS", "SET_STAR", "JSL0"):
+            if c != 1:
+                raise StructureError("coefficients must be 1 for this tag")
+            acc[w] = 1
+        elif p is not None:
+            acc[w] = (acc.get(w, 0) + c) % p
+        else:
+            raise StructureError(f"tag {tag} has no free monoid here")
+    items = tuple(sorted(((w, c) for w, c in acc.items() if c), key=lambda x: _shortlex(x[0])))
+    if tag in ("SET", "POS") and len(items) != 1:
+        raise StructureError(f"{tag} elements are single words")
+    if tag == "SET_STAR" and len(items) > 1:
+        raise StructureError("SET_STAR elements are a word or zero")
+    return FreeElement(tag, alphabet, items)
+
+
+def free_word(tag, alphabet, word) -> FreeElement:
+    return make_free(tag, alphabet, [(word, 1)])
+
+
+def free_zero(tag, alphabet) -> FreeElement:
+    if tag in ("SET", "POS"):
+        raise StructureError(f"{tag} has no zero element")
+    return FreeElement(tag, tuple(alphabet), ())
+
+
+def free_unit(tag, alphabet) -> FreeElement:
+    return free_word(tag, alphabet, "")
+
+
+def free_mul(x: FreeElement, y: FreeElement) -> FreeElement:
+    """Multiplication of the free D-monoid: (weighted) concatenation."""
+    if x.tag != y.tag or x.alphabet != y.alphabet:
+        raise StructureError("tag/alphabet mismatch")
+    p = vect_prime(x.tag)
+    acc = {}
+    for w1, c1 in x.pairs:
+        for w2, c2 in y.pairs:
+            w = w1 + w2
+            if x.tag == "JSL0":
+                acc[w] = 1
+            elif p is not None:
+                acc[w] = (acc.get(w, 0) + c1 * c2) % p
+            else:
+                acc[w] = 1
+    return make_free(x.tag, x.alphabet, [(w, c) for w, c in acc.items() if c])
+
+
+def free_combine(tag, alphabet, weighted) -> FreeElement:
+    """D-structure combination of free elements: joins / weighted sums."""
+    p = vect_prime(tag)
+    acc = {}
+    for elem, coeff in weighted:
+        for w, c in elem.pairs:
+            if tag == "JSL0":
+                acc[w] = 1
+            elif p is not None:
+                acc[w] = (acc.get(w, 0) + coeff * c) % p
+            else:
+                raise StructureError(f"{tag} has no combination structure")
+    return make_free(tag, alphabet, [(w, c) for w, c in acc.items() if c])
+
+
+def eval_language(l: RegularLanguage, x: FreeElement) -> int:
+    """The value of the language morphism on a free element.
+
+    SET/POS: membership; JSL0: 1 iff some word lies in the language;
+    VECT(p): the GF(p) sum of coefficients of member words; SET_STAR:
+    zero evaluates to 0, words to membership.
+    """
+    if tuple(x.alphabet) != l.alphabet:
+        raise StructureError("alphabet mismatch")
+    p = vect_prime(x.tag)
+    if x.tag in ("SET", "POS", "SET_STAR"):
+        return 1 if x.pairs and l.accepts(x.pairs[0][0]) else 0
+    if x.tag == "JSL0":
+        return 1 if any(l.accepts(w) for w, _ in x.pairs) else 0
+    total = 0
+    for w, c in x.pairs:
+        if l.accepts(w):
+            total = (total + c) % p
+    return total
+
+
+def apply_free(f: DMonoidMorphismFree, x: FreeElement) -> FreeElement:
+    """The unique multiplicative-and-structural extension applied to x."""
+    if x.tag != f.tag or tuple(x.alphabet) != f.source_alphabet:
+        raise StructureError("element does not match the morphism source")
+    terms = []
+    for w, c in x.pairs:
+        img = free_unit(f.tag, f.target_alphabet)
+        for ch in w:
+            img = free_mul(img, f.image(ch))
+        terms.append((img, c))
+    if f.tag in ("SET", "POS"):
+        return terms[0][0]
+    if f.tag == "SET_STAR":
+        return terms[0][0] if terms else free_zero(f.tag, f.target_alphabet)
+    return free_combine(f.tag, f.target_alphabet, terms)
+
+
+def preimage_language(l: RegularLanguage, f: DMonoidMorphismFree) -> RegularLanguage:
+    """{w over the source alphabet : eval_language(l, f*(w)) = 1}.
+
+    Implemented by lifting the automaton of l through f with the transition
+    semantics of the tag (word composition, subset tracking for JSL0,
+    GF(p) vector tracking for VECT, dead-state absorption for SET_STAR).
+    """
+    if tuple(f.target_alphabet) != l.alphabet:
+        raise StructureError("morphism target does not match language alphabet")
+    src = tuple(f.source_alphabet)
+    tag = f.tag
+    p = vect_prime(tag)
+
+    def run(state, word):
+        for ch in word:
+            state = l.delta[state][l.letter_index(ch)]
+        return state
+
+    if tag in ("SET", "POS"):
+        delta = tuple(
+            tuple(run(s, f.image(b).pairs[0][0]) for b in src) for s in range(l.size)
+        )
+        return _minimize(src, l.size, delta, set(l.finals), 0)
+
+    if tag == "SET_STAR":
+        dead = l.size  # absorbing reject state for zero images
+        delta = []
+        for s in range(l.size):
+            row = []
+            for b in src:
+                img = f.image(b)
+                row.append(dead if img.is_zero() else run(s, img.pairs[0][0]))
+            delta.append(tuple(row))
+        delta.append(tuple(dead for _ in src))
+        return _minimize(src, l.size + 1, delta, set(l.finals), 0)
+
+    if tag == "JSL0":
+
+        def subset_step(cur, b):
+            return frozenset(run(s, w) for s in cur for w, _ in f.image(b).pairs)
+
+        states, delta = explore(frozenset({0}), src, subset_step)
+        finals = {i for i, cur in enumerate(states) if cur & l.finals}
+        return _minimize(src, len(delta), delta, finals, 0)
+
+    # VECT(p): state = coefficient vector over the DFA states
+    mats = {}
+    for b in src:
+        mat = [[0] * l.size for _ in range(l.size)]
+        for w, c in f.image(b).pairs:
+            for s in range(l.size):
+                mat[s][run(s, w)] = (mat[s][run(s, w)] + c) % p
+        mats[b] = mat
+
+    def vector_step(cur, b):
+        mat = mats[b]
+        nxt = [0] * l.size
+        for s, coeff in enumerate(cur):
+            if coeff:
+                for t in range(l.size):
+                    if mat[s][t]:
+                        nxt[t] = (nxt[t] + coeff * mat[s][t]) % p
+        return tuple(nxt)
+
+    start = tuple(1 if s == 0 else 0 for s in range(l.size))
+    states, delta = explore(start, src, vector_step, 4096, "preimage vector states")
+    finals = {i for i, cur in enumerate(states) if sum(cur[s] for s in l.finals) % p == 1}
+    return _minimize(src, len(delta), delta, finals, 0)
+
+
+# ---------------------------------------------------------------------------
+# algebra._posets_upto as it was: the isomorphism test against every poset
+# found so far, without an invariant to narrow the candidates
+
+
+def _posets_upto(n: int):
+    """All posets on {0..n-1} whose order refines the index order, up to iso.
+
+    Every finite poset has a linear extension, so these representatives are
+    exhaustive up to isomorphism.
+    """
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    found = []
+    for mask in range(1 << len(pairs)):
+        rel = [[i == j for j in range(n)] for i in range(n)]
+        for b, (i, j) in enumerate(pairs):
+            if mask >> b & 1:
+                rel[i][j] = True
+        ok = True
+        for i in range(n):
+            for j in range(i + 1, n):
+                if not rel[i][j]:
+                    continue
+                for k in range(j + 1, n):
+                    if rel[j][k] and not rel[i][k]:
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if not ok:
+                break
+        if not ok:
+            continue
+        matrix = tuple(tuple(row) for row in rel)
+        if not any(
+            table_isomorphism(n, [], [], matrix, other) is not None for other in found
+        ):
+            found.append(matrix)
+    return tuple(found)

@@ -1,0 +1,97 @@
+"""Record tests/golden.json: the sha256 digest of (exit code, stdout, stderr)
+of a fixed list of CLI calls.
+
+The calls are every CLI example of the README (the documents they read are
+written into the working directory first), `syntactic --json` and
+`localvariety --json` on test_syntactic.CORPUS under the five language
+tags, and `dualize --check` for every pair of duality.PAIRS at the default
+size.
+tests/test_golden.py replays them and compares digests, so any change to a
+byte of these outputs fails a test.  Re-record only for a change that is
+meant to alter output, from the repository root:
+
+    PYTHONPATH=src python tests/record_golden.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import tempfile
+from pathlib import Path
+
+from predual.cli import main
+from predual.duality import MAIN_PAIRS, PAIRS
+from test_syntactic import CORPUS
+
+GOLDEN = Path(__file__).resolve().with_name("golden.json")
+
+_IMAGE = {"kind": "free-element", "tag": "SET", "alphabet": ["a", "b"], "pairs": [["ab", 1]]}
+DOCUMENTS = {
+    "chain2.alg": {"kind": "algebra", "tag": "JSL0", "size": 2,
+                   "ops": {"join": [[0, 1], [1, 1]], "zero": 0}},
+    "z2.json": {"kind": "dmonoid", "tag": "SET",
+                "carrier": {"kind": "algebra", "tag": "SET", "size": 2, "ops": {}},
+                "mult": [[0, 1], [1, 0]], "unit": 0},
+    "f.json": {"kind": "free-morphism", "tag": "SET", "source_alphabet": ["b"],
+               "target_alphabet": ["a", "b"], "images": {"b": _IMAGE}},
+    "samples.json": ["(aa)*", "(ab)*", "a*"],
+}
+
+README_CALLS = [
+    ["syntactic", "--tag", "BA", "--regex", "(ab)*"],
+    ["syntactic", "--tag", "JSL0", "--regex", "(ab)*", "--json"],
+    ["localvariety", "--tag", "BA", "--regex", "(aa)*", "--json"],
+    ["minimize", "--regex", "(a|b)*abb", "--json"],
+    ["deriv", "--side", "right", "--letter", "b", "--regex", "(ab)*"],
+    ["dualize", "--pair", "JSL0", "--in", "chain2.alg"],
+    ["dualize", "--pair", "BA", "--check", "--max-size", "8"],
+    ["preimage", "--map", "f.json", "--regex", "(ab)*"],
+    ["varlang", "--monoid", "z2.json", "--alphabet", "a", "--pair", "BA"],
+    ["eilenberg-check", "--monoid", "z2.json", "--samples", "samples.json", "--nmax", "2"],
+    ["check-laws", "--laws", "lrev,cpre,proppre", "--pairs", "BA,JSL0"],
+    ["enumerate", "--tag", "JSL0", "--size", "4"],
+]
+
+
+def golden_calls():
+    """The argument lists, file arguments relative to the working directory."""
+    calls = list(README_CALLS)
+    for pair in MAIN_PAIRS:
+        for command in ("syntactic", "localvariety"):
+            calls += [[command, "--tag", pair, "--regex", rx, "--alphabet", alphabet, "--json"]
+                      for rx, alphabet in CORPUS]
+    calls += [["dualize", "--pair", pair, "--check"] for pair in PAIRS]
+    return calls
+
+
+def write_documents(directory):
+    for name, doc in DOCUMENTS.items():
+        (Path(directory) / name).write_text(json.dumps(doc))
+
+
+def digest(argv):
+    """sha256 of the JSON list [exit code, stdout, stderr] of one CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    blob = json.dumps([code, out.getvalue(), err.getvalue()], ensure_ascii=False)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def record():
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as directory:
+        write_documents(directory)
+        os.chdir(directory)
+        try:
+            entries = [{"argv": argv, "sha256": digest(argv)} for argv in golden_calls()]
+        finally:
+            os.chdir(cwd)
+    GOLDEN.write_text(json.dumps(entries, ensure_ascii=False, indent=1) + "\n", encoding="utf-8")
+    return len(entries)
+
+
+if __name__ == "__main__":
+    print(f"recorded {record()} digests in {GOLDEN}")

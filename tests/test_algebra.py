@@ -8,6 +8,7 @@ from predual.algebra import (
     AlgMorphism,
     BoundExceeded,
     StructureError,
+    _posets_upto,
     all_morphisms,
     are_isomorphic,
     check_morphism,
@@ -376,3 +377,8 @@ def test_cached_order_atoms_irreducibles_and_meets_match_brute_force():
     for n in range(1, 6):
         for a in enumerate_algebras("POS", n):
             assert list(a.downsets) == oracle.downsets(a)
+
+
+def test_posets_up_to_isomorphism_keep_the_pairwise_search_order():
+    for n in range(1, 6):
+        assert _posets_upto(n) == oracle._posets_upto(n), n

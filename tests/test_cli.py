@@ -377,6 +377,21 @@ INPUT_FILES = {
     "int-seeds.json": b'{"seeds": {"a": [1]}}',
     "list-seeds.json": b'{"seeds": []}',
     "jsl01-corpus.json": b'{"pairs": ["JSL01"], "seeds": {"a": ["a*"]}}',
+    **{
+        f"{name}.map": json.dumps({
+            "kind": "free-morphism", "tag": "VECT2", "target_alphabet": ["a"],
+            "source_alphabet": source,
+            "images": {"a": {"kind": "free-element", "tag": "VECT2", "alphabet": ["a"],
+                             "pairs": pairs}},
+        }).encode()
+        for name, source, pairs in [
+            ("string-coefficient", ["a"], [["a", "x"]]),
+            ("short-pair", ["a"], [["a"]]),
+            ("int-pairs", ["a"], 5),
+            ("float-coefficient", ["a"], [["a", 1.5]]),
+            ("int-alphabet", 5, [["a", 1]]),
+        ]
+    },
 }
 
 
@@ -410,6 +425,15 @@ INPUT_FILES = {
         ["check-laws", "--corpus", "jsl01-corpus.json"],
         # --seeds and --regex exclude each other
         ["localvariety", "--tag", "BA", "--seeds", "seeds.json", "--regex", "b*"],
+        # free-element pairs are [word, integer] pairs, alphabets lists of strings
+        *(
+            ["preimage", "--map", f"{name}.map", "--regex", "(aa)*", "--alphabet", "a"]
+            for name in ("string-coefficient", "short-pair", "int-pairs",
+                         "float-coefficient", "int-alphabet")
+        ),
+        # check-laws --pairs names language tags
+        ["check-laws", "--pairs", "XX", "--laws", "lrev"],
+        ["check-laws", "--pairs", "JSL01", "--laws", "lrev"],
     ],
 )
 def test_malformed_cli_input_is_a_usage_error(capsys, tmp_path, argv):

@@ -1,10 +1,13 @@
 import itertools
 import random
 
+import oracle
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracle import language_op
 
-from predual.algebra import StructureError, signature
+from predual.algebra import CapExceeded, StructureError, signature, vect_prime
 from predual.langlib import (
     DMonoidMorphismFree,
     RegexSyntaxError,
@@ -13,6 +16,7 @@ from predual.langlib import (
     complement,
     empty_language,
     eval_language,
+    free_combine,
     free_mul,
     free_word,
     free_zero,
@@ -213,6 +217,75 @@ def test_preimage_agrees_with_wordwise_eval():
                     assert pre.accepts(w) == (eval_language(l, apply_free(f, x)) == 1), (
                         tag, rx, w,
                     )
+
+
+D_TAGS = ("SET", "POS", "SET_STAR", "JSL0", "VECT2", "VECT3", "VECT5")
+
+
+def _regexes(alphabet, depth):
+    """Regexes over alphabet of nesting depth at most depth."""
+    if depth == 0:
+        return st.sampled_from(list(alphabet) + ["ε", "∅"])
+    sub = _regexes(alphabet, depth - 1)
+    return st.one_of(
+        sub,
+        st.builds("({}{})".format, sub, sub),
+        st.builds("({}|{})".format, sub, sub),
+        st.builds("({})*".format, sub),
+        st.builds("~({})".format, sub),
+    )
+
+
+@st.composite
+def _free_morphisms(draw):
+    """(tag, target alphabet, pair lists of the images, morphism): one
+    random free D-monoid morphism, with images given as (word, coefficient)
+    lists that make_free has to canonicalize (repeated words, coefficients
+    summing to zero)."""
+    tag = draw(st.sampled_from(D_TAGS))
+    source = draw(st.sampled_from(["b", "bc"]))
+    target = draw(st.sampled_from(["a", "ab"]))
+    p = vect_prime(tag)
+    size = {"SET": (1, 1), "POS": (1, 1), "SET_STAR": (0, 1)}.get(tag, (0, 3))
+    coefficient = st.integers(1, p - 1) if p else st.just(1)
+    pair = st.tuples(st.text(target, max_size=3), coefficient)
+    images = {b: draw(st.lists(pair, min_size=size[0], max_size=size[1])) for b in source}
+    f = make_free_morphism(
+        tag, source, target, {b: make_free(tag, target, ps) for b, ps in images.items()}
+    )
+    return tag, target, images, f
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except CapExceeded as e:
+        return str(e)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_free_morphisms(), st.data())
+def test_free_elements_and_preimages_agree_with_the_per_tag_rules(morphism, data):
+    tag, target, images, f = morphism
+    l = parse_regex(data.draw(_regexes(target, 2)), target)
+    for b, fe in f.images:
+        assert fe == oracle.make_free(tag, target, images[b])
+        assert eval_language(l, fe) == oracle.eval_language(l, fe)
+        for _, ge in f.images:
+            assert free_mul(fe, ge) == oracle.free_mul(fe, ge)
+    if tag not in ("SET", "POS", "SET_STAR"):  # JSL0 joins, VECT(p) weighs
+        weighted = [(fe, k + 2 if vect_prime(tag) else 1) for k, (_, fe) in enumerate(f.images)]
+        assert free_combine(tag, target, weighted) == oracle.free_combine(tag, target, weighted)
+    pre = _outcome(preimage_language, l, f)
+    assert pre == _outcome(oracle.preimage_language, l, f)
+    for w in words_upto(f.source_alphabet, 5):
+        x = free_word(tag, f.source_alphabet, w)
+        fx = apply_free(f, x)
+        assert fx == oracle.apply_free(f, x)
+        value = eval_language(l, fx)
+        assert value == oracle.eval_language(l, fx)
+        if not isinstance(pre, str):
+            assert pre.accepts(w) == (value == 1), (tag, w)
 
 
 def test_apply_free_multiplicativity():
