@@ -20,7 +20,7 @@ and SET and SET_STAR are discretely ordered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 from operator import getitem
 
@@ -98,14 +98,29 @@ def is_ordered_tag(tag: str) -> bool:
     return tag == "POS"
 
 
+class KeepsDerived:
+    """Pickles only the fields: a value kept on the instance stays in its process."""
+
+    def __getstate__(self):
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+def derived(obj, name: str, build, *args, key=None):
+    """build(*args), kept on obj under name, or under key in the dict kept under name."""
+    memo, slot = (vars(obj), name) if key is None else (vars(obj).setdefault(name, {}), key)
+    if slot not in memo:
+        memo[slot] = build(*args)
+    return memo[slot]
+
+
 @dataclass(frozen=True)
-class FinAlgebra:
+class FinAlgebra(KeepsDerived):
     """Finite algebra: tag, carrier {0..size-1}, op tables, optional order.
 
     Derived structure is computed on first use and kept on the instance:
     ``sig_ops`` (the tables with their arities), ``leq`` (the order matrix),
     ``atoms``, ``join_irreducibles``, ``meets``, ``downsets``, the hash, and
-    the dual built by ``duality.dual_object``.
+    from ``duality`` the dual, down-set index, eta and duals of morphisms out of it.
     None of it takes part in equality, hashing, ``repr``, pickling or
     serialized documents, which see only the four fields.
     """
@@ -129,10 +144,6 @@ class FinAlgebra:
 
     def __hash__(self):
         return self._hash
-
-    def __getstate__(self):
-        # a cached hash is only valid in the process that computed it
-        return {name: getattr(self, name) for name in ("tag", "size", "ops", "order")}
 
     @cached_property
     def _hash(self) -> int:

@@ -18,6 +18,7 @@ from .algebra import (
     AlgMorphism,
     CapExceeded,
     FinAlgebra,
+    KeepsDerived,
     StructureError,
     _search_maps,
     all_morphisms,
@@ -25,6 +26,7 @@ from .algebra import (
     check_morphism,
     closure,
     combine_elements,
+    derived,
     downset_masks,
     enumerate_algebras,
     explore,
@@ -81,7 +83,7 @@ def pair_of_d_tag(tag: str) -> str:
 
 
 @dataclass(frozen=True)
-class Coalgebra:
+class Coalgebra(KeepsDerived):
     pair: str
     alphabet: tuple
     states: FinAlgebra
@@ -96,7 +98,7 @@ class Coalgebra:
 
 
 @dataclass(frozen=True)
-class LAlgebra:
+class LAlgebra(KeepsDerived):
     pair: str
     alphabet: tuple
     states: FinAlgebra
@@ -187,7 +189,11 @@ def validate_lalgebra(a: LAlgebra) -> list:
 
 def dual_automaton(q: Coalgebra) -> LAlgebra:
     """(Q, gamma) -> (Q^, gamma^): the output morphism dualizes to the initial
-    state selector."""
+    state selector.  The dual is kept on the instance."""
+    return derived(q, "_dual", _build_dual_automaton, q)
+
+
+def _build_dual_automaton(q: Coalgebra) -> LAlgebra:
     bundle = canonical_constants(q.pair)
     dstates = dual_object(q.pair, q.states)
     trans = {}
@@ -204,7 +210,11 @@ def dual_automaton(q: Coalgebra) -> LAlgebra:
 
 def dual_automaton_inv(a: LAlgebra) -> Coalgebra:
     """(A, alpha) -> its dual coalgebra; the initial-state selector dualizes
-    to the output morphism."""
+    to the output morphism.  The dual is kept on the instance."""
+    return derived(a, "_dual", _build_dual_automaton_inv, a)
+
+
+def _build_dual_automaton_inv(a: LAlgebra) -> Coalgebra:
     cstates = dual_object(a.pair, a.states)
     trans = {}
     for x in a.alphabet:

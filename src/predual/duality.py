@@ -36,6 +36,7 @@ from .algebra import (
     check_morphism,
     closure,
     combine_elements,
+    derived,
     enumerate_algebras,
     free_algebra,
     identity_morphism,
@@ -127,12 +128,10 @@ def downset_index(p: FinAlgebra) -> dict:
 
     The down-sets are taken in ascending order, in a SET_STAR only those that
     avoid the point.  The map is built once and kept on the instance."""
-    derived = vars(p)
-    if "_downset_index" not in derived:
+    def build():
         avoid = 1 << p.op("point") if p.tag == "SET_STAR" else 0
-        kept = [m for m in p.downsets if not m & avoid]
-        derived["_downset_index"] = {m: i for i, m in enumerate(kept)}
-    return derived["_downset_index"]
+        return {m: i for i, m in enumerate(m for m in p.downsets if not m & avoid)}
+    return derived(p, "_downset_index", build)
 
 
 # ---------------------------------------------------------------------------
@@ -148,10 +147,7 @@ def dual_object(pair: str, a: FinAlgebra) -> FinAlgebra:
     side = side_of(pair, a.tag)
     if vect_prime(a.tag) is not None:
         return a  # [Q, GF(p)] with the standard basis is Q itself
-    derived = vars(a)
-    if "_dual" not in derived:
-        derived["_dual"] = _build_dual(pair, side, a)
-    return derived["_dual"]
+    return derived(a, "_dual", _build_dual, pair, side, a)
 
 
 def _build_dual(pair: str, side: str, a: FinAlgebra) -> FinAlgebra:
@@ -243,7 +239,12 @@ def _vect_table_from_matrix(cols, src_dim, tgt_dim, p):
 
 
 def dual_morphism(pair: str, h: AlgMorphism) -> AlgMorphism:
-    """Contravariant dual of a morphism, by the pair's explicit formula."""
+    """Contravariant dual of a morphism, by the pair's formula; kept on its source."""
+    key = pair, h.target, h.table
+    return derived(h.source, "_dual_morphisms", _build_dual_morphism, pair, h, key=key)
+
+
+def _build_dual_morphism(pair: str, h: AlgMorphism) -> AlgMorphism:
     q, r = h.source, h.target
     side = side_of(pair, q.tag)
     dq, dr = dual_object(pair, q), dual_object(pair, r)
@@ -334,8 +335,11 @@ def dual_morphism(pair: str, h: AlgMorphism) -> AlgMorphism:
 
 
 def eta(pair: str, a: FinAlgebra) -> AlgMorphism:
-    """Canonical isomorphism a -> dual(dual(a))."""
-    side = side_of(pair, a.tag)
+    """Canonical isomorphism a -> dual(dual(a)), kept on the instance."""
+    return derived(a, "_eta", _build_eta, pair, side_of(pair, a.tag), a)
+
+
+def _build_eta(pair: str, side: str, a: FinAlgebra) -> AlgMorphism:
     d = dual_object(pair, a)
     dd = dual_object(pair, d)
     p = vect_prime(a.tag)
@@ -497,7 +501,8 @@ def state_output(pair: str, states: FinAlgebra, elem: int) -> tuple:
     """Dual of a state selector: the output table dual(states) -> O_D."""
     bundle = canonical_constants(pair)
     sel = one_c_selector(pair, states, elem)
-    dual_sel = dual_morphism(pair, sel)
+    # not kept on the cached 1_C, which would then keep every states algebra alive
+    dual_sel = _build_dual_morphism(pair, sel)
     return tuple(bundle.relabel_OD[v] for v in dual_sel.table)
 
 
@@ -505,7 +510,8 @@ def out_from_dual_init(pair: str, states_d: FinAlgebra, init: int) -> tuple:
     """gamma_out of the dual coalgebra, from an L-algebra initial state."""
     bundle = canonical_constants(pair)
     sel = init_selector_table(pair, states_d, init)
-    dual_sel = dual_morphism(pair, sel)
+    # not kept on the cached 1_D, as in state_output
+    dual_sel = _build_dual_morphism(pair, sel)
     e = eta(pair, bundle.O_C)
     inv = [0] * bundle.O_C.size
     for x, v in enumerate(e.table):
@@ -544,11 +550,11 @@ def verify_preduality(pair: str, max_size: int, dual_morphism_fn=None) -> dict:
     dict; report["ok"] is False iff some law has a counterexample, recorded
     with a minimal witness.  The morphism laws run on integer tables: homs
     are searched once per ordered pair of objects (both sides share the
-    search), each hom is dualized once and each eta computed once, and
-    composites are tuple lookups.  A dual whose ends do not meet where
-    composition needs them raises StructureError("morphisms not composable").
+    search), each hom is dualized once into them (not kept on its source),
+    each eta computed once, and composites are lookups.  A dual whose ends
+    do not meet raises StructureError("morphisms not composable").
     """
-    dualize = dual_morphism_fn or dual_morphism
+    dualize = dual_morphism_fn or _build_dual_morphism
     report = {
         "pair": pair,
         "ok": True,
@@ -569,13 +575,12 @@ def verify_preduality(pair: str, max_size: int, dual_morphism_fn=None) -> dict:
     report["objects"] = len(c_objs) + len(d_objs)
 
     # double-dual isomorphism + object validity, both sides
-    etas = {}
-    for k, obj in enumerate(c_objs + d_objs):
+    for obj in c_objs + d_objs:
         dual = dual_object(pair, obj)
         if validate_algebra(dual):
             fail("dual-validates", f"dual of {obj.tag} size {obj.size}")
             continue
-        e = etas[k] = eta(pair, obj)
+        e = eta(pair, obj)
         ok, why = check_morphism(e)
         if not ok or len(set(e.table)) != obj.size or e.target.size != obj.size:
             fail("double-dual-iso", f"{obj.tag} size {obj.size}: {why}")
@@ -600,7 +605,6 @@ def verify_preduality(pair: str, max_size: int, dual_morphism_fn=None) -> dict:
         ident_dual = dualize(pair, identity_morphism(q))
         if ident_dual.table != tuple(range(ident_dual.source.size)):
             fail("dual-of-identity", f"{q.tag} size {q.size}")
-    c_etas = [etas.get(i) or eta(pair, q) for i, q in enumerate(c_objs)]
     for (i, q), (j, r) in itertools.product(enumerate(c_objs), repeat=2):
         duals[i, j] = {}
         hs = arrows[i, j] = [(h, dual_of(i, j, h)) for h in homs(q, r)]
@@ -618,7 +622,7 @@ def verify_preduality(pair: str, max_size: int, dual_morphism_fn=None) -> dict:
                 "hom-count",
                 f"|Hom({q.tag}{q.size},{r.tag}{r.size})|={len(hs)} vs dual {dcount}",
             )
-        eta_q, eta_r = c_etas[i], c_etas[j].table
+        eta_q, eta_r = eta(pair, q), eta(pair, r).table
         for h, dh in hs:
             ddh = dualize(pair, dh)
             if ddh.source != eta_q.target:

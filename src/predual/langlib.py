@@ -16,8 +16,10 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .algebra import (
+    KeepsDerived,
     StructureError,
     closure,
+    derived,
     explore,
     signature,
     sort_closure,
@@ -533,7 +535,7 @@ def eval_language(l: RegularLanguage, x: FreeElement) -> int:
 
 
 @dataclass(frozen=True)
-class DMonoidMorphismFree:
+class DMonoidMorphismFree(KeepsDerived):
     """Morphism between free D-monoids, presented by generator images."""
 
     tag: str
@@ -569,7 +571,11 @@ def identity_free_morphism(tag, alphabet) -> DMonoidMorphismFree:
 
 
 def apply_free(f: DMonoidMorphismFree, x: FreeElement) -> FreeElement:
-    """The unique multiplicative-and-structural extension applied to x."""
+    """The unique multiplicative-and-structural extension applied to x, kept on f by x."""
+    return derived(f, "_applied", _build_apply_free, f, x, key=x)
+
+
+def _build_apply_free(f: DMonoidMorphismFree, x: FreeElement) -> FreeElement:
     if x.tag != f.tag or tuple(x.alphabet) != f.source_alphabet:
         raise StructureError("element does not match the morphism source")
     unit = free_unit(f.tag, f.target_alphabet)

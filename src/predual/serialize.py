@@ -120,8 +120,8 @@ def free_element_from_doc(doc) -> FreeElement:
     )):
         raise DocumentError("'pairs' must be a list of [word, integer] pairs")
     if not pairs:
-        return free_zero(doc["tag"], alphabet)
-    return make_free(doc["tag"], alphabet, [(w, c) for w, c in pairs])
+        return _lawful("free-element", free_zero, doc["tag"], alphabet)
+    return _lawful("free-element", make_free, doc["tag"], alphabet, pairs)
 
 
 def free_morphism_doc(f: DMonoidMorphismFree) -> dict:
@@ -135,13 +135,10 @@ def free_morphism_doc(f: DMonoidMorphismFree) -> dict:
 
 
 def free_morphism_from_doc(doc) -> DMonoidMorphismFree:
-    images = _object(doc, "images")
-    return make_free_morphism(
-        doc["tag"],
-        _letters(doc, "source_alphabet"),
-        _letters(doc, "target_alphabet"),
-        {b: free_element_from_doc(_object(images, b)) for b in images},
-    )
+    images, tag = _object(doc, "images"), doc["tag"]
+    alphabets = _letters(doc, "source_alphabet"), _letters(doc, "target_alphabet")
+    images = {b: free_element_from_doc(_object(images, b)) for b in images}
+    return _lawful("free-morphism", make_free_morphism, tag, *alphabets, images)
 
 
 def coalgebra_doc(q: Coalgebra) -> dict:
@@ -158,7 +155,8 @@ def coalgebra_doc(q: Coalgebra) -> dict:
 def coalgebra_from_doc(doc) -> Coalgebra:
     states = algebra_from_doc(_object(doc, "states"))
     trans = {a: tuple(t) for a, t in _object(doc, "trans").items()}
-    return _lawful(doc, make_coalgebra, states, trans, doc["out"])
+    args = doc["pair"], doc["alphabet"], states, trans, doc["out"]
+    return _lawful("coalgebra", make_coalgebra, *args)
 
 
 def lalgebra_doc(a: LAlgebra) -> dict:
@@ -175,17 +173,17 @@ def lalgebra_doc(a: LAlgebra) -> dict:
 def lalgebra_from_doc(doc) -> LAlgebra:
     states = algebra_from_doc(_object(doc, "states"))
     trans = {a: tuple(t) for a, t in _object(doc, "trans").items()}
-    return _lawful(doc, make_lalgebra, states, trans, doc["init"])
+    args = doc["pair"], doc["alphabet"], states, trans, doc["init"]
+    return _lawful("lalgebra", make_lalgebra, *args)
 
 
-def _lawful(doc, make, states, trans, last):
-    """make(pair, alphabet, states, trans, last), whose validation failures
-    (a wrong states tag, a table entry that names no element, a transition
-    or output that is no morphism) are document errors."""
+def _lawful(kind, make, *args):
+    """make(*args), whose validation failures (a wrong tag, a table entry naming no element,
+    a map that is no morphism, a word off the alphabet, a bad coefficient) are document errors."""
     try:
-        return make(doc["pair"], doc["alphabet"], states, trans, last)
+        return make(*args)
     except StructureError as e:
-        raise DocumentError(f"{doc['kind']} document breaks its laws: {e}") from None
+        raise DocumentError(f"{kind} document breaks its laws: {e}") from None
 
 
 def dmonoid_doc(m: DMonoid) -> dict:

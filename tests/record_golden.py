@@ -4,8 +4,9 @@ of a fixed list of CLI calls.
 The calls are every CLI example of the README (the documents they read are
 written into the working directory first), `syntactic --json` and
 `localvariety --json` on test_syntactic.CORPUS under the five language
-tags, and `dualize --check` for every pair of duality.PAIRS at the default
-size.
+tags, `dualize --check` for every pair of duality.PAIRS at the default
+size, and the full law battery, `check-laws --corpus`, for JSL0, DL01 and
+VECT2 over criterion 2's seed languages.
 tests/test_golden.py replays them and compares digests, so any change to a
 byte of these outputs fails a test.  Re-record only for a change that is
 meant to alter output, from the repository root:
@@ -38,6 +39,10 @@ DOCUMENTS = {
                "target_alphabet": ["a", "b"], "images": {"b": _IMAGE}},
     "samples.json": ["(aa)*", "(ab)*", "a*"],
 }
+LAW_PAIRS = ("JSL0", "DL01", "VECT2")
+LAW_SEEDS = {"a": ["(aa)*", "a*", "a"], "ab": ["(a|b)*a"]}
+DOCUMENTS.update({f"corpus-{pair}.json": {"pairs": [pair], "seeds": LAW_SEEDS}
+                  for pair in LAW_PAIRS})
 
 README_CALLS = [
     ["syntactic", "--tag", "BA", "--regex", "(ab)*"],
@@ -63,6 +68,7 @@ def golden_calls():
             calls += [[command, "--tag", pair, "--regex", rx, "--alphabet", alphabet, "--json"]
                       for rx, alphabet in CORPUS]
     calls += [["dualize", "--pair", pair, "--check"] for pair in PAIRS]
+    calls += [["check-laws", "--corpus", f"corpus-{pair}.json"] for pair in LAW_PAIRS]
     return calls
 
 

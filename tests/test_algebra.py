@@ -27,7 +27,7 @@ from predual.algebra import (
     signature,
     validate_algebra,
 )
-from predual.duality import dual_object
+from predual.duality import dual_morphism, dual_object, eta
 from predual.serialize import dumps
 
 
@@ -348,13 +348,17 @@ def test_cached_structure_stays_out_of_equality_hash_and_documents(pair, a):
     if pair != "BR" and a.tag != "POS":
         a.meets, a.join_irreducibles
     dual_object(pair, a)
+    assert eta(pair, a) is eta(pair, a)
+    identity = identity_morphism(a)
+    assert dual_morphism(pair, identity) is dual_morphism(pair, identity_morphism(a))
+    assert {"_dual", "_eta", "_dual_morphisms"} <= set(vars(a))
     assert a == fresh and fresh == a
     assert hash(a) == hash(fresh)
     assert dumps(a) == doc == dumps(fresh)
     assert repr(a) == text == repr(fresh)
     restored = pickle.loads(pickle.dumps(a))
     assert set(vars(restored)) == {"tag", "size", "ops", "order"}
-    assert restored == a and hash(restored) == hash(a)
+    assert restored == a and hash(restored) == hash(a) and repr(restored) == text
 
 
 def _orderly_algebras():

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import pytest
 
@@ -45,6 +46,7 @@ from predual.monoids import (
     are_dmonoids_isomorphic,
     validate_dmonoid,
 )
+from predual.serialize import dumps, loads
 
 from oracle import transition_monoid
 
@@ -455,3 +457,20 @@ def test_eval_free_jsl0():
     joined = eval_free(a, x)
     j = a.states.op("join")
     assert joined == j[run_word(a, "a")][run_word(a, "aa")]
+
+
+@pytest.mark.parametrize("pair", ["BA", "DL01", "JSL0", "VECT2", "BR"])
+def test_cached_dual_automaton_stays_out_of_equality_hash_and_documents(pair):
+    q = generated_local_variety(pair, [parse_regex("(a|b)*a")])
+    fresh = loads(dumps(q))
+    doc, text = dumps(q), repr(q)
+    a = dual_automaton(q)
+    assert dual_automaton(q) is a and dual_automaton_inv(a) is dual_automaton_inv(a)
+    assert "_dual" in vars(q) and "_dual" in vars(a)
+    assert q == fresh and fresh == q and hash(q) == hash(fresh)
+    assert dumps(q) == doc == dumps(fresh) and repr(q) == text
+    for m, fields in ((q, {"pair", "alphabet", "states", "trans", "out"}),
+                      (a, {"pair", "alphabet", "states", "trans", "init"})):
+        restored = pickle.loads(pickle.dumps(m))
+        assert set(vars(restored)) == fields
+        assert restored == m and hash(restored) == hash(m) and repr(restored) == repr(m)

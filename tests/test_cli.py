@@ -392,6 +392,20 @@ INPUT_FILES = {
             ("int-alphabet", 5, [["a", 1]]),
         ]
     },
+    **{
+        f"{name}.map": json.dumps({
+            "kind": "free-morphism", "tag": tag, "target_alphabet": ["a"],
+            "source_alphabet": ["a"],
+            "images": {"a": {"kind": "free-element", "tag": image_tag, "alphabet": ["a"],
+                             "pairs": pairs}},
+        }).encode()
+        for name, tag, image_tag, pairs in [
+            ("off-alphabet", "VECT2", "VECT2", [["b", 1]]),
+            ("unknown-tag", "XX", "XX", [["a", 1]]),
+            ("wrong-image-tag", "VECT2", "JSL0", [["a", 1]]),
+            ("set-coefficient", "SET", "SET", [["a", 2]]),
+        ]
+    },
 }
 
 
@@ -434,6 +448,11 @@ INPUT_FILES = {
         # check-laws --pairs names language tags
         ["check-laws", "--pairs", "XX", "--laws", "lrev"],
         ["check-laws", "--pairs", "JSL01", "--laws", "lrev"],
+        # a well-formed free-morphism document that breaks the free monoid's laws
+        *(
+            ["preimage", "--map", f"{name}.map", "--regex", "(aa)*", "--alphabet", "a"]
+            for name in ("off-alphabet", "unknown-tag", "wrong-image-tag", "set-coefficient")
+        ),
     ],
 )
 def test_malformed_cli_input_is_a_usage_error(capsys, tmp_path, argv):

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 
 import oracle
@@ -39,6 +40,7 @@ from predual.langlib import (
     symmetric_difference,
     union,
 )
+from predual.serialize import dumps
 
 
 def words_upto(alphabet, n):
@@ -444,3 +446,19 @@ def test_zero_series_preimage_is_zero():
     f = make_free_morphism("VECT2", "b", "a", {"b": free_word("VECT2", "a", "aa")})
     pre = series_preimage(s, f)
     assert all(pre.value("b" * n) == 0 for n in range(6))
+
+
+def test_cached_free_images_stay_out_of_equality_hash_and_documents():
+    images = {"b": make_free("VECT2", "ab", [("a", 1), ("ab", 1)]),
+              "c": free_word("VECT2", "ab", "b")}
+    f = make_free_morphism("VECT2", "bc", "ab", images)
+    fresh = make_free_morphism("VECT2", "bc", "ab", dict(images))
+    doc, text = dumps(f), repr(f)
+    x = make_free("VECT2", "bc", [("bc", 1), ("c", 1)])
+    assert apply_free(f, x) is apply_free(f, make_free("VECT2", "bc", [("c", 1), ("bc", 1)]))
+    assert "_applied" in vars(f)
+    assert f == fresh and hash(f) == hash(fresh)
+    assert dumps(f) == doc == dumps(fresh) and repr(f) == text
+    restored = pickle.loads(pickle.dumps(f))
+    assert set(vars(restored)) == {"tag", "source_alphabet", "target_alphabet", "images"}
+    assert restored == f and hash(restored) == hash(f)

@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+from predual import automata, duality
 from predual.algebra import make_algebra
 from predual.automata import (
     dual_automaton,
@@ -23,7 +26,9 @@ from predual.preimage import (
     check_tpre_family,
     coalgebra_preimage,
     default_corpus,
+    default_morphisms,
 )
+from predual.duality import d_tag
 
 
 def two_cycle_set_lalgebra():
@@ -155,3 +160,44 @@ def test_check_preimage_laws_smoke():
     for law, entry in report.items():
         assert entry["status"] == "holds", (law, entry["witness"])
         assert entry["checked"] > 0, law
+
+
+LAW_SEEDS = {"a": ["(aa)*", "a*", "a"], "ab": ["(a|b)*a"]}
+
+
+@pytest.mark.parametrize("pair", ["JSL0", "DL01", "VECT2"])
+def test_law_battery_dualizes_each_morphism_and_automaton_once(monkeypatch, pair):
+    """The battery dualizes each morphism once per source algebra instance,
+    target and table, and each coalgebra instance once, however often it
+    asks (the parent built 3,928 dual morphisms on the three corpora).
+    Selectors out of the pair's cached 1_C and 1_D are left out: their duals
+    are built each time, so that the constants keep no states algebra alive."""
+    sources, morphisms, coalgebras = [], Counter(), []
+    build_morphism = duality._build_dual_morphism
+    build_automaton = automata._build_dual_automaton
+    bundle = duality.canonical_constants(pair)
+
+    def count_morphism(pair, h):
+        if h.source is not bundle.one_C and h.source is not bundle.one_D:
+            sources.append(h.source)  # kept alive, so no two share an id
+            morphisms[id(h.source), h.target, h.table] += 1
+        return build_morphism(pair, h)
+
+    def count_automaton(q):
+        coalgebras.append(q)
+        return build_automaton(q)
+
+    monkeypatch.setattr(duality, "_build_dual_morphism", count_morphism)
+    monkeypatch.setattr(automata, "_build_dual_automaton", count_automaton)
+    corpus = {pair: {
+        "varieties": [(rx, generated_local_variety(pair, [parse_regex(rx, alphabet)]))
+                      for alphabet, rxs in LAW_SEEDS.items() for rx in rxs],
+        "morphisms": default_morphisms(d_tag(pair)),
+    }}
+    report = check_preimage_laws(corpus)
+    assert all(entry["status"] == "holds" for entry in report.values())
+    assert morphisms and set(morphisms.values()) == {1}
+    for constant in (bundle.one_C, bundle.one_D):
+        kept = vars(constant).get("_dual_morphisms", {})
+        assert {target for _, target, _ in kept} <= {bundle.O_C}
+    assert coalgebras and len({id(q) for q in coalgebras}) == len(coalgebras)
