@@ -120,7 +120,8 @@ class FinAlgebra(KeepsDerived):
     Derived structure is computed on first use and kept on the instance:
     ``sig_ops`` (the tables with their arities), ``leq`` (the order matrix),
     ``atoms``, ``join_irreducibles``, ``meets``, ``downsets``, the hash, and
-    from ``duality`` the dual, down-set index, eta and duals of morphisms out of it.
+    from ``duality`` the dual, down-set index, eta, duals of morphisms out of
+    it and the output tables of the duals of its element selectors.
     None of it takes part in equality, hashing, ``repr``, pickling or
     serialized documents, which see only the four fields.
     """
@@ -779,35 +780,6 @@ def factorize(f: AlgMorphism) -> FactorizationPair:
     index = {e: i for i, e in enumerate(image)}
     epi = AlgMorphism(f.source, img_alg, tuple(index[v] for v in f.table))
     return FactorizationPair(epi, mono)
-
-
-def pushforward_order(order, class_of, n_classes):
-    """Quotient order: transitive closure of the pushed-forward relation.
-
-    Returns the matrix, or None when the closure is not antisymmetric
-    (an invalid ordered quotient).
-    """
-    n = len(order)
-    q = [[i == j for j in range(n_classes)] for i in range(n_classes)]
-    for x in range(n):
-        for y in range(n):
-            if order[x][y]:
-                q[class_of[x]][class_of[y]] = True
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n_classes):
-            for j in range(n_classes):
-                if q[i][j]:
-                    for k in range(n_classes):
-                        if q[j][k] and not q[i][k]:
-                            q[i][k] = True
-                            changed = True
-    for i in range(n_classes):
-        for j in range(n_classes):
-            if i != j and q[i][j] and q[j][i]:
-                return None
-    return tuple(tuple(row) for row in q)
 
 
 # ---------------------------------------------------------------------------

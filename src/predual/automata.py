@@ -36,7 +36,6 @@ from .algebra import (
     product,
     relabel_algebra,
     shortlex_words,
-    signature,
     standardize_vect,
     validate_algebra,
     vect_prime,
@@ -47,7 +46,6 @@ from .duality import (
     c_tag,
     canonical_constants,
     d_tag,
-    downset_index,
     dual_morphism,
     dual_object,
     eta,
@@ -57,13 +55,13 @@ from .duality import (
 from .langlib import (
     FreeElement,
     RegularLanguage,
+    _canonical,
+    _nerode,
     closure_under_ops_and_derivs,
     free_word,
     free_zero,
-    from_components,
     make_free,
     rev_free,
-    right_deriv,
     syntactic_masks,
 )
 from .monoids import (
@@ -279,22 +277,49 @@ def eval_free(a: LAlgebra, x: FreeElement) -> int:
     )
 
 
+def _refined(m, out):
+    """(delta, finals, block) for the coalgebra or L-algebra m under the
+    output table out: delta[s] the states s reaches on each letter, finals
+    the states out sends to 1, block the Nerode partition of all states."""
+    tables, states = [m.tr(a) for a in m.alphabet], range(m.states.size)
+    delta = derived(m, "_delta", lambda: tuple(tuple(t[s] for t in tables) for s in states))
+    finals = {s for s, v in enumerate(out) if v == 1}
+    return delta, finals, _nerode(delta, finals, states)
+
+
+def _partition(q: Coalgebra):
+    """_refined(q, q.out), kept on q."""
+    return derived(q, "_nerode", _refined, q, q.out)
+
+
 def language_of_state(q: Coalgebra, state: int) -> RegularLanguage:
-    """Minimal automaton of {w : out(gamma_w(state)) = 1} (structure forgotten)."""
-    delta = [
-        tuple(q.tr(a)[s] for a in q.alphabet) for s in range(q.states.size)
-    ]
-    finals = {s for s in range(q.states.size) if q.out[s] == 1}
-    return from_components(q.alphabet, delta, finals, state)
+    """Minimal automaton of {w : out(gamma_w(state)) = 1} (structure forgotten).
+
+    q's states are refined once, by their output, and each state's language
+    is numbered off that partition once; both are kept on q.
+    """
+    return derived(q, "_languages", _language_of_state, q, state, key=state)
+
+
+def _language_of_state(q: Coalgebra, state: int) -> RegularLanguage:
+    delta, finals, block = _partition(q)
+    return _canonical(q.alphabet, delta, block, finals, state)
+
+
+def languages_of(q: Coalgebra) -> list:
+    """The language of each state of q, in state order."""
+    return [language_of_state(q, s) for s in range(q.states.size)]
 
 
 def language_of_output(a: LAlgebra, out) -> RegularLanguage:
-    """Minimal automaton of {w : out(alpha_w(init)) = 1}."""
-    delta = [
-        tuple(a.tr(x)[s] for x in a.alphabet) for s in range(a.states.size)
-    ]
-    finals = {s for s in range(a.states.size) if out[s] == 1}
-    return from_components(a.alphabet, delta, finals, a.init)
+    """Minimal automaton of {w : out(alpha_w(init)) = 1}, from one Nerode
+    partition of a's states under out; kept on a by out."""
+    return derived(a, "_languages", _language_of_output, a, out, key=out)
+
+
+def _language_of_output(a: LAlgebra, out) -> RegularLanguage:
+    delta, finals, block = _refined(a, out)
+    return _canonical(a.alphabet, delta, block, finals, a.init)
 
 
 def state_output_morphism(q: Coalgebra, state: int) -> tuple:
@@ -328,37 +353,26 @@ def shift_initial_co(q: Coalgebra, x: FreeElement) -> Coalgebra:
 # coalgebra homomorphisms (bounded search)
 
 
-def _automaton_hom(src, dst, fixed=None, allowed=None):
-    """The first table found that is a morphism of the state algebras and
-    commutes with every letter, or None (exhaustive).  Transitions act as
-    unary operations, so the generic forced-propagation search applies;
-    fixed and allowed constrain it as in _search_maps."""
+def find_coalgebra_hom(src: Coalgebra, dst: Coalgebra):
+    """A T_Sigma-coalgebra homomorphism src -> dst, or None (exhaustive).
+
+    The table must be a C-algebra morphism, commute with every letter, and
+    satisfy dst.out o h = src.out.  Transitions act as unary operations, so
+    the generic forced-propagation search of _search_maps applies.
+    """
     if src.pair != dst.pair or src.alphabet != dst.alphabet:
         raise StructureError("mismatched automata")
     src_ops = [*src.states.sig_ops, *((1, src.tr(a)) for a in src.alphabet)]
     dst_ops = [*dst.states.sig_ops, *((1, dst.tr(a)) for a in src.alphabet)]
     for table in _search_maps(
         src_ops, dst_ops, src.states.size, dst.states.size,
-        src.states.order, dst.states.order, False, fixed, allowed,
+        src.states.order, dst.states.order, False, None,
+        lambda x, v: dst.out[v] == src.out[x],
     ):
         ok, _ = check_morphism(AlgMorphism(src.states, dst.states, table))
         if ok:
             return table
     return None
-
-
-def find_coalgebra_hom(src: Coalgebra, dst: Coalgebra):
-    """A T_Sigma-coalgebra homomorphism src -> dst, or None (exhaustive).
-
-    The table must be a C-algebra morphism, commute with every letter, and
-    satisfy dst.out o h = src.out.
-    """
-    return _automaton_hom(src, dst, allowed=lambda x, v: dst.out[v] == src.out[x])
-
-
-def find_lalgebra_hom(src: LAlgebra, dst: LAlgebra):
-    """An L_Sigma-algebra homomorphism src -> dst, or None (exhaustive)."""
-    return _automaton_hom(src, dst, fixed={src.init: dst.init})
 
 
 # ---------------------------------------------------------------------------
@@ -368,15 +382,15 @@ def find_lalgebra_hom(src: LAlgebra, dst: LAlgebra):
 HOM_SEARCH_BOUND = 8
 
 
-def _rho_languages(q: Coalgebra):
-    """(the languages of q's states, whether q is a subcoalgebra of rho).
+def _rho_languages(q: Coalgebra) -> bool:
+    """Whether q's states accept the languages of a subcoalgebra of rho.
 
     Computes both criteria and checks that they agree: (i) all states accept
-    pairwise distinct languages; (ii) the dual L-algebra is reachable
+    pairwise distinct languages, read off q's kept Nerode partition, whose
+    classes must all be singletons; (ii) the dual L-algebra is reachable
     (word images generate the carrier under the D-operations).
     """
-    langs = languages_of(q)
-    crit_langs = len(set(langs)) == q.states.size
+    crit_langs = len(set(_partition(q)[2].values())) == q.states.size
 
     a = dual_automaton(q)
     seen, _ = explore(a.init, a.alphabet, lambda s, letter: a.tr(letter)[s])
@@ -384,47 +398,44 @@ def _rho_languages(q: Coalgebra):
     crit_reach = closure.source.size == a.states.size
 
     check_invariant(crit_langs == crit_reach, "rho-subcoalgebra criteria disagree")
-    return langs, crit_langs
+    return crit_langs
 
 
 def is_subcoalgebra_of_rho(q: Coalgebra) -> bool:
     """True iff q embeds in the coalgebra of all regular languages (both
     criteria of _rho_languages, checked against each other)."""
-    return _rho_languages(q)[1]
+    return _rho_languages(q)
 
 
 def is_local_variety(q: Coalgebra) -> bool:
     """True iff q (a subcoalgebra of rho) is closed under right derivatives.
 
     Criterion (i): every right derivative of a state language is again a state
-    language.  Criterion (ii), checked for carriers up to HOM_SEARCH_BOUND:
-    a coalgebra homomorphism (Q)_a -> Q exists for every letter.  Both are
-    computed and must agree.
+    language.  The state s of right_derivative_view(q, a) accepts the right
+    derivative by a of s's language, so (i) holds iff, in one Nerode
+    partition of q beside each view, every class that holds a state of the
+    view holds a state of q.  Criterion (ii), checked for carriers up to
+    HOM_SEARCH_BOUND: a coalgebra homomorphism (Q)_a -> Q exists for every
+    letter.  Both are computed and must agree.
     """
-    langs, in_rho = _rho_languages(q)
-    if not in_rho:
+    if not _rho_languages(q):
         raise StructureError("is_local_variety requires a subcoalgebra of rho")
-    langs = set(langs)
-    crit_langs = all(
-        right_deriv(l, a) in langs for l in langs for a in q.alphabet
-    )
-    if q.states.size <= HOM_SEARCH_BOUND:
-        crit_hom = all(
-            find_coalgebra_hom(right_derivative_view(q, a), q) is not None
-            for a in q.alphabet
-        )
+    views = [right_derivative_view(q, a) for a in q.alphabet]
+    n = q.states.size
+    delta, finals, _ = _partition(q)
+    # q beside a view: the view's state s is state n + s
+    beside = delta + tuple(tuple(n + t for t in row) for row in delta)
+
+    def derivatives_kept(view):
+        view_finals = {n + s for s, v in enumerate(view.out) if v == 1}
+        block = _nerode(beside, finals | view_finals, range(2 * n))
+        return {block[n + s] for s in range(n)} <= {block[s] for s in range(n)}
+
+    crit_langs = all(map(derivatives_kept, views))
+    if n <= HOM_SEARCH_BOUND:
+        crit_hom = all(find_coalgebra_hom(view, q) is not None for view in views)
         check_invariant(crit_langs == crit_hom, "local-variety criteria disagree")
     return crit_langs
-
-
-def local_variety_witness(q: Coalgebra):
-    """First (state language, letter) whose right derivative is missing."""
-    langs = {language_of_state(q, s) for s in range(q.states.size)}
-    for l in sorted(langs, key=RegularLanguage.sort_key):
-        for a in q.alphabet:
-            if right_deriv(l, a) not in langs:
-                return l, a
-    return None
 
 
 def generated_local_variety(pair: str, seeds, cap: int = 4096) -> Coalgebra:
@@ -461,56 +472,6 @@ def generated_local_variety(pair: str, seeds, cap: int = 4096) -> Coalgebra:
     return Coalgebra(
         pair, alphabet, states, tuple(sorted((a, t) for a, t in trans.items())), out
     )
-
-
-def languages_of(q: Coalgebra):
-    return [language_of_state(q, s) for s in range(q.states.size)]
-
-
-def language_quotient(q: Coalgebra):
-    """Factorize the semantic map of a coalgebra through its language classes.
-
-    States accepting equal languages are merged; returns (epi table, quotient
-    coalgebra).  Nothing is normalized silently -- callers decide whether to
-    use the quotient when a coalgebra fails the distinct-languages criterion.
-    """
-    langs = languages_of(q)
-    classes = []
-    epi = []
-    for l in langs:
-        if l not in classes:
-            classes.append(l)
-        epi.append(classes.index(l))
-    n = len(classes)
-    rep = [epi.index(i) for i in range(n)]
-    sig = signature(q.states.tag)
-    ops = {}
-    for name, arity in sig.items():
-        t = q.states.op(name)
-        if arity == 0:
-            ops[name] = epi[t]
-        elif arity == 1:
-            ops[name] = tuple(epi[t[rep[i]]] for i in range(n))
-        else:
-            ops[name] = tuple(
-                tuple(epi[t[rep[i]][rep[j]]] for j in range(n)) for i in range(n)
-            )
-    states = FinAlgebra(q.states.tag, n, tuple(sorted(ops.items())), None)
-    errors = validate_algebra(states)
-    if errors:
-        raise StructureError(f"language quotient is not a valid algebra: {errors[0]}")
-    trans = {a: tuple(epi[q.tr(a)[rep[i]]] for i in range(n)) for a in q.alphabet}
-    out = tuple(q.out[rep[i]] for i in range(n))
-    quotient = Coalgebra(
-        q.pair, q.alphabet, states,
-        tuple(sorted((a, t) for a, t in trans.items())), out,
-    )
-    return tuple(epi), quotient
-
-
-def output_value(a: LAlgebra, out, x) -> int:
-    """The D-morphism view of an output: (out . e_A)(x) on a free element."""
-    return out[eval_free(a, x)]
 
 
 # ---------------------------------------------------------------------------
@@ -553,9 +514,8 @@ def syntactic_lalgebra(pair: str, seeds) -> LAlgebra:
 
 
 def _birkhoff_syntactic(pair, seeds, cap):
-    """(a, elements, language): syntactic_lalgebra's a, elements[x] the monoid
-    element of carrier element x (None for the basepoint), and language(S)
-    the language of the words whose class lies in the bitmask S of elements."""
+    """(a, elements): syntactic_lalgebra's a and elements[x] the monoid
+    element of carrier element x (None for the basepoint)."""
     seeds = list(seeds)
     left, derivatives, masks, language = syntactic_masks(seeds, cap, "syntactic monoid")
     alphabet = seeds[0].alphabet
@@ -588,7 +548,7 @@ def _birkhoff_syntactic(pair, seeds, cap):
         for i, a in enumerate(alphabet)
     }
     a = LAlgebra(pair, alphabet, carrier, tuple(sorted(trans.items())), label.get(0, 0))
-    return a, elements, language
+    return a, elements
 
 
 def _dual_variety(pair, seeds, cap):
@@ -596,21 +556,19 @@ def _dual_variety(pair, seeds, cap):
     syntactic L-algebra, its states relabelled into language order.
 
     The state of a down-set S of the carrier accepts the words whose class
-    lies in S; these languages must be pairwise distinct, the first criterion
-    of is_subcoalgebra_of_rho.
+    lies in S; these languages, read off the coalgebra's kept Nerode
+    partition, must be pairwise distinct, the first criterion of
+    is_subcoalgebra_of_rho.
     """
-    a, elements, language = _birkhoff_syntactic(pair, seeds, cap)
+    a, elements = _birkhoff_syntactic(pair, seeds, cap)
     base = int(elements[0] is None)
     points_leq = [row[base:] for row in a.states.leq[base:]]
     if len(downset_masks(points_leq, cap)) > cap:
         raise CapExceeded(f"local variety exceeded cap {cap}")
     q = dual_automaton_inv(a)
-    langs = [
-        language(sum(1 << m for x, m in enumerate(elements) if mask >> x & 1))
-        for mask in downset_index(a.states)
-    ]
-    if len(set(langs)) < len(langs):
+    if len(set(_partition(q)[2].values())) < q.states.size:
         raise StructureError("two states of the dual coalgebra accept one language")
+    langs = languages_of(q)
     order = sorted(range(len(langs)), key=lambda s: langs[s].sort_key())
     perm = [0] * len(order)
     for new, old in enumerate(order):

@@ -498,7 +498,12 @@ def init_selector_table(pair: str, states: FinAlgebra, init: int) -> AlgMorphism
 
 
 def state_output(pair: str, states: FinAlgebra, elem: int) -> tuple:
-    """Dual of a state selector: the output table dual(states) -> O_D."""
+    """Dual of a state selector: the output table dual(states) -> O_D, kept
+    on states by (pair, elem)."""
+    return derived(states, "_state_outputs", _state_output, pair, states, elem, key=(pair, elem))
+
+
+def _state_output(pair: str, states: FinAlgebra, elem: int) -> tuple:
     bundle = canonical_constants(pair)
     sel = one_c_selector(pair, states, elem)
     # not kept on the cached 1_C, which would then keep every states algebra alive
@@ -507,7 +512,14 @@ def state_output(pair: str, states: FinAlgebra, elem: int) -> tuple:
 
 
 def out_from_dual_init(pair: str, states_d: FinAlgebra, init: int) -> tuple:
-    """gamma_out of the dual coalgebra, from an L-algebra initial state."""
+    """gamma_out of the dual coalgebra, from an L-algebra initial state; kept
+    on states_d by (pair, init)."""
+    return derived(
+        states_d, "_init_outputs", _out_from_dual_init, pair, states_d, init, key=(pair, init)
+    )
+
+
+def _out_from_dual_init(pair: str, states_d: FinAlgebra, init: int) -> tuple:
     bundle = canonical_constants(pair)
     sel = init_selector_table(pair, states_d, init)
     # not kept on the cached 1_D, as in state_output

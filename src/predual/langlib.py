@@ -262,55 +262,54 @@ class RegularLanguage:
                 tuple(sorted(self.finals)))
 
 
+def _nerode(delta, finals, states):
+    """Moore partition refinement of states, which delta must keep among
+    themselves: block[s] == block[t] iff s and t accept the same language
+    (the Nerode classes).  Classes only split, so a stable class count is
+    the fixed point."""
+    block = {s: int(s in finals) for s in states}
+    count = len(set(block.values()))
+    while True:
+        classes = {}
+        refined = {
+            s: classes.setdefault((block[s], *map(block.__getitem__, delta[s])), len(classes))
+            for s in states
+        }
+        if len(classes) == count:
+            return refined
+        block, count = refined, len(classes)
+
+
+def _canonical(alphabet, delta, block, finals, start) -> RegularLanguage:
+    """The canonical minimal DFA of start's language: the classes of the
+    Nerode partition block that start reaches, numbered breadth-first with
+    letters in order, each stepped through the first state that met it."""
+    index = {block[start]: 0}
+    order = [start]
+    rows = []
+    for s in order:
+        row = []
+        for t in delta[s]:
+            c = block[t]
+            if c not in index:
+                index[c] = len(order)
+                order.append(t)
+            row.append(index[c])
+        rows.append(tuple(row))
+    new_finals = frozenset(i for i, s in enumerate(order) if s in finals)
+    return RegularLanguage(tuple(alphabet), len(order), tuple(rows), new_finals)
+
+
 def _minimize(alphabet, n, delta, finals, initial):
-    """Trim + Moore partition refinement + canonical BFS renumbering."""
-    k = len(alphabet)
-    # reachable
+    """Trim to the states reached from initial, refine, renumber canonically."""
     reach = [initial]
     seen = {initial}
     for s in reach:
-        for i in range(k):
-            t = delta[s][i]
+        for t in delta[s]:
             if t not in seen:
                 seen.add(t)
                 reach.append(t)
-    # refine: classes only split, so a stable class count means a fixed point
-    block = {s: int(s in finals) for s in reach}
-    while True:
-        sig = {
-            s: (block[s],) + tuple(block[delta[s][i]] for i in range(k)) for s in reach
-        }
-        classes = {}
-        new_block = {}
-        for s in reach:
-            key = sig[s]
-            if key not in classes:
-                classes[key] = len(classes)
-            new_block[s] = classes[key]
-        if len(classes) == len(set(block.values())):
-            block = new_block
-            break
-        block = new_block
-    # representatives per class
-    rep = {}
-    for s in reach:
-        rep.setdefault(block[s], s)
-    # canonical BFS from the initial class
-    order = [block[initial]]
-    index = {block[initial]: 0}
-    for c in order:
-        s = rep[c]
-        for i in range(k):
-            t = block[delta[s][i]]
-            if t not in index:
-                index[t] = len(order)
-                order.append(t)
-    size = len(order)
-    new_delta = tuple(
-        tuple(index[block[delta[rep[c]][i]]] for i in range(k)) for c in order
-    )
-    new_finals = frozenset(index[c] for c in order if rep[c] in finals)
-    return RegularLanguage(tuple(alphabet), size, new_delta, new_finals)
+    return _canonical(alphabet, delta, _nerode(delta, finals, reach), finals, initial)
 
 
 def parse_regex(text: str, alphabet=None) -> RegularLanguage:
@@ -564,12 +563,6 @@ def make_free_morphism(tag, source_alphabet, target_alphabet, images: dict) -> D
     return DMonoidMorphismFree(tag, source_alphabet, target_alphabet, tuple(frozen))
 
 
-def identity_free_morphism(tag, alphabet) -> DMonoidMorphismFree:
-    return make_free_morphism(
-        tag, alphabet, alphabet, {a: free_word(tag, alphabet, a) for a in alphabet}
-    )
-
-
 def apply_free(f: DMonoidMorphismFree, x: FreeElement) -> FreeElement:
     """The unique multiplicative-and-structural extension applied to x, kept on f by x."""
     return derived(f, "_applied", _build_apply_free, f, x, key=x)
@@ -691,7 +684,11 @@ def closure_under_ops_and_derivs(tag: str, seeds, cap: int = 4096):
     The closure runs on bitmasks over the seeds' syntactic monoid
     (syntactic_masks): a derivative is the preimage of a mask under a Cayley
     table and an operation is its set operation in duality.SET_OPS.  Each
-    language is built once, from its mask, when the closure is complete.
+    language is built once, from its mask, when the closure is complete: the
+    closed masks with their left-derivative tables are a DFA whose finals
+    are the masks holding the unit, element 0, and which is already minimal,
+    since distinct masks are distinct languages; each language is read off
+    it by _canonical, with no refinement.
     """
     if tag not in MAIN_PAIRS:
         raise StructureError(f"{tag} has no operations on languages")
@@ -702,13 +699,19 @@ def closure_under_ops_and_derivs(tag: str, seeds, cap: int = 4096):
     # Exploring M under the closure's own cap and stage therefore raises
     # CapExceeded only where the closure would, as long as the distinct
     # seeds, which the closure does not count, are at most cap.
-    left, derivatives, masks, language = syntactic_masks(seeds, cap, "language closure")
+    left, derivatives, masks, _ = syntactic_masks(seeds, cap, "language closure")
     ops = derivatives + set_ops(tag, (1 << len(left)) - 1)
     closed = closure(dict.fromkeys(masks), ops, cap, stage="language closure")
-    langs = {mask: language(mask) for mask in closed[0]}
+    elements, alphabet = closed[0], seeds[0].alphabet
+    lefts = closed[2][: len(alphabet)]
+    delta = [tuple(t[x] for t in lefts) for x in range(len(elements))]
+    finals = {x for x, mask in enumerate(elements) if mask & 1}
+    block = range(len(elements))
+    langs = {
+        mask: _canonical(alphabet, delta, block, finals, x) for x, mask in enumerate(elements)
+    }
     masks, _, tables = sort_closure(closed, key=lambda mask: langs[mask].sort_key())
     result = LanguageClosure(map(langs.get, masks))
-    alphabet = seeds[0].alphabet
     result.trans = dict(zip(alphabet, tables))
     result.ops = dict(zip(signature(tag), tables[2 * len(alphabet):]))
     return result

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from .algebra import (
     AlgMorphism,
-    CapExceeded,
     FinAlgebra,
     StructureError,
     check_invariant,
@@ -367,12 +366,6 @@ def dmonoid_powers(m: DMonoid, n_max: int, cap: int = 4096) -> list:
     while len(powers) < n_max and m.size ** (len(powers) + 1) <= cap:
         powers.append(dmonoid_product(powers[-1], m)[0] if powers else m)
     return powers
-
-
-def dmonoid_power(m: DMonoid, n: int, cap: int = 4096) -> DMonoid:
-    if m.size**n > cap:
-        raise CapExceeded(f"power {m.size}^{n} exceeds cap {cap}")
-    return dmonoid_powers(m, n, cap)[-1]
 
 
 def minimal_generators(m: DMonoid) -> list:

@@ -14,7 +14,12 @@ on AlgMorphism objects with compose, as verify_preduality once did.
 make_free, free_mul, free_combine, eval_language, apply_free and
 preimage_language are the per-tag rules predual had before its one
 D-combination rule, and _posets_upto tests a candidate poset for
-isomorphism against every poset found so far.
+isomorphism against every poset found so far.  minimize refines the states
+each start reaches, and language_of_state, language_of_output and
+is_local_variety minimize once per state and per right derivative, where
+predual refines each automaton once (one Nerode partition) and numbers a
+state's language off it.  language_quotient, local_variety_witness and
+identity_free_morphism are references some tests build on.
 """
 
 import itertools
@@ -26,29 +31,31 @@ from predual.algebra import (
     all_morphisms,
     check_morphism,
     closure,
+    closure_ops,
     compose,
     explore,
     identity_morphism,
     signature,
     sort_closure,
+    subalgebra_on,
     table_isomorphism,
     validate_algebra,
     vect_prime,
 )
-from predual.automata import Coalgebra
+from predual.automata import Coalgebra, LAlgebra
 from predual.duality import _objects_for, dual_morphism, dual_object, eta
 from predual.langlib import (
     DMonoidMorphismFree,
     FreeElement,
     LanguageClosure,
     RegularLanguage,
-    _minimize,
     _shortlex,
     complement,
     empty_language,
     full_language,
     intersection,
     left_deriv,
+    make_free_morphism,
     parse_regex,
     right_deriv,
     symmetric_difference,
@@ -629,7 +636,7 @@ def preimage_language(l: RegularLanguage, f: DMonoidMorphismFree) -> RegularLang
         delta = tuple(
             tuple(run(s, f.image(b).pairs[0][0]) for b in src) for s in range(l.size)
         )
-        return _minimize(src, l.size, delta, set(l.finals), 0)
+        return minimize(src, l.size, delta, set(l.finals), 0)
 
     if tag == "SET_STAR":
         dead = l.size  # absorbing reject state for zero images
@@ -641,7 +648,7 @@ def preimage_language(l: RegularLanguage, f: DMonoidMorphismFree) -> RegularLang
                 row.append(dead if img.is_zero() else run(s, img.pairs[0][0]))
             delta.append(tuple(row))
         delta.append(tuple(dead for _ in src))
-        return _minimize(src, l.size + 1, delta, set(l.finals), 0)
+        return minimize(src, l.size + 1, delta, set(l.finals), 0)
 
     if tag == "JSL0":
 
@@ -650,7 +657,7 @@ def preimage_language(l: RegularLanguage, f: DMonoidMorphismFree) -> RegularLang
 
         states, delta = explore(frozenset({0}), src, subset_step)
         finals = {i for i, cur in enumerate(states) if cur & l.finals}
-        return _minimize(src, len(delta), delta, finals, 0)
+        return minimize(src, len(delta), delta, finals, 0)
 
     # VECT(p): state = coefficient vector over the DFA states
     mats = {}
@@ -674,7 +681,7 @@ def preimage_language(l: RegularLanguage, f: DMonoidMorphismFree) -> RegularLang
     start = tuple(1 if s == 0 else 0 for s in range(l.size))
     states, delta = explore(start, src, vector_step, 4096, "preimage vector states")
     finals = {i for i, cur in enumerate(states) if sum(cur[s] for s in l.finals) % p == 1}
-    return _minimize(src, len(delta), delta, finals, 0)
+    return minimize(src, len(delta), delta, finals, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -716,3 +723,163 @@ def _posets_upto(n: int):
         ):
             found.append(matrix)
     return tuple(found)
+
+
+# ---------------------------------------------------------------------------
+# languages state by state: predual's _minimize and per-state routes as they
+# were before one Nerode partition per automaton
+
+
+def minimize(alphabet, n, delta, finals, initial):
+    """Trim + Moore partition refinement + canonical BFS renumbering."""
+    k = len(alphabet)
+    # reachable
+    reach = [initial]
+    seen = {initial}
+    for s in reach:
+        for i in range(k):
+            t = delta[s][i]
+            if t not in seen:
+                seen.add(t)
+                reach.append(t)
+    # refine: classes only split, so a stable class count means a fixed point
+    block = {s: int(s in finals) for s in reach}
+    while True:
+        sig = {
+            s: (block[s],) + tuple(block[delta[s][i]] for i in range(k)) for s in reach
+        }
+        classes = {}
+        new_block = {}
+        for s in reach:
+            key = sig[s]
+            if key not in classes:
+                classes[key] = len(classes)
+            new_block[s] = classes[key]
+        if len(classes) == len(set(block.values())):
+            block = new_block
+            break
+        block = new_block
+    # representatives per class
+    rep = {}
+    for s in reach:
+        rep.setdefault(block[s], s)
+    # canonical BFS from the initial class
+    order = [block[initial]]
+    index = {block[initial]: 0}
+    for c in order:
+        s = rep[c]
+        for i in range(k):
+            t = block[delta[s][i]]
+            if t not in index:
+                index[t] = len(order)
+                order.append(t)
+    size = len(order)
+    new_delta = tuple(
+        tuple(index[block[delta[rep[c]][i]]] for i in range(k)) for c in order
+    )
+    new_finals = frozenset(index[c] for c in order if rep[c] in finals)
+    return RegularLanguage(tuple(alphabet), size, new_delta, new_finals)
+
+
+def language_of_state(q: Coalgebra, state: int) -> RegularLanguage:
+    """Minimal automaton of {w : out(gamma_w(state)) = 1} (structure forgotten)."""
+    delta = [
+        tuple(q.tr(a)[s] for a in q.alphabet) for s in range(q.states.size)
+    ]
+    finals = {s for s in range(q.states.size) if q.out[s] == 1}
+    return minimize(q.alphabet, len(delta), delta, finals, state)
+
+
+def language_of_output(a: LAlgebra, out) -> RegularLanguage:
+    """Minimal automaton of {w : out(alpha_w(init)) = 1}."""
+    delta = [
+        tuple(a.tr(x)[s] for x in a.alphabet) for s in range(a.states.size)
+    ]
+    finals = {s for s in range(a.states.size) if out[s] == 1}
+    return minimize(a.alphabet, len(delta), delta, finals, a.init)
+
+
+def languages_of(q: Coalgebra):
+    return [language_of_state(q, s) for s in range(q.states.size)]
+
+
+def right_derivative(l: RegularLanguage, a) -> RegularLanguage:
+    """{w : wa in L}, predual's right_deriv on minimize."""
+    i = l.letter_index(a)
+    finals = {s for s in range(l.size) if l.delta[s][i] in l.finals}
+    return minimize(l.alphabet, l.size, l.delta, finals, 0)
+
+
+def local_variety_witness(q: Coalgebra):
+    """First (state language, letter) whose right derivative is missing."""
+    langs = set(languages_of(q))
+    for l in sorted(langs, key=RegularLanguage.sort_key):
+        for a in q.alphabet:
+            if right_derivative(l, a) not in langs:
+                return l, a
+    return None
+
+
+def is_local_variety(q: Coalgebra) -> bool:
+    """Whether q's states accept pairwise distinct languages, closed under
+    right derivatives; StructureError when they are not distinct."""
+    if len(set(languages_of(q))) < q.states.size:
+        raise StructureError("is_local_variety requires a subcoalgebra of rho")
+    return local_variety_witness(q) is None
+
+
+def subcoalgebra_of_state(q: Coalgebra, state: int) -> Coalgebra:
+    """The least subcoalgebra of q holding state: its carrier is closed under
+    q's C-operations and transitions, so its languages are closed under left
+    derivatives and the operations, but not always under right derivatives."""
+    ops = closure_ops(q.states) + [(1, t.__getitem__, False) for _, t in q.trans]
+    sub, inclusion = subalgebra_on(q.states, closure({state: None}, ops)[0])
+    index = {e: i for i, e in enumerate(inclusion.table)}
+    trans = tuple((a, tuple(index[t[e]] for e in inclusion.table)) for a, t in q.trans)
+    return Coalgebra(q.pair, q.alphabet, sub, trans, tuple(q.out[e] for e in inclusion.table))
+
+
+def language_quotient(q: Coalgebra):
+    """Factorize the semantic map of a coalgebra through its language classes.
+
+    States accepting equal languages are merged; returns (epi table, quotient
+    coalgebra).
+    """
+    langs = languages_of(q)
+    classes = []
+    epi = []
+    for l in langs:
+        if l not in classes:
+            classes.append(l)
+        epi.append(classes.index(l))
+    n = len(classes)
+    rep = [epi.index(i) for i in range(n)]
+    sig = signature(q.states.tag)
+    ops = {}
+    for name, arity in sig.items():
+        t = q.states.op(name)
+        if arity == 0:
+            ops[name] = epi[t]
+        elif arity == 1:
+            ops[name] = tuple(epi[t[rep[i]]] for i in range(n))
+        else:
+            ops[name] = tuple(
+                tuple(epi[t[rep[i]][rep[j]]] for j in range(n)) for i in range(n)
+            )
+    states = FinAlgebra(q.states.tag, n, tuple(sorted(ops.items())), None)
+    errors = validate_algebra(states)
+    if errors:
+        raise StructureError(f"language quotient is not a valid algebra: {errors[0]}")
+    trans = {a: tuple(epi[q.tr(a)[rep[i]]] for i in range(n)) for a in q.alphabet}
+    out = tuple(q.out[rep[i]] for i in range(n))
+    quotient = Coalgebra(
+        q.pair, q.alphabet, states,
+        tuple(sorted((a, t) for a, t in trans.items())), out,
+    )
+    return tuple(epi), quotient
+
+
+def identity_free_morphism(tag, alphabet) -> DMonoidMorphismFree:
+    return make_free_morphism(
+        tag, alphabet, alphabet, {a: free_word(tag, alphabet, a) for a in alphabet}
+    )

@@ -23,7 +23,6 @@ from predual.algebra import (
     make_morphism,
     pairing,
     product,
-    pushforward_order,
     signature,
     validate_algebra,
 )
@@ -248,14 +247,6 @@ def test_combine_elements():
     star, inj = free_algebra("SET_STAR", ["a"])
     assert combine_elements(star, []) == 0
     assert combine_elements(star, [(inj[0], 1)]) == inj[0]
-
-
-def test_pushforward_order_detects_broken_antisymmetry():
-    order = ((1, 1, 0), (0, 1, 0), (0, 0, 1))  # 0 <= 1, 2 incomparable
-    ok = pushforward_order(order, [0, 0, 1], 2)
-    assert ok is not None
-    cyc = ((1, 1, 0), (0, 1, 1), (0, 0, 1))  # chain 0 <= 1 <= 2
-    assert pushforward_order(cyc, [0, 1, 0], 2) is None
 
 
 # -- bounded structural invariants --------------------------------------------

@@ -505,16 +505,15 @@ def test_automaton_document_breaking_its_laws_is_a_usage_error(
     assert err.count("\n") == 1
 
 
-# language_of_state answers one language for every state, so the two
-# criteria of is_subcoalgebra_of_rho disagree on the JSL0 local variety
+# the Nerode partition puts every state in one class, so the two criteria
+# of is_subcoalgebra_of_rho disagree on the JSL0 local variety
 INJECTED_FAULT = """
 import sys
 import predual.automata as automata
 from predual.cli import main
-from predual.langlib import parse_regex
 
 assert False  # stripped under -O
-automata.language_of_state = lambda q, state: parse_regex("a", "ab")
+automata._nerode = lambda delta, finals, states: dict.fromkeys(states, 0)
 sys.exit(main(["syntactic", "--tag", "JSL0", "--regex", "(ab)*"]))
 """
 

@@ -6,7 +6,7 @@ import oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import language_op
+from oracle import identity_free_morphism, language_op
 
 from predual.algebra import CapExceeded, StructureError, signature, vect_prime
 from predual.langlib import (
@@ -22,7 +22,6 @@ from predual.langlib import (
     free_word,
     free_zero,
     full_language,
-    identity_free_morphism,
     intersection,
     language_to_regex,
     left_deriv,

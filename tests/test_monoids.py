@@ -214,11 +214,10 @@ def _divides_oracle(candidate, generator, n_max):
     import itertools
 
     from predual.algebra import signature
-    from predual.monoids import dmonoid_power
+    from predual.monoids import dmonoid_powers
 
     sig = signature(candidate.carrier.tag)
-    for n in range(1, n_max + 1):
-        power = dmonoid_power(generator, n)
+    for power in dmonoid_powers(generator, n_max):
         carrier = list(range(power.size))
         # closed subsets containing the unit (and constants)
         for mask in range(1 << power.size):

@@ -14,7 +14,6 @@ from predual.automata import (
 from predual.langlib import (
     free_word,
     free_zero,
-    identity_free_morphism,
     make_free,
     make_free_morphism,
     parse_regex,
@@ -29,6 +28,8 @@ from predual.preimage import (
     default_morphisms,
 )
 from predual.duality import d_tag
+
+from oracle import identity_free_morphism
 
 
 def two_cycle_set_lalgebra():
@@ -170,16 +171,20 @@ def test_law_battery_dualizes_each_morphism_and_automaton_once(monkeypatch, pair
     """The battery dualizes each morphism once per source algebra instance,
     target and table, and each coalgebra instance once, however often it
     asks (the parent built 3,928 dual morphisms on the three corpora).
-    Selectors out of the pair's cached 1_C and 1_D are left out: their duals
-    are built each time, so that the constants keep no states algebra alive."""
-    sources, morphisms, coalgebras = [], Counter(), []
+    Selectors out of the pair's cached 1_C and 1_D are dualized once per
+    states instance and element: their output tables are kept on the states
+    algebra, not on the constants, which would then keep every states
+    algebra alive."""
+    kept_alive, morphisms, selectors, coalgebras = [], Counter(), Counter(), []
     build_morphism = duality._build_dual_morphism
     build_automaton = automata._build_dual_automaton
     bundle = duality.canonical_constants(pair)
 
     def count_morphism(pair, h):
-        if h.source is not bundle.one_C and h.source is not bundle.one_D:
-            sources.append(h.source)  # kept alive, so no two share an id
+        kept_alive.append(h)  # so no two algebras share an id
+        if h.source is bundle.one_C or h.source is bundle.one_D:
+            selectors[id(h.source), id(h.target), h.table] += 1
+        else:
             morphisms[id(h.source), h.target, h.table] += 1
         return build_morphism(pair, h)
 
@@ -197,6 +202,7 @@ def test_law_battery_dualizes_each_morphism_and_automaton_once(monkeypatch, pair
     report = check_preimage_laws(corpus)
     assert all(entry["status"] == "holds" for entry in report.values())
     assert morphisms and set(morphisms.values()) == {1}
+    assert selectors and set(selectors.values()) == {1}
     for constant in (bundle.one_C, bundle.one_D):
         kept = vars(constant).get("_dual_morphisms", {})
         assert {target for _, target, _ in kept} <= {bundle.O_C}
