@@ -33,6 +33,7 @@ from .automata import (
 )
 from .duality import MAIN_PAIRS, PAIRS, d_tag, dual_morphism, dual_object, verify_preduality
 from .langlib import (
+    DMonoidMorphismFree,
     RegexSyntaxError,
     RegularLanguage,
     language_to_regex,
@@ -185,6 +186,13 @@ def cmd_syntactic(args):
 def cmd_preimage(args):
     value = _load(args.automaton) if args.automaton else _read_language(args)
     f = _load(args.map)
+    if not isinstance(f, DMonoidMorphismFree):
+        raise DocumentError("--map must be a free-morphism document")
+    if not isinstance(value, (RegularLanguage, Coalgebra, LAlgebra)):
+        raise DocumentError("preimage expects a language or automaton document")
+    want = (value.alphabet, f.tag if isinstance(value, RegularLanguage) else d_tag(value.pair))
+    if (f.target_alphabet, f.tag) != want:
+        raise DocumentError(f"map target and tag {(f.target_alphabet, f.tag)} are not {want}")
     if isinstance(value, RegularLanguage):
         return _emit(args, preimage_language(value, f))
     if isinstance(value, Coalgebra):
@@ -192,12 +200,10 @@ def cmd_preimage(args):
             print("usage error: document is a C-side coalgebra", file=sys.stderr)
             return USAGE
         return _emit(args, coalgebra_preimage(value, f))
-    if isinstance(value, LAlgebra):
-        if args.side == "C":
-            print("usage error: document is a D-side L-algebra", file=sys.stderr)
-            return USAGE
-        return _emit(args, algebra_preimage(value, f))
-    raise StructureError("preimage expects a language or automaton document")
+    if args.side == "C":
+        print("usage error: document is a D-side L-algebra", file=sys.stderr)
+        return USAGE
+    return _emit(args, algebra_preimage(value, f))
 
 
 def cmd_varlang(args):

@@ -13,7 +13,6 @@ alphabet order, so structural equality coincides with language equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 from .algebra import (
     KeepsDerived,
@@ -437,28 +436,31 @@ class FreeElement:
         )
 
 
-def _combination(tag, pairs, key):
-    """The D-combination of (item, coefficient) pairs in the free D-monoid
-    of the tag, as the canonical tuple of (item, coefficient) pairs sorted
-    by key(item).
+def _combination(tag, pairs, words=True):
+    """The D-combination of (item, coefficient) pairs in the tag's free
+    D-monoid, canonical: words in shortlex, states (words=False) in order.
 
     SET and POS: exactly one item; SET_STAR: at most one item, none being
     the zero; JSL0: a set, every coefficient 1; VECT(p): the coefficients
-    of equal items summed mod p, zero sums dropped.  Items are words for
-    free elements and automaton states for preimage_language's lift.
+    of equal items summed mod p, zero sums dropped; a single pair with
+    coefficient 1 is canonical.  Items are words for free elements and
+    automaton states for preimage_language's lift.
     """
     p = vect_prime(tag)
+    if p is None and tag not in ("SET", "POS", "SET_STAR", "JSL0"):
+        raise StructureError(f"tag {tag} has no free monoid here")
+    if len(pairs) == 1 and pairs[0][1] == 1:
+        return ((pairs[0][0], 1),)
     acc = {}
     for item, c in pairs:
         if p is not None:
             acc[item] = (acc.get(item, 0) + c) % p
-        elif tag in ("SET", "POS", "SET_STAR", "JSL0"):
-            if c != 1:
-                raise StructureError("coefficients must be 1 for this tag")
-            acc[item] = 1
+        elif c != 1:
+            raise StructureError("coefficients must be 1 for this tag")
         else:
-            raise StructureError(f"tag {tag} has no free monoid here")
-    items = tuple((x, acc[x]) for x in sorted(acc, key=key) if acc[x])
+            acc[item] = 1
+    order = sorted(sorted(acc), key=len) if words else sorted(acc)
+    items = tuple((x, acc[x]) for x in order if acc[x])
     if tag in ("SET", "POS") and len(items) != 1:
         raise StructureError(f"{tag} elements are single words")
     if tag == "SET_STAR" and len(items) > 1:
@@ -482,7 +484,7 @@ def make_free(tag: str, alphabet, pairs) -> FreeElement:
     for w, _ in pairs:
         if any(ch not in alphabet for ch in w):
             raise StructureError(f"word {w!r} not over alphabet {alphabet}")
-    return FreeElement(tag, alphabet, _combination(tag, pairs, _shortlex))
+    return FreeElement(tag, alphabet, _combination(tag, pairs))
 
 
 def free_word(tag, alphabet, word) -> FreeElement:
@@ -508,13 +510,13 @@ def free_mul(x: FreeElement, y: FreeElement) -> FreeElement:
     if x.tag != y.tag or x.alphabet != y.alphabet:
         raise StructureError("tag/alphabet mismatch")
     pairs = [(w1 + w2, c1 * c2) for w1, c1 in x.pairs for w2, c2 in y.pairs]
-    return FreeElement(x.tag, x.alphabet, _combination(x.tag, pairs, _shortlex))
+    return FreeElement(x.tag, x.alphabet, _combination(x.tag, pairs))
 
 
 def free_combine(tag, alphabet, weighted) -> FreeElement:
     """D-structure combination of free elements: joins / weighted sums."""
     pairs = [(w, coeff * c) for elem, coeff in weighted for w, c in elem.pairs]
-    return FreeElement(tag, tuple(alphabet), _combination(tag, pairs, _shortlex))
+    return FreeElement(tag, tuple(alphabet), _combination(tag, pairs))
 
 
 def eval_language(l: RegularLanguage, x: FreeElement) -> int:
@@ -571,9 +573,16 @@ def apply_free(f: DMonoidMorphismFree, x: FreeElement) -> FreeElement:
 def _build_apply_free(f: DMonoidMorphismFree, x: FreeElement) -> FreeElement:
     if x.tag != f.tag or tuple(x.alphabet) != f.source_alphabet:
         raise StructureError("element does not match the morphism source")
-    unit = free_unit(f.tag, f.target_alphabet)
-    terms = [(reduce(free_mul, map(f.image, w), unit), c) for w, c in x.pairs]
+    terms = [(_word_image(f, w), c) for w, c in x.pairs]
     return free_combine(f.tag, f.target_alphabet, terms)
+
+
+def _word_image(f: DMonoidMorphismFree, w: str) -> FreeElement:
+    """f(w) = f(w[:-1]) f(w[-1]), kept on f by w as the image of every prefix is."""
+    image = derived(f, "_word_images", free_unit, f.tag, f.target_alphabet, key="")
+    for i, b in enumerate(w, 1):
+        image = derived(f, "_word_images", free_mul, image, f.image(b), key=w[:i])
+    return image
 
 
 def compose_free(f: DMonoidMorphismFree, g: DMonoidMorphismFree) -> DMonoidMorphismFree:
@@ -607,7 +616,7 @@ def preimage_language(l: RegularLanguage, f: DMonoidMorphismFree) -> RegularLang
     moves = [[[(l.run(w, s), c) for w, c in f.image(b).pairs] for s in range(l.size)] for b in src]
 
     def step(state, b):
-        return _combination(f.tag, [(t, c * d) for s, c in state for t, d in moves[b][s]], int)
+        return _combination(f.tag, [(t, c * d) for s, c in state for t, d in moves[b][s]], False)
 
     cap = 4096 if vect_prime(f.tag) is not None else None
     states, delta = explore(((0, 1),), range(len(src)), step, cap, "preimage vector states")

@@ -22,6 +22,7 @@ from .algebra import (
     closure_ops,
     combine_elements,
     componentwise_fn,
+    derived,
     explore,
     make_algebra,
     product,
@@ -187,7 +188,11 @@ def morphism_from_images(tag: str, source_alphabet, images: dict):
 
 
 def dagger_free(f: DMonoidMorphismFree) -> DMonoidMorphismFree:
-    """rev . f . rev, acting wordwise on generator images."""
+    """rev . f . rev, acting wordwise on generator images, kept on f."""
+    return derived(f, "_dagger", _build_dagger_free, f)
+
+
+def _build_dagger_free(f: DMonoidMorphismFree) -> DMonoidMorphismFree:
     return make_free_morphism(
         f.tag,
         f.source_alphabet,

@@ -382,10 +382,10 @@ def _is_lalgebra_hom(src: LAlgebra, dst: LAlgebra, table) -> bool:
 
 
 def check_tpre_family(pair: str, data=None, families=None) -> dict:
-    """T:pre on finite family data: {V Sigma} is closed under preimages iff
-    for each f the languages {L . f} all lie in V Delta; positively, the
-    language-preimage map is exhibited as a coalgebra homomorphism.
-    """
+    """T:pre on finite family data: {V Sigma} is closed under preimages iff for
+    each f (of data["morphisms"], or default_morphisms) the languages {L . f}
+    all lie in V Delta; positively, the language-preimage map is exhibited as
+    a coalgebra homomorphism."""
     result = {"checked": 0, "witness": None}
     if families is None:
         base = {
@@ -398,9 +398,9 @@ def check_tpre_family(pair: str, data=None, families=None) -> dict:
         families = [(f, None) for f in closed_families] + [
             (f, "open") for f in open_families
         ]
-    tag = d_tag(pair)
+    morphisms = default_morphisms(d_tag(pair)) if data is None else data["morphisms"]
     for family, kind in families:
-        for f in default_morphisms(tag):
+        for f in morphisms:
             src = "".join(f.source_alphabet)
             tgt = "".join(f.target_alphabet)
             if src not in family or tgt not in family:

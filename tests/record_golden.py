@@ -5,8 +5,10 @@ The calls are every CLI example of the README (the documents they read are
 written into the working directory first), `syntactic --json` and
 `localvariety --json` on test_syntactic.CORPUS under the five language
 tags, `dualize --check` for every pair of duality.PAIRS at the default
-size, and the full law battery, `check-laws --corpus`, for JSL0, DL01 and
-VECT2 over criterion 2's seed languages.
+size, the full law battery, `check-laws --corpus`, for JSL0, DL01 and
+VECT2 over criterion 2's seed languages, and `preimage` of languages and of
+local varieties along JSL0, VECT2 and SET_STAR maps with a multi-word and a
+zero image.
 tests/test_golden.py replays them and compares digests, so any change to a
 byte of these outputs fails a test.  Re-record only for a change that is
 meant to alter output, from the repository root:
@@ -22,8 +24,11 @@ import os
 import tempfile
 from pathlib import Path
 
+from predual.automata import generated_local_variety
 from predual.cli import main
 from predual.duality import MAIN_PAIRS, PAIRS
+from predual.langlib import parse_regex
+from predual.serialize import to_doc
 from test_syntactic import CORPUS
 
 GOLDEN = Path(__file__).resolve().with_name("golden.json")
@@ -43,6 +48,29 @@ LAW_PAIRS = ("JSL0", "DL01", "VECT2")
 LAW_SEEDS = {"a": ["(aa)*", "a*", "a"], "ab": ["(a|b)*a"]}
 DOCUMENTS.update({f"corpus-{pair}.json": {"pairs": [pair], "seeds": LAW_SEEDS}
                   for pair in LAW_PAIRS})
+
+
+def _map(tag, images):
+    """A free-morphism document from {b, c} to {a, b}; images gives each
+    letter's (word, coefficient) pairs, an empty list being the zero."""
+    return {"kind": "free-morphism", "tag": tag, "source_alphabet": ["b", "c"],
+            "target_alphabet": ["a", "b"],
+            "images": {b: {"kind": "free-element", "tag": tag, "alphabet": ["a", "b"],
+                           "pairs": [list(p) for p in pairs]}
+                       for b, pairs in images.items()}}
+
+
+PREIMAGE_MAPS = {  # (map, pair of the local varieties it reindexes)
+    "JSL0": (_map("JSL0", {"b": [("a", 1), ("ab", 1), ("bb", 1)], "c": []}), "JSL0"),
+    "VECT2": (_map("VECT2", {"b": [("", 1), ("ab", 1), ("b", 3)], "c": []}), "VECT2"),
+    "SET_STAR": (_map("SET_STAR", {"b": [("ab", 1)], "c": []}), "BR"),
+}
+PREIMAGE_REGEXES = ("(ab)*", "(a|b)*a", "~(a*)", "(a|b)*b(a|b)*")
+DOCUMENTS.update({f"map-{tag}.json": fdoc for tag, (fdoc, _) in PREIMAGE_MAPS.items()})
+DOCUMENTS.update({
+    f"variety-{tag}.json": to_doc(generated_local_variety(pair, [parse_regex("(ab)*", "ab")]))
+    for tag, (_, pair) in PREIMAGE_MAPS.items()
+})
 
 README_CALLS = [
     ["syntactic", "--tag", "BA", "--regex", "(ab)*"],
@@ -69,6 +97,11 @@ def golden_calls():
                       for rx, alphabet in CORPUS]
     calls += [["dualize", "--pair", pair, "--check"] for pair in PAIRS]
     calls += [["check-laws", "--corpus", f"corpus-{pair}.json"] for pair in LAW_PAIRS]
+    for tag in PREIMAGE_MAPS:
+        calls += [["preimage", "--map", f"map-{tag}.json", "--regex", rx, "--alphabet", "ab"]
+                  for rx in PREIMAGE_REGEXES]
+        calls.append(["preimage", "--map", f"map-{tag}.json",
+                      "--automaton", f"variety-{tag}.json", "--side", "C"])
     return calls
 
 

@@ -233,6 +233,42 @@ def test_preimage_side_mismatch_is_usage_error(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "tag, target, automaton, message",
+    [
+        ("JSL0", ["a"], False,
+         "map target and tag (('a',), 'JSL0') are not (('a', 'b'), 'JSL0')"),
+        ("JSL0", ["a"], True,
+         "map target and tag (('a',), 'JSL0') are not (('a', 'b'), 'JSL0')"),
+        ("VECT2", ["a", "b"], True,
+         "map target and tag (('a', 'b'), 'VECT2') are not (('a', 'b'), 'JSL0')"),
+        (None, None, False, "--map must be a free-morphism document"),
+    ],
+    ids=["language-target", "automaton-target", "automaton-tag", "not-a-map"],
+)
+def test_preimage_map_not_matching_its_input_is_a_usage_error(
+    capsys, tmp_path, tag, target, automaton, message
+):
+    from predual.automata import generated_local_variety
+    from predual.langlib import parse_regex
+    from predual.serialize import dumps as sdumps
+
+    language = parse_regex("(ab)*", "ab")
+    (tmp_path / "q.json").write_text(sdumps(generated_local_variety("JSL0", [language])))
+    fpath = tmp_path / "f.json"
+    if tag is None:  # a language document where a map belongs
+        fpath.write_text(sdumps(language))
+    else:
+        image = {"kind": "free-element", "tag": tag, "alphabet": target, "pairs": [["a", 1]]}
+        fpath.write_text(json.dumps({"kind": "free-morphism", "tag": tag,
+                                     "source_alphabet": ["b"], "target_alphabet": target,
+                                     "images": {"b": image}}))
+    source = ["--automaton", str(tmp_path / "q.json")] if automaton else [
+        "--regex", "(ab)*", "--alphabet", "ab"]
+    code, out, err = run_cli(capsys, "preimage", "--map", str(fpath), *source)
+    assert (code, out, err) == (2, "", f"usage error: {message}\n")
+
+
 def test_dot_outputs(capsys):
     code, out, _ = run_cli(
         capsys, "localvariety", "--tag", "BA", "--regex", "(aa)*", "--dot"

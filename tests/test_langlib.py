@@ -39,6 +39,7 @@ from predual.langlib import (
     symmetric_difference,
     union,
 )
+from predual.monoids import dagger_free
 from predual.serialize import dumps
 
 
@@ -277,6 +278,13 @@ def test_free_elements_and_preimages_agree_with_the_per_tag_rules(morphism, data
     if tag not in ("SET", "POS", "SET_STAR"):  # JSL0 joins, VECT(p) weighs
         weighted = [(fe, k + 2 if vect_prime(tag) else 1) for k, (_, fe) in enumerate(f.images)]
         assert free_combine(tag, target, weighted) == oracle.free_combine(tag, target, weighted)
+    dagger = dagger_free(f)
+    assert dagger is dagger_free(f)
+    assert dagger == make_free_morphism(
+        tag, f.source_alphabet, target, {b: rev_free(fe) for b, fe in f.images}
+    )
+    for b, fe in dagger.images:
+        assert fe == oracle.make_free(tag, target, [(w[::-1], c) for w, c in images[b]])
     pre = _outcome(preimage_language, l, f)
     assert pre == _outcome(oracle.preimage_language, l, f)
     for w in words_upto(f.source_alphabet, 5):
@@ -287,6 +295,22 @@ def test_free_elements_and_preimages_agree_with_the_per_tag_rules(morphism, data
         assert value == oracle.eval_language(l, fx)
         if not isinstance(pre, str):
             assert pre.accepts(w) == (value == 1), (tag, w)
+
+
+@pytest.mark.parametrize(
+    "tag, pairs, message",
+    [("XX", [("a", 1)], "tag XX has no free monoid here"),
+     ("JSL0", [("a", 2)], "coefficients must be 1 for this tag")],
+)
+def test_a_single_pair_is_still_validated(tag, pairs, message):
+    with pytest.raises(StructureError, match=message):
+        make_free(tag, "a", pairs)
+
+
+def test_a_single_pair_is_canonical_with_coefficient_one():
+    assert make_free("VECT2", "a", [("a", 3)]).pairs == (("a", 1),)
+    assert make_free("VECT3", "a", [("a", 3)]).pairs == ()
+    assert make_free("JSL0", "ab", [("ba", 1)]).pairs == (("ba", 1),)
 
 
 def test_apply_free_multiplicativity():
@@ -455,7 +479,8 @@ def test_cached_free_images_stay_out_of_equality_hash_and_documents():
     doc, text = dumps(f), repr(f)
     x = make_free("VECT2", "bc", [("bc", 1), ("c", 1)])
     assert apply_free(f, x) is apply_free(f, make_free("VECT2", "bc", [("c", 1), ("bc", 1)]))
-    assert "_applied" in vars(f)
+    assert dagger_free(f) is dagger_free(f)
+    assert {"_applied", "_word_images", "_dagger"} <= set(vars(f))
     assert f == fresh and hash(f) == hash(fresh)
     assert dumps(f) == doc == dumps(fresh) and repr(f) == text
     restored = pickle.loads(pickle.dumps(f))

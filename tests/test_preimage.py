@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from predual import automata, duality
+from predual import automata, duality, langlib, preimage
 from predual.algebra import make_algebra
 from predual.automata import (
     dual_automaton,
@@ -18,6 +18,7 @@ from predual.langlib import (
     make_free_morphism,
     parse_regex,
 )
+from predual.monoids import dagger_free
 from predual.preimage import (
     algebra_preimage,
     alpha_x,
@@ -207,3 +208,42 @@ def test_law_battery_dualizes_each_morphism_and_automaton_once(monkeypatch, pair
         kept = vars(constant).get("_dual_morphisms", {})
         assert {target for _, target, _ in kept} <= {bundle.O_C}
     assert coalgebras and len({id(q) for q in coalgebras}) == len(coalgebras)
+
+
+def test_law_battery_builds_each_word_image_and_dagger_once(monkeypatch):
+    """On the JSL0 law corpus each product that apply_free makes is the image
+    of a new (morphism instance, word): a word's image is kept on the
+    morphism and extends the kept image of its longest proper prefix (the
+    parent multiplied every word out from the unit for each new element).
+    Daggers are kept on the morphism too, and tpre reads the corpus's own
+    morphisms instead of building default_morphisms again."""
+    kept_alive, words, products, rebuilt = [], set(), [], []
+    build_apply, mul, defaults = langlib._build_apply_free, langlib.free_mul, default_morphisms
+
+    def record_apply(f, x):
+        kept_alive.append(f)  # so no two morphisms share an id
+        words.update((id(f), w[:i]) for w, _ in x.pairs for i in range(1, len(w) + 1))
+        return build_apply(f, x)
+
+    def count_mul(x, y):
+        products.append((x, y))
+        return mul(x, y)
+
+    def count_defaults(tag):
+        rebuilt.append(tag)
+        return defaults(tag)
+
+    monkeypatch.setattr(langlib, "_build_apply_free", record_apply)
+    monkeypatch.setattr(langlib, "free_mul", count_mul)
+    monkeypatch.setattr(preimage, "default_morphisms", count_defaults)
+    corpus = {"JSL0": {
+        "varieties": [(rx, generated_local_variety("JSL0", [parse_regex(rx, alphabet)]))
+                      for alphabet, rxs in LAW_SEEDS.items() for rx in rxs],
+        "morphisms": defaults("JSL0"),
+    }}
+    report = check_preimage_laws(corpus)
+    assert all(entry["status"] == "holds" for entry in report.values())
+    assert report["tpre"]["checked"] > 0 and not rebuilt
+    assert words and len(products) == len(words)
+    for f in corpus["JSL0"]["morphisms"]:
+        assert dagger_free(f) is dagger_free(f)
