@@ -695,15 +695,20 @@ def explore(start, letters, step, cap=None, stage="explore"):
 
 
 def shortlex_words(delta, letters) -> list:
-    """The shortlex-least word reaching each state of an explore() result:
-    the first (state i, letter) that reaches a new state gives it the word
-    of i followed by the letter."""
-    words = [""] + [None] * (len(delta) - 1)
+    """The shortlex-least word reaching each state of an explore() result."""
+    return along_shortlex_words(delta, letters, "", lambda word, letter: word + letter)
+
+
+def along_shortlex_words(delta, letters, first, step) -> list:
+    """A value for each state of an explore() result, built along its
+    shortlex-least word: first for the start state, and the first (state i,
+    letter) that reaches a new state gives it step(value of i, letter)."""
+    values = [first] + [None] * (len(delta) - 1)
     for i, row in enumerate(delta):
         for letter, j in zip(letters, row):
-            if words[j] is None:
-                words[j] = words[i] + letter
-    return words
+            if values[j] is None:
+                values[j] = step(values[i], letter)
+    return values
 
 
 def sort_closure(closed, key=None):
@@ -901,7 +906,15 @@ def _span_elements(add, smul, basis, zero, p):
 
 
 def combine_elements(a: FinAlgebra, weighted) -> int:
-    """Evaluate a formal combination [(element, coeff), ...] in the algebra.
+    """Evaluate a formal combination [(element, coeff), ...] in the algebra:
+    combine_columns on one-entry columns."""
+    return combine_columns(a, [((x,), c) for x, c in weighted], 1)[0]
+
+
+def combine_columns(a: FinAlgebra, weighted, n: int) -> tuple:
+    """Evaluate a formal combination [(column, coeff), ...] of n-entry
+    columns of elements entry by entry: entry i of the result combines the
+    entries i of the columns.
 
     SET/POS expect exactly one pair; JSL0/JSL fold joins; VECT(p) folds
     weighted sums; SET_STAR treats the empty combination as the basepoint.
@@ -912,34 +925,35 @@ def combine_elements(a: FinAlgebra, weighted) -> int:
     if tag in ("SET", "POS"):
         if len(items) != 1 or items[0][1] != 1:
             raise StructureError(f"{tag} elements are single points")
-        return items[0][0]
+        return tuple(items[0][0])
     if tag == "SET_STAR":
         if not items:
-            return a.op("point")
+            return (a.op("point"),) * n
         if len(items) != 1 or items[0][1] != 1:
             raise StructureError("SET_STAR combinations have at most one point")
-        return items[0][0]
+        return tuple(items[0][0])
     if tag in ("JSL0", "JSL01"):
         join = a.op("join")
-        acc = a.op("zero")
-        for x, c in items:
+        acc = (a.op("zero"),) * n
+        for column, c in items:
             if c != 1:
                 raise StructureError("semilattice coefficients must be 1")
-            acc = join[acc][x]
+            acc = tuple([join[u][v] for u, v in zip(acc, column)])
         return acc
     if tag == "JSL":
         if not items:
             raise StructureError("JSL has no empty joins")
         join = a.op("join")
-        acc = items[0][0]
-        for x, _ in items[1:]:
-            acc = join[acc][x]
+        acc = tuple(items[0][0])
+        for column, _ in items[1:]:
+            acc = tuple([join[u][v] for u, v in zip(acc, column)])
         return acc
     if p is not None:
         add = a.op("add")
-        acc = a.op("zero")
-        for x, c in items:
-            acc = add[acc][a.op(f"smul{c % p}")[x]]
+        acc = (a.op("zero"),) * n
+        for column, c in items:
+            smul = a.op(f"smul{c % p}")
+            acc = tuple([add[u][smul[v]] for u, v in zip(acc, column)])
         return acc
     raise StructureError(f"tag {tag} has no combination structure")
 

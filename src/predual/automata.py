@@ -22,16 +22,18 @@ from .algebra import (
     StructureError,
     _search_maps,
     all_morphisms,
+    along_shortlex_words,
     check_invariant,
     check_morphism,
     closure,
+    closure_ops,
+    combine_columns,
     combine_elements,
     derived,
     downset_masks,
     enumerate_algebras,
     explore,
     free_algebra,
-    generated_subalgebra,
     make_algebra,
     product,
     relabel_algebra,
@@ -394,8 +396,7 @@ def _rho_languages(q: Coalgebra) -> bool:
 
     a = dual_automaton(q)
     seen, _ = explore(a.init, a.alphabet, lambda s, letter: a.tr(letter)[s])
-    closure = generated_subalgebra(a.states, seen)
-    crit_reach = closure.source.size == a.states.size
+    crit_reach = len(closure(dict.fromkeys(seen), closure_ops(a.states))[0]) == a.states.size
 
     check_invariant(crit_langs == crit_reach, "rho-subcoalgebra criteria disagree")
     return crit_langs
@@ -596,6 +597,15 @@ def dual_generated_monoid(a) -> GeneratedDMonoid:
     representatives.  StructureError is raised unless the carrier is
     generated by words and D-operations, the table passes validate_dmonoid
     and its associated L-algebra is a.
+
+    The table is built column by column.  The column of a word w is alpha_w
+    as a table, x -> e(x * w); each explored word's column is read off its
+    breadth-first parent's, column(w a) = alpha_a . column(w), one lookup
+    per entry.  Every alpha_w is a D-morphism, so e(x * y) is the
+    D-combination, with the coefficients of y's representative, of the
+    entries x of its words' columns: column y of the table is that
+    combination of whole columns (combine_columns), and the table is its
+    transpose.
     """
     if isinstance(a, Coalgebra):
         if not is_local_variety(a):
@@ -606,27 +616,23 @@ def dual_generated_monoid(a) -> GeneratedDMonoid:
     n = a.states.size
     # breadth-first word reachability gives shortlex-minimal word representatives
     states, delta = explore(a.init, alphabet, lambda s, letter: a.tr(letter)[s])
-    reprs = {
-        s: free_word(tag, alphabet, w)
-        for s, w in zip(states, shortlex_words(delta, alphabet))
-    }
+    words = shortlex_words(delta, alphabet)
+    columns = along_shortlex_words(
+        delta, [a.tr(letter) for letter in alphabet], tuple(range(n)),
+        lambda column, t: tuple(map(t.__getitem__, column)),
+    )
+    reprs = {s: free_word(tag, alphabet, w) for s, w in zip(states, words)}
     if len(reprs) < n:
         elements, witnesses, _ = dmonoid_closure(reprs, a.states)
         reprs = dict(zip(elements, witnesses))
     if len(reprs) < n:
         raise StructureError("carrier not generated by words and D-operations")
-    _minimize_reprs(a, reprs)
-    # e(x * y) = combination of alpha_w(x) over the words w of y's
-    # representative, since every alpha_w is a D-morphism; column[w][x] is
-    # the run of w from x
-    column = {w: word_table(a, w) for w in {w for fe in reprs.values() for w, _ in fe.pairs}}
-    mult = tuple(
-        tuple(
-            combine_elements(a.states, [(column[w][x], c) for w, c in reprs[y].pairs])
-            for y in range(n)
-        )
-        for x in range(n)
-    )
+    _minimize_reprs(a, reprs, dict(zip(words, states)))
+    column_of = dict(zip(words, columns))
+    mult = tuple(zip(*(
+        combine_columns(a.states, [(column_of[w], c) for w, c in reprs[y].pairs], n)
+        for y in range(n)
+    )))
     base = make_dmonoid(a.states, mult, a.init)
     problems = validate_dmonoid(base)
     if problems:
@@ -638,39 +644,57 @@ def dual_generated_monoid(a) -> GeneratedDMonoid:
     return g
 
 
-def _minimize_reprs(a: LAlgebra, reprs: dict):
-    """Replace representatives by shortlex-minimal combinations of word reps."""
+def _minimize_reprs(a: LAlgebra, reprs: dict, state_of: dict):
+    """Replace representatives by shortlex-minimal combinations of word reps.
+
+    The candidates are the zero and the canonical combinations of the
+    representatives' words, in FreeElement.sort_key order (SET_STAR: the
+    zero and single words; no candidates above 12 words); each element
+    takes the first candidate that evaluates to it.  state_of maps each
+    word to the state it reaches, so a candidate is evaluated by folding
+    the carrier's tables over its terms in order, as combine_elements does;
+    a FreeElement is made only for a candidate that is kept.
+    """
     tag = a.states.tag
     if tag in ("SET", "POS"):
         return
     words = sorted(
         {w for fe in reprs.values() for w, _ in fe.pairs}, key=lambda w: (len(w), w)
     )
+    zero = a.states.op("point" if tag == "SET_STAR" else "zero")  # the empty combination
+    best = {zero: free_zero(tag, a.alphabet)}
     if tag == "SET_STAR":
-        candidates = [free_zero(tag, a.alphabet)] + [
-            free_word(tag, a.alphabet, w) for w in words
-        ]
+        for w in words:
+            if state_of[w] not in best:
+                best[state_of[w]] = free_word(tag, a.alphabet, w)
+    elif len(words) > 12:
+        return  # candidate pool too large; keep constructed reps
     else:
-        if len(words) > 12:
-            return  # candidate pool too large; keep constructed reps
         p = vect_prime(tag)
-        candidates = [free_zero(tag, a.alphabet)]
-        coeffs = range(1, (p or 2))
-        pool = []
+        plus = a.states.op("join" if p is None else "add")
+        scale = {c: a.states.op(f"smul{c}") if p else range(a.states.size)
+                 for c in range(1, p or 2)}
+
+        def extend(acc, start, left, pairs):
+            """Keep the first candidate of each value among pairs followed by
+            left more terms on the words from start on, in sort order; False
+            once every element has one."""
+            for i in range(start, len(words) - left + 1):
+                w = words[i]
+                for c, table in scale.items():
+                    value, more = plus[acc][table[state_of[w]]], pairs + ((w, c),)
+                    if left > 1:
+                        if not extend(value, i + 1, left - 1, more):
+                            return False
+                    elif value not in best:
+                        best[value] = make_free(tag, a.alphabet, more)
+                        if len(best) == a.states.size:
+                            return False
+            return True
+
         for r in range(1, len(words) + 1):
-            for combo in itertools.combinations(words, r):
-                if p is None or p == 2:
-                    pool.append([(w, 1) for w in combo])
-                else:
-                    for cs in itertools.product(coeffs, repeat=r):
-                        pool.append(list(zip(combo, cs)))
-        candidates += [make_free(tag, a.alphabet, pairs) for pairs in pool]
-    candidates.sort(key=FreeElement.sort_key)
-    best = {}
-    for fe in candidates:
-        elem = eval_free(a, fe)
-        if elem not in best:
-            best[elem] = fe
+            if len(best) == a.states.size or not extend(zero, 0, r, ()):
+                break
     for elem in reprs:
         if elem in best:
             reprs[elem] = best[elem]

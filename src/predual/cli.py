@@ -14,6 +14,7 @@ import json
 import sys
 
 from .algebra import (
+    ALL_TAGS,
     AlgMorphism,
     BoundExceeded,
     CapExceeded,
@@ -101,11 +102,14 @@ def _emit(args, value, human=None):
 def _read_language(args):
     if getattr(args, "regex", None) is not None:
         return parse_regex(args.regex, args.alphabet)
-    value = _load(args.infile)
-    return value
+    if args.infile is None:
+        raise DocumentError(f"{args.command} needs --regex or --in")
+    return _load(args.infile)
 
 
 def cmd_enumerate(args):
+    if args.tag not in ALL_TAGS:
+        raise DocumentError(f"unknown tag {args.tag}; choose from {', '.join(ALL_TAGS)}")
     algs = enumerate_algebras(args.tag, args.size)
     if args.json:
         sys.stdout.write(dumps({"kind": "list", "items": [to_doc(a) for a in algs]}))
@@ -119,13 +123,15 @@ def cmd_enumerate(args):
 def cmd_dualize(args):
     if args.check:
         report = verify_preduality(args.pair, args.max_size)
-        sys.stdout.write(json.dumps(report, sort_keys=True, default=str, indent=2) + "\n")
+        sys.stdout.write(dumps(report))
         return OK if report["ok"] else COUNTEREXAMPLE
+    if args.infile is None:
+        raise DocumentError("dualize needs --in or --check")
     value = _load(args.infile)
     if isinstance(value, FinAlgebra):
         problems = validate_algebra(value)
         if problems:
-            sys.stdout.write(json.dumps({"violations": problems}, indent=2) + "\n")
+            sys.stdout.write(dumps({"violations": problems}))
             return COUNTEREXAMPLE
         dual = dual_object(args.pair, value)
         if args.dot:
@@ -216,7 +222,7 @@ def cmd_varlang(args):
             "languages": [language_doc(l) for l in langs],
             "regexes": [language_to_regex(l) for l in langs],
         }
-        sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(dumps(doc))
     else:
         for l in langs:
             sys.stdout.write(f"{language_to_regex(l)}\n")
@@ -232,7 +238,7 @@ def cmd_eilenberg_check(args):
         raise DocumentError("samples must be a JSON list of regexes and [regex, alphabet] pairs")
     samples = [tuple(s) if isinstance(s, list) else s for s in samples]
     report = check_eilenberg_simple(m, args.pair, samples, args.nmax)
-    sys.stdout.write(json.dumps(report, sort_keys=True, default=str, indent=2) + "\n")
+    sys.stdout.write(dumps(report))
     if report["mismatches"]:
         return COUNTEREXAMPLE
     if report["inconclusive"]:

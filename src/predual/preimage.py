@@ -17,7 +17,7 @@ from .algebra import (
     InternalInvariantError,
     StructureError,
     check_morphism,
-    combine_elements,
+    combine_columns,
 )
 from .automata import (
     Coalgebra,
@@ -60,10 +60,8 @@ def alpha_x(a: LAlgebra, x: FreeElement):
     """The endomorphism alpha_x: words compose, payloads combine pointwise."""
     if x.tag != d_tag(a.pair) or tuple(x.alphabet) != a.alphabet:
         raise StructureError("free element does not match the automaton")
-    word_tables = [(word_table(a, w), c) for w, c in x.pairs]
-    return tuple(
-        combine_elements(a.states, [(t[s], c) for t, c in word_tables])
-        for s in range(a.states.size)
+    return combine_columns(
+        a.states, [(word_table(a, w), c) for w, c in x.pairs], a.states.size
     )
 
 

@@ -7,6 +7,7 @@ fixed separators so identical values serialize to identical bytes.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 
 from .algebra import AlgMorphism, FinAlgebra, StructureError, make_algebra, make_morphism, signature
 from .automata import Coalgebra, LAlgebra, make_coalgebra, make_lalgebra
@@ -294,8 +295,73 @@ def from_doc(doc):
 
 
 def dumps(value) -> str:
+    """The canonical text of a document, or of value's document: byte for
+    byte json.dumps(doc, sort_keys=True, indent=2) + "\\n", written in one
+    pass.  Keys are sorted and escaped as json does, containers are
+    indented by two spaces per level, a list of scalars is written with one
+    str.join, strings are escaped to ASCII by
+    json.encoder.encode_basestring_ascii, and any other scalar is written as
+    json.dumps writes it, so a value json cannot write raises TypeError."""
     doc = value if isinstance(value, dict) else to_doc(value)
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    out = []
+    _write(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value, newline, out):
+    """Append the text of value to out; newline is a line break followed by
+    the indent of the line value starts on."""
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            out.append(sep + _key(key) + ": ")
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        kinds = set(map(type, value))
+        if kinds <= _SCALARS:
+            items = map(int.__repr__ if kinds == {int} else _scalar, value)
+            out.append("[" + inner + ("," + inner).join(items) + newline + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        out.append(_scalar(value))
+
+
+_SCALARS = {str, int, float, bool, type(None)}
+
+
+def _scalar(value) -> str:
+    if type(value) is int:
+        return int.__repr__(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    return json.dumps(value)
+
+
+def _key(key) -> str:
+    """A dict key as json writes it: a string, or an int, float, bool or
+    None written as a scalar and then as a string."""
+    if not isinstance(key, str):
+        if key is not None and not isinstance(key, (int, float)):
+            raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+        key = json.dumps(key)
+    return encode_basestring_ascii(key)
 
 
 def loads(text: str):

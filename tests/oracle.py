@@ -18,8 +18,12 @@ isomorphism against every poset found so far.  minimize refines the states
 each start reaches, and language_of_state, language_of_output and
 is_local_variety minimize once per state and per right derivative, where
 predual refines each automaton once (one Nerode partition) and numbers a
-state's language off it.  language_quotient, local_variety_witness and
-identity_free_morphism are references some tests build on.
+state's language off it.  dual_monoid_entries builds the multiplication
+and the representatives of automata.dual_generated_monoid one entry and one
+candidate at a time, with combine_elements as predual had it per tag, where
+predual combines whole word columns and folds candidates over tables.
+language_quotient, local_variety_witness and identity_free_morphism are
+references some tests build on.
 """
 
 import itertools
@@ -36,13 +40,14 @@ from predual.algebra import (
     explore,
     identity_morphism,
     signature,
+    shortlex_words,
     sort_closure,
     subalgebra_on,
     table_isomorphism,
     validate_algebra,
     vect_prime,
 )
-from predual.automata import Coalgebra, LAlgebra
+from predual.automata import Coalgebra, LAlgebra, run_word, word_table
 from predual.duality import _objects_for, dual_morphism, dual_object, eta
 from predual.langlib import (
     DMonoidMorphismFree,
@@ -61,7 +66,7 @@ from predual.langlib import (
     symmetric_difference,
     union,
 )
-from predual.monoids import DMonoid
+from predual.monoids import DMonoid, dmonoid_closure
 
 
 def transition_monoid(l: RegularLanguage):
@@ -883,3 +888,122 @@ def identity_free_morphism(tag, alphabet) -> DMonoidMorphismFree:
     return make_free_morphism(
         tag, alphabet, alphabet, {a: free_word(tag, alphabet, a) for a in alphabet}
     )
+
+
+# ---------------------------------------------------------------------------
+# the dual generated D-monoid entry by entry: predual's construction before
+# it was read off tables, copied unchanged except that it returns its table
+# and representatives and skips the checks
+
+
+def combine_elements(a: FinAlgebra, weighted) -> int:
+    """Evaluate a formal combination [(element, coeff), ...] in the algebra.
+
+    SET/POS expect exactly one pair; JSL0/JSL fold joins; VECT(p) folds
+    weighted sums; SET_STAR treats the empty combination as the basepoint.
+    """
+    tag = a.tag
+    p = vect_prime(tag)
+    items = list(weighted)
+    if tag in ("SET", "POS"):
+        if len(items) != 1 or items[0][1] != 1:
+            raise StructureError(f"{tag} elements are single points")
+        return items[0][0]
+    if tag == "SET_STAR":
+        if not items:
+            return a.op("point")
+        if len(items) != 1 or items[0][1] != 1:
+            raise StructureError("SET_STAR combinations have at most one point")
+        return items[0][0]
+    if tag in ("JSL0", "JSL01"):
+        join = a.op("join")
+        acc = a.op("zero")
+        for x, c in items:
+            if c != 1:
+                raise StructureError("semilattice coefficients must be 1")
+            acc = join[acc][x]
+        return acc
+    if tag == "JSL":
+        if not items:
+            raise StructureError("JSL has no empty joins")
+        join = a.op("join")
+        acc = items[0][0]
+        for x, _ in items[1:]:
+            acc = join[acc][x]
+        return acc
+    if p is not None:
+        add = a.op("add")
+        acc = a.op("zero")
+        for x, c in items:
+            acc = add[acc][a.op(f"smul{c % p}")[x]]
+        return acc
+    raise StructureError(f"tag {tag} has no combination structure")
+
+
+def eval_free(a: LAlgebra, x: FreeElement) -> int:
+    return combine_elements(a.states, [(run_word(a, w), c) for w, c in x.pairs])
+
+
+def dual_monoid_entries(a: LAlgebra):
+    """(mult, reprs) of the dual generated D-monoid of a: a word_table per
+    representative word and one combine_elements call per entry."""
+    tag = a.states.tag
+    alphabet = a.alphabet
+    n = a.states.size
+    states, delta = explore(a.init, alphabet, lambda s, letter: a.tr(letter)[s])
+    reprs = {
+        s: free_word(tag, alphabet, w)
+        for s, w in zip(states, shortlex_words(delta, alphabet))
+    }
+    if len(reprs) < n:
+        elements, witnesses, _ = dmonoid_closure(reprs, a.states)
+        reprs = dict(zip(elements, witnesses))
+    minimize_reprs(a, reprs)
+    column = {w: word_table(a, w) for w in {w for fe in reprs.values() for w, _ in fe.pairs}}
+    mult = tuple(
+        tuple(
+            combine_elements(a.states, [(column[w][x], c) for w, c in reprs[y].pairs])
+            for y in range(n)
+        )
+        for x in range(n)
+    )
+    return mult, tuple(sorted(reprs.items()))
+
+
+def minimize_reprs(a: LAlgebra, reprs: dict):
+    """Replace representatives by shortlex-minimal combinations of word reps:
+    one FreeElement made and evaluated per candidate."""
+    tag = a.states.tag
+    if tag in ("SET", "POS"):
+        return
+    words = sorted(
+        {w for fe in reprs.values() for w, _ in fe.pairs}, key=lambda w: (len(w), w)
+    )
+    if tag == "SET_STAR":
+        candidates = [free_zero(tag, a.alphabet)] + [
+            free_word(tag, a.alphabet, w) for w in words
+        ]
+    else:
+        if len(words) > 12:
+            return  # candidate pool too large; keep constructed reps
+        p = vect_prime(tag)
+        candidates = [free_zero(tag, a.alphabet)]
+        coeffs = range(1, (p or 2))
+        pool = []
+        for r in range(1, len(words) + 1):
+            for combo in itertools.combinations(words, r):
+                if p is None or p == 2:
+                    pool.append([(w, 1) for w in combo])
+                else:
+                    for cs in itertools.product(coeffs, repeat=r):
+                        pool.append(list(zip(combo, cs)))
+        candidates += [make_free(tag, a.alphabet, pairs) for pairs in pool]
+    candidates.sort(key=FreeElement.sort_key)
+    best = {}
+    for fe in candidates:
+        elem = eval_free(a, fe)
+        if elem not in best:
+            best[elem] = fe
+    for elem in reprs:
+        if elem in best:
+            reprs[elem] = best[elem]

@@ -6,9 +6,12 @@ written into the working directory first), `syntactic --json` and
 `localvariety --json` on test_syntactic.CORPUS under the five language
 tags, `dualize --check` for every pair of duality.PAIRS at the default
 size, the full law battery, `check-laws --corpus`, for JSL0, DL01 and
-VECT2 over criterion 2's seed languages, and `preimage` of languages and of
+VECT2 over criterion 2's seed languages, `preimage` of languages and of
 local varieties along JSL0, VECT2 and SET_STAR maps with a multi-word and a
-zero image.
+zero image, and one `--json` call for each document the other calls do not
+write: an `enumerate` list, a `varlang` language set, a derivative, a
+language over a non-ASCII letter and a quote, and the `violations` of an
+algebra that breaks its laws.
 tests/test_golden.py replays them and compares digests, so any change to a
 byte of these outputs fails a test.  Re-record only for a change that is
 meant to alter output, from the repository root:
@@ -43,6 +46,9 @@ DOCUMENTS = {
     "f.json": {"kind": "free-morphism", "tag": "SET", "source_alphabet": ["b"],
                "target_alphabet": ["a", "b"], "images": {"b": _IMAGE}},
     "samples.json": ["(aa)*", "(ab)*", "a*"],
+    # join is not idempotent: dualize reports the violation
+    "broken.alg": {"kind": "algebra", "tag": "JSL0", "size": 2,
+                   "ops": {"join": [[0, 1], [1, 0]], "zero": 0}},
 }
 LAW_PAIRS = ("JSL0", "DL01", "VECT2")
 LAW_SEEDS = {"a": ["(aa)*", "a*", "a"], "ab": ["(a|b)*a"]}
@@ -87,6 +93,14 @@ README_CALLS = [
     ["enumerate", "--tag", "JSL0", "--size", "4"],
 ]
 
+DOCUMENT_CALLS = [
+    ["enumerate", "--tag", "VECT2", "--size", "4", "--json"],
+    ["varlang", "--monoid", "z2.json", "--alphabet", "a", "--pair", "BA", "--json"],
+    ["deriv", "--side", "left", "--letter", "a", "--regex", "(ab)*", "--json"],
+    ["minimize", "--regex", '(é|"a)*', "--json"],
+    ["dualize", "--pair", "JSL0", "--in", "broken.alg"],
+]
+
 
 def golden_calls():
     """The argument lists, file arguments relative to the working directory."""
@@ -102,7 +116,7 @@ def golden_calls():
                   for rx in PREIMAGE_REGEXES]
         calls.append(["preimage", "--map", f"map-{tag}.json",
                       "--automaton", f"variety-{tag}.json", "--side", "C"])
-    return calls
+    return calls + DOCUMENT_CALLS
 
 
 def write_documents(directory):

@@ -413,6 +413,12 @@ INPUT_FILES = {
     "int-seeds.json": b'{"seeds": {"a": [1]}}',
     "list-seeds.json": b'{"seeds": []}',
     "jsl01-corpus.json": b'{"pairs": ["JSL01"], "seeds": {"a": ["a*"]}}',
+    "id.map": json.dumps({
+        "kind": "free-morphism", "tag": "SET", "source_alphabet": ["a"],
+        "target_alphabet": ["a"],
+        "images": {"a": {"kind": "free-element", "tag": "SET", "alphabet": ["a"],
+                         "pairs": [["a", 1]]}},
+    }).encode(),
     **{
         f"{name}.map": json.dumps({
             "kind": "free-morphism", "tag": "VECT2", "target_alphabet": ["a"],
@@ -489,6 +495,13 @@ INPUT_FILES = {
             ["preimage", "--map", f"{name}.map", "--regex", "(aa)*", "--alphabet", "a"]
             for name in ("off-alphabet", "unknown-tag", "wrong-image-tag", "set-coefficient")
         ),
+        # a command that reads a language given none, dualize given nothing to read
+        ["minimize"],
+        ["deriv", "--side", "left", "--letter", "a"],
+        ["preimage", "--map", "id.map"],
+        ["dualize", "--pair", "BA"],
+        # enumerate takes a tag of the algebra module
+        ["enumerate", "--tag", "XX", "--size", "2"],
     ],
 )
 def test_malformed_cli_input_is_a_usage_error(capsys, tmp_path, argv):

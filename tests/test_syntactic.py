@@ -27,12 +27,14 @@ import oracle
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from predual.algebra import CapExceeded, explore, make_algebra
+from predual import algebra
+from predual.algebra import CapExceeded, explore, free_algebra, make_algebra
 from predual.automata import (
     dual_generated_monoid,
     eval_free,
     generated_local_variety,
     languages_of,
+    make_lalgebra,
     syntactic_lalgebra,
 )
 from predual.cli import main
@@ -194,6 +196,42 @@ def test_multiplication_is_evaluation_of_free_products(pair):
         assert zeros
     if pair in ("JSL0", "VECT2"):
         assert combinations
+
+
+@pytest.mark.parametrize("pair", MAIN_PAIRS)
+def test_table_columns_give_the_entrywise_multiplication_and_representatives(pair):
+    for rx, alphabet in CORPUS:
+        a = syntactic_lalgebra(pair, [parse_regex(rx, alphabet)])
+        g = dual_generated_monoid(a)
+        assert (g.base.mult, g.reprs) == oracle.dual_monoid_entries(a), rx
+
+
+def test_an_element_no_word_reaches_gets_a_scaled_word():
+    # GF(3) acting on itself: the letter is the identity, the unit is 1, so
+    # the words reach 1 alone, 0 is the zero and 2 the combination 2 eps
+    carrier = free_algebra("VECT3", ["u"])[0]
+    a = make_lalgebra("VECT3", "a", carrier, {"a": (0, 1, 2)}, 1)
+    g = dual_generated_monoid(a)
+    assert [fe.pairs for _, fe in g.reprs] == [(), (("", 1),), (("", 2),)]
+    assert g.base.mult == ((0, 0, 0), (0, 1, 2), (0, 2, 1))
+    assert (g.base.mult, g.reprs) == oracle.dual_monoid_entries(a)
+
+
+def test_syntactic_builds_its_monoid_without_per_entry_combinations(monkeypatch):
+    calls = []
+    for name in ("combine_elements", "generated_subalgebra"):
+        original = getattr(algebra, name)
+
+        def counted(*args, name=name, original=original):
+            calls.append(name)
+            return original(*args)
+
+        for module in [m for key, m in sys.modules.items() if key.startswith("predual")]:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    code, out, _ = run_cli("syntactic", "--tag", "VECT2", "--regex", "(a|b)*abb", "--json")
+    assert code == 0 and json.loads(out)["kind"] == "generated-dmonoid"
+    assert calls == []
 
 
 @pytest.mark.parametrize("pair", MAIN_PAIRS)
