@@ -1,4 +1,5 @@
-"""Command-line surface tying the modules together.
+"""Command-line surface tying the modules together.  COMMANDS names each
+command's handler and options; parse_args reads a command line off it.
 
 Exit codes: 0 success, 1 law violation or counterexample found, 2 usage
 error, 3 cap exceeded or inconclusive verdict, 4 an internal cross-check
@@ -8,10 +9,9 @@ diagnostics go to stderr; documents and reports go to stdout.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import sys
+from types import SimpleNamespace
 
 from .algebra import (
     ALL_TAGS,
@@ -23,6 +23,7 @@ from .algebra import (
     StructureError,
     enumerate_algebras,
     validate_algebra,
+    vect_prime,
 )
 from .automata import (
     Coalgebra,
@@ -108,9 +109,11 @@ def _read_language(args):
 
 
 def cmd_enumerate(args):
-    if args.tag not in ALL_TAGS:
-        raise DocumentError(f"unknown tag {args.tag}; choose from {', '.join(ALL_TAGS)}")
-    algs = enumerate_algebras(args.tag, args.size)
+    n, base = args.size, 2 if args.tag in ("BA", "BR") else vect_prime(args.tag)
+    if n < 0 or base and n not in {base**k for k in range(n.bit_length())}:
+        sizes = f"; sizes are the powers of {base}: 1, {base}, {base * base}, ..." if base else ""
+        raise DocumentError(f"no {args.tag} algebra has {n} elements{sizes}")
+    algs = enumerate_algebras(args.tag, n)
     if args.json:
         sys.stdout.write(dumps({"kind": "list", "items": [to_doc(a) for a in algs]}))
     else:
@@ -203,12 +206,10 @@ def cmd_preimage(args):
         return _emit(args, preimage_language(value, f))
     if isinstance(value, Coalgebra):
         if args.side == "D":
-            print("usage error: document is a C-side coalgebra", file=sys.stderr)
-            return USAGE
+            raise DocumentError("document is a C-side coalgebra")
         return _emit(args, coalgebra_preimage(value, f))
     if args.side == "C":
-        print("usage error: document is a D-side L-algebra", file=sys.stderr)
-        return USAGE
+        raise DocumentError("document is a D-side L-algebra")
     return _emit(args, algebra_preimage(value, f))
 
 
@@ -251,12 +252,8 @@ def cmd_check_laws(args):
     laws = [aliases.get(l, l) for l in args.laws.split(",")] if args.laws else list(LAWS)
     unknown = [l for l in laws if l not in LAWS]
     if unknown:
-        print(
-            f"usage error: unknown law(s) {', '.join(unknown)}; "
-            f"choose from {', '.join(LAWS)} (qfcomp = qfprops)",
-            file=sys.stderr,
-        )
-        return USAGE
+        raise DocumentError(f"unknown law(s) {', '.join(unknown)}; "
+                            f"choose from {', '.join(LAWS)} (qfcomp = qfprops)")
     if args.corpus:
         spec = _read_json(args.corpus)
         if not (
@@ -303,103 +300,103 @@ def cmd_check_laws(args):
     return COUNTEREXAMPLE if failed else OK
 
 
-@functools.cache
-def build_parser():
-    """The argument parser, built on the first call and shared by later ones:
-    no argument has a mutable default, and argparse looks up the output
-    streams and the terminal width when it prints, not when it is built."""
-    p = argparse.ArgumentParser(
-        prog="predual",
-        description="finite duality-based algebraic automata lab",
-    )
-    sub = p.add_subparsers(dest="command", required=True)
+# An option spec is (kind, default): kind is bool for a flag, str or int for
+# a value, or the tuple of allowed values; an option not given takes its
+# default, and one whose default is REQUIRED must be given.
+REQUIRED = object()
+FLAG, TEXT, NEEDED, MAIN_PAIR = (bool, False), (str, None), (str, REQUIRED), (MAIN_PAIRS, REQUIRED)
+_OUTPUT = {"--json": FLAG, "--dot": FLAG}
+_LANGUAGE = {**_OUTPUT, "--regex": TEXT, "--alphabet": TEXT, "--in": TEXT}
 
-    def add_common(sp, language=False):
-        sp.add_argument("--json", action="store_true", help="canonical JSON on stdout")
-        sp.add_argument("--dot", action="store_true", help="DOT graph on stdout")
-        if language:
-            sp.add_argument("--regex", help="regex input")
-            sp.add_argument("--alphabet", help="explicit alphabet letters")
-            sp.add_argument("--in", dest="infile", help="language document path")
+# command -> (handler, description, {option: spec})
+COMMANDS = {
+    "enumerate": (cmd_enumerate, "enumerate algebras up to isomorphism", {
+        "--tag": (ALL_TAGS, REQUIRED), "--size": (int, REQUIRED), "--json": FLAG}),
+    "dualize": (cmd_dualize, "dualize an algebra or morphism document", {
+        "--pair": (PAIRS, REQUIRED), "--in": TEXT, "--check": FLAG, "--max-size": (int, 4),
+        **_OUTPUT}),
+    "minimize": (cmd_minimize, "canonical minimal automaton of a language", _LANGUAGE),
+    "deriv": (cmd_deriv, "left or right derivative of a language", {
+        "--side": (("left", "right"), REQUIRED), "--letter": NEEDED, **_LANGUAGE}),
+    "localvariety": (cmd_localvariety, "closure of seeds into a local variety", {
+        "--tag": MAIN_PAIR, "--seeds": TEXT, "--regex": TEXT, "--alphabet": TEXT, **_OUTPUT}),
+    "syntactic": (cmd_syntactic, "dual generated D-monoid of a language", {
+        "--tag": MAIN_PAIR, "--regex": NEEDED, "--alphabet": TEXT, "--json": FLAG}),
+    "preimage": (cmd_preimage, "preimage of a language or automaton", {
+        "--map": NEEDED, "--automaton": TEXT, "--side": (("C", "D"), None), **_LANGUAGE}),
+    "varlang": (cmd_varlang, "languages of a simple pseudovariety", {
+        "--monoid": NEEDED, "--alphabet": NEEDED, "--pair": MAIN_PAIR, "--json": FLAG}),
+    "eilenberg-check": (cmd_eilenberg_check, "bounded Eilenberg correspondence", {
+        "--monoid": NEEDED, "--samples": NEEDED, "--pair": (MAIN_PAIRS, "BA"), "--nmax": (int, 2)}),
+    "check-laws": (cmd_check_laws, "run the reversal/preimage law battery", {
+        "--laws": TEXT, "--pairs": TEXT, "--corpus": TEXT, "--max-states": (int, None)}),
+}
+HELP = ("-h", "--help")
 
-    sp = sub.add_parser("enumerate", help="enumerate algebras up to isomorphism")
-    sp.add_argument("--tag", required=True)
-    sp.add_argument("--size", type=int, required=True)
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(fn=cmd_enumerate)
 
-    sp = sub.add_parser("dualize", help="dualize an algebra or morphism document")
-    sp.add_argument("--pair", required=True, choices=PAIRS)
-    sp.add_argument("--in", dest="infile")
-    sp.add_argument("--check", action="store_true", help="run verify_preduality")
-    sp.add_argument("--max-size", type=int, default=4)
-    add_common(sp)
-    sp.set_defaults(fn=cmd_dualize)
+def parse_args(argv):
+    """The handler's arguments: command, fn (the handler) and one attribute
+    per option of the command (--in is infile, --max-size max_size).  An
+    option is given as --opt value or --opt=value, never abbreviated; the
+    token after a valued option is its value whatever it looks like.  -h or
+    --help makes fn cmd_help; any other malformed call raises DocumentError."""
+    command = argv[0] if argv else None
+    if command in HELP:
+        return SimpleNamespace(command=None, fn=cmd_help)
+    if command not in COMMANDS:
+        given = f"unknown command {command}" if argv else "missing command"
+        raise DocumentError(f"{given}; choose from {', '.join(COMMANDS)}")
+    fn, _, options = COMMANDS[command]
+    values, tokens = {}, iter(argv[1:])
+    for token in tokens:
+        if token in HELP:
+            return SimpleNamespace(command=command, fn=cmd_help)
+        option, eq, value = token.partition("=")
+        kind, _ = options.get(option, (None, None))
+        if kind is None:
+            raise DocumentError(f"{command} has no option {option}; it takes {', '.join(options)}")
+        if kind is bool and eq:
+            raise DocumentError(f"{option} takes no value")
+        if kind is bool:
+            value = True
+        elif not eq and (value := next(tokens, None)) is None:
+            raise DocumentError(f"{option} needs a value")
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise DocumentError(f"{option} needs an integer, not {value!r}") from None
+        elif isinstance(kind, tuple) and value not in kind:
+            raise DocumentError(f"{option} {value} is not one of {', '.join(kind)}")
+        values[option] = value
+    args = SimpleNamespace(command=command, fn=fn)
+    for option, (_, default) in options.items():
+        if default is REQUIRED and option not in values:
+            raise DocumentError(f"{command} needs {option}")
+        dest = "infile" if option == "--in" else option[2:].replace("-", "_")
+        setattr(args, dest, values.get(option, default))
+    return args
 
-    sp = sub.add_parser("minimize", help="canonical minimal automaton of a language")
-    add_common(sp, language=True)
-    sp.set_defaults(fn=cmd_minimize)
 
-    sp = sub.add_parser("deriv", help="left or right derivative of a language")
-    sp.add_argument("--side", choices=("left", "right"), required=True)
-    sp.add_argument("--letter", required=True)
-    add_common(sp, language=True)
-    sp.set_defaults(fn=cmd_deriv)
-
-    sp = sub.add_parser("localvariety", help="closure of seeds into a local variety")
-    sp.add_argument("--tag", required=True, choices=MAIN_PAIRS)
-    sp.add_argument("--seeds", help="JSON file with a list of regexes")
-    sp.add_argument("--regex", help="single seed regex")
-    sp.add_argument("--alphabet")
-    sp.add_argument("--json", action="store_true")
-    sp.add_argument("--dot", action="store_true")
-    sp.set_defaults(fn=cmd_localvariety)
-
-    sp = sub.add_parser("syntactic", help="dual generated D-monoid of a language")
-    sp.add_argument("--tag", required=True, choices=MAIN_PAIRS)
-    sp.add_argument("--regex", required=True)
-    sp.add_argument("--alphabet")
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(fn=cmd_syntactic)
-
-    sp = sub.add_parser("preimage", help="preimage of a language or automaton")
-    sp.add_argument("--map", required=True, help="free-morphism document path")
-    sp.add_argument("--automaton", help="coalgebra or L-algebra document path")
-    sp.add_argument("--side", choices=("C", "D"), help="expected automaton side")
-    add_common(sp, language=True)
-    sp.set_defaults(fn=cmd_preimage)
-
-    sp = sub.add_parser("varlang", help="languages of a simple pseudovariety")
-    sp.add_argument("--monoid", required=True, help="dmonoid document path")
-    sp.add_argument("--alphabet", required=True)
-    sp.add_argument("--pair", required=True, choices=MAIN_PAIRS)
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(fn=cmd_varlang)
-
-    sp = sub.add_parser("eilenberg-check", help="bounded Eilenberg correspondence")
-    sp.add_argument("--monoid", required=True)
-    sp.add_argument("--samples", required=True, help="JSON list of sample regexes")
-    sp.add_argument("--pair", default="BA", choices=MAIN_PAIRS)
-    sp.add_argument("--nmax", type=int, default=2)
-    sp.set_defaults(fn=cmd_eilenberg_check)
-
-    sp = sub.add_parser("check-laws", help="run the reversal/preimage law battery")
-    sp.add_argument("--laws", help="comma-separated law names")
-    sp.add_argument("--pairs", help="comma-separated pair tags")
-    sp.add_argument("--corpus", help="JSON corpus file {pairs, seeds:{alphabet:[regex]}}")
-    sp.add_argument("--max-states", type=int, help="cap corpus variety sizes")
-    sp.set_defaults(fn=cmd_check_laws)
-
-    return p
+def cmd_help(args):
+    """The options of args.command, or of every command, written from COMMANDS."""
+    lines = ["usage: predual COMMAND [--opt value | --opt=value | --flag]..."]
+    for command in [args.command] if args.command else COMMANDS:
+        _, about, options = COMMANDS[command]
+        lines.append(f"{command}: {about}")
+        for option, (kind, default) in options.items():
+            value = ("" if kind is bool else " N" if kind is int else f" {option[2:].upper()}"
+                     if kind is str else " {" + ",".join(kind) + "}")
+            note = (" (required)" if default is REQUIRED else ""
+                    if default in (None, False) else f" (default {default})")
+            lines.append(f"  {option}{value}{note}")
+    sys.stdout.write("\n".join(lines) + "\n")
+    return OK
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return USAGE if e.code not in (0, None) else OK
-    try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         return args.fn(args)
     except (BoundExceeded, CapExceeded) as e:
         print(f"cap exceeded: {e}", file=sys.stderr)

@@ -22,10 +22,13 @@ state's language off it.  dual_monoid_entries builds the multiplication
 and the representatives of automata.dual_generated_monoid one entry and one
 candidate at a time, with combine_elements as predual had it per tag, where
 predual combines whole word columns and folds candidates over tables.
+build_parser is the argparse parser predual's CLI had before its one
+option table (cli.COMMANDS and cli.parse_args).
 language_quotient, local_variety_witness and identity_free_morphism are
 references some tests build on.
 """
 
+import argparse
 import itertools
 
 from predual.algebra import (
@@ -48,7 +51,19 @@ from predual.algebra import (
     vect_prime,
 )
 from predual.automata import Coalgebra, LAlgebra, run_word, word_table
-from predual.duality import _objects_for, dual_morphism, dual_object, eta
+from predual.cli import (
+    cmd_check_laws,
+    cmd_deriv,
+    cmd_dualize,
+    cmd_eilenberg_check,
+    cmd_enumerate,
+    cmd_localvariety,
+    cmd_minimize,
+    cmd_preimage,
+    cmd_syntactic,
+    cmd_varlang,
+)
+from predual.duality import MAIN_PAIRS, PAIRS, _objects_for, dual_morphism, dual_object, eta
 from predual.langlib import (
     DMonoidMorphismFree,
     FreeElement,
@@ -1007,3 +1022,89 @@ def minimize_reprs(a: LAlgebra, reprs: dict):
     for elem in reprs:
         if elem in best:
             reprs[elem] = best[elem]
+
+
+def build_parser():
+    p = argparse.ArgumentParser(
+        prog="predual",
+        description="finite duality-based algebraic automata lab",
+    )
+    sub = p.add_subparsers(dest="command", required=True)
+
+    def add_common(sp, language=False):
+        sp.add_argument("--json", action="store_true", help="canonical JSON on stdout")
+        sp.add_argument("--dot", action="store_true", help="DOT graph on stdout")
+        if language:
+            sp.add_argument("--regex", help="regex input")
+            sp.add_argument("--alphabet", help="explicit alphabet letters")
+            sp.add_argument("--in", dest="infile", help="language document path")
+
+    sp = sub.add_parser("enumerate", help="enumerate algebras up to isomorphism")
+    sp.add_argument("--tag", required=True)
+    sp.add_argument("--size", type=int, required=True)
+    sp.add_argument("--json", action="store_true")
+    sp.set_defaults(fn=cmd_enumerate)
+
+    sp = sub.add_parser("dualize", help="dualize an algebra or morphism document")
+    sp.add_argument("--pair", required=True, choices=PAIRS)
+    sp.add_argument("--in", dest="infile")
+    sp.add_argument("--check", action="store_true", help="run verify_preduality")
+    sp.add_argument("--max-size", type=int, default=4)
+    add_common(sp)
+    sp.set_defaults(fn=cmd_dualize)
+
+    sp = sub.add_parser("minimize", help="canonical minimal automaton of a language")
+    add_common(sp, language=True)
+    sp.set_defaults(fn=cmd_minimize)
+
+    sp = sub.add_parser("deriv", help="left or right derivative of a language")
+    sp.add_argument("--side", choices=("left", "right"), required=True)
+    sp.add_argument("--letter", required=True)
+    add_common(sp, language=True)
+    sp.set_defaults(fn=cmd_deriv)
+
+    sp = sub.add_parser("localvariety", help="closure of seeds into a local variety")
+    sp.add_argument("--tag", required=True, choices=MAIN_PAIRS)
+    sp.add_argument("--seeds", help="JSON file with a list of regexes")
+    sp.add_argument("--regex", help="single seed regex")
+    sp.add_argument("--alphabet")
+    sp.add_argument("--json", action="store_true")
+    sp.add_argument("--dot", action="store_true")
+    sp.set_defaults(fn=cmd_localvariety)
+
+    sp = sub.add_parser("syntactic", help="dual generated D-monoid of a language")
+    sp.add_argument("--tag", required=True, choices=MAIN_PAIRS)
+    sp.add_argument("--regex", required=True)
+    sp.add_argument("--alphabet")
+    sp.add_argument("--json", action="store_true")
+    sp.set_defaults(fn=cmd_syntactic)
+
+    sp = sub.add_parser("preimage", help="preimage of a language or automaton")
+    sp.add_argument("--map", required=True, help="free-morphism document path")
+    sp.add_argument("--automaton", help="coalgebra or L-algebra document path")
+    sp.add_argument("--side", choices=("C", "D"), help="expected automaton side")
+    add_common(sp, language=True)
+    sp.set_defaults(fn=cmd_preimage)
+
+    sp = sub.add_parser("varlang", help="languages of a simple pseudovariety")
+    sp.add_argument("--monoid", required=True, help="dmonoid document path")
+    sp.add_argument("--alphabet", required=True)
+    sp.add_argument("--pair", required=True, choices=MAIN_PAIRS)
+    sp.add_argument("--json", action="store_true")
+    sp.set_defaults(fn=cmd_varlang)
+
+    sp = sub.add_parser("eilenberg-check", help="bounded Eilenberg correspondence")
+    sp.add_argument("--monoid", required=True)
+    sp.add_argument("--samples", required=True, help="JSON list of sample regexes")
+    sp.add_argument("--pair", default="BA", choices=MAIN_PAIRS)
+    sp.add_argument("--nmax", type=int, default=2)
+    sp.set_defaults(fn=cmd_eilenberg_check)
+
+    sp = sub.add_parser("check-laws", help="run the reversal/preimage law battery")
+    sp.add_argument("--laws", help="comma-separated law names")
+    sp.add_argument("--pairs", help="comma-separated pair tags")
+    sp.add_argument("--corpus", help="JSON corpus file {pairs, seeds:{alphabet:[regex]}}")
+    sp.add_argument("--max-states", type=int, help="cap corpus variety sizes")
+    sp.set_defaults(fn=cmd_check_laws)
+
+    return p

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from predual.algebra import enumerate_algebras
-from predual.cli import main
+from predual.cli import COMMANDS, main
 from predual.serialize import dumps, from_doc, loads, to_doc
 
 
@@ -168,6 +169,13 @@ def test_enumerate_cli(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--tag", "JSL0", "--size", "3")
     assert code == 0
     assert out.startswith("1 algebra(s)")
+
+
+@pytest.mark.parametrize("tag, size", [("BA", 32), ("JSL0", 7), ("VECT2", 16)])
+def test_enumerate_past_its_bound_is_a_cap(capsys, tag, size):
+    code, out, err = run_cli(capsys, "enumerate", "--tag", tag, "--size", str(size))
+    assert (code, out) == (3, "")
+    assert err.startswith("cap exceeded: ") and err.count("\n") == 1
 
 
 def test_byte_identical_reruns(capsys):
@@ -502,6 +510,24 @@ INPUT_FILES = {
         ["dualize", "--pair", "BA"],
         # enumerate takes a tag of the algebra module
         ["enumerate", "--tag", "XX", "--size", "2"],
+        # a value outside its choices, a missing option, a non-integer, an
+        # unknown or abbreviated option, a missing value, a value given to a
+        # flag, an unknown command and no command
+        ["syntactic", "--tag", "XX", "--regex", "a"],
+        ["syntactic", "--regex", "a"],
+        ["dualize", "--pair", "BA", "--check", "--max-size", "x"],
+        ["syntactic", "--tag", "BA", "--regex", "a", "--bogus"],
+        ["syntactic", "--tag", "BA", "--reg", "a"],
+        ["syntactic", "--tag", "BA", "--regex"],
+        ["syntactic", "--tag", "BA", "--regex", "a", "--json=1"],
+        ["frobnicate"],
+        [],
+        # an enumerate size that is negative or that no algebra of the tag has
+        ["enumerate", "--tag", "JSL0", "--size", "-1"],
+        ["enumerate", "--tag", "BA", "--size", "3"],
+        ["enumerate", "--tag", "BR", "--size", "6"],
+        ["enumerate", "--tag", "VECT2", "--size", "0"],
+        ["enumerate", "--tag", "VECT3", "--size", "6"],
     ],
 )
 def test_malformed_cli_input_is_a_usage_error(capsys, tmp_path, argv):
@@ -580,8 +606,8 @@ def test_a_failed_cross_check_exits_4_under_python_O():
 
 def _readme_calls(tmp_path):
     """Every CLI example of the README, the documents they read written into
-    tmp_path, then an argparse usage error, a help text and a usage error
-    of a command."""
+    tmp_path, then a usage error of the option table, a help text and a
+    usage error of a command."""
     chain2 = {"kind": "algebra", "tag": "JSL0", "size": 2,
               "ops": {"join": [[0, 1], [1, 1]], "zero": 0}}
     z2 = {"kind": "dmonoid", "tag": "SET",
@@ -615,11 +641,7 @@ def _readme_calls(tmp_path):
     ]
 
 
-def test_the_parser_is_built_once_and_reused(capsys, tmp_path, monkeypatch):
-    from predual import cli
-
-    assert cli.build_parser() is cli.build_parser()
-    monkeypatch.setenv("COLUMNS", "80")  # the help text wraps at the terminal width
+def test_repeated_calls_print_what_a_fresh_process_prints(capsys, tmp_path):
     calls = _readme_calls(tmp_path)
     first = [run_cli(capsys, *argv) for argv in calls]
     assert [run_cli(capsys, *argv) for argv in calls] == first
@@ -627,7 +649,57 @@ def test_the_parser_is_built_once_and_reused(capsys, tmp_path, monkeypatch):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONIOENCODING="utf-8",
                PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    for i in (0, -3, -2):  # a document, an argparse usage error, a help text
+    for i in (0, -3, -2):  # a document, a usage error of the option table, a help text
         run = subprocess.run([sys.executable, "-m", "predual.cli", *calls[i]],
                              capture_output=True, encoding="utf-8", env=env, timeout=120)
         assert (run.returncode, run.stdout, run.stderr) == first[i], calls[i]
+
+
+def _variants(argv):
+    """argv as written, with its options in reversed order, and with each
+    valued option in --opt=value form; no value in argv starts with --."""
+    groups = []
+    for token in argv[1:]:
+        if token.startswith("--"):
+            groups.append([token])
+        else:
+            groups[-1].append(token)
+    return [
+        argv,
+        argv[:1] + [token for group in reversed(groups) for token in group],
+        argv[:1] + ["=".join(group) for group in groups],
+    ]
+
+
+def test_parse_args_agrees_with_the_argparse_parser(capsys, tmp_path):
+    from oracle import build_parser
+    from predual.cli import parse_args
+
+    parser = build_parser()
+    golden = json.loads((Path(__file__).with_name("golden.json")).read_text(encoding="utf-8"))
+    argvs = [e["argv"] for e in golden] + _readme_calls(tmp_path)
+    compared = 0
+    for argv in argvs:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            continue  # argparse rejects it or prints help
+        for variant in _variants(argv):
+            assert vars(parse_args(variant)) == vars(parser.parse_args(variant)), variant
+            compared += 1
+    assert compared == 3 * (len(argvs) - 2)  # all but the README's --tag XX and --help
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], ["-h"], *([command, "--help"] for command in COMMANDS),
+     ["syntactic", "--tag", "BA", "-h"]],
+)
+def test_help_names_every_command_and_option(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    words = set(re.findall(r"[\w-]+", out))
+    commands = [argv[0]] if argv[0] in COMMANDS else list(COMMANDS)
+    assert set(commands) <= words
+    for command in commands:
+        assert set(COMMANDS[command][2]) <= words, command
