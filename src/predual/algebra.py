@@ -1230,13 +1230,9 @@ def enumerate_algebras(tag: str, n: int) -> list:
         if n > 6:
             raise BoundExceeded(f"{tag} enumeration bounded at size 6")
     if tag == "SET":
-        if n < 1:
-            raise BoundExceeded("need n >= 1")
         return [make_algebra("SET", n, {})]
     if tag == "SET_STAR":
-        if n < 1:
-            raise BoundExceeded("need n >= 1")
-        return [make_algebra("SET_STAR", n, {"point": 0})]
+        return [make_algebra("SET_STAR", n, {"point": 0})] if n else []
     if tag == "POS":
         return [make_algebra("POS", n, {}, order) for order in _posets_upto(n)]
     if tag == "JSL":

@@ -5,6 +5,11 @@ algebra, per-letter algebraic transition endomorphisms, and an output
 morphism to O_C (no initial state).  An LAlgebra is the D-side counterpart:
 transitions plus an initial state, no outputs.  Dualization exchanges the
 two, sending the output morphism to the initial-state selector.
+
+Both are one record, _Automaton(pair, alphabet, states, trans), owning tr:
+a Coalgebra adds ``out``, an LAlgebra ``init``, and each equals only its own
+kind.  Their construction, validation, dual transitions and documents are
+written once, given what differs.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ from .algebra import (
     combine_elements,
     derived,
     downset_masks,
-    enumerate_algebras,
     explore,
     free_algebra,
     make_algebra,
@@ -45,6 +49,7 @@ from .algebra import (
 from .duality import (
     BIRKHOFF_PAIRS,
     PAIR_D_SIDE,
+    _objects_for,
     c_tag,
     canonical_constants,
     d_tag,
@@ -83,12 +88,15 @@ def pair_of_d_tag(tag: str) -> str:
 
 
 @dataclass(frozen=True)
-class Coalgebra(KeepsDerived):
+class _Automaton(KeepsDerived):
+    """What a coalgebra and an L-algebra share: the pair, the alphabet, the
+    state algebra and one transition endomorphism per letter.  Each kind
+    adds one last field and compares equal only to its own kind."""
+
     pair: str
     alphabet: tuple
     states: FinAlgebra
     trans: tuple  # sorted tuple of (letter, endo table)
-    out: tuple  # table into O_C (accepting value is 1)
 
     def tr(self, letter):
         for a, t in self.trans:
@@ -98,49 +106,66 @@ class Coalgebra(KeepsDerived):
 
 
 @dataclass(frozen=True)
-class LAlgebra(KeepsDerived):
-    pair: str
-    alphabet: tuple
-    states: FinAlgebra
-    trans: tuple
-    init: int
+class Coalgebra(_Automaton):
+    out: tuple  # table into O_C (accepting value is 1)
 
-    def tr(self, letter):
-        for a, t in self.trans:
-            if a == letter:
-                return t
-        raise StructureError(f"letter {letter!r} not in alphabet")
+
+@dataclass(frozen=True)
+class LAlgebra(_Automaton):
+    init: int
 
 
 def make_coalgebra(pair, alphabet, states, trans: dict, out) -> Coalgebra:
+    return _make(Coalgebra, c_tag(pair), _output_errors, pair, alphabet, states, trans, tuple(out))
+
+
+def make_lalgebra(pair, alphabet, states, trans: dict, init: int) -> LAlgebra:
+    return _make(LAlgebra, d_tag(pair), _init_errors, pair, alphabet, states, trans, init)
+
+
+def _make(cls, tag, last_errors, pair, alphabet, states, trans, last):
+    """cls(pair, alphabet, states, sorted trans, last); StructureError unless
+    states has the tag and no law breaks (_automaton_errors)."""
     alphabet = tuple(alphabet)
-    if states.tag != c_tag(pair):
-        raise StructureError(f"states must be {c_tag(pair)} for pair {pair}")
-    q = Coalgebra(
-        pair, alphabet, states, tuple(sorted((a, tuple(trans[a])) for a in alphabet)),
-        tuple(out),
-    )
-    errors = validate_coalgebra(q)
+    if states.tag != tag:
+        raise StructureError(f"states must be {tag} for pair {pair}")
+    m = cls(pair, alphabet, states, tuple(sorted((a, tuple(trans[a])) for a in alphabet)), last)
+    errors = _automaton_errors(m, last_errors)
     if errors:
         raise StructureError("; ".join(errors))
-    return q
-
-
-def _vect_encoding_errors(states: FinAlgebra) -> list:
-    if vect_prime(states.tag) is None:
-        return []
-    _, perm = standardize_vect(states)
-    if perm != tuple(range(states.size)):
-        return ["VECT states must use the standard basis encoding"]
-    return []
+    return m
 
 
 def validate_coalgebra(q: Coalgebra) -> list:
-    errs = validate_algebra(q.states) + _vect_encoding_errors(q.states)
+    return _automaton_errors(q, _output_errors)
+
+
+def validate_lalgebra(a: LAlgebra) -> list:
+    return _automaton_errors(a, _init_errors)
+
+
+def _automaton_errors(m, last_errors) -> list:
+    """The laws the coalgebra or L-algebra m breaks: its states' if any
+    break, else its transitions' and then last_errors(m), its last field's."""
+    states = m.states
+    errs = validate_algebra(states)
+    if vect_prime(states.tag) is not None:
+        if standardize_vect(states)[1] != tuple(range(states.size)):
+            errs = errs + ["VECT states must use the standard basis encoding"]
     if errs:
         return [f"states: {e}" for e in errs]
-    maps = [(f"transition {a!r}", q.states, q.tr(a)) for a in q.alphabet]
-    return _morphism_errors(q.states, maps + [("output", canonical_constants(q.pair).O_C, q.out)])
+    maps = [(f"transition {a!r}", states, m.tr(a)) for a in m.alphabet]
+    return _morphism_errors(states, maps) + last_errors(m)
+
+
+def _output_errors(q: Coalgebra) -> list:
+    return _morphism_errors(q.states, [("output", canonical_constants(q.pair).O_C, q.out)])
+
+
+def _init_errors(a: LAlgebra) -> list:
+    if type(a.init) is int and 0 <= a.init < a.states.size:
+        return []
+    return ["initial state out of range"]
 
 
 def _morphism_errors(source: FinAlgebra, maps) -> list:
@@ -159,30 +184,6 @@ def _morphism_errors(source: FinAlgebra, maps) -> list:
     return out
 
 
-def make_lalgebra(pair, alphabet, states, trans: dict, init: int) -> LAlgebra:
-    alphabet = tuple(alphabet)
-    if states.tag != d_tag(pair):
-        raise StructureError(f"states must be {d_tag(pair)} for pair {pair}")
-    a = LAlgebra(
-        pair, alphabet, states, tuple(sorted((x, tuple(trans[x])) for x in alphabet)),
-        init,
-    )
-    errors = validate_lalgebra(a)
-    if errors:
-        raise StructureError("; ".join(errors))
-    return a
-
-
-def validate_lalgebra(a: LAlgebra) -> list:
-    errs = validate_algebra(a.states) + _vect_encoding_errors(a.states)
-    if errs:
-        return [f"states: {e}" for e in errs]
-    out = _morphism_errors(a.states, [(f"transition {x!r}", a.states, a.tr(x)) for x in a.alphabet])
-    if type(a.init) is not int or not 0 <= a.init < a.states.size:
-        out.append("initial state out of range")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # duality of automata
 
@@ -195,16 +196,10 @@ def dual_automaton(q: Coalgebra) -> LAlgebra:
 
 def _build_dual_automaton(q: Coalgebra) -> LAlgebra:
     bundle = canonical_constants(q.pair)
-    dstates = dual_object(q.pair, q.states)
-    trans = {}
-    for a in q.alphabet:
-        d = dual_morphism(q.pair, AlgMorphism(q.states, q.states, q.tr(a)))
-        trans[a] = d.table
     out_m = AlgMorphism(q.states, bundle.O_C, q.out)
-    init = dual_morphism(q.pair, out_m).table[bundle.gen_one_D]
     return LAlgebra(
-        q.pair, q.alphabet, dstates, tuple(sorted((a, t) for a, t in trans.items())),
-        init,
+        q.pair, q.alphabet, dual_object(q.pair, q.states), _dual_trans(q),
+        dual_morphism(q.pair, out_m).table[bundle.gen_one_D],
     )
 
 
@@ -215,16 +210,18 @@ def dual_automaton_inv(a: LAlgebra) -> Coalgebra:
 
 
 def _build_dual_automaton_inv(a: LAlgebra) -> Coalgebra:
-    cstates = dual_object(a.pair, a.states)
-    trans = {}
-    for x in a.alphabet:
-        d = dual_morphism(a.pair, AlgMorphism(a.states, a.states, a.tr(x)))
-        trans[x] = d.table
-    out = out_from_dual_init(a.pair, a.states, a.init)
     return Coalgebra(
-        a.pair, a.alphabet, cstates, tuple(sorted((x, t) for x, t in trans.items())),
-        out,
+        a.pair, a.alphabet, dual_object(a.pair, a.states), _dual_trans(a),
+        out_from_dual_init(a.pair, a.states, a.init),
     )
+
+
+def _dual_trans(m) -> tuple:
+    """The dual transitions of the coalgebra or L-algebra m, sorted by letter."""
+    return tuple(sorted(
+        (a, dual_morphism(m.pair, AlgMorphism(m.states, m.states, m.tr(a))).table)
+        for a in m.alphabet
+    ))
 
 
 def relabel_double_dual(pair: str, states: FinAlgebra, qdd: Coalgebra) -> Coalgebra:
@@ -734,34 +731,20 @@ def coalgebra_coproduct(q1: Coalgebra, q2: Coalgebra) -> Coalgebra:
 def enumerate_coalgebras(pair, alphabet, max_states, limit=None):
     """All valid coalgebras of the pair with small carriers, deterministically.
 
-    Yields coalgebras whose states algebra is enumerated up to max_states,
-    transitions range over all endomorphisms and outputs over all morphisms
-    to O_C.  limit caps the total count (deterministic prefix).
+    Yields coalgebras whose states algebra is one of the pair's C-side
+    algebras up to max_states (duality._objects_for), transitions range over
+    all endomorphisms and outputs over all morphisms to O_C.  limit caps the
+    total count (deterministic prefix).
     """
     bundle = canonical_constants(pair)
-    tag = c_tag(pair)
     alphabet = tuple(alphabet)
     count = 0
-    p = vect_prime(tag)
-    if tag in ("BA", "BR"):
-        sizes = [s for s in (1, 2, 4, 8) if s <= max_states]
-    elif p is not None:
-        sizes = [p**d for d in range(4) if p**d <= max_states]
-    else:
-        sizes = range(1, max_states + 1)
-    for n in sizes:
-        for states in enumerate_algebras(tag, n):
-            endos = [f.table for f in all_morphisms(states, states)]
-            outs = [f.table for f in all_morphisms(states, bundle.O_C)]
-            for combo in itertools.product(endos, repeat=len(alphabet)):
-                for out in outs:
-                    yield Coalgebra(
-                        pair,
-                        alphabet,
-                        states,
-                        tuple(sorted(zip(alphabet, combo))),
-                        out,
-                    )
-                    count += 1
-                    if limit is not None and count >= limit:
-                        return
+    for states in _objects_for(pair, "C", max_states):
+        endos = [f.table for f in all_morphisms(states, states)]
+        outs = [f.table for f in all_morphisms(states, bundle.O_C)]
+        for combo in itertools.product(endos, repeat=len(alphabet)):
+            for out in outs:
+                yield Coalgebra(pair, alphabet, states, tuple(sorted(zip(alphabet, combo))), out)
+                count += 1
+                if limit is not None and count >= limit:
+                    return

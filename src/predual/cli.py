@@ -110,10 +110,11 @@ def _read_language(args):
 
 def cmd_enumerate(args):
     n, base = args.size, 2 if args.tag in ("BA", "BR") else vect_prime(args.tag)
-    if n < 0 or base and n not in {base**k for k in range(n.bit_length())}:
+    off = n < 0 or base and n not in {base**k for k in range(n.bit_length())}
+    algs = [] if off else enumerate_algebras(args.tag, n)
+    if not algs:
         sizes = f"; sizes are the powers of {base}: 1, {base}, {base * base}, ..." if base else ""
         raise DocumentError(f"no {args.tag} algebra has {n} elements{sizes}")
-    algs = enumerate_algebras(args.tag, n)
     if args.json:
         sys.stdout.write(dumps({"kind": "list", "items": [to_doc(a) for a in algs]}))
     else:
@@ -254,6 +255,8 @@ def cmd_check_laws(args):
     if unknown:
         raise DocumentError(f"unknown law(s) {', '.join(unknown)}; "
                             f"choose from {', '.join(LAWS)} (qfcomp = qfprops)")
+    if args.max_states is not None and args.max_states < 0:
+        raise DocumentError(f"--max-states must be at least 0, got {args.max_states}")
     if args.corpus:
         spec = _read_json(args.corpus)
         if not (
@@ -280,7 +283,7 @@ def cmd_check_laws(args):
     else:
         pairs = args.pairs.split(",") if args.pairs else ["BA", "JSL0"]
         corpus = default_corpus(pairs=tuple(_language_tags(pairs, "--pairs")))
-    if args.max_states:
+    if args.max_states is not None:
         for pair in corpus:
             corpus[pair]["varieties"] = [
                 (rx, q)

@@ -109,32 +109,20 @@ def default_seed_languages():
 
 def default_morphisms(tag: str):
     """Ten presentation morphisms per D-side tag, targeting {a} and {a,b}."""
-
-    def fe(alphabet, *words):
-        if not words and tag in ("JSL0", "VECT2", "SET_STAR"):
-            return free_zero(tag, alphabet)
-        return make_free(tag, alphabet, [(w, 1) for w in words])
-
     if tag in ("SET", "POS"):
         data = [
-            ("b", "a", {"b": "a"}),
-            ("b", "a", {"b": "aa"}),
-            ("b", "a", {"b": ""}),
-            ("b", "ab", {"b": "ab"}),
-            ("b", "ab", {"b": "ba"}),
-            ("c", "ab", {"c": "a"}),
-            ("bc", "ab", {"b": "a", "c": "b"}),
-            ("bc", "ab", {"b": "ab", "c": "b"}),
-            ("bc", "a", {"b": "aa", "c": ""}),
-            ("ab", "ab", {"a": "b", "b": "a"}),
+            ("b", "a", {"b": ("a",)}),
+            ("b", "a", {"b": ("aa",)}),
+            ("b", "a", {"b": ("",)}),
+            ("b", "ab", {"b": ("ab",)}),
+            ("b", "ab", {"b": ("ba",)}),
+            ("c", "ab", {"c": ("a",)}),
+            ("bc", "ab", {"b": ("a",), "c": ("b",)}),
+            ("bc", "ab", {"b": ("ab",), "c": ("b",)}),
+            ("bc", "a", {"b": ("aa",), "c": ("",)}),
+            ("ab", "ab", {"a": ("b",), "b": ("a",)}),
         ]
-        return [
-            make_free_morphism(
-                tag, src, tgt, {b: fe(tgt, w) for b, w in images.items()}
-            )
-            for src, tgt, images in data
-        ]
-    if tag in ("JSL0", "VECT2"):
+    elif tag in ("JSL0", "VECT2"):
         data = [
             ("b", "a", {"b": ("a",)}),
             ("b", "a", {"b": ("a", "aa")}),
@@ -147,13 +135,7 @@ def default_morphisms(tag: str):
             ("bc", "a", {"b": ("a",), "c": ("aa",)}),
             ("ab", "ab", {"a": ("b",), "b": ("a",)}),
         ]
-        return [
-            make_free_morphism(
-                tag, src, tgt, {b: fe(tgt, *ws) for b, ws in images.items()}
-            )
-            for src, tgt, images in data
-        ]
-    if tag == "SET_STAR":
+    elif tag == "SET_STAR":
         data = [
             ("b", "a", {"b": ("a",)}),
             ("b", "a", {"b": ()}),
@@ -166,13 +148,18 @@ def default_morphisms(tag: str):
             ("ab", "ab", {"a": ("b",), "b": ("a",)}),
             ("b", "ab", {"b": ("",)}),
         ]
-        return [
-            make_free_morphism(
-                tag, src, tgt, {b: fe(tgt, *ws) for b, ws in images.items()}
-            )
-            for src, tgt, images in data
-        ]
-    raise StructureError(f"no default morphisms for tag {tag}")
+    else:
+        raise StructureError(f"no default morphisms for tag {tag}")
+
+    def image(alphabet, words):
+        if not words:
+            return free_zero(tag, alphabet)
+        return make_free(tag, alphabet, [(w, 1) for w in words])
+
+    return [
+        make_free_morphism(tag, src, tgt, {b: image(tgt, ws) for b, ws in images.items()})
+        for src, tgt, images in data
+    ]
 
 
 def default_corpus(pairs=("BA", "DL01", "JSL0", "VECT2", "BR"), state_cap: int = 16):

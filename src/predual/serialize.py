@@ -143,39 +143,40 @@ def free_morphism_from_doc(doc) -> DMonoidMorphismFree:
 
 
 def coalgebra_doc(q: Coalgebra) -> dict:
-    return {
-        "kind": "coalgebra",
-        "pair": q.pair,
-        "alphabet": list(q.alphabet),
-        "states": algebra_doc(q.states),
-        "trans": {a: list(t) for a, t in q.trans},
-        "out": list(q.out),
-    }
+    return _automaton_doc("coalgebra", q, "out", list(q.out))
 
 
 def coalgebra_from_doc(doc) -> Coalgebra:
-    states = algebra_from_doc(_object(doc, "states"))
-    trans = {a: tuple(t) for a, t in _object(doc, "trans").items()}
-    args = doc["pair"], doc["alphabet"], states, trans, doc["out"]
-    return _lawful("coalgebra", make_coalgebra, *args)
+    return _automaton_from_doc("coalgebra", doc, "out", make_coalgebra)
 
 
 def lalgebra_doc(a: LAlgebra) -> dict:
-    return {
-        "kind": "lalgebra",
-        "pair": a.pair,
-        "alphabet": list(a.alphabet),
-        "states": algebra_doc(a.states),
-        "trans": {x: list(t) for x, t in a.trans},
-        "init": a.init,
-    }
+    return _automaton_doc("lalgebra", a, "init", a.init)
 
 
 def lalgebra_from_doc(doc) -> LAlgebra:
+    return _automaton_from_doc("lalgebra", doc, "init", make_lalgebra)
+
+
+def _automaton_doc(kind, m, last, value) -> dict:
+    """The document of the coalgebra or L-algebra m, its last field written
+    under the key last as value."""
+    return {
+        "kind": kind,
+        "pair": m.pair,
+        "alphabet": list(m.alphabet),
+        "states": algebra_doc(m.states),
+        "trans": {a: list(t) for a, t in m.trans},
+        last: value,
+    }
+
+
+def _automaton_from_doc(kind, doc, last, make):
+    """make's automaton from a document of the kind, its last field read
+    from the key last."""
     states = algebra_from_doc(_object(doc, "states"))
     trans = {a: tuple(t) for a, t in _object(doc, "trans").items()}
-    args = doc["pair"], doc["alphabet"], states, trans, doc["init"]
-    return _lawful("lalgebra", make_lalgebra, *args)
+    return _lawful(kind, make, doc["pair"], doc["alphabet"], states, trans, doc[last])
 
 
 def _lawful(kind, make, *args):

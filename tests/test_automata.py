@@ -1,11 +1,20 @@
+import dataclasses
 import itertools
 import pickle
 
 import pytest
 
-from predual.algebra import StructureError, are_isomorphic, make_algebra, validate_algebra
+from predual.algebra import (
+    StructureError,
+    are_isomorphic,
+    enumerate_algebras,
+    make_algebra,
+    relabel_algebra,
+    validate_algebra,
+)
 from predual.automata import (
     Coalgebra,
+    LAlgebra,
     coalgebra_coproduct,
     dual_automaton,
     dual_automaton_inv,
@@ -68,6 +77,54 @@ def test_generated_local_variety_parity_has_four_states():
         parse_regex("a(aa)*"),
         parse_regex("a*"),
     }
+
+
+def test_coalgebra_and_lalgebra_keep_their_fields_and_never_compare_equal():
+    assert [f.name for f in dataclasses.fields(Coalgebra)] == [
+        "pair", "alphabet", "states", "trans", "out"]
+    assert [f.name for f in dataclasses.fields(LAlgebra)] == [
+        "pair", "alphabet", "states", "trans", "init"]
+    a = two_state_cycle_lalgebra()
+    twin = Coalgebra(a.pair, a.alphabet, a.states, a.trans, a.init)
+    assert twin != a and a != twin
+    assert LAlgebra(*(getattr(a, f.name) for f in dataclasses.fields(a))) == a
+
+
+BA4 = enumerate_algebras("BA", 4)[0]
+SET2 = make_algebra("SET", 2, {})
+# a VECT2 plane whose zero is element 1: off the standard basis encoding
+OFF_VECT = relabel_algebra(enumerate_algebras("VECT2", 4)[0], [1, 0, 2, 3])
+
+
+@pytest.mark.parametrize(
+    "make, args, message",
+    [
+        (make_coalgebra, ("BA", "a", SET2, {"a": (0, 1)}, (0, 1)),
+         "states must be BA for pair BA"),
+        (make_lalgebra, ("BA", "a", BA4, {"a": (0, 1, 2, 3)}, 0),
+         "states must be SET for pair BA"),
+        (make_coalgebra, ("BA", "a", BA4, {"a": (0, 0, 0, 0)}, (0, 0, 1, 1)),
+         "transition 'a': not not preserved at 0"),
+        (make_lalgebra,
+         ("BR", "a", make_algebra("SET_STAR", 2, {"point": 0}), {"a": (1, 0)}, 5),
+         "transition 'a': point not preserved: f(0)=1 != 0; initial state out of range"),
+        (make_coalgebra, ("BA", "ab", BA4, {"a": (0, 1, 2, 3), "b": (0, 1, 2, 9)}, (0, 1, 7, 1)),
+         "transition 'b': not a map from 4 to 4 elements; "
+         "output: not a map from 4 to 2 elements"),
+        (make_coalgebra, ("VECT2", "a", OFF_VECT, {"a": (0, 1, 2, 3)}, (0, 1, 1, 0)),
+         "states: VECT states must use the standard basis encoding"),
+        (make_lalgebra, ("VECT2", "a", OFF_VECT, {"a": (0, 1, 2, 3)}, 0),
+         "states: VECT states must use the standard basis encoding"),
+        (make_coalgebra, ("BA", "a", BA4, {"a": (0, 1, 2, 3)}, (0, 1, 1, 1)),
+         "output: meet not preserved at (1,2)"),
+        (make_lalgebra, ("BA", "a", SET2, {"a": (1, 0)}, 2), "initial state out of range"),
+        (make_lalgebra, ("BA", "a", SET2, {"a": (1, 0)}, True), "initial state out of range"),
+    ],
+)
+def test_make_names_every_broken_law(make, args, message):
+    with pytest.raises(StructureError) as e:
+        make(*args)
+    assert str(e.value) == message
 
 
 def test_dual_of_one_state_ba_coalgebra():

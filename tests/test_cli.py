@@ -70,6 +70,14 @@ def test_check_laws_lrev_holds(capsys):
     assert "lrev: holds" in out
 
 
+def test_check_laws_max_states_zero_keeps_no_variety(capsys):
+    for cap in ("0", "1"):
+        code, out, _ = run_cli(
+            capsys, "check-laws", "--laws", "lrev", "--pairs", "BA", "--max-states", cap
+        )
+        assert (code, out) == (0, "lrev: holds (0 checks)\n")
+
+
 def test_minimize_and_deriv(capsys):
     code, out, _ = run_cli(capsys, "minimize", "--regex", "(ab)*", "--json")
     assert code == 0
@@ -171,6 +179,14 @@ def test_enumerate_cli(capsys):
     assert out.startswith("1 algebra(s)")
 
 
+def test_enumerate_set_at_size_zero_is_the_empty_set(capsys):
+    code, out, _ = run_cli(capsys, "enumerate", "--tag", "SET", "--size", "0")
+    assert code == 0
+    assert out == "1 algebra(s) of tag SET size 0\n" + dumps(enumerate_algebras("SET", 0)[0])
+    assert enumerate_algebras("SET", 0)[0].size == 0
+    assert enumerate_algebras("SET_STAR", 0) == []
+
+
 @pytest.mark.parametrize("tag, size", [("BA", 32), ("JSL0", 7), ("VECT2", 16)])
 def test_enumerate_past_its_bound_is_a_cap(capsys, tag, size):
     code, out, err = run_cli(capsys, "enumerate", "--tag", tag, "--size", str(size))
@@ -202,7 +218,8 @@ def test_document_roundtrips():
         dual_generated_monoid(generated_local_variety("BA", [parse_regex("(aa)*")])),
     ]
     for value in values:
-        assert loads(dumps(value)) == value
+        text = dumps(value)
+        assert loads(text) == value and dumps(loads(text)) == text
 
 
 def test_check_laws_with_corpus_file(capsys, tmp_path):
@@ -528,6 +545,9 @@ INPUT_FILES = {
         ["enumerate", "--tag", "BR", "--size", "6"],
         ["enumerate", "--tag", "VECT2", "--size", "0"],
         ["enumerate", "--tag", "VECT3", "--size", "6"],
+        ["enumerate", "--tag", "SET_STAR", "--size", "0"],
+        # a negative cap on the corpus varieties' states
+        ["check-laws", "--laws", "lrev", "--pairs", "BA", "--max-states", "-1"],
     ],
 )
 def test_malformed_cli_input_is_a_usage_error(capsys, tmp_path, argv):
