@@ -74,7 +74,6 @@ from .automata import (
     make_lalgebra,
     right_derivative_view,
     run_word,
-    run_word_co,
     shift_initial,
     shift_initial_co,
     syntactic_lalgebra,
@@ -88,7 +87,6 @@ from .monoids import (
     dagger_free,
     divides,
     make_dmonoid,
-    morphism_from_images,
     subdirect_product,
     transition_dmonoid,
     validate_dmonoid,

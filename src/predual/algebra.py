@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
-from operator import getitem
+from operator import getitem, itemgetter
 
 
 class StructureError(ValueError):
@@ -119,9 +119,11 @@ class FinAlgebra(KeepsDerived):
 
     Derived structure is computed on first use and kept on the instance:
     ``sig_ops`` (the tables with their arities), ``leq`` (the order matrix),
-    ``atoms``, ``join_irreducibles``, ``meets``, ``downsets``, the hash, and
-    from ``duality`` the dual, down-set index, eta, duals of morphisms out of
-    it and the output tables of the duals of its element selectors.
+    ``atoms``, ``join_irreducibles``, ``meets``, ``downsets``, the hash, the
+    generators of each binary operation and the covering relation of the
+    order (``generators``, ``covers``, which the law checks read), and
+    from ``duality`` the dual, down-set index, eta, duals of morphisms out
+    of it and the output tables of the duals of its element selectors.
     None of it takes part in equality, hashing, ``repr``, pickling or
     serialized documents, which see only the four fields.
     """
@@ -288,57 +290,220 @@ def make_algebra(tag: str, size: int, ops: dict, order=None) -> FinAlgebra:
 # law validation
 
 
-def order_matrix_violations(order) -> list:
-    n = len(order)
+def greedy_generators(table, candidates, start=()) -> tuple:
+    """The candidates, in the given order, that the ones taken before do not
+    reach: a candidate is taken unless it lies in the least set that holds
+    start and the candidates taken so far and is closed under x -> x g,
+    that is table[x][g], for every g taken.
+
+    The reached set grows with each candidate taken, never recomputed: the
+    elements reached before are stepped by the new generator, and every
+    element reached after by each generator, so each element is stepped
+    once by each generator, O(N |G|) lookups in all.
+    """
+    gens: list = []
+    reached = set(start)
+    elements = list(start)
+    for g in candidates:
+        if g in reached:
+            continue
+        gens.append(g)
+        old = len(elements)
+        reached.add(g)
+        elements.append(g)
+        for x in elements[:old]:
+            y = table[x][g]
+            if y not in reached:
+                reached.add(y)
+                elements.append(y)
+        i = old
+        while i < len(elements):
+            row = table[elements[i]]
+            for h in gens:
+                y = row[h]
+                if y not in reached:
+                    reached.add(y)
+                    elements.append(y)
+            i += 1
+    return tuple(gens)
+
+
+def _gather(indices):
+    """The function row -> tuple(row[i] for i in indices), as one C call."""
+    if len(indices) == 1:
+        i = indices[0]
+        return lambda row: (row[i],)
+    return itemgetter(*indices) if indices else lambda row: ()
+
+
+def light_test(table, gens):
+    """Light's associativity test at gens: the first (x, g, y) with
+    (x g) y != x (g y) and g in gens, or None."""
+    columns = [(g, _gather(table[g])) for g in gens]
+    for x, row in enumerate(table):
+        for g, times_g in columns:
+            x_gy = times_g(row)
+            xg_y = table[row[g]]
+            if xg_y != x_gy:
+                return x, g, next(y for y, v in enumerate(x_gy) if xg_y[y] != v)
+    return None
+
+
+def generators(a: FinAlgebra, name: str) -> tuple:
+    """Greedy generators of a's binary operation name, kept on a."""
+    return derived(a, "_generators", _op_generators, a.op(name), key=name)
+
+
+def _generator_rows(a: FinAlgebra, name: str) -> tuple:
+    """(g, u -> (u[g x] for every x)) for each generator g of a's binary
+    operation name, kept on a."""
+    return derived(a, "_generator_rows", _build_generator_rows, a, name, key=name)
+
+
+def _build_generator_rows(a: FinAlgebra, name: str) -> tuple:
+    table = a.op(name)
+    return tuple((g, _gather(table[g])) for g in generators(a, name))
+
+
+def _op_generators(table) -> tuple:
+    """greedy_generators over the elements taken by ascending count of z
+    with x z = x, then by index: under a join that is the size of x's
+    down-set, under a meet of its up-set, so an element comes after the
+    elements it is a join (meet) of, and a valid semilattice gets its
+    irreducible elements and its bottom (top) as generators."""
+    n = len(table)
+    return greedy_generators(table, sorted(range(n), key=lambda x: table[x].count(x)))
+
+
+def covers(a: FinAlgebra) -> tuple:
+    """covers(a)[x]: the y that cover x in a's order (x < y, nothing between),
+    ascending; kept on a."""
+    return derived(a, "_covers", _build_covers, a.leq)
+
+
+def _build_covers(leq) -> tuple:
+    above = [sum(1 << y for y, v in enumerate(row) if v and y != x) for x, row in enumerate(leq)]
     out = []
-    for i in range(n):
-        if not order[i][i]:
-            out.append(f"order not reflexive at {i}")
+    for mask in above:
+        beyond = 0
+        for y in _bits(mask):
+            beyond |= above[y]
+        out.append(tuple(_bits(mask & ~beyond)))
+    return tuple(out)
+
+
+def _bits(mask):
+    """The indices of mask's set bits, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def order_matrix_violations(order) -> list:
+    """Reflexivity at every i, antisymmetry at every pair and transitivity
+    at every (i, j, k), each violation named, in (i, j, k) order.  For
+    i <= j transitivity says that the up-set of j lies in the up-set of i,
+    one test of bitmask rows per pair."""
+    n = len(order)
+    out = [f"order not reflexive at {i}" for i in range(n) if not order[i][i]]
+    up = [sum(1 << k for k, v in enumerate(row) if v) for row in order]
     for i in range(n):
         for j in range(n):
-            if i != j and order[i][j] and order[j][i]:
+            if not order[i][j]:
+                continue
+            if i != j and order[j][i]:
                 out.append(f"order not antisymmetric at ({i},{j})")
-            for k in range(n):
-                if order[i][j] and order[j][k] and not order[i][k]:
-                    out.append(f"order not transitive at ({i},{j},{k})")
+            out.extend(f"order not transitive at ({i},{j},{k})" for k in _bits(up[j] & ~up[i]))
     return out
 
 
-def _check_semilattice(n, join, out, name="join"):
-    for x in range(n):
-        if join[x][x] != x:
+def _check_commutative(table, out, name):
+    for x, (row, column) in enumerate(zip(table, zip(*table))):
+        if row != column:
+            out.extend(
+                f"{name} not commutative at ({x},{y})"
+                for y, (u, v) in enumerate(zip(row, column)) if u != v
+            )
+
+
+def _check_associative(table, gens, out, name):
+    bad = light_test(table, gens)
+    if bad:
+        out.append("{} associativity violation at ({},{},{})".format(name, *bad))
+
+
+def _check_semilattice(table, gens, out, name="join"):
+    for x, row in enumerate(table):
+        if row[x] != x:
             out.append(f"{name} not idempotent at {x}")
-    for x in range(n):
-        for y in range(n):
-            if join[x][y] != join[y][x]:
-                out.append(f"{name} not commutative at ({x},{y})")
-            for z in range(n):
-                if join[join[x][y]][z] != join[x][join[y][z]]:
-                    out.append(f"{name} associativity violation at ({x},{y},{z})")
-                    return  # one witness is enough per op
+    _check_commutative(table, out, name)
+    _check_associative(table, gens, out, name)
 
 
-def _check_lattice(n, meet, join, out):
-    _check_semilattice(n, meet, out, "meet")
-    _check_semilattice(n, join, out, "join")
-    for x in range(n):
-        for y in range(n):
-            if join[x][meet[x][y]] != x or meet[x][join[x][y]] != x:
-                out.append(f"absorption violation at ({x},{y})")
+def _check_lattice(meet, join, meet_gens, join_gens, out):
+    """The semilattice laws of meet and join, at their generators, and
+    absorption at every pair."""
+    _check_semilattice(meet, meet_gens, out, "meet")
+    _check_semilattice(join, join_gens, out, "join")
+    for x, (meet_x, join_x) in enumerate(zip(meet, join)):
+        same = (x,) * len(join)
+        if _gather(meet_x)(join_x) != same or _gather(join_x)(meet_x) != same:
+            y = next(
+                y for y in range(len(join)) if join_x[meet_x[y]] != x or meet_x[join_x[y]] != x
+            )
+            out.append(f"absorption violation at ({x},{y})")
+            return
+
+
+def _check_distributive(mul, add, gens, out):
+    """x*(y+g) = x*y + x*g for every x, y and each g in gens, the first
+    failure named; * is mul and + is add."""
+    columns = tuple(zip(*add))
+    for x, row in enumerate(mul):
+        for g in gens:
+            x_yg = _gather(columns[g])(row)
+            xy_xg = _gather(row)(columns[row[g]])
+            if x_yg != xy_xg:
+                y = next(y for y, (u, v) in enumerate(zip(x_yg, xy_xg)) if u != v)
+                out.append(f"distributivity violation at ({x},{y},{g})")
                 return
 
 
-def _check_distributive(n, meet, join, out):
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if meet[x][join[y][z]] != join[meet[x][y]][meet[x][z]]:
-                    out.append(f"distributivity violation at ({x},{y},{z})")
-                    return
-
-
 def validate_algebra(a: FinAlgebra) -> list:
-    """Return the list of violated laws of a's equational theory (empty = valid)."""
+    """Return the list of violated laws of a's equational theory (empty = valid).
+
+    Idempotence, commutativity, units, absorption, complements, the
+    characteristic and the scalar laws are tested at every element or pair;
+    the order matrix of a POS by order_matrix_violations.  Associativity
+    and distributivity are tested at generators, O(N^2 |G|) work where
+    testing every triple is O(N^3), and the test stays complete:
+
+    - Associativity of each binary operation, written xy, by Light's test
+      at G = generators(a, name): (xg)y = x(gy) for every x, y and each g in
+      G.  Let S be the set of z with (xz)y = x(zy) for all x, y.  S is
+      closed under the operation without assuming it associative: for z,
+      w in S and any x, y,
+          (x(zw))y = ((xz)w)y = (xz)(wy) = x(z(wy)) = x((zw)y),
+      by w in S, w in S, z in S and w in S again.  greedy_generators takes
+      G so that every element is reached from G by steps x -> xg, g in G:
+      every element is a product of elements of S, so lies in S, and the
+      operation is associative.  BR's derived join x + y + xy is tested
+      the same way at its own generators.
+    - Distributivity x*(y+z) = x*y + x*z, with * the meet and + the join
+      (BR: mul and add), at the generators g of +: x*(y+g) = x*y + x*g for
+      every x and y.  For fixed x let T be the set of z with
+      x*(y+z) = x*y + x*z for all y.  Once + is associative (tested above,
+      its failure reported otherwise), T is closed under +: for z, w in T,
+          x*(y+(z+w)) = x*((y+z)+w) = x*(y+z) + x*w = (x*y + x*z) + x*w
+                      = x*y + (x*z + x*w) = x*y + x*(z+w),
+      the last step by w in T at y = z.  T holds the generators of +, so
+      every element.
+
+    Each message names one failing tuple of the law it tests; associativity
+    and distributivity name their first failure at generators, one per
+    law.
+    """
     out: list = []
     n = a.size
     tag = a.tag
@@ -349,7 +514,7 @@ def validate_algebra(a: FinAlgebra) -> list:
         return out
     if tag in ("JSL", "JSL0", "JSL01"):
         join = a.op("join")
-        _check_semilattice(n, join, out)
+        _check_semilattice(join, generators(a, "join"), out)
         if tag in ("JSL0", "JSL01"):
             zero = a.op("zero")
             for x in range(n):
@@ -364,8 +529,9 @@ def validate_algebra(a: FinAlgebra) -> list:
     if tag in ("DL01", "BA"):
         meet, join = a.op("meet"), a.op("join")
         zero, one = a.op("zero"), a.op("one")
-        _check_lattice(n, meet, join, out)
-        _check_distributive(n, meet, join, out)
+        join_gens = generators(a, "join")
+        _check_lattice(meet, join, generators(a, "meet"), join_gens, out)
+        _check_distributive(meet, join, join_gens, out)
         for x in range(n):
             if join[x][zero] != x or meet[x][one] != x:
                 out.append(f"bounds are not units at {x}")
@@ -384,34 +550,22 @@ def validate_algebra(a: FinAlgebra) -> list:
                 out.append(f"characteristic-2 law x+x=0 fails at {x}")
             if mul[x][x] != x:
                 out.append(f"idempotence violation x*x=x at {x}")
-        for x in range(n):
-            for y in range(n):
-                if add[x][y] != add[y][x]:
-                    out.append(f"add not commutative at ({x},{y})")
-                if mul[x][y] != mul[y][x]:
-                    out.append(f"mul not commutative at ({x},{y})")
-                for z in range(n):
-                    if add[add[x][y]][z] != add[x][add[y][z]]:
-                        out.append(f"add associativity violation at ({x},{y},{z})")
-                        break
-                    if mul[mul[x][y]][z] != mul[x][mul[y][z]]:
-                        out.append(f"mul associativity violation at ({x},{y},{z})")
-                        break
-                    if mul[x][add[y][z]] != add[mul[x][y]][mul[x][z]]:
-                        out.append(f"distributivity violation at ({x},{y},{z})")
-                        break
-                else:
-                    continue
-                break
+        _check_commutative(add, out, "add")
+        _check_commutative(mul, out, "mul")
+        add_gens, mul_gens = generators(a, "add"), generators(a, "mul")
+        _check_associative(add, add_gens, out, "add")
+        _check_associative(mul, mul_gens, out, "mul")
+        _check_distributive(mul, add, add_gens, out)
         if not out:
             # derived view: meet = x*y, join = x+y+xy must form a distributive
             # lattice with bottom `zero` (finite boolean rings seen as lattices)
             join = tuple(
                 tuple(add[add[x][y]][mul[x][y]] for y in range(n)) for x in range(n)
             )
+            join_gens = _op_generators(join)
             derived: list = []
-            _check_lattice(n, mul, join, derived)
-            _check_distributive(n, mul, join, derived)
+            _check_lattice(mul, join, mul_gens, join_gens, derived)
+            _check_distributive(mul, join, join_gens, derived)
             out.extend(f"derived lattice: {msg}" for msg in derived)
         return out
     if p is not None:
@@ -430,14 +584,8 @@ def validate_algebra(a: FinAlgebra) -> list:
             for k in range(2, p):
                 if smul[k][x] != add[x][smul[k - 1][x]]:
                     out.append(f"scalar table smul{k} inconsistent at {x}")
-        for x in range(n):
-            for y in range(n):
-                if add[x][y] != add[y][x]:
-                    out.append(f"add not commutative at ({x},{y})")
-                for z in range(n):
-                    if add[add[x][y]][z] != add[x][add[y][z]]:
-                        out.append(f"add associativity violation at ({x},{y},{z})")
-                        return out
+        _check_commutative(add, out, "add")
+        _check_associative(add, generators(a, "add"), out, "add")
         return out
     raise StructureError(f"unknown tag {tag}")
 
@@ -475,31 +623,52 @@ def compose(g: AlgMorphism, f: AlgMorphism) -> AlgMorphism:
 
 
 def check_morphism(f: AlgMorphism):
-    """Return (ok, first counterexample message or None)."""
+    """Return (ok, first counterexample message or None).
+
+    Precondition: f.source and f.target satisfy the laws of their tag (as
+    validate_algebra finds).  Under it the test below is exactly the test
+    of every operation at every argument tuple and of monotonicity at every
+    pair, at O(N |G|) cost rather than O(N^2):
+
+    - Constants are tested once, unary operations at every element.
+    - A binary operation, written xy, is tested at f(xg) = f(x)f(g) for
+      every x and each g in G = generators(f.source, name).  For the set T
+      of z with f(xz) = f(x)f(z) for all x, and z, w in T,
+          f(x(zw)) = f((xz)w) = f(xz)f(w) = (f(x)f(z))f(w)
+                   = f(x)(f(z)f(w)) = f(x)f(zw),
+      by associativity in the source and in the target.  T is closed under
+      the operation and holds G, which generates the source, so T holds
+      every element.  Every binary operation of the supported signatures is
+      commutative, so f(xg) is read off the row of g, and a failing pair
+      is named with its smaller element first.
+    - Monotonicity is tested on the covering relation of the source order
+      (covers): in a finite poset x <= y is a chain of covers, each kept by
+      f, and the target order is transitive.
+    """
     a, b, t = f.source, f.target, f.table
     if a.tag != b.tag:
         return False, f"tag mismatch {a.tag} vs {b.tag}"
     if len(t) != a.size:
         return False, "table size mismatch"
-    sig = signature(a.tag)
-    for name, arity in sorted(sig.items()):
-        ta, tb = a.op(name), b.op(name)
+    at_images = _gather(t)
+    for (name, ta), (arity, _), (_, tb) in zip(a.ops, a.sig_ops, b.ops):
         if arity == 0:
             if t[ta] != tb:
                 return False, f"{name} not preserved: f({ta})={t[ta]} != {tb}"
         elif arity == 1:
-            for x in range(a.size):
-                if t[ta[x]] != tb[t[x]]:
-                    return False, f"{name} not preserved at {x}"
+            if _gather(ta)(t) != at_images(tb):
+                x = next(x for x in range(a.size) if t[ta[x]] != tb[t[x]])
+                return False, f"{name} not preserved at {x}"
         else:
-            for x in range(a.size):
-                for y in range(a.size):
-                    if t[ta[x][y]] != tb[t[x]][t[y]]:
-                        return False, f"{name} not preserved at ({x},{y})"
+            for g, times_g in _generator_rows(a, name):
+                row = tb[t[g]]
+                if times_g(t) != at_images(row):
+                    x = next(x for x in range(a.size) if t[ta[g][x]] != row[t[x]])
+                    return False, f"{name} not preserved at ({min(x, g)},{max(x, g)})"
     if a.order is not None:
-        for x in range(a.size):
-            for y in range(a.size):
-                if a.order[x][y] and not b.order[t[x]][t[y]]:
+        for x, above in enumerate(covers(a)):
+            for y in above:
+                if not b.order[t[x]][t[y]]:
                     return False, f"not monotone at ({x},{y})"
     return True, None
 
@@ -1226,6 +1395,8 @@ def _powerset_br(k: int) -> FinAlgebra:
 def enumerate_algebras(tag: str, n: int) -> list:
     """All algebras of the tag with exactly n elements, up to isomorphism."""
     p = vect_prime(tag)
+    if n < 0:
+        raise StructureError(f"no {tag} algebra has negative size {n}")
     if tag in ("JSL0", "DL01", "POS", "JSL", "JSL01"):
         if n > 6:
             raise BoundExceeded(f"{tag} enumeration bounded at size 6")

@@ -262,11 +262,6 @@ def word_table(m, word) -> tuple:
     return table
 
 
-def run_word_co(q: Coalgebra, word) -> AlgMorphism:
-    """gamma_w as a composite endomorphism table."""
-    return AlgMorphism(q.states, q.states, word_table(q, word))
-
-
 def eval_free(a: LAlgebra, x: FreeElement) -> int:
     """e_A on a free element: combine word runs with the D-structure."""
     if tuple(x.alphabet) != a.alphabet:

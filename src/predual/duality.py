@@ -593,7 +593,10 @@ def verify_preduality(pair: str, max_size: int, dual_morphism_fn=None) -> dict:
             fail("dual-validates", f"dual of {obj.tag} size {obj.size}")
             continue
         e = eta(pair, obj)
-        ok, why = check_morphism(e)
+        # check_morphism tests at generators, which needs a lawful target;
+        # one equal to the enumerated object is
+        broken = [] if e.target == obj else validate_algebra(e.target)
+        ok, why = (False, f"double dual: {broken[0]}") if broken else check_morphism(e)
         if not ok or len(set(e.table)) != obj.size or e.target.size != obj.size:
             fail("double-dual-iso", f"{obj.tag} size {obj.size}: {why}")
 

@@ -24,6 +24,8 @@ from .algebra import (
     componentwise_fn,
     derived,
     explore,
+    greedy_generators,
+    light_test,
     make_algebra,
     product,
     shortlex_words,
@@ -71,21 +73,26 @@ def make_dmonoid(carrier: FinAlgebra, mult, unit: int) -> DMonoid:
 def validate_dmonoid(m: DMonoid) -> list:
     """Monoid axioms + bimorphism law (+ zero absorption for SET_STAR).
 
-    The unit laws and zero absorption are tested at every element;
-    associativity and the bimorphism law only at the elements a of a
-    generating set A under multiplication alone, taken greedily in element
-    order: associativity by Light's test, (xa)y = x(ay) for all x, y, and
-    the bimorphism law by testing that the left and right multiplications
-    by a are D-endomorphisms.  That is O(N^2 |A|) work, not O(N^3), and
-    still a full check.  Let S be the set of z with (xz)y = x(zy) for all
-    x, y.  S holds the unit e (by the unit laws) and is closed under the
-    table's product without assuming associativity: for z, w in S,
+    Precondition: m.carrier satisfies the laws of its tag (as
+    validate_algebra finds), since the bimorphism law is tested by
+    check_morphism.  The unit laws and zero absorption are tested at every
+    element; associativity and the bimorphism law only at the elements a
+    of a generating set A under multiplication alone, taken greedily in
+    element order from the unit (greedy_generators): associativity by
+    Light's test, (xa)y = x(ay) for all x, y, and the bimorphism law by
+    testing that the left and right multiplications by a are
+    D-endomorphisms.  That is O(N^2 |A|) work, not O(N^3), and still a
+    full check.  Let S be the set of z with (xz)y = x(zy) for all x, y.  S
+    holds the unit e (by the unit laws) and is closed under the table's
+    product without assuming associativity: for z, w in S,
     (x(zw))y = ((xz)w)y = (xz)(wy) = x(z(wy)) = x((zw)y).  A is chosen so
     that every element is a left-bracketed product (...((e a1) a2)...) ak
     of elements of A, so A within S makes the table associative.  Then
     L_xy = L_x . L_y and R_xy = R_y . R_x, so left and right
     multiplications that are D-endomorphisms at A are D-endomorphisms
-    everywhere.  Where a unit law fails, A need not generate, but that
+    everywhere: a composite of D-endomorphisms is one.  Each of the 2|A|
+    sections is itself tested at the carrier's generators (check_morphism),
+    O(N |G|) apiece.  Where a unit law fails, A need not generate, but that
     failure is reported already.
     """
     out = []
@@ -94,10 +101,10 @@ def validate_dmonoid(m: DMonoid) -> list:
     for x in range(n):
         if mult[m.unit][x] != x or mult[x][m.unit] != x:
             out.append(f"unit law fails at {x}")
-    gens = _greedy_generators(
-        n, lambda gs: set(explore(m.unit, gs, lambda x, a: mult[x][a])[0])
-    )
-    out += _light_test(mult, gens)
+    gens = greedy_generators(mult, range(n), (m.unit,))
+    bad = light_test(mult, gens)
+    if bad:
+        out.append("associativity fails at ({},{},{})".format(*bad))
     for a in gens:
         left = AlgMorphism(m.carrier, m.carrier, mult[a])
         right = AlgMorphism(m.carrier, m.carrier, tuple(row[a] for row in mult))
@@ -113,31 +120,6 @@ def validate_dmonoid(m: DMonoid) -> list:
             if mult[x][point] != point or mult[point][x] != point:
                 out.append(f"zero absorption fails at {x}")
     return out
-
-
-def _light_test(mult, gens) -> list:
-    """Light's associativity test at gens: a message naming the first x, a,
-    y with (xa)y != x(ay), or none."""
-    for x, row in enumerate(mult):
-        for a in gens:
-            x_ay = tuple(map(row.__getitem__, mult[a]))
-            xa_y = mult[row[a]]
-            if xa_y != x_ay:
-                y = next(y for y, v in enumerate(x_ay) if xa_y[y] != v)
-                return [f"associativity fails at ({x},{a},{y})"]
-    return []
-
-
-def _greedy_generators(n, reach) -> list:
-    """Elements 0..n-1 taken in order, each one that reach() of the elements
-    taken before it does not hold."""
-    gens: list = []
-    covered = reach(gens)
-    for x in range(n):
-        if x not in covered:
-            gens.append(x)
-            covered = reach(gens)
-    return gens
 
 
 @dataclass(frozen=True)
@@ -171,20 +153,6 @@ def eval_in_dmonoid(m: DMonoid, gen_images: dict, x: FreeElement) -> int:
             acc = m.mult[acc][gen_images[ch]]
         terms.append((acc, c))
     return combine_elements(m.carrier, terms)
-
-
-def morphism_from_images(tag: str, source_alphabet, images: dict):
-    """The unique multiplicative extension of letter images.
-
-    Images into a free D-monoid (FreeElements) produce a DMonoidMorphismFree;
-    images into a DMonoid (given as (monoid, {letter: element})) produce an
-    evaluation callable FreeElement -> element.
-    """
-    if isinstance(images, tuple):
-        monoid, gen_map = images
-        return lambda x: eval_in_dmonoid(monoid, gen_map, x)
-    some = next(iter(images.values()))
-    return make_free_morphism(tag, source_alphabet, some.alphabet, images)
 
 
 def dagger_free(f: DMonoidMorphismFree) -> DMonoidMorphismFree:
@@ -376,9 +344,13 @@ def dmonoid_powers(m: DMonoid, n_max: int, cap: int = 4096) -> list:
 def minimal_generators(m: DMonoid) -> list:
     """A greedy small generating set (under mult and D-operations)."""
     ops = [(2, table_fn(2, m.mult), False)] + closure_ops(m.carrier)
-    return _greedy_generators(
-        m.size, lambda gs: set(closure(dict.fromkeys([m.unit, *gs]), ops)[0])
-    )
+    gens: list = []
+    reached = set(closure({m.unit: None}, ops)[0])
+    for x in range(m.size):
+        if x not in reached:
+            gens.append(x)
+            reached = set(closure(dict.fromkeys([m.unit, *gens]), ops)[0])
+    return gens
 
 
 class _Conflict(Exception):

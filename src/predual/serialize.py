@@ -9,7 +9,15 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring_ascii
 
-from .algebra import AlgMorphism, FinAlgebra, StructureError, make_algebra, make_morphism, signature
+from .algebra import (
+    AlgMorphism,
+    FinAlgebra,
+    StructureError,
+    make_algebra,
+    make_morphism,
+    signature,
+    validate_algebra,
+)
 from .automata import Coalgebra, LAlgebra, make_coalgebra, make_lalgebra
 from .langlib import (
     DMonoidMorphismFree,
@@ -200,7 +208,9 @@ def dmonoid_doc(m: DMonoid) -> dict:
 
 def dmonoid_from_doc(doc) -> DMonoid:
     m = make_dmonoid(algebra_from_doc(_object(doc, "carrier")), doc["mult"], doc["unit"])
-    problems = validate_dmonoid(m)
+    # validate_dmonoid tests the sections at the carrier's generators, which
+    # needs a lawful carrier
+    problems = [f"carrier: {e}" for e in validate_algebra(m.carrier)] or validate_dmonoid(m)
     if problems:
         raise DocumentError(f"{doc['kind']} document is not a D-monoid: {problems[0]}")
     return m

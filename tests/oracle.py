@@ -23,9 +23,13 @@ and the representatives of automata.dual_generated_monoid one entry and one
 candidate at a time, with combine_elements as predual had it per tag, where
 predual combines whole word columns and folds candidates over tables.
 build_parser is the argparse parser predual's CLI had before its one
-option table (cli.COMMANDS and cli.parse_args).
-language_quotient, local_variety_witness and identity_free_morphism are
-references some tests build on.
+option table (cli.COMMANDS and cli.parse_args).  validate_algebra,
+check_morphism and order_matrix_violations test every triple, every pair
+and every (i, j, k), where predual tests associativity and distributivity
+at generators (Light's test), morphisms at generators and on the covering
+relation, and transitivity on bitmask rows.
+language_quotient, local_variety_witness, identity_free_morphism,
+run_word_co and morphism_from_images are references some tests build on.
 """
 
 import argparse
@@ -36,7 +40,6 @@ from predual.algebra import (
     FinAlgebra,
     StructureError,
     all_morphisms,
-    check_morphism,
     closure,
     closure_ops,
     compose,
@@ -47,7 +50,6 @@ from predual.algebra import (
     sort_closure,
     subalgebra_on,
     table_isomorphism,
-    validate_algebra,
     vect_prime,
 )
 from predual.automata import Coalgebra, LAlgebra, run_word, word_table
@@ -81,7 +83,7 @@ from predual.langlib import (
     symmetric_difference,
     union,
 )
-from predual.monoids import DMonoid, dmonoid_closure
+from predual.monoids import DMonoid, dmonoid_closure, eval_in_dmonoid
 
 
 def transition_monoid(l: RegularLanguage):
@@ -483,6 +485,17 @@ def verify_preduality_by_compose(pair: str, max_size: int, dual_morphism_fn=None
     return report
 
 
+def monoid_generators(m: DMonoid) -> tuple:
+    """Elements 0..n-1 taken in order, each one that explore() from the
+    unit under the elements taken before does not reach, exploring afresh
+    after every pick, as predual's validate_dmonoid once chose them."""
+    gens: list = []
+    for x in range(m.size):
+        if x not in explore(m.unit, gens, lambda y, a: m.mult[y][a])[0]:
+            gens.append(x)
+    return tuple(gens)
+
+
 def validate_dmonoid(m: DMonoid) -> list:
     """Monoid axioms + bimorphism law (+ zero absorption for SET_STAR)."""
     out = []
@@ -515,6 +528,196 @@ def validate_dmonoid(m: DMonoid) -> list:
             if mult[x][point] != point or mult[point][x] != point:
                 out.append(f"zero absorption fails at {x}")
     return out
+
+
+# ---------------------------------------------------------------------------
+# the law checks as predual had them before its generating-set kernel: every
+# triple for associativity and distributivity, every pair for morphisms and
+# the i, j, k loop for transitivity, copied unchanged
+
+
+def order_matrix_violations(order) -> list:
+    n = len(order)
+    out = []
+    for i in range(n):
+        if not order[i][i]:
+            out.append(f"order not reflexive at {i}")
+    for i in range(n):
+        for j in range(n):
+            if i != j and order[i][j] and order[j][i]:
+                out.append(f"order not antisymmetric at ({i},{j})")
+            for k in range(n):
+                if order[i][j] and order[j][k] and not order[i][k]:
+                    out.append(f"order not transitive at ({i},{j},{k})")
+    return out
+
+
+def _check_semilattice(n, join, out, name="join"):
+    for x in range(n):
+        if join[x][x] != x:
+            out.append(f"{name} not idempotent at {x}")
+    for x in range(n):
+        for y in range(n):
+            if join[x][y] != join[y][x]:
+                out.append(f"{name} not commutative at ({x},{y})")
+            for z in range(n):
+                if join[join[x][y]][z] != join[x][join[y][z]]:
+                    out.append(f"{name} associativity violation at ({x},{y},{z})")
+                    return  # one witness is enough per op
+
+
+def _check_lattice(n, meet, join, out):
+    _check_semilattice(n, meet, out, "meet")
+    _check_semilattice(n, join, out, "join")
+    for x in range(n):
+        for y in range(n):
+            if join[x][meet[x][y]] != x or meet[x][join[x][y]] != x:
+                out.append(f"absorption violation at ({x},{y})")
+                return
+
+
+def _check_distributive(n, meet, join, out):
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if meet[x][join[y][z]] != join[meet[x][y]][meet[x][z]]:
+                    out.append(f"distributivity violation at ({x},{y},{z})")
+                    return
+
+
+def validate_algebra(a: FinAlgebra) -> list:
+    """Return the list of violated laws of a's equational theory (empty = valid)."""
+    out: list = []
+    n = a.size
+    tag = a.tag
+    p = vect_prime(tag)
+    if a.order is not None:
+        out.extend(order_matrix_violations(a.order))
+    if tag in ("SET", "POS", "SET_STAR"):
+        return out
+    if tag in ("JSL", "JSL0", "JSL01"):
+        join = a.op("join")
+        _check_semilattice(n, join, out)
+        if tag in ("JSL0", "JSL01"):
+            zero = a.op("zero")
+            for x in range(n):
+                if join[x][zero] != x:
+                    out.append(f"zero not a unit for join at {x}")
+        if tag == "JSL01":
+            one = a.op("one")
+            for x in range(n):
+                if join[x][one] != one:
+                    out.append(f"one not absorbing for join at {x}")
+        return out
+    if tag in ("DL01", "BA"):
+        meet, join = a.op("meet"), a.op("join")
+        zero, one = a.op("zero"), a.op("one")
+        _check_lattice(n, meet, join, out)
+        _check_distributive(n, meet, join, out)
+        for x in range(n):
+            if join[x][zero] != x or meet[x][one] != x:
+                out.append(f"bounds are not units at {x}")
+        if tag == "BA":
+            neg = a.op("not")
+            for x in range(n):
+                if meet[x][neg[x]] != zero or join[x][neg[x]] != one:
+                    out.append(f"complement law violation at {x}")
+        return out
+    if tag == "BR":
+        add, mul, zero = a.op("add"), a.op("mul"), a.op("zero")
+        for x in range(n):
+            if add[x][zero] != x:
+                out.append(f"zero not a unit for add at {x}")
+            if add[x][x] != zero:
+                out.append(f"characteristic-2 law x+x=0 fails at {x}")
+            if mul[x][x] != x:
+                out.append(f"idempotence violation x*x=x at {x}")
+        for x in range(n):
+            for y in range(n):
+                if add[x][y] != add[y][x]:
+                    out.append(f"add not commutative at ({x},{y})")
+                if mul[x][y] != mul[y][x]:
+                    out.append(f"mul not commutative at ({x},{y})")
+                for z in range(n):
+                    if add[add[x][y]][z] != add[x][add[y][z]]:
+                        out.append(f"add associativity violation at ({x},{y},{z})")
+                        break
+                    if mul[mul[x][y]][z] != mul[x][mul[y][z]]:
+                        out.append(f"mul associativity violation at ({x},{y},{z})")
+                        break
+                    if mul[x][add[y][z]] != add[mul[x][y]][mul[x][z]]:
+                        out.append(f"distributivity violation at ({x},{y},{z})")
+                        break
+                else:
+                    continue
+                break
+        if not out:
+            # derived view: meet = x*y, join = x+y+xy must form a distributive
+            # lattice with bottom `zero` (finite boolean rings seen as lattices)
+            join = tuple(
+                tuple(add[add[x][y]][mul[x][y]] for y in range(n)) for x in range(n)
+            )
+            derived: list = []
+            _check_lattice(n, mul, join, derived)
+            _check_distributive(n, mul, join, derived)
+            out.extend(f"derived lattice: {msg}" for msg in derived)
+        return out
+    if p is not None:
+        add, zero = a.op("add"), a.op("zero")
+        smul = [a.op(f"smul{k}") for k in range(p)]
+        for x in range(n):
+            if add[x][zero] != x:
+                out.append(f"zero not a unit for add at {x}")
+            acc = x
+            for _ in range(p - 1):
+                acc = add[acc][x]
+            if acc != zero:
+                out.append(f"characteristic-{p} law fails at {x}")
+            if smul[0][x] != zero or smul[1][x] != x:
+                out.append(f"scalar tables inconsistent at {x}")
+            for k in range(2, p):
+                if smul[k][x] != add[x][smul[k - 1][x]]:
+                    out.append(f"scalar table smul{k} inconsistent at {x}")
+        for x in range(n):
+            for y in range(n):
+                if add[x][y] != add[y][x]:
+                    out.append(f"add not commutative at ({x},{y})")
+                for z in range(n):
+                    if add[add[x][y]][z] != add[x][add[y][z]]:
+                        out.append(f"add associativity violation at ({x},{y},{z})")
+                        return out
+        return out
+    raise StructureError(f"unknown tag {tag}")
+
+
+def check_morphism(f: AlgMorphism):
+    """Return (ok, first counterexample message or None)."""
+    a, b, t = f.source, f.target, f.table
+    if a.tag != b.tag:
+        return False, f"tag mismatch {a.tag} vs {b.tag}"
+    if len(t) != a.size:
+        return False, "table size mismatch"
+    sig = signature(a.tag)
+    for name, arity in sorted(sig.items()):
+        ta, tb = a.op(name), b.op(name)
+        if arity == 0:
+            if t[ta] != tb:
+                return False, f"{name} not preserved: f({ta})={t[ta]} != {tb}"
+        elif arity == 1:
+            for x in range(a.size):
+                if t[ta[x]] != tb[t[x]]:
+                    return False, f"{name} not preserved at {x}"
+        else:
+            for x in range(a.size):
+                for y in range(a.size):
+                    if t[ta[x][y]] != tb[t[x]][t[y]]:
+                        return False, f"{name} not preserved at ({x},{y})"
+    if a.order is not None:
+        for x in range(a.size):
+            for y in range(a.size):
+                if a.order[x][y] and not b.order[t[x]][t[y]]:
+                    return False, f"not monotone at ({x},{y})"
+    return True, None
 
 
 # ---------------------------------------------------------------------------
@@ -897,6 +1100,25 @@ def language_quotient(q: Coalgebra):
         tuple(sorted((a, t) for a, t in trans.items())), out,
     )
     return tuple(epi), quotient
+
+
+def run_word_co(q: Coalgebra, word) -> AlgMorphism:
+    """gamma_w as a composite endomorphism table."""
+    return AlgMorphism(q.states, q.states, word_table(q, word))
+
+
+def morphism_from_images(tag: str, source_alphabet, images: dict):
+    """The unique multiplicative extension of letter images.
+
+    Images into a free D-monoid (FreeElements) produce a DMonoidMorphismFree;
+    images into a DMonoid (given as (monoid, {letter: element})) produce an
+    evaluation callable FreeElement -> element.
+    """
+    if isinstance(images, tuple):
+        monoid, gen_map = images
+        return lambda x: eval_in_dmonoid(monoid, gen_map, x)
+    some = next(iter(images.values()))
+    return make_free_morphism(tag, source_alphabet, some.alphabet, images)
 
 
 def identity_free_morphism(tag, alphabet) -> DMonoidMorphismFree:

@@ -1,12 +1,15 @@
 import itertools
 import pickle
+import re
 
 import pytest
 
 import oracle
 from predual.algebra import (
+    ALL_TAGS,
     AlgMorphism,
     BoundExceeded,
+    FinAlgebra,
     StructureError,
     _posets_upto,
     all_morphisms,
@@ -18,9 +21,11 @@ from predual.algebra import (
     factorize,
     free_algebra,
     generated_subalgebra,
+    generators,
     identity_morphism,
     make_algebra,
     make_morphism,
+    order_matrix_violations,
     pairing,
     product,
     signature,
@@ -342,7 +347,9 @@ def test_cached_structure_stays_out_of_equality_hash_and_documents(pair, a):
     assert eta(pair, a) is eta(pair, a)
     identity = identity_morphism(a)
     assert dual_morphism(pair, identity) is dual_morphism(pair, identity_morphism(a))
-    assert {"_dual", "_eta", "_dual_morphisms"} <= set(vars(a))
+    assert validate_algebra(a) == [] and check_morphism(identity) == (True, None)
+    kept = {"_covers"} if a.tag == "POS" else {"_generators", "_generator_rows"}
+    assert {"_dual", "_eta", "_dual_morphisms"} | kept <= set(vars(a))
     assert a == fresh and fresh == a
     assert hash(a) == hash(fresh)
     assert dumps(a) == doc == dumps(fresh)
@@ -374,6 +381,182 @@ def test_cached_order_atoms_irreducibles_and_meets_match_brute_force():
             assert list(a.downsets) == oracle.downsets(a)
 
 
+def test_semilattice_generators_are_the_irreducibles_and_the_bound():
+    for a in _orderly_algebras():
+        if a.tag != "BR":
+            join_irreducibles = set(a.join_irreducibles) | {a.op("zero")}
+            assert set(generators(a, "join")) == join_irreducibles, a
+        if a.tag in ("BA", "DL01"):
+            meet = a.op("meet")
+            meet_irreducibles = {
+                x for x in a.carrier()
+                if not any(meet[y][z] == x for y in a.carrier() for z in a.carrier()
+                           if x not in (y, z))
+            }
+            assert set(generators(a, "meet")) == meet_irreducibles, a
+
+
 def test_posets_up_to_isomorphism_keep_the_pairwise_search_order():
     for n in range(1, 6):
         assert _posets_upto(n) == oracle._posets_upto(n), n
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS)
+def test_a_negative_size_is_one_structure_error_for_every_tag(tag):
+    with pytest.raises(StructureError, match=f"^no {tag} algebra has negative size -1$"):
+        enumerate_algebras(tag, -1)
+
+
+# ---------------------------------------------------------------------------
+# laws at generators against the full check (oracle.validate_algebra and
+# oracle.check_morphism test every triple and every pair)
+
+_TRIPLE = re.compile(
+    r"^(?:derived lattice: )?(\w+ associativity|distributivity) violation at \((\d+),(\d+),(\d+)\)$"
+)
+_PAIR = re.compile(r"^(\w+) not preserved at \((\d+),(\d+)\)$|^not monotone at \((\d+),(\d+)\)$")
+
+
+def _derived_join(a):
+    add, mul = a.op("add"), a.op("mul")
+    return tuple(tuple(add[add[x][y]][mul[x][y]] for y in range(a.size)) for x in range(a.size))
+
+
+def _law_fails_at(a, message) -> bool:
+    """Whether the law of an associativity or distributivity message fails
+    at the triple it names; True for the laws tested at every element."""
+    found = _TRIPLE.match(message)
+    if not found:
+        return True
+    law, x, y, z = found.group(1), *map(int, found.groups()[1:])
+    if law.endswith("associativity"):
+        name = law.split()[0]
+        t = _derived_join(a) if message.startswith("derived") and name == "join" else a.op(name)
+        return t[t[x][y]][z] != t[x][t[y][z]]
+    if a.tag == "BR":
+        mul, add = a.op("mul"), (_derived_join(a) if message.startswith("derived") else a.op("add"))
+    else:
+        mul, add = a.op("meet"), a.op("join")
+    return mul[x][add[y][z]] != add[mul[x][y]][mul[x][z]]
+
+
+def _preserved_fails_at(f, message) -> bool:
+    found = _PAIR.match(message)
+    if not found:
+        return True
+    t = f.table
+    if found.group(1):
+        name, x, y = found.group(1), int(found.group(2)), int(found.group(3))
+        sa, sb = f.source.op(name), f.target.op(name)
+        return t[sa[x][y]] != sb[t[x]][t[y]]
+    x, y = int(found.group(4)), int(found.group(5))
+    return f.source.order[x][y] and not f.target.order[t[x]][t[y]]
+
+
+def _single_entry_changes(a):
+    """Every algebra that differs from a in one entry of one table, or of
+    the order matrix of a POS.  Every binary operation of a is commutative,
+    so an entry (x, y) changes together with (y, x): a change left
+    unmirrored breaks commutativity, which is tested at every pair, and
+    would never reach the laws tested at generators."""
+    ops = dict(a.ops)
+    for name, table in a.ops:
+        for key, old in _entries(table):
+            for v in range(a.size):
+                if v != old:
+                    changed = dict(ops, **{name: _put(table, key, v)})
+                    yield FinAlgebra(a.tag, a.size, tuple(sorted(changed.items())), a.order)
+    if a.order is not None:
+        for x, y in itertools.product(range(a.size), repeat=2):
+            order = [list(row) for row in a.order]
+            order[x][y] = not order[x][y]
+            yield FinAlgebra(a.tag, a.size, a.ops, tuple(map(tuple, order)))
+
+
+def _entries(table):
+    if isinstance(table, int):
+        yield (), table
+    elif table and isinstance(table[0], tuple):
+        for x, row in enumerate(table):
+            for y, v in enumerate(row[x:], x):
+                yield (x, y), v
+    else:
+        for x, v in enumerate(table):
+            yield (x,), v
+
+
+def _put(table, key, v):
+    if not key:
+        return v
+    if len(key) == 1:
+        return table[: key[0]] + (v,) + table[key[0] + 1:]
+    rows = [list(row) for row in table]
+    x, y = key
+    rows[x][y] = rows[y][x] = v
+    return tuple(map(tuple, rows))
+
+
+def _lattices(n):
+    """The lattices of n elements as DL01 tables, M3 and N5 among them at 5."""
+    return [
+        make_algebra("DL01", n, {"join": a.op("join"), "meet": a.meets, "zero": a.op("zero"),
+                                 "one": a.op("one")})
+        for a in enumerate_algebras("JSL01", n)
+    ]
+
+
+AGREEMENT_ALGEBRAS = {
+    "JSL0": [a for n in (4, 5) for a in enumerate_algebras("JSL0", n)],
+    "DL01": enumerate_algebras("DL01", 4) + _lattices(5),
+    "POS": enumerate_algebras("POS", 3) + enumerate_algebras("POS", 4),
+    "BA": enumerate_algebras("BA", 8),
+    "BR": enumerate_algebras("BR", 8),
+    "VECT2": enumerate_algebras("VECT2", 8),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(AGREEMENT_ALGEBRAS))
+def test_laws_at_generators_accept_what_the_full_check_accepts(tag):
+    at_generators = 0
+    for a in AGREEMENT_ALGEBRAS[tag]:
+        for b in [a, *_single_entry_changes(a)]:
+            messages = validate_algebra(b)
+            assert (messages == []) == (oracle.validate_algebra(b) == []), (b, messages)
+            assert all(_law_fails_at(b, m) for m in messages), messages
+            at_generators += bool(messages) and all(_TRIPLE.match(m) for m in messages)
+            if b.order is not None:
+                assert order_matrix_violations(b.order) == oracle.order_matrix_violations(b.order)
+    # some changes break only the laws tested at generators
+    assert at_generators > 0 or tag == "POS"
+
+
+SMALL_ALGEBRAS = {
+    "JSL0": enumerate_algebras("JSL0", 3) + enumerate_algebras("JSL0", 4),
+    "DL01": enumerate_algebras("DL01", 3) + enumerate_algebras("DL01", 4),
+    "POS": enumerate_algebras("POS", 3),
+    **{tag: enumerate_algebras(tag, 2) + enumerate_algebras(tag, 4)
+       for tag in ("BA", "BR", "VECT2")},
+}
+
+
+def _maps(tag):
+    """Single-entry changes of the homs between the last three agreement
+    algebras of the tag, and every map between its small algebras."""
+    for a, b in itertools.product(AGREEMENT_ALGEBRAS[tag][-3:], repeat=2):
+        for h in all_morphisms(a, b):
+            for x, v in itertools.product(range(a.size), range(b.size)):
+                yield AlgMorphism(a, b, h.table[:x] + (v,) + h.table[x + 1:])
+    for a, b in itertools.product(SMALL_ALGEBRAS[tag], repeat=2):
+        for table in itertools.product(range(b.size), repeat=a.size):
+            yield AlgMorphism(a, b, table)
+
+
+@pytest.mark.parametrize("tag", sorted(AGREEMENT_ALGEBRAS))
+def test_morphisms_at_generators_accept_what_the_full_check_accepts(tag):
+    maps = rejected = 0
+    for f in _maps(tag):
+        ok, why = check_morphism(f)
+        assert ok == oracle.check_morphism(f)[0], (f, why)
+        assert ok or _preserved_fails_at(f, why), why
+        maps, rejected = maps + 1, rejected + (not ok)
+    assert maps > rejected > 0

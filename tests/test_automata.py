@@ -33,7 +33,6 @@ from predual.automata import (
     relabel_double_dual,
     right_derivative_view,
     run_word,
-    run_word_co,
     shift_initial,
     shift_initial_co,
     state_output_morphism,
@@ -55,7 +54,7 @@ from predual.monoids import (
 )
 from predual.serialize import dumps, loads
 
-from oracle import language_quotient, local_variety_witness, transition_monoid
+from oracle import language_quotient, local_variety_witness, run_word_co, transition_monoid
 
 
 def ba_parity():

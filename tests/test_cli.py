@@ -389,6 +389,29 @@ def test_varlang_rejects_a_dmonoid_that_breaks_its_laws(capsys, tmp_path):
     assert err == "usage error: dmonoid document is not a D-monoid: unit law fails at 1\n"
 
 
+def test_varlang_rejects_a_dmonoid_whose_carrier_breaks_its_laws(capsys, tmp_path):
+    # the join is not associative, (1 v 2) v 2 = 2 but 1 v (2 v 2) = 3; the
+    # sections are tested at the carrier's generators, so it is rejected first
+    join = [[0, 1, 2, 3], [1, 1, 3, 3], [2, 3, 2, 2], [3, 3, 2, 3]]
+    monoid = {
+        "kind": "dmonoid",
+        "tag": "JSL0",
+        "carrier": {"kind": "algebra", "tag": "JSL0", "size": 4, "ops": {"join": join, "zero": 0}},
+        "mult": join,
+        "unit": 0,
+    }
+    path = tmp_path / "bad.mon"
+    path.write_text(json.dumps(monoid))
+    code, out, err = run_cli(
+        capsys, "varlang", "--monoid", str(path), "--alphabet", "a", "--pair", "JSL0"
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "usage error: dmonoid document is not a D-monoid: "
+        "carrier: join associativity violation at (1,2,2)\n"
+    )
+
+
 @pytest.mark.parametrize(
     "delta, message",
     [

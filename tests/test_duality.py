@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 
 import oracle
+from predual import algebra, duality
 from predual.algebra import (
     AlgMorphism,
     StructureError,
@@ -230,6 +231,30 @@ def test_verify_preduality_matches_the_compose_route(pair, max_size):
     assert verify_preduality(pair, max_size) == oracle.verify_preduality_by_compose(
         pair, max_size
     )
+
+
+def test_a_double_dual_that_breaks_its_laws_fails_double_dual_iso(monkeypatch):
+    # the double-dual test's eta of the 8-element BA goes into a copy whose
+    # join is changed at one pair of elements that are no join generators:
+    # the identity passes the test at generators, so only validating the
+    # double dual finds the fault; later calls (naturality) get the real eta
+    broken = []
+
+    def broken_eta(pair, obj):
+        if obj.tag != "BA" or obj.size != 8 or broken:
+            return eta(pair, obj)
+        broken.append(obj)
+        gens = algebra.generators(obj, "join")
+        x, y = [z for z in obj.carrier() if z not in gens][:2]
+        join = [list(row) for row in obj.op("join")]
+        join[x][y] = join[y][x] = x
+        target = make_algebra("BA", 8, dict(obj.op_dict(), join=join))
+        return AlgMorphism(obj, target, tuple(obj.carrier()))
+
+    monkeypatch.setattr(duality, "eta", broken_eta)
+    failures = verify_preduality("BA", 8)["failures"]
+    assert [f["law"] for f in failures] == ["double-dual-iso"]
+    assert failures[0]["witness"].startswith("BA size 8: double dual: ")
 
 
 def test_corrupted_duals_fail_as_on_the_compose_route():

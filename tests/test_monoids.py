@@ -31,11 +31,12 @@ from predual.monoids import (
     dmonoid_product,
     make_dmonoid,
     minimal_generators,
-    morphism_from_images,
     subdirect_product,
     transition_dmonoid,
     validate_dmonoid,
 )
+
+from oracle import morphism_from_images
 
 
 def z2_group():

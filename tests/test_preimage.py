@@ -9,7 +9,6 @@ from predual.automata import (
     generated_local_variety,
     language_of_state,
     make_lalgebra,
-    run_word_co,
 )
 from predual.langlib import (
     free_word,
@@ -30,7 +29,7 @@ from predual.preimage import (
 )
 from predual.duality import d_tag
 
-from oracle import identity_free_morphism
+from oracle import identity_free_morphism, run_word_co
 
 
 def two_cycle_set_lalgebra():

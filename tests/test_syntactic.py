@@ -9,15 +9,17 @@ pair; both routes must give the same languages and the same bytes.  For all
 five pairs, closure_under_ops_and_derivs closes bitmasks over the syntactic
 monoid; oracle.closure_under_ops_and_derivs closes the languages themselves
 by DFA products, and both must give the same closure.  validate_dmonoid
-tests the D-monoid laws at a generating set (Light's test); it must pass and
-fail the tables that oracle.validate_dmonoid, which tests every triple and
-every section, passes and fails.
+tests the D-monoid laws at a generating set (Light's test) and each section
+at the carrier's generators; it must pass and fail the tables that
+oracle.validate_dmonoid, which tests every triple and every section at
+every pair, passes and fails, and name tuples where a law fails.
 """
 
 import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -239,10 +241,33 @@ def test_light_test_passes_the_corpus_monoids(pair):
     for rx, alphabet in CORPUS:
         m = dual_generated_monoid(syntactic_lalgebra(pair, [parse_regex(rx, alphabet)])).base
         assert validate_dmonoid(m) == oracle.validate_dmonoid(m) == [], rx
+        gens = algebra.greedy_generators(m.mult, range(m.size), (m.unit,))
+        assert gens == oracle.monoid_generators(m), rx
+
+
+_ASSOCIATIVITY = re.compile(r"^associativity fails at \((\d+),(\d+),(\d+)\)$")
+_SECTION = re.compile(
+    r"^(left|right) multiplication by (\d+) is not a D-endomorphism: "
+    r"(\w+) not preserved at \((\d+),(\d+)\)$"
+)
 
 
 def _agree(m):
-    return (validate_dmonoid(m) == []) == (oracle.validate_dmonoid(m) == [])
+    """Whether validate_dmonoid and the full check accept m alike; every
+    associativity or section message must name a tuple where the law
+    fails."""
+    messages = validate_dmonoid(m)
+    mult, ops = m.mult, m.carrier.op_dict()
+    for message in messages:
+        if found := _ASSOCIATIVITY.match(message):
+            x, a, y = map(int, found.groups())
+            assert mult[mult[x][a]][y] != mult[x][mult[a][y]], message
+        elif found := _SECTION.match(message):
+            side, a, name, x, y = found.groups()
+            a, x, y, t = int(a), int(x), int(y), ops[name]
+            f = mult[a] if side == "left" else tuple(row[a] for row in mult)
+            assert f[t[x][y]] != t[f[x]][f[y]], message
+    return (messages == []) == (oracle.validate_dmonoid(m) == [])
 
 
 @pytest.mark.parametrize("pair", MAIN_PAIRS)
