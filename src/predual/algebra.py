@@ -1239,18 +1239,25 @@ def _search_maps(
 
 
 def all_morphisms(a: FinAlgebra, b: FinAlgebra, fixed=None) -> list:
-    """All homomorphisms a -> b (monotone for ordered tags)."""
+    """All homomorphisms a -> b (monotone for ordered tags), in ascending
+    (lexicographic) order of their tables.
+
+    _search_maps yields exactly these tables, so none is checked again.  It
+    yields a table once it is full, after the propagate that followed the
+    last assignment returned True.  That propagate repeats its sweep until
+    one sweep assigns nothing, so its last sweep ran on the full table: it
+    compared the image of every constant, of every unary operation at every
+    element and of every binary operation at every pair with the table's
+    value there, and then tested monotonicity at every pair.
+    """
     if a.tag != b.tag:
         return []
-    result = []
-    for table in _search_maps(
-        a.sig_ops, b.sig_ops, a.size, b.size, a.order, b.order, False, fixed
-    ):
-        f = AlgMorphism(a, b, table)
-        ok, _ = check_morphism(f)
-        if ok:
-            result.append(f)
-    return result
+    return [
+        AlgMorphism(a, b, table)
+        for table in _search_maps(
+            a.sig_ops, b.sig_ops, a.size, b.size, a.order, b.order, False, fixed
+        )
+    ]
 
 
 def table_isomorphism(n, ops_a, ops_b, order_a=None, order_b=None):

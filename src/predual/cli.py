@@ -125,6 +125,8 @@ def cmd_enumerate(args):
 
 
 def cmd_dualize(args):
+    if args.max_size < 0:
+        raise DocumentError(f"--max-size must be at least 0, got {args.max_size}")
     if args.check:
         report = verify_preduality(args.pair, args.max_size)
         sys.stdout.write(dumps(report))
@@ -232,6 +234,8 @@ def cmd_varlang(args):
 
 
 def cmd_eilenberg_check(args):
+    if args.nmax < 1:
+        raise DocumentError(f"--nmax must be at least 1, got {args.nmax}")
     m = _load(args.monoid)
     samples = _read_json(args.samples)
     if not isinstance(samples, list) or not all(

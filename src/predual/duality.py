@@ -553,6 +553,25 @@ def _objects_for(pair: str, side: str, max_size: int):
     return out
 
 
+def _translation(table) -> bytes:
+    """The 256-byte table that bytes.translate reads a table through:
+    t.translate(_translation(g)) is g o t for a table t into g's domain."""
+    return bytes(table).ljust(256, b"\0")
+
+
+class _DualTables(dict):
+    """Hom table -> dual table, both bytes; fill(table) dualizes a table not
+    yet in it and stores its dual."""
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, table):
+        self.fill(table)
+        return self[table]
+
+
 def verify_preduality(pair: str, max_size: int, dual_morphism_fn=None) -> dict:
     """Machine-check the pair's duality laws on all objects up to max_size.
 
@@ -560,11 +579,22 @@ def verify_preduality(pair: str, max_size: int, dual_morphism_fn=None) -> dict:
     double-dual isomorphism (eta) and its naturality; hom-set bijection
     |Hom(Q,R)| = |Hom(R^,Q^)|; faithfulness of dualization.  Returns a report
     dict; report["ok"] is False iff some law has a counterexample, recorded
-    with a minimal witness.  The morphism laws run on integer tables: homs
-    are searched once per ordered pair of objects (both sides share the
-    search), each hom is dualized once into them (not kept on its source),
-    each eta computed once, and composites are lookups.  A dual whose ends
-    do not meet raises StructureError("morphisms not composable").
+    with a minimal witness.
+
+    The morphism laws run on byte tables (every object _objects_for yields
+    has at most 125 elements), so composing and comparing run in C: g o h
+    is h.translate(_translation(g)).  Homs are searched once per ordered
+    pair of objects (both sides share the search), each hom is dualized
+    once into them (not kept on its source) and each eta computed once.
+    Functoriality, dual(g o h) = dual(h) o dual(g), is checked for one h
+    against all g: Hom(q_j, q_k) at once: the duals of the composites,
+    joined in the order of the g, against the joined duals of Hom(q_j, q_k)
+    translated by dual(h).  Equal sides count |Hom(q_j, q_k)| compositions;
+    otherwise the first unequal slice names the g, and the count stops at
+    it, as one g at a time would.  A composite outside the searched
+    Hom(q_i, q_k) is dualized when met.  A dual whose ends do not meet the
+    other duals', or whose table is no map between its ends, raises
+    StructureError("morphisms not composable").
     """
     dualize = dual_morphism_fn or _build_dual_morphism
     report = {
@@ -600,20 +630,29 @@ def verify_preduality(pair: str, max_size: int, dual_morphism_fn=None) -> dict:
         if not ok or len(set(e.table)) != obj.size or e.target.size != obj.size:
             fail("double-dual-iso", f"{obj.tag} size {obj.size}: {why}")
 
-    # morphism-level laws on the C side and between dual objects, on tables
+    # morphism-level laws on the C side and between dual objects, on bytes:
+    # per ordered pair (i, j) the homs, their duals, and what the
+    # functoriality batch reads of them
     hom_cache, arrows, duals, ends = {}, {}, {}, {}
+    afters, runs, dual_afters = {}, {}, {}
 
     def homs(a, b):
         if (a, b) not in hom_cache:
-            hom_cache[a, b] = [h.table for h in all_morphisms(a, b)]
+            hom_cache[a, b] = [bytes(h.table) for h in all_morphisms(a, b)]
         return hom_cache[a, b]
 
     def dual_of(i, j, table):
-        d = duals[i, j][table] = dualize(pair, AlgMorphism(c_objs[i], c_objs[j], table))
+        d = dualize(pair, AlgMorphism(c_objs[i], c_objs[j], tuple(table)))
         # the duals of all homs into (out of) an object start (end) at one
         # object, so that dual(h) o dual(g) is defined
-        if ends.setdefault(j, d.source) != d.source or ends.setdefault(i, d.target) != d.target:
+        if (
+            ends.setdefault(j, d.source) != d.source
+            or ends.setdefault(i, d.target) != d.target
+            or len(d.table) != d.source.size
+            or max(d.table, default=-1) >= d.target.size
+        ):
             raise StructureError("morphisms not composable")
+        duals[i, j][table] = bytes(d.table)
         return d
 
     for q in c_objs:
@@ -621,14 +660,18 @@ def verify_preduality(pair: str, max_size: int, dual_morphism_fn=None) -> dict:
         if ident_dual.table != tuple(range(ident_dual.source.size)):
             fail("dual-of-identity", f"{q.tag} size {q.size}")
     for (i, q), (j, r) in itertools.product(enumerate(c_objs), repeat=2):
-        duals[i, j] = {}
-        hs = arrows[i, j] = [(h, dual_of(i, j, h)) for h in homs(q, r)]
+        d_ij = duals[i, j] = _DualTables(partial(dual_of, i, j))
+        hom_ij = arrows[i, j] = homs(q, r)
+        hs = [(h, dual_of(i, j, h)) for h in hom_ij]
+        afters[i, j] = [_translation(h) for h in hom_ij]
+        runs[i, j] = b"".join([d_ij[h] for h in hom_ij])
+        dual_afters[i, j] = [_translation(d_ij[h]) for h in hom_ij]
         report["morphisms"] += len(hs)
         for _, dh in hs:
             ok, why = check_morphism(dh)
             if not ok:
                 fail("dual-is-morphism", f"{q.size}->{r.size}: {why}")
-        if len({dh.table for _, dh in hs}) != len(hs):
+        if len({d_ij[h] for h in hom_ij}) != len(hs):
             fail("faithfulness", f"{q.size}->{r.size}")
         dcount = len(homs(dual_object(pair, r), dual_object(pair, q)))
         report["hom_counts"].append((q.size, r.size, len(hs), dcount))
@@ -637,27 +680,33 @@ def verify_preduality(pair: str, max_size: int, dual_morphism_fn=None) -> dict:
                 "hom-count",
                 f"|Hom({q.tag}{q.size},{r.tag}{r.size})|={len(hs)} vs dual {dcount}",
             )
-        eta_q, eta_r = eta(pair, q), eta(pair, r).table
+        eta_q, eta_r = eta(pair, q), _translation(eta(pair, r).table)
+        from_q = bytes(eta_q.table)
         for h, dh in hs:
             ddh = dualize(pair, dh)
             if ddh.source != eta_q.target:
                 raise StructureError("morphisms not composable")
             # ddh o eta_q = eta_r o h
-            if tuple(map(ddh.table.__getitem__, eta_q.table)) != tuple(map(eta_r.__getitem__, h)):
-                fail("eta-naturality", f"{q.size}->{r.size} table {h}")
+            if from_q.translate(_translation(ddh.table)) != h.translate(eta_r):
+                fail("eta-naturality", f"{q.size}->{r.size} table {tuple(h)}")
                 break
     # contravariant functoriality over composable C-side pairs:
-    # dual(g o h) = dual(h) o dual(g)
+    # dual(g o h) = dual(h) o dual(g), for one h and every g at once
     for i, j, k in itertools.product(range(len(c_objs)), repeat=3):
-        d_ik = duals[i, k]
-        for h, dh in arrows[i, j]:
-            after_dh = dh.table.__getitem__
-            for g, dg in arrows[j, k]:
-                report["compositions"] += 1
-                gh = tuple(map(g.__getitem__, h))
-                lhs = d_ik.get(gh) or dual_of(i, k, gh)
-                if lhs.table != tuple(map(after_dh, dg.table)):
-                    sizes = "->".join(str(c_objs[x].size) for x in (i, j, k))
-                    fail("functoriality", f"{sizes}: {h},{g}")
-                    return report
+        d_ik, after, run = duals[i, k], afters[j, k], runs[j, k]
+        for h, after_dh in zip(arrows[i, j], dual_afters[i, j]):
+            lhs = b"".join([d_ik[h.translate(g)] for g in after])
+            rhs = run.translate(after_dh)
+            if lhs == rhs:
+                report["compositions"] += len(after)
+                continue
+            width = len(rhs) // len(after)
+            first = next(
+                t for t in range(len(after))
+                if lhs[t * width:(t + 1) * width] != rhs[t * width:(t + 1) * width]
+            )
+            report["compositions"] += first + 1
+            sizes = "->".join(str(c_objs[x].size) for x in (i, j, k))
+            fail("functoriality", f"{sizes}: {tuple(h)},{tuple(arrows[j, k][first])}")
+            return report
     return report

@@ -242,6 +242,36 @@ def test_all_morphisms_matches_direct_count_for_sets():
     assert len(all_morphisms(s2, s3)) == 9
 
 
+def _algebras_up_to(tag, most):
+    """The tag's enumerated algebras of at most `most` elements, by size."""
+    out = []
+    for n in range(most + 1):
+        try:
+            out += enumerate_algebras(tag, n)
+        except BoundExceeded:  # BA, BR and VECTp sizes are powers
+            pass
+    return out
+
+
+# targets have at most 8 elements, fewer for the tags enumerated from
+# posets, so that the test takes about 1 s: with their targets of 5 and 6
+# elements (5 to 318 algebras of each size, 6^4 maps into one from a
+# 4-element source) a tag took 0.3-6 s
+_MOST_TARGET_ELEMENTS = {"POS": 4, "JSL": 4, "DL01": 5, "JSL0": 5, "JSL01": 5}
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS)
+def test_all_morphisms_is_every_map_that_keeps_the_laws(tag):
+    for a in _algebras_up_to(tag, 4):
+        for b in _algebras_up_to(tag, _MOST_TARGET_ELEMENTS.get(tag, 8)):
+            expected = [
+                t
+                for t in itertools.product(range(b.size), repeat=a.size)
+                if oracle.check_morphism(AlgMorphism(a, b, t))[0]
+            ]
+            assert [h.table for h in all_morphisms(a, b)] == expected
+
+
 def test_combine_elements():
     v2, basis = free_algebra("VECT2", ["a", "b"])
     assert combine_elements(v2, [(basis[0], 1), (basis[1], 1)]) == 3

@@ -452,6 +452,12 @@ INPUT_FILES = {
         "carrier": {"kind": "algebra", "tag": "SET", "size": 2, "ops": {}},
         "mult": [[0, 1], [1, 0]], "unit": 0,
     }).encode(),
+    "trivial.mon": json.dumps({
+        "kind": "dmonoid", "tag": "SET",
+        "carrier": {"kind": "algebra", "tag": "SET", "size": 1, "ops": {}},
+        "mult": [[0]], "unit": 0,
+    }).encode(),
+    "a-aa.json": b'["a*", "(aa)*"]',
     "ints.json": b"[1]",
     "object.json": b'{"x": 1}',
     "empty.json": b"[]",
@@ -571,6 +577,12 @@ INPUT_FILES = {
         ["enumerate", "--tag", "SET_STAR", "--size", "0"],
         # a negative cap on the corpus varieties' states
         ["check-laws", "--laws", "lrev", "--pairs", "BA", "--max-states", "-1"],
+        # a negative bound on the checked objects
+        ["dualize", "--pair", "BA", "--check", "--max-size", "-1"],
+        # no power of the generator to divide by: with --nmax 0 the trivial
+        # generator would be reported not to divide the syntactic monoid of a*
+        ["eilenberg-check", "--monoid", "trivial.mon", "--samples", "a-aa.json", "--nmax", "0"],
+        ["eilenberg-check", "--monoid", "trivial.mon", "--samples", "a-aa.json", "--nmax", "-1"],
     ],
 )
 def test_malformed_cli_input_is_a_usage_error(capsys, tmp_path, argv):

@@ -257,10 +257,14 @@ def test_a_double_dual_that_breaks_its_laws_fails_double_dual_iso(monkeypatch):
     assert failures[0]["witness"].startswith("BA size 8: double dual: ")
 
 
-def test_corrupted_duals_fail_as_on_the_compose_route():
-    report = verify_preduality("BA", 4, dual_morphism_fn=corrupted)
-    assert report == oracle.verify_preduality_by_compose("BA", 4, dual_morphism_fn=corrupted)
-    assert report["failures"]
+# each stops at a functoriality failure, after 77, 152, 92 and 36 compositions
+@pytest.mark.parametrize("pair,max_size", [("BA", 8), ("JSL0", 4), ("JSL01", 4), ("VECT2", 4)])
+def test_corrupted_duals_fail_as_on_the_compose_route(pair, max_size):
+    report = verify_preduality(pair, max_size, dual_morphism_fn=corrupted)
+    assert report == oracle.verify_preduality_by_compose(
+        pair, max_size, dual_morphism_fn=corrupted
+    )
+    assert report["failures"][-1]["law"] == "functoriality"
 
 
 # C: the duals of homs meet at no one object (dual(h) o dual(g) undefined);
