@@ -80,7 +80,6 @@ from .automata import (
 )
 from .monoids import (
     DMonoid,
-    EndoMonoidView,
     GeneratedDMonoid,
     are_dmonoids_isomorphic,
     associated_lalgebra,

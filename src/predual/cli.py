@@ -44,6 +44,7 @@ from .langlib import (
     preimage_language,
     right_deriv,
 )
+from .monoids import DMonoid
 from .preimage import (
     LAWS,
     algebra_preimage,
@@ -216,8 +217,18 @@ def cmd_preimage(args):
     return _emit(args, algebra_preimage(value, f))
 
 
-def cmd_varlang(args):
+def _load_dmonoid(args):
+    """The --monoid document, which must be a D-monoid of --pair's D-side tag."""
     m = _load(args.monoid)
+    if not (isinstance(m, DMonoid) and m.carrier.tag == d_tag(args.pair)):
+        raise DocumentError(f"--monoid must be a dmonoid document of tag {d_tag(args.pair)}")
+    return m
+
+
+def cmd_varlang(args):
+    if len(set(args.alphabet)) < len(args.alphabet):
+        raise DocumentError(f"--alphabet {args.alphabet} repeats a letter")
+    m = _load_dmonoid(args)
     v = languages_of_simple_pseudovariety(m, args.alphabet, args.pair)
     langs = languages_of(v)
     if args.json:
@@ -236,7 +247,7 @@ def cmd_varlang(args):
 def cmd_eilenberg_check(args):
     if args.nmax < 1:
         raise DocumentError(f"--nmax must be at least 1, got {args.nmax}")
-    m = _load(args.monoid)
+    m = _load_dmonoid(args)
     samples = _read_json(args.samples)
     if not isinstance(samples, list) or not all(
         isinstance(s, str) or _strings(s) and len(s) == 2 for s in samples

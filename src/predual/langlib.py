@@ -322,6 +322,8 @@ def parse_regex(text: str, alphabet=None) -> RegularLanguage:
             raise RegexSyntaxError("cannot infer an alphabet; pass one explicitly", 0)
     else:
         alphabet = list(alphabet)
+        if len(set(alphabet)) < len(alphabet):
+            raise RegexSyntaxError(f"alphabet {''.join(alphabet)!r} repeats a letter", 0)
         outside = letters - set(alphabet)
         if outside:
             pos = min(text.index(ch) for ch in outside)

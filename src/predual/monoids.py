@@ -31,15 +31,15 @@ from .algebra import (
     shortlex_words,
     signature,
     sort_closure,
-    subalgebra_on,
+    standardize_vect,
     table_fn,
     table_isomorphism,
+    vect_prime,
 )
 from .langlib import (
     DMonoidMorphismFree,
     FreeElement,
     free_combine,
-    free_mul,
     free_word,
     make_free_morphism,
     rev_free,
@@ -182,99 +182,126 @@ def associated_lalgebra(g: GeneratedDMonoid):
 
 
 # ---------------------------------------------------------------------------
-# transition D-monoid of an L-algebra
+# letter-generated sub-D-monoids
 
 
-@dataclass(frozen=True)
-class EndoMonoidView:
-    """A composition-closed set of D-endomorphism tables with witnesses."""
+def generated_dmonoid(carriers, mult, unit, alphabet, gens, cap=None, stage="generated D-monoid"):
+    """The sub-D-monoid that the letter images gens generate inside a product
+    of carriers; returns (elements, GeneratedDMonoid).
 
-    host: FinAlgebra
-    elements: tuple  # tuple of endo tables
-    monoid: DMonoid
-    witnesses: tuple  # tuple of (table, FreeElement), shortlex-minimal found
+    Elements are tuples, entry i in carriers[i] (all of one tag); mult(x, y)
+    is their product, unit its unit, and gens maps each letter of alphabet
+    to its image.  Words are explored from unit by x -> mult(x, gens[a]), so
+    each element a word reaches is witnessed by its shortlex-least word;
+    these are closed under the D-operations of the carriers, componentwise
+    (dmonoid_closure).  Multiplication distributes over the D-operations (the
+    bimorphism law), so the closure is closed under mult too.  The elements
+    are sorted and the carrier is ordered pointwise; a VECT carrier is put in
+    standard form (standardize_vect) and the elements renumbered with it, so
+    the table, unit, generators and witnesses follow.  cap bounds the words
+    and the closure alike; stage names them in a CapExceeded message.
+    """
+    tag = carriers[0].tag
+    alphabet = tuple(alphabet)
+    reached, delta = explore(unit, alphabet, lambda x, a: mult(x, gens[a]), cap, stage)
+    words = zip(reached, shortlex_words(delta, alphabet))
+    seeds = {x: free_word(tag, alphabet, w) for x, w in words}
+    elements, witnesses, tables = sort_closure(dmonoid_closure(seeds, carriers, cap, stage))
+    n = len(elements)
+    order = None
+    if carriers[0].order is not None:
+        order = tuple(
+            tuple(all(c.order[x][y] for c, x, y in zip(carriers, t1, t2)) for t2 in elements)
+            for t1 in elements
+        )
+    carrier = make_algebra(tag, n, dict(zip(sorted(signature(tag)), tables)), order)
+    if vect_prime(tag) is not None:
+        carrier, perm = standardize_vect(carrier)
+        old = sorted(range(n), key=perm.__getitem__)
+        elements = [elements[i] for i in old]
+        witnesses = [witnesses[i] for i in old]
+    index = {x: i for i, x in enumerate(elements)}
+    try:
+        table = [[index[mult(x, y)] for y in elements] for x in elements]
+    except KeyError:
+        raise StructureError(
+            f"{stage}: multiplication does not distribute over the D-operations"
+        ) from None
+    g = GeneratedDMonoid(
+        make_dmonoid(carrier, table, index[unit]),
+        alphabet,
+        tuple((a, index[gens[a]]) for a in alphabet),
+        tuple(enumerate(witnesses)),
+    )
+    return elements, g
+
+
+def dmonoid_closure(seeds: dict, carriers, cap=None, stage="closure"):
+    """closure() of seeds, a dict element -> free-element witness, under the
+    D-operations of carriers (as in closure_ops).
+
+    A new element's witness is the combination of its arguments' witnesses
+    (weighted by k for smulk), the empty combination for a constant.  stage
+    names the closure in a CapExceeded message.
+    """
+    some = next(iter(seeds.values()))
+    tag, alphabet = some.tag, some.alphabet
+    names = sorted(signature(tag))
+
+    def witness(x, k, ws):
+        coeff = int(names[k][4:]) if names[k].startswith("smul") else 1
+        return free_combine(tag, alphabet, [(w, coeff) for w in ws])
+
+    return closure(seeds, closure_ops(carriers), cap, witness, stage)
 
 
 def _compose_tables(first, then):
     return tuple(then[v] for v in first)
 
 
-def transition_dmonoid(lalg, cap: int = 64) -> EndoMonoidView:
-    """Sub-D-monoid of [A,A] generated by the letter transitions.
+def transition_dmonoid(lalg, cap: int = 64):
+    """Sub-D-monoid of [A,A] generated by the letter transitions, as
+    generated_dmonoid's (endo tables, GeneratedDMonoid).
 
-    Closure under composition and the pointwise D-operations of the power
-    algebra; multiplication (f, g) -> g . f, unit = identity.
+    The D-operations act pointwise, as in the power algebra; multiplication
+    is (f, g) -> g . f and the unit is the identity.
     """
     host = lalg.states
-    n = host.size
-    tag = host.tag
-    alphabet = lalg.alphabet
-    ident = tuple(range(n))
-    trans = dict(lalg.trans)
-    # word closure first: BFS in shortlex order gives minimal word witnesses
-    reached, delta = explore(
-        ident, alphabet, lambda t, a: _compose_tables(t, trans[a]), cap,
-        "transition monoid",
-    )
-    witness = {
-        t: free_word(tag, alphabet, w)
-        for t, w in zip(reached, shortlex_words(delta, alphabet))
-    }
-    # pointwise D-operation closure; composition distributes over the
-    # D-operations, so the result stays closed under it
-    elements, witnesses, tables = sort_closure(
-        dmonoid_closure(witness, [host] * n, cap=cap, stage="transition monoid")
-    )
-    index = {t: i for i, t in enumerate(elements)}
-    horder = None
-    if host.order is not None:
-        horder = tuple(
-            tuple(all(host.order[x][y] for x, y in zip(t1, t2)) for t2 in elements)
-            for t1 in elements
-        )
-    carrier = make_algebra(
-        tag, len(elements), dict(zip(sorted(signature(tag)), tables)), horder
-    )
-    mult = tuple(
-        tuple(index[_compose_tables(t1, t2)] for t2 in elements) for t1 in elements
-    )
-    monoid = make_dmonoid(carrier, mult, index[ident])
-    return EndoMonoidView(
-        host, tuple(elements), monoid, tuple(zip(elements, witnesses))
+    return generated_dmonoid(
+        [host] * host.size, _compose_tables, tuple(range(host.size)), lalg.alphabet,
+        dict(lalg.trans), cap, "transition monoid",
     )
 
 
-def dmonoid_closure(seeds: dict, carriers, mult=None, cap=None, stage="closure"):
-    """closure() of seeds, a dict element -> free-element witness, under the
-    multiplication function mult (if given) and then the D-operations of
-    carriers (as in closure_ops).
+def subdirect_product(g1: GeneratedDMonoid, g2: GeneratedDMonoid) -> GeneratedDMonoid:
+    """Image of the pairing of two Sigma-generated D-monoids in their product.
 
-    A new element's witness is built by the operation that found it: the
-    product of the argument witnesses for mult, their combination (weighted
-    by k for smulk) for a D-operation, the empty combination for a constant.
-    stage names the closure in a CapExceeded message.
+    Both projections onto the factors are surjective (the factors are
+    Sigma-generated); this is checked during construction.
     """
-    some = next(iter(seeds.values()))
-    tag, alphabet = some.tag, some.alphabet
-    names = ["mul"] * (mult is not None) + sorted(signature(tag))
-    ops = [(2, mult, False)] * (mult is not None) + closure_ops(carriers)
-
-    def witness(x, k, ws):
-        name = names[k]
-        if name == "mul":
-            return free_mul(*ws)
-        coeff = int(name[4:]) if name.startswith("smul") else 1
-        return free_combine(tag, alphabet, [(w, coeff) for w in ws])
-
-    return closure(seeds, ops, cap, witness, stage)
+    if g1.alphabet != g2.alphabet:
+        raise StructureError("subdirect product requires a common alphabet")
+    if g1.base.carrier.tag != g2.base.carrier.tag:
+        raise StructureError("subdirect product requires a common tag")
+    m1, m2 = g1.base, g2.base
+    elements, g = generated_dmonoid(
+        [m1.carrier, m2.carrier], componentwise_fn(2, (m1.mult, m2.mult)), (m1.unit, m2.unit),
+        g1.alphabet, {a: (g1.gen(a), g2.gen(a)) for a in g1.alphabet},
+    )
+    check_invariant(
+        {x for x, _ in elements} == set(range(m1.size))
+        and {y for _, y in elements} == set(range(m2.size)),
+        "a projection of the subdirect product is not surjective",
+    )
+    return g
 
 
 # ---------------------------------------------------------------------------
-# subdirect products
+# divisibility
 
 
 def dmonoid_product(m1: DMonoid, m2: DMonoid):
-    """Componentwise product DMonoid; returns (product, encode, decode)."""
+    """Componentwise product DMonoid; returns (product, encode)."""
     prod, _, _ = product(m1.carrier, m2.carrier)
     n2 = m2.size
 
@@ -291,45 +318,6 @@ def dmonoid_product(m1: DMonoid, m2: DMonoid):
         for x2 in range(m2.size)
     )
     return make_dmonoid(prod, mult, enc(m1.unit, m2.unit)), enc
-
-
-def subdirect_product(g1: GeneratedDMonoid, g2: GeneratedDMonoid) -> GeneratedDMonoid:
-    """Image of the pairing of two Sigma-generated D-monoids in their product.
-
-    Both projections onto the factors are surjective (the factors are
-    Sigma-generated); this is checked during construction.
-    """
-    if g1.alphabet != g2.alphabet:
-        raise StructureError("subdirect product requires a common alphabet")
-    if g1.base.carrier.tag != g2.base.carrier.tag:
-        raise StructureError("subdirect product requires a common tag")
-    prod, enc = dmonoid_product(g1.base, g2.base)
-    tag, alphabet = prod.carrier.tag, g1.alphabet
-    gen_images = {a: enc(g1.gen(a), g2.gen(a)) for a in alphabet}
-    seeds = {prod.unit: free_word(tag, alphabet, "")}
-    for a in alphabet:
-        seeds.setdefault(gen_images[a], free_word(tag, alphabet, a))
-    elems, witnesses, tables = sort_closure(
-        dmonoid_closure(seeds, prod.carrier, table_fn(2, prod.mult))
-    )
-    n2 = g2.base.size
-    check_invariant(
-        {e // n2 for e in elems} == set(range(g1.base.size))
-        and {e % n2 for e in elems} == set(range(g2.base.size)),
-        "a projection of the subdirect product is not surjective",
-    )
-    sub, _ = subalgebra_on(prod.carrier, elems)
-    index = {e: i for i, e in enumerate(elems)}
-    return GeneratedDMonoid(
-        make_dmonoid(sub, tables[0], index[prod.unit]),
-        alphabet,
-        tuple((a, index[gen_images[a]]) for a in alphabet),
-        tuple(enumerate(witnesses)),
-    )
-
-
-# ---------------------------------------------------------------------------
-# divisibility
 
 
 def dmonoid_powers(m: DMonoid, n_max: int, cap: int = 4096) -> list:

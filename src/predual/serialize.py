@@ -91,7 +91,7 @@ def language_doc(l: RegularLanguage) -> dict:
 
 
 def language_from_doc(doc) -> RegularLanguage:
-    alphabet, delta, finals = doc["alphabet"], doc["delta"], doc["finals"]
+    alphabet, delta, finals = _letters(doc, "alphabet"), doc["delta"], doc["finals"]
     initial = doc.get("initial", 0)
     n = len(delta) if isinstance(delta, list) else 0
     if not n or not all(
@@ -184,7 +184,7 @@ def _automaton_from_doc(kind, doc, last, make):
     from the key last."""
     states = algebra_from_doc(_object(doc, "states"))
     trans = {a: tuple(t) for a, t in _object(doc, "trans").items()}
-    return _lawful(kind, make, doc["pair"], doc["alphabet"], states, trans, doc[last])
+    return _lawful(kind, make, doc["pair"], _letters(doc, "alphabet"), states, trans, doc[last])
 
 
 def _lawful(kind, make, *args):
@@ -232,7 +232,7 @@ def generated_dmonoid_from_doc(doc) -> GeneratedDMonoid:
     reprs = _object(doc, "representatives")
     return GeneratedDMonoid(
         base,
-        tuple(doc["alphabet"]),
+        tuple(_letters(doc, "alphabet")),
         tuple(sorted(_object(doc, "generators").items())),
         tuple(sorted((int(e), free_element_from_doc(_object(reprs, e))) for e in reprs)),
     )
@@ -273,7 +273,7 @@ def to_doc(value) -> dict:
 class DocumentError(ValueError):
     """A document that is not a JSON object, lacks a required key, names a
     state a language does not have, has an alphabet that is not a list of
-    strings or free-element pairs that are not [word, integer] pairs, or
+    distinct strings or free-element pairs that are not [word, integer] pairs, or
     describes a D-monoid, coalgebra or L-algebra that breaks its laws."""
 
 
@@ -286,10 +286,12 @@ def _object(doc, key):
 
 
 def _letters(doc, key):
-    """doc[key], which must be a list of strings."""
+    """doc[key], which must be a list of distinct strings."""
     value = doc[key]
     if not (isinstance(value, list) and all(isinstance(a, str) for a in value)):
         raise DocumentError(f"{key!r} must be a list of strings")
+    if len(set(value)) < len(value):
+        raise DocumentError(f"{key!r} {value} repeats a letter")
     return value
 
 

@@ -19,11 +19,6 @@ from .algebra import (
     closure_ops,
     componentwise_fn,
     explore,
-    make_algebra,
-    signature,
-    sort_closure,
-    standardize_vect,
-    vect_prime,
 )
 from .automata import (
     Coalgebra,
@@ -39,7 +34,6 @@ from .automata import (
 from .duality import canonical_constants, d_tag, set_ops
 from .langlib import (
     RegularLanguage,
-    free_word,
     make_free_morphism,
     parse_regex,
     rev_free,
@@ -51,9 +45,8 @@ from .monoids import (
     are_dmonoids_isomorphic,
     associated_lalgebra,
     divides,
-    dmonoid_closure,
     dmonoid_powers,
-    make_dmonoid,
+    generated_dmonoid,
     transition_dmonoid,
 )
 from .preimage import coalgebra_preimage
@@ -70,9 +63,9 @@ def representative_morphisms(q: Coalgebra, delta):
     if len(delta) > 3:
         raise CapExceeded("representative enumeration bounded at |Delta| <= 3")
     a = dual_automaton(q)
-    view = transition_dmonoid(a)
+    _, g = transition_dmonoid(a)
     tag = a.states.tag
-    images = [rev_free(w) for _, w in view.witnesses]
+    images = [rev_free(w) for _, w in g.reprs]
     out = []
     for combo in itertools.product(images, repeat=len(delta)):
         out.append(
@@ -119,52 +112,20 @@ def free_monoid_in_simple_pseudovariety(d: DMonoid, sigma) -> GeneratedDMonoid:
     """The free Sigma-generated D-monoid inside the pseudovariety of d.
 
     Realized as the image of the induced map into d^(maps Sigma -> |d|):
-    the generator a goes to the tuple (u(a))_u; the closure under
-    multiplication and the D-operations is computed inside the power without
-    materializing it.
+    the generator a goes to the tuple (u(a))_u, and generated_dmonoid closes
+    the images inside the power without materializing it.
     """
     sigma = tuple(sigma)
     if d.size > 4 or len(sigma) > 2:
         raise CapExceeded("free-monoid construction bounded at |D| <= 4, |Sigma| <= 2")
     assignments = list(itertools.product(range(d.size), repeat=len(sigma)))
     width = len(assignments)
-    gen_images = {
-        a: tuple(u[i] for u in assignments) for i, a in enumerate(sigma)
-    }
-    tag = d.carrier.tag
-    unit = (d.unit,) * width
-    seeds = {unit: free_word(tag, sigma, "")}
-    for a in sigma:
-        seeds.setdefault(gen_images[a], free_word(tag, sigma, a))
-    elements, witnesses, tables = sort_closure(
-        dmonoid_closure(
-            seeds, [d.carrier] * width, componentwise_fn(2, [d.mult] * width),
-            cap=512, stage="free monoid",
-        )
+    _, free = generated_dmonoid(
+        [d.carrier] * width, componentwise_fn(2, [d.mult] * width), (d.unit,) * width, sigma,
+        {a: tuple(u[i] for u in assignments) for i, a in enumerate(sigma)},
+        cap=512, stage="free monoid",
     )
-    index = {t: i for i, t in enumerate(elements)}
-    order = None
-    if d.carrier.order is not None:
-        order = tuple(
-            tuple(all(d.carrier.order[x][y] for x, y in zip(t1, t2)) for t2 in elements)
-            for t1 in elements
-        )
-    ops = dict(zip(sorted(signature(tag)), tables[1:]))
-    carrier = make_algebra(tag, len(elements), ops, order)
-    perm = tuple(range(len(elements)))
-    if vect_prime(tag) is not None:
-        carrier, perm = standardize_vect(carrier)
-    mult = [[None] * len(elements) for _ in elements]
-    for i, row in enumerate(tables[0]):
-        for j, k in enumerate(row):
-            mult[perm[i]][perm[j]] = perm[k]
-    base = make_dmonoid(carrier, mult, perm[index[unit]])
-    return GeneratedDMonoid(
-        base,
-        sigma,
-        tuple((a, perm[index[gen_images[a]]]) for a in sigma),
-        tuple(sorted((perm[i], w) for i, w in enumerate(witnesses))),
-    )
+    return free
 
 
 def recognized_languages(g: GeneratedDMonoid, pair: str, output_cap: int = 4096):

@@ -28,12 +28,19 @@ check_morphism and order_matrix_violations test every triple, every pair
 and every (i, j, k), where predual tests associativity and distributivity
 at generators (Light's test), morphisms at generators and on the covering
 relation, and transitivity on bitmask rows.
+free_monoid_in_simple_pseudovariety, subdirect_product and
+transition_dmonoid are the three constructions predual had before its one
+kernel for letter-generated sub-D-monoids (monoids.generated_dmonoid): the
+first two close under multiplication and the D-operations at once, and
+subdirect_product does so inside the whole product D-monoid.
 language_quotient, local_variety_witness, identity_free_morphism,
 run_word_co and morphism_from_images are references some tests build on.
 """
 
 import argparse
 import itertools
+
+import predual.langlib as langlib
 
 from predual.algebra import (
     AlgMorphism,
@@ -42,13 +49,17 @@ from predual.algebra import (
     all_morphisms,
     closure,
     closure_ops,
+    componentwise_fn,
     compose,
     explore,
     identity_morphism,
+    make_algebra,
     signature,
     shortlex_words,
     sort_closure,
+    standardize_vect,
     subalgebra_on,
+    table_fn,
     table_isomorphism,
     vect_prime,
 )
@@ -83,7 +94,14 @@ from predual.langlib import (
     symmetric_difference,
     union,
 )
-from predual.monoids import DMonoid, dmonoid_closure, eval_in_dmonoid
+from predual.monoids import (
+    DMonoid,
+    GeneratedDMonoid,
+    dmonoid_closure,
+    dmonoid_product,
+    eval_in_dmonoid,
+    make_dmonoid,
+)
 
 
 def transition_monoid(l: RegularLanguage):
@@ -1330,3 +1348,124 @@ def build_parser():
     sp.set_defaults(fn=cmd_check_laws)
 
     return p
+
+
+def _closure_with_mult(seeds: dict, carriers, mult, cap=None, stage="closure"):
+    """closure() of seeds, a dict element -> free-element witness, under mult
+    and then the D-operations of carriers, a new element witnessed by the
+    product or the combination of its arguments' witnesses."""
+    some = next(iter(seeds.values()))
+    tag, alphabet = some.tag, some.alphabet
+    names = ["mul"] + sorted(signature(tag))
+
+    def witness(x, k, ws):
+        name = names[k]
+        if name == "mul":
+            return langlib.free_mul(*ws)
+        coeff = int(name[4:]) if name.startswith("smul") else 1
+        return langlib.free_combine(tag, alphabet, [(w, coeff) for w in ws])
+
+    return closure(seeds, [(2, mult, False)] + closure_ops(carriers), cap, witness, stage)
+
+
+def free_monoid_in_simple_pseudovariety(d: DMonoid, sigma) -> GeneratedDMonoid:
+    """The free Sigma-generated D-monoid of the pseudovariety of d, closed
+    from the unit and the letter images under multiplication and the
+    D-operations at once inside d^(maps Sigma -> |d|)."""
+    sigma = tuple(sigma)
+    assignments = list(itertools.product(range(d.size), repeat=len(sigma)))
+    width = len(assignments)
+    gen_images = {a: tuple(u[i] for u in assignments) for i, a in enumerate(sigma)}
+    tag = d.carrier.tag
+    unit = (d.unit,) * width
+    seeds = {unit: langlib.free_word(tag, sigma, "")}
+    for a in sigma:
+        seeds.setdefault(gen_images[a], langlib.free_word(tag, sigma, a))
+    elements, witnesses, tables = sort_closure(
+        _closure_with_mult(
+            seeds, [d.carrier] * width, componentwise_fn(2, [d.mult] * width),
+            cap=512, stage="free monoid",
+        )
+    )
+    index = {t: i for i, t in enumerate(elements)}
+    order = None
+    if d.carrier.order is not None:
+        order = tuple(
+            tuple(all(d.carrier.order[x][y] for x, y in zip(t1, t2)) for t2 in elements)
+            for t1 in elements
+        )
+    ops = dict(zip(sorted(signature(tag)), tables[1:]))
+    carrier = make_algebra(tag, len(elements), ops, order)
+    perm = tuple(range(len(elements)))
+    if vect_prime(tag) is not None:
+        carrier, perm = standardize_vect(carrier)
+    mult = [[None] * len(elements) for _ in elements]
+    for i, row in enumerate(tables[0]):
+        for j, k in enumerate(row):
+            mult[perm[i]][perm[j]] = perm[k]
+    base = make_dmonoid(carrier, mult, perm[index[unit]])
+    return GeneratedDMonoid(
+        base,
+        sigma,
+        tuple((a, perm[index[gen_images[a]]]) for a in sigma),
+        tuple(sorted((perm[i], w) for i, w in enumerate(witnesses))),
+    )
+
+
+def subdirect_product(g1: GeneratedDMonoid, g2: GeneratedDMonoid) -> GeneratedDMonoid:
+    """The image of the pairing of g1 and g2, closed from the unit and the
+    letter images inside the whole product D-monoid (dmonoid_product).  The
+    carrier goes through subalgebra_on, which puts a VECT carrier in standard
+    form, while the table, unit and generators keep the sorted numbering."""
+    prod, enc = dmonoid_product(g1.base, g2.base)
+    tag, alphabet = prod.carrier.tag, g1.alphabet
+    gen_images = {a: enc(g1.gen(a), g2.gen(a)) for a in alphabet}
+    seeds = {prod.unit: langlib.free_word(tag, alphabet, "")}
+    for a in alphabet:
+        seeds.setdefault(gen_images[a], langlib.free_word(tag, alphabet, a))
+    elems, witnesses, tables = sort_closure(
+        _closure_with_mult(seeds, prod.carrier, table_fn(2, prod.mult))
+    )
+    sub, _ = subalgebra_on(prod.carrier, elems)
+    index = {e: i for i, e in enumerate(elems)}
+    return GeneratedDMonoid(
+        make_dmonoid(sub, tables[0], index[prod.unit]),
+        alphabet,
+        tuple((a, index[gen_images[a]]) for a in alphabet),
+        tuple(enumerate(witnesses)),
+    )
+
+
+def transition_dmonoid(lalg, cap: int = 64):
+    """(elements, monoid, gen_images) of the sub-D-monoid of [A,A] that the
+    letter transitions generate: words explored from the identity, closed
+    under the pointwise D-operations, sorted, with no VECT standard form."""
+    host = lalg.states
+    n = host.size
+    tag = host.tag
+    alphabet = lalg.alphabet
+    ident = tuple(range(n))
+    trans = dict(lalg.trans)
+    reached, delta = explore(
+        ident, alphabet, lambda t, a: tuple(trans[a][v] for v in t), cap, "transition monoid",
+    )
+    witness = {
+        t: langlib.free_word(tag, alphabet, w)
+        for t, w in zip(reached, shortlex_words(delta, alphabet))
+    }
+    elements, _, tables = sort_closure(
+        dmonoid_closure(witness, [host] * n, cap=cap, stage="transition monoid")
+    )
+    index = {t: i for i, t in enumerate(elements)}
+    horder = None
+    if host.order is not None:
+        horder = tuple(
+            tuple(all(host.order[x][y] for x, y in zip(t1, t2)) for t2 in elements)
+            for t1 in elements
+        )
+    carrier = make_algebra(tag, len(elements), dict(zip(sorted(signature(tag)), tables)), horder)
+    mult = tuple(
+        tuple(index[tuple(t2[v] for v in t1)] for t2 in elements) for t1 in elements
+    )
+    gen_images = tuple((a, index[trans[a]]) for a in alphabet)
+    return elements, make_dmonoid(carrier, mult, index[ident]), gen_images

@@ -28,7 +28,9 @@ from predual.algebra import (
     order_matrix_violations,
     pairing,
     product,
+    relabel_algebra,
     signature,
+    table_isomorphism,
     validate_algebra,
 )
 from predual.duality import dual_morphism, dual_object, eta
@@ -270,6 +272,31 @@ def test_all_morphisms_is_every_map_that_keeps_the_laws(tag):
                 if oracle.check_morphism(AlgMorphism(a, b, t))[0]
             ]
             assert [h.table for h in all_morphisms(a, b)] == expected
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS)
+def test_table_isomorphism_is_the_first_bijection_that_keeps_the_laws_and_the_order(tag):
+    # the search's tables are not checked again, so its result must be the
+    # first permutation the N^2 reference accepts that also reflects the order
+    found = 0
+    for a in _algebras_up_to(tag, 4):
+        n = a.size
+        flipped = relabel_algebra(a, tuple(reversed(range(n))))
+        for b in [x for x in _algebras_up_to(tag, 4) if x.size == n] + [flipped]:
+            expected = next(
+                (
+                    t
+                    for t in itertools.permutations(range(n))
+                    if oracle.check_morphism(AlgMorphism(a, b, t))[0]
+                    and (a.order is None or all(
+                        a.order[x][y] == b.order[t[x]][t[y]] for x in range(n) for y in range(n)
+                    ))
+                ),
+                None,
+            )
+            assert table_isomorphism(n, a.sig_ops, b.sig_ops, a.order, b.order) == expected
+            found += expected is not None
+    assert found > 0
 
 
 def test_combine_elements():

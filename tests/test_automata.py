@@ -5,6 +5,7 @@ import pickle
 import pytest
 
 from predual.algebra import (
+    AlgMorphism,
     StructureError,
     are_isomorphic,
     enumerate_algebras,
@@ -54,6 +55,7 @@ from predual.monoids import (
 )
 from predual.serialize import dumps, loads
 
+import oracle
 from oracle import language_quotient, local_variety_witness, run_word_co, transition_monoid
 
 
@@ -520,3 +522,31 @@ def test_cached_dual_automaton_stays_out_of_equality_hash_and_documents(pair):
         restored = pickle.loads(pickle.dumps(m))
         assert set(vars(restored)) == fields
         assert restored == m and hash(restored) == hash(m) and repr(restored) == repr(m)
+
+
+def _coalgebra_homs(src, dst):
+    """Every coalgebra homomorphism src -> dst in lexicographic order: the
+    outputs and letters checked entry by entry, the C-algebra operations by
+    the N^2 reference check."""
+    n = src.states.size
+    for t in itertools.product(range(dst.states.size), repeat=n):
+        if any(dst.out[t[x]] != src.out[x] for x in range(n)) or any(
+            t[src.tr(a)[x]] != dst.tr(a)[t[x]] for a in src.alphabet for x in range(n)
+        ):
+            continue
+        if oracle.check_morphism(AlgMorphism(src.states, dst.states, t))[0]:
+            yield t
+
+
+@pytest.mark.parametrize(
+    "pair, max_states", [("BA", 4), ("DL01", 3), ("JSL0", 3), ("VECT2", 4), ("BR", 4)]
+)
+def test_coalgebra_hom_search_returns_the_first_hom_of_the_full_checks(pair, max_states):
+    qs = list(enumerate_coalgebras(pair, "ab", max_states))
+    sample = qs[:: max(1, len(qs) // 12)]
+    found = 0
+    for src, dst in itertools.product(sample, repeat=2):
+        expected = next(_coalgebra_homs(src, dst), None)
+        assert find_coalgebra_hom(src, dst) == expected, (src, dst)
+        found += expected is not None
+    assert found > 0

@@ -458,6 +458,36 @@ INPUT_FILES = {
         "mult": [[0]], "unit": 0,
     }).encode(),
     "a-aa.json": b'["a*", "(aa)*"]',
+    "a.lang": json.dumps({
+        "kind": "language", "alphabet": ["a"], "states": 1, "delta": [[0]], "finals": [0],
+    }).encode(),
+    "z2.gen": json.dumps({
+        "kind": "generated-dmonoid", "tag": "SET",
+        "carrier": {"kind": "algebra", "tag": "SET", "size": 2, "ops": {}},
+        "mult": [[0, 1], [1, 0]], "unit": 0, "alphabet": ["a"], "generators": {"a": 1},
+        "representatives": {
+            str(e): {"kind": "free-element", "tag": "SET", "alphabet": ["a"], "pairs": [[w, 1]]}
+            for e, w in enumerate(["", "a"])
+        },
+    }).encode(),
+    # the same letter twice in a language, an L-algebra and a generated D-monoid
+    "aa.lang": json.dumps({
+        "kind": "language", "alphabet": ["a", "a"], "states": 1, "delta": [[0, 0]],
+        "finals": [0],
+    }).encode(),
+    "aa.lalg": json.dumps({
+        "kind": "lalgebra", "pair": "BA", "alphabet": ["a", "a"],
+        "states": {"kind": "algebra", "tag": "SET", "size": 1, "ops": {}},
+        "trans": {"a": [0]}, "init": 0,
+    }).encode(),
+    "aa.gen": json.dumps({
+        "kind": "generated-dmonoid", "tag": "SET",
+        "carrier": {"kind": "algebra", "tag": "SET", "size": 1, "ops": {}},
+        "mult": [[0]], "unit": 0, "alphabet": ["a", "a"], "generators": {"a": 0},
+        "representatives": {},
+    }).encode(),
+    "aa-samples.json": b'[["a*", "aa"]]',
+    "aa-corpus.json": b'{"seeds": {"aa": ["a*"]}}',
     "ints.json": b"[1]",
     "object.json": b'{"x": 1}',
     "empty.json": b"[]",
@@ -583,6 +613,21 @@ INPUT_FILES = {
         # generator would be reported not to divide the syntactic monoid of a*
         ["eilenberg-check", "--monoid", "trivial.mon", "--samples", "a-aa.json", "--nmax", "0"],
         ["eilenberg-check", "--monoid", "trivial.mon", "--samples", "a-aa.json", "--nmax", "-1"],
+        # --monoid is a dmonoid document whose tag is the D-side tag of --pair
+        ["varlang", "--monoid", "a.lang", "--alphabet", "a", "--pair", "BA"],
+        ["eilenberg-check", "--monoid", "a.lang", "--samples", "a-aa.json"],
+        ["varlang", "--monoid", "z2.gen", "--alphabet", "a", "--pair", "BA"],
+        ["varlang", "--monoid", "z2.mon", "--alphabet", "a", "--pair", "JSL0"],
+        ["eilenberg-check", "--monoid", "z2.mon", "--samples", "a-aa.json", "--pair", "JSL0"],
+        # an alphabet names each letter once, wherever it is read
+        ["minimize", "--regex", "a", "--alphabet", "aa"],
+        ["localvariety", "--tag", "BA", "--regex", "a", "--alphabet", "aa"],
+        ["varlang", "--monoid", "z2.mon", "--alphabet", "aa", "--pair", "BA"],
+        ["eilenberg-check", "--monoid", "z2.mon", "--samples", "aa-samples.json"],
+        ["check-laws", "--corpus", "aa-corpus.json"],
+        ["minimize", "--in", "aa.lang"],
+        ["preimage", "--map", "id.map", "--automaton", "aa.lalg"],
+        ["varlang", "--monoid", "aa.gen", "--alphabet", "a", "--pair", "BA"],
     ],
 )
 def test_malformed_cli_input_is_a_usage_error(capsys, tmp_path, argv):

@@ -67,12 +67,16 @@ def test_kernel_matches_the_naive_loop_on_dmonoids_of_every_d_side_tag():
             for a in g.alphabet:
                 seeds.setdefault(g.gen(a), free_word(tag, g.alphabet, a))
             ops = [(2, table_fn(2, m.mult), False)] + closure_ops(carrier)
-            got = dmonoid_closure(seeds, carrier, table_fn(2, m.mult))
-            want = oracle.naive_closure(
-                seeds, ops, loop_witness(tag, g.alphabet, names_of(carrier))
-            )
-            assert got == want, (tag, rx)
+            on_new = loop_witness(tag, g.alphabet, names_of(carrier))
+            got = closure(seeds, ops, on_new=on_new)
+            assert got == oracle.naive_closure(seeds, ops, on_new), (tag, rx)
             assert sorted(got[0]) == list(range(m.size)), (tag, rx)
+            # the D-operations alone, witnessed as dmonoid_closure does
+            got = dmonoid_closure(seeds, carrier)
+            want = oracle.naive_closure(
+                seeds, ops[1:], loop_witness(tag, g.alphabet, names_of(carrier)[1:])
+            )
+            assert got == want, (tag, rx, "D-operations")
             # the monoid acting pointwise on pairs, as in the free monoid of
             # a pseudovariety: one generator sent to (image of a, image of b)
             if m.size <= 4:
@@ -80,11 +84,14 @@ def test_kernel_matches_the_naive_loop_on_dmonoids_of_every_d_side_tag():
                 seeds.setdefault((g.gen("a"), g.gen("b")), free_word(tag, "a", "a"))
                 mult = componentwise_fn(2, [m.mult] * 2)
                 ops = [(2, mult, False)] + closure_ops([carrier] * 2)
-                got = dmonoid_closure(seeds, [carrier] * 2, mult)
+                on_new = loop_witness(tag, "a", names_of(carrier))
+                got = closure(seeds, ops, on_new=on_new)
+                assert got == oracle.naive_closure(seeds, ops, on_new), (tag, rx, "pointwise")
+                got = dmonoid_closure(seeds, [carrier] * 2)
                 want = oracle.naive_closure(
-                    seeds, ops, loop_witness(tag, "a", names_of(carrier))
+                    seeds, ops[1:], loop_witness(tag, "a", names_of(carrier)[1:])
                 )
-                assert got == want, (tag, rx, "pointwise")
+                assert got == want, (tag, rx, "pointwise D-operations")
 
 
 class Conflict(Exception):

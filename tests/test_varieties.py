@@ -1,6 +1,6 @@
 import pytest
 
-from predual.algebra import free_algebra, make_algebra
+from predual.algebra import StructureError, free_algebra, make_algebra
 from predual.automata import (
     dual_generated_monoid,
     generated_local_variety,
@@ -104,6 +104,17 @@ def test_free_monoid_z2_on_two_generators_is_klein_four():
     a, b = g.gen("a"), g.gen("b")
     assert g.base.mul(a, a) == g.base.unit
     assert g.base.mul(a, b) == g.base.mul(b, a)
+
+
+def test_free_monoid_of_a_table_that_leaves_the_d_closure_is_a_structure_error():
+    # the D-closure of the words is closed under a multiplication that
+    # distributes over join; this one does not (nor is it associative)
+    chain = make_algebra(
+        "JSL0", 3, {"join": tuple(tuple(max(x, y) for y in range(3)) for x in range(3)), "zero": 0}
+    )
+    bad = make_dmonoid(chain, ((0, 2, 0), (0, 1, 1), (0, 1, 2)), 2)
+    with pytest.raises(StructureError, match="does not distribute over the D-operations"):
+        free_monoid_in_simple_pseudovariety(bad, "a")
 
 
 def test_languages_of_simple_pseudovariety_z2_parity():
