@@ -217,28 +217,40 @@ def _build_dual_automaton_inv(a: LAlgebra) -> Coalgebra:
 
 
 def _dual_trans(m) -> tuple:
-    """The dual transitions of the coalgebra or L-algebra m, sorted by letter."""
-    return tuple(sorted(
-        (a, dual_morphism(m.pair, AlgMorphism(m.states, m.states, m.tr(a))).table)
-        for a in m.alphabet
-    ))
+    """The dual transitions of the coalgebra or L-algebra m, sorted by letter.
+
+    They depend on m's pair, states and transitions alone, so they are kept
+    on m.states by (pair, trans): equal automata on one carrier share them.
+    """
+    return derived(m.states, "_dual_trans", _build_dual_trans, m, key=(m.pair, m.trans))
+
+
+def _build_dual_trans(m) -> tuple:
+    return tuple(
+        (a, dual_morphism(m.pair, AlgMorphism(m.states, m.states, t)).table) for a, t in m.trans
+    )
 
 
 def relabel_double_dual(pair: str, states: FinAlgebra, qdd: Coalgebra) -> Coalgebra:
-    """Transport a coalgebra on dual(dual(states)) back onto the carrier."""
-    e = eta(pair, states)
-    inv = [0] * states.size
-    for x, v in enumerate(e.table):
-        inv[v] = x
-    trans = {
-        a: tuple(inv[qdd.tr(a)[e.table[x]]] for x in range(states.size))
-        for a in qdd.alphabet
-    }
-    out = tuple(qdd.out[e.table[x]] for x in range(states.size))
-    return Coalgebra(
-        pair, qdd.alphabet, states,
-        tuple(sorted((a, t) for a, t in trans.items())), out,
+    """Transport a coalgebra on dual(dual(states)) back onto the carrier.
+
+    The transported transitions are kept on states by (pair, qdd.states,
+    qdd.trans), everything besides states they depend on.
+    """
+    e = eta(pair, states).table
+    trans = derived(
+        states, "_relabelled_trans", _relabel_trans, e, qdd.trans,
+        key=(pair, qdd.states, qdd.trans),
     )
+    return Coalgebra(pair, qdd.alphabet, states, trans, tuple(map(qdd.out.__getitem__, e)))
+
+
+def _relabel_trans(e, trans) -> tuple:
+    """Each table of trans conjugated by the bijection e: x -> inv[t[e[x]]]."""
+    inv = [0] * len(e)
+    for x, v in enumerate(e):
+        inv[v] = x
+    return tuple((a, tuple(inv[t[v]] for v in e)) for a, t in trans)
 
 
 # ---------------------------------------------------------------------------

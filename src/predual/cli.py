@@ -106,7 +106,10 @@ def _read_language(args):
         return parse_regex(args.regex, args.alphabet)
     if args.infile is None:
         raise DocumentError(f"{args.command} needs --regex or --in")
-    return _load(args.infile)
+    lang = _load(args.infile)
+    if not isinstance(lang, RegularLanguage):
+        raise DocumentError(f"{args.command} --in must be a language document")
+    return lang
 
 
 def cmd_enumerate(args):
@@ -147,7 +150,7 @@ def cmd_dualize(args):
         return _emit(args, dual)
     if isinstance(value, AlgMorphism):
         return _emit(args, dual_morphism(args.pair, value))
-    raise StructureError("dualize expects an algebra or morphism document")
+    raise DocumentError("dualize expects an algebra or morphism document")
 
 
 def cmd_minimize(args):

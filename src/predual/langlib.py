@@ -13,6 +13,8 @@ alphabet order, so structural equality coincides with language equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_, xor
 
 from .algebra import (
     KeepsDerived,
@@ -438,15 +440,14 @@ class FreeElement:
         )
 
 
-def _combination(tag, pairs, words=True):
-    """The D-combination of (item, coefficient) pairs in the tag's free
-    D-monoid, canonical: words in shortlex, states (words=False) in order.
+def _combination(tag, pairs):
+    """The D-combination of (word, coefficient) pairs in the tag's free
+    D-monoid, canonical: its words in shortlex order.
 
-    SET and POS: exactly one item; SET_STAR: at most one item, none being
+    SET and POS: exactly one word; SET_STAR: at most one word, none being
     the zero; JSL0: a set, every coefficient 1; VECT(p): the coefficients
-    of equal items summed mod p, zero sums dropped; a single pair with
-    coefficient 1 is canonical.  Items are words for free elements and
-    automaton states for preimage_language's lift.
+    of equal words summed mod p, zero sums dropped; a single pair with
+    coefficient 1 is canonical.
     """
     p = vect_prime(tag)
     if p is None and tag not in ("SET", "POS", "SET_STAR", "JSL0"):
@@ -454,29 +455,19 @@ def _combination(tag, pairs, words=True):
     if len(pairs) == 1 and pairs[0][1] == 1:
         return ((pairs[0][0], 1),)
     acc = {}
-    for item, c in pairs:
+    for w, c in pairs:
         if p is not None:
-            acc[item] = (acc.get(item, 0) + c) % p
+            acc[w] = (acc.get(w, 0) + c) % p
         elif c != 1:
             raise StructureError("coefficients must be 1 for this tag")
         else:
-            acc[item] = 1
-    order = sorted(sorted(acc), key=len) if words else sorted(acc)
-    items = tuple((x, acc[x]) for x in order if acc[x])
+            acc[w] = 1
+    items = tuple((w, acc[w]) for w in sorted(sorted(acc), key=len) if acc[w])
     if tag in ("SET", "POS") and len(items) != 1:
         raise StructureError(f"{tag} elements are single words")
     if tag == "SET_STAR" and len(items) > 1:
         raise StructureError("SET_STAR elements are a word or zero")
     return items
-
-
-def _value(tag, combination, finals) -> int:
-    """The output of a combination whose items are read by membership in
-    finals: for VECT(p) the sum mod p of the coefficients of the items in
-    finals, for the other tags 1 iff some item is in finals."""
-    p = vect_prime(tag)
-    total = sum(c for x, c in combination if x in finals)
-    return total % p if p is not None else min(total, 1)
 
 
 def make_free(tag: str, alphabet, pairs) -> FreeElement:
@@ -530,7 +521,9 @@ def eval_language(l: RegularLanguage, x: FreeElement) -> int:
     """
     if tuple(x.alphabet) != l.alphabet:
         raise StructureError("alphabet mismatch")
-    return _value(x.tag, [(l.run(w), c) for w, c in x.pairs], l.finals)
+    p = vect_prime(x.tag)
+    total = sum(c for w, c in x.pairs if l.accepts(w))
+    return total % p if p is not None else min(total, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -602,28 +595,65 @@ def compose_free(f: DMonoidMorphismFree, g: DMonoidMorphismFree) -> DMonoidMorph
 def preimage_language(l: RegularLanguage, f: DMonoidMorphismFree) -> RegularLanguage:
     """{w over the source alphabet : eval_language(l, f*(w)) = 1}.
 
-    The automaton of l is lifted into the free D-monoid: a state of the
-    lift is a _combination of states of l (a single state for SET and POS,
-    a state or the dead zero for SET_STAR, a subset for JSL0, a GF(p)
-    vector for VECT), sorted by state and starting from state 0 with
-    coefficient 1.  The letter b takes state s to moves[b][s], the runs of
-    s on the words of f(b) with their coefficients; a lift state steps to
-    the combination of its states' moves, the coefficients multiplied.  A
-    lift state is final when its _value over the finals of l is 1.  VECT
-    lifts stop at 4096 states.
+    The automaton of l is lifted into the free D-monoid.  A state of the
+    lift is a D-combination of states of l, starting from state 0 with
+    coefficient 1, and is kept as one integer where the tag allows:
+
+    - SET and POS: a state of l, as f(b) is one word; SET_STAR: a state of
+      l, or -1 for the zero, which no letter leaves;
+    - JSL0: the bitmask of a set of states, stepped to the join (|) of the
+      moves of its states; VECT2: the bitmask of a GF(2) vector, stepped to
+      the sum (^) of the moves of its states;
+    - VECT(p) for p > 2: a tuple of coefficients, one per state of l.
+
+    The move of state s by the letter b is the combination of the runs of s
+    on the words of f(b), with their coefficients.  A lift state is final
+    when its value over the finals of l is 1 (for VECT(p), the sum of its
+    coefficients at the finals).  VECT lifts stop at 4096 states.
     """
     if tuple(f.target_alphabet) != l.alphabet:
         raise StructureError("morphism target does not match language alphabet")
     src = tuple(f.source_alphabet)
-    moves = [[[(l.run(w, s), c) for w, c in f.image(b).pairs] for s in range(l.size)] for b in src]
+    runs = [[[(l.run(w, s), c) for w, c in f.image(b).pairs] for s in range(l.size)] for b in src]
+    p = vect_prime(f.tag)
+    if p is None and f.tag != "JSL0":
+        # -1 indexes the last entry of a row, which is -1 again
+        moves = [[r[0][0] if r else -1 for r in row] + [-1] for row in runs]
+        start, step, final = 0, lambda s, i: moves[i][s], l.finals.__contains__
+    elif p is None or p == 2:
+        join = or_ if p is None else xor
+        moves = [[reduce(join, (1 << t for t, _ in r), 0) for r in row] for row in runs]
+        finals = reduce(or_, (1 << s for s in l.finals), 0)
+        start = 1
 
-    def step(state, b):
-        return _combination(f.tag, [(t, c * d) for s, c in state for t, d in moves[b][s]], False)
+        def step(mask, i):
+            row, acc = moves[i], 0
+            while mask:
+                low = mask & -mask
+                acc = join(acc, row[low.bit_length() - 1])
+                mask ^= low
+            return acc
 
-    cap = 4096 if vect_prime(f.tag) is not None else None
-    states, delta = explore(((0, 1),), range(len(src)), step, cap, "preimage vector states")
-    finals = {i for i, state in enumerate(states) if _value(f.tag, state, l.finals) == 1}
-    return _minimize(src, len(delta), delta, finals, 0)
+        def final(mask):
+            hit = mask & finals
+            return bool(hit) if p is None else hit.bit_count() % 2 == 1
+    else:
+        start = (1,) + (0,) * (l.size - 1)
+
+        def step(vector, i):
+            acc = [0] * l.size
+            for s, c in enumerate(vector):
+                if c:
+                    for t, d in runs[i][s]:
+                        acc[t] += c * d
+            return tuple(x % p for x in acc)
+
+        def final(vector):
+            return sum(vector[s] for s in l.finals) % p == 1
+
+    cap = 4096 if p is not None else None
+    states, delta = explore(start, range(len(src)), step, cap, "preimage vector states")
+    return _minimize(src, len(delta), delta, {i for i, x in enumerate(states) if final(x)}, 0)
 
 
 # ---------------------------------------------------------------------------

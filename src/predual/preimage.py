@@ -18,6 +18,7 @@ from .algebra import (
     StructureError,
     check_morphism,
     combine_columns,
+    derived,
 )
 from .automata import (
     Coalgebra,
@@ -66,18 +67,27 @@ def alpha_x(a: LAlgebra, x: FreeElement):
 
 
 def algebra_preimage(a: LAlgebra, f: DMonoidMorphismFree) -> LAlgebra:
-    """A^f: same states and initial state, transitions alpha_{f(b)}."""
+    """A^f: same states and initial state, transitions alpha_{f(b)}.
+
+    The transitions depend on a's pair, states and transitions and on f
+    alone, so they are kept on a.states by (pair, trans, f): equal
+    L-algebras on one carrier are reindexed along f once, and the
+    cross-check that each alpha_{f(b)} is an endomorphism (raising
+    InternalInvariantError) runs once per distinct value.
+    """
     if tuple(f.target_alphabet) != a.alphabet or f.tag != d_tag(a.pair):
         raise StructureError("morphism does not match the automaton")
+    trans = derived(a.states, "_preimage_trans", _preimage_trans, a, f, key=(a.pair, a.trans, f))
+    return LAlgebra(a.pair, tuple(f.source_alphabet), a.states, trans, a.init)
+
+
+def _preimage_trans(a: LAlgebra, f: DMonoidMorphismFree) -> tuple:
     trans = {b: alpha_x(a, f.image(b)) for b in f.source_alphabet}
     for b, t in trans.items():
         ok, why = check_morphism(AlgMorphism(a.states, a.states, t))
         if not ok:
             raise InternalInvariantError(f"alpha_x left the endomorphisms at {b!r}: {why}")
-    return LAlgebra(
-        a.pair, tuple(f.source_alphabet), a.states,
-        tuple(sorted((b, t) for b, t in trans.items())), a.init,
-    )
+    return tuple(sorted(trans.items()))
 
 
 def coalgebra_preimage(q: Coalgebra, f: DMonoidMorphismFree) -> Coalgebra:
@@ -219,6 +229,7 @@ def check_preimage_laws(corpus=None, state_cap: int = 12) -> dict:
 
     for pair, data in corpus.items():
         tag = d_tag(pair)
+        hom_checked = set()  # the morphisms whose transition law has been checked
         for rx, q in data["varieties"]:
             a = dual_automaton(q)
             states = _sample_states(q, state_cap)
@@ -256,15 +267,17 @@ def check_preimage_laws(corpus=None, state_cap: int = 12) -> dict:
 
                 # lempre: f is a transition homomorphism into (Psi Sigma*)^f
                 # (checked on short words), and the run maps satisfy
-                # e_{A^f} = e_A . f
-                words = _short_words(f.source_alphabet, 4)
-                for w in words:
+                # e_{A^f} = e_A . f.  The first law and its witness do not
+                # involve q: it is checked at the first variety f applies to.
+                letters = () if f in hom_checked else f.source_alphabet
+                hom_checked.add(f)
+                for w in _short_words(f.source_alphabet, 4):
                     x = free_word(tag, f.source_alphabet, w)
                     fx = apply_free(f, x)
                     report["lempre"]["checked"] += 1
                     if run_word(af, w) != eval_free(a, fx):
                         fail("lempre", ("run-map", pair, rx, f.images, w))
-                    for b in f.source_alphabet:
+                    for b in letters:
                         lhs = apply_free(f, free_mul(x, free_word(tag, f.source_alphabet, b)))
                         rhs = free_mul(fx, f.image(b))
                         if lhs != rhs:

@@ -271,10 +271,11 @@ def to_doc(value) -> dict:
 
 
 class DocumentError(ValueError):
-    """A document that is not a JSON object, lacks a required key, names a
-    state a language does not have, has an alphabet that is not a list of
-    distinct strings or free-element pairs that are not [word, integer] pairs, or
-    describes a D-monoid, coalgebra or L-algebra that breaks its laws."""
+    """A document that is not a JSON object, names no known kind, lacks a
+    required key, names a state a language does not have, has an alphabet
+    that is not a list of distinct strings or free-element pairs that are
+    not [word, integer] pairs, or describes a D-monoid, coalgebra or
+    L-algebra that breaks its laws."""
 
 
 def _object(doc, key):
@@ -300,7 +301,7 @@ def from_doc(doc):
         raise DocumentError(f"expected a JSON object, got {type(doc).__name__}")
     kind = doc.get("kind")
     if kind not in _FROM_DOC:
-        raise StructureError(f"unknown document kind {kind!r}")
+        raise DocumentError(f"unknown document kind {kind!r}")
     try:
         return _FROM_DOC[kind](doc)
     except KeyError as e:

@@ -490,6 +490,7 @@ INPUT_FILES = {
     "aa-corpus.json": b'{"seeds": {"aa": ["a*"]}}',
     "ints.json": b"[1]",
     "object.json": b'{"x": 1}',
+    "bogus.json": b'{"kind": "bogus"}',
     "empty.json": b"[]",
     "two-alphabets.json": b'["a*", "b*"]',
     "seeds.json": b'["a*"]',
@@ -579,6 +580,11 @@ INPUT_FILES = {
             ["preimage", "--map", f"{name}.map", "--regex", "(aa)*", "--alphabet", "a"]
             for name in ("off-alphabet", "unknown-tag", "wrong-image-tag", "set-coefficient")
         ),
+        # a document of an unknown kind, or of a kind the command does not read
+        ["minimize", "--in", "bogus.json"],
+        ["minimize", "--in", "z2.gen"],
+        ["deriv", "--side", "left", "--letter", "a", "--in", "z2.gen"],
+        ["dualize", "--pair", "BA", "--in", "a.lang"],
         # a command that reads a language given none, dualize given nothing to read
         ["minimize"],
         ["deriv", "--side", "left", "--letter", "a"],

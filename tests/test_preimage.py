@@ -1,11 +1,15 @@
+import dataclasses
+import pickle
 from collections import Counter
 
+import oracle
 import pytest
 
 from predual import automata, duality, langlib, preimage
 from predual.algebra import make_algebra
 from predual.automata import (
     dual_automaton,
+    dual_automaton_inv,
     generated_local_variety,
     language_of_state,
     make_lalgebra,
@@ -16,9 +20,11 @@ from predual.langlib import (
     make_free,
     make_free_morphism,
     parse_regex,
+    preimage_language,
 )
 from predual.monoids import dagger_free
 from predual.preimage import (
+    SEED_REGEXES,
     algebra_preimage,
     alpha_x,
     check_preimage_laws,
@@ -28,6 +34,7 @@ from predual.preimage import (
     default_morphisms,
 )
 from predual.duality import d_tag
+from predual.serialize import dumps, loads
 
 from oracle import identity_free_morphism, run_word_co
 
@@ -246,3 +253,99 @@ def test_law_battery_builds_each_word_image_and_dagger_once(monkeypatch):
     assert words and len(products) == len(words)
     for f in corpus["JSL0"]["morphisms"]:
         assert dagger_free(f) is dagger_free(f)
+
+
+@pytest.mark.parametrize("pair", ["BA", "DL01", "JSL0", "VECT2", "BR"])
+def test_kept_transitions_are_shared_on_the_carrier_and_stay_out_of_documents(pair):
+    """Dual, reindexed and relabelled transitions are kept on the state
+    algebra by value: equal but distinct automata on one carrier get the
+    identical tuple, and the carrier's equality, hash, document and pickle
+    still see only its four fields."""
+    q = generated_local_variety(pair, [parse_regex("(a|b)*a")])
+    a = dual_automaton(q)
+    f = default_morphisms(d_tag(pair))[5]  # a morphism into {a, b}
+    twins = [
+        dataclasses.replace(a, trans=tuple((x, tuple(list(t))) for x, t in a.trans))
+        for _ in range(2)
+    ]
+    assert twins[0] == twins[1] == a and twins[0].trans is not twins[1].trans
+    duals = [dual_automaton_inv(t) for t in twins]
+    assert duals[0] is not duals[1] and duals[0].trans is duals[1].trans
+    reindexed = [algebra_preimage(t, f) for t in twins]
+    assert reindexed[0] is not reindexed[1] and reindexed[0].trans is reindexed[1].trans
+    qfs = [coalgebra_preimage(q, f), coalgebra_preimage(dataclasses.replace(q), f)]
+    assert qfs[0] == qfs[1] and qfs[0] is not qfs[1] and qfs[0].trans is qfs[1].trans
+    assert {"_dual_trans", "_relabelled_trans"} <= set(vars(q.states))
+    assert {"_dual_trans", "_preimage_trans"} <= set(vars(a.states))
+    for states in (q.states, a.states):
+        fresh = loads(dumps(states))
+        assert states == fresh and fresh == states and hash(states) == hash(fresh)
+        assert dumps(states) == dumps(fresh) and repr(states) == repr(fresh)
+        restored = pickle.loads(pickle.dumps(states))
+        assert set(vars(restored)) == {"tag", "size", "ops", "order"}
+        assert restored == states and hash(restored) == hash(states)
+
+
+def _law_corpus(pair):
+    return {pair: {
+        "varieties": [(rx, generated_local_variety(pair, [parse_regex(rx, alphabet)]))
+                      for alphabet, rxs in LAW_SEEDS.items() for rx in rxs],
+        "morphisms": default_morphisms(d_tag(pair)),
+    }}
+
+
+def test_the_transition_law_runs_once_per_morphism_and_still_fails(monkeypatch):
+    """lempre's transition law, f(x b) = f(x) f(b) on short words x, does
+    not involve the variety: it runs once per morphism, at the first
+    variety f applies to.  A wrong word image still fails it, with the
+    witness of the first (f, x, b) and the counts of a clean run."""
+    clean = check_preimage_laws(_law_corpus("JSL0"))
+    morphisms = default_morphisms("JSL0")
+    alphabets = {"".join(q.alphabet) for _, q in _law_corpus("JSL0")["JSL0"]["varieties"]}
+    instances = sum(
+        len(preimage._short_words(f.source_alphabet, 4)) * len(f.source_alphabet)
+        for f in morphisms if "".join(f.target_alphabet) in alphabets
+    )
+    apply, mul, products = preimage.apply_free, preimage.free_mul, []
+
+    def wrong(f, x):
+        # the image of bb is given as the image of b
+        if x.pairs == (("bb", 1),):
+            x = free_word(x.tag, x.alphabet, "b")
+        return apply(f, x)
+
+    def count_mul(x, y):
+        products.append((x, y))
+        return mul(x, y)
+
+    monkeypatch.setattr(preimage, "apply_free", wrong)
+    monkeypatch.setattr(preimage, "free_mul", count_mul)
+    report = check_preimage_laws(_law_corpus("JSL0"))
+    assert report["lempre"]["status"] == "fails"
+    # the first morphism, b -> a, maps into the first variety's alphabet
+    assert report["lempre"]["witness"] == ("transition-hom", "JSL0", morphisms[0].images, "b", "b")
+    assert {law: e["checked"] for law, e in report.items()} == {
+        law: e["checked"] for law, e in clean.items()
+    }
+    assert len(products) == 2 * instances  # x b and f(x) f(b), once per instance
+
+
+PREIMAGE_SWEEP = SEED_REGEXES + ("(a|b)*abb", "(ab|ba)*", "a*b*", "(aab)*")
+
+
+def test_preimage_lift_agrees_with_the_per_tag_lifts_on_every_default_morphism():
+    """The integer-state lift against the per-tag lifts it replaced, on
+    every D-side tag's default morphisms and every sweep regex over their
+    target alphabet."""
+    calls = 0
+    for tag in ("SET", "POS", "SET_STAR", "JSL0", "VECT2"):
+        for f in default_morphisms(tag):
+            target = "".join(f.target_alphabet)
+            for rx in PREIMAGE_SWEEP:
+                if {ch for ch in rx if ch.isalpha()} - {"ε"} <= set(target):
+                    l = parse_regex(rx, target)
+                    assert preimage_language(l, f) == oracle.preimage_language(l, f), (
+                        tag, f.images, rx,
+                    )
+                    calls += 1
+    assert calls == 848
