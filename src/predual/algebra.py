@@ -250,17 +250,22 @@ def _freeze_table(table, arity, size):
         return table
     if arity == 1:
         table = tuple(table)
-        if len(table) != size or any(not (0 <= v < size) for v in table):
+        if len(table) != size or not _in_range(table, size):
             raise StructureError("unary table has wrong shape")
         return table
     if arity == 2:
         table = tuple(tuple(row) for row in table)
-        if len(table) != size or any(
-            len(row) != size or any(not (0 <= v < size) for v in row) for row in table
+        if len(table) != size or not all(
+            len(row) == size and _in_range(row, size) for row in table
         ):
             raise StructureError("binary table has wrong shape")
         return table
     raise StructureError(f"unsupported arity {arity}")
+
+
+def _in_range(row, size) -> bool:
+    """Whether 0 <= v < size for every v of row."""
+    return not row or (min(row) >= 0 and max(row) < size)
 
 
 def make_algebra(tag: str, size: int, ops: dict, order=None) -> FinAlgebra:
@@ -1002,29 +1007,29 @@ def free_algebra(tag: str, names) -> tuple:
 
 
 def relabel_algebra(a: FinAlgebra, perm) -> FinAlgebra:
-    """Apply a carrier permutation (old index -> new index) to all structure."""
+    """Apply a carrier permutation (old index -> new index) to all structure.
+
+    A permutation keeps every table in shape, so only perm is checked."""
+    if sorted(perm) != list(a.carrier()):
+        raise StructureError("relabelling needs a permutation of the carrier")
     inv = [0] * a.size
     for old, new in enumerate(perm):
         inv[new] = old
-    ops = {}
-    for name, arity in signature(a.tag).items():
-        t = a.op(name)
+    renamed = perm.__getitem__
+
+    def pick(row):  # row's entries in the new order
+        return map(row.__getitem__, inv)
+
+    def relabel(arity, t):
         if arity == 0:
-            ops[name] = perm[t]
-        elif arity == 1:
-            ops[name] = tuple(perm[t[inv[x]]] for x in range(a.size))
-        else:
-            ops[name] = tuple(
-                tuple(perm[t[inv[x]][inv[y]]] for y in range(a.size))
-                for x in range(a.size)
-            )
-    order = None
-    if a.order is not None:
-        order = tuple(
-            tuple(a.order[inv[x]][inv[y]] for y in range(a.size))
-            for x in range(a.size)
-        )
-    return make_algebra(a.tag, a.size, ops, order)
+            return perm[t]
+        if arity == 1:
+            return tuple(map(renamed, pick(t)))
+        return tuple(tuple(map(renamed, pick(row))) for row in pick(t))
+
+    ops = tuple((name, relabel(arity, t)) for (name, t), (arity, _) in zip(a.ops, a.sig_ops))
+    order = None if a.order is None else tuple(tuple(pick(row)) for row in pick(a.order))
+    return FinAlgebra(a.tag, a.size, ops, order)
 
 
 def standardize_vect(a: FinAlgebra):
@@ -1034,6 +1039,14 @@ def standardize_vect(a: FinAlgebra):
     VECT carrier that will be dualized must use index = sum(c_i * p^i) over a
     fixed basis.  Returns (standardized algebra, permutation old -> new).
     """
+    perm = standard_basis_perm(a)
+    return relabel_algebra(a, perm), perm
+
+
+def standard_basis_perm(a: FinAlgebra, scan=None) -> tuple:
+    """standardize_vect's permutation old -> new.  The basis is taken
+    greedily along scan (default: the carrier in index order), each element
+    that the ones taken before do not span."""
     p = vect_prime(a.tag)
     if p is None:
         raise StructureError("standardize_vect expects a VECT tag")
@@ -1042,7 +1055,7 @@ def standardize_vect(a: FinAlgebra):
     smul = [a.op(f"smul{k}") for k in range(p)]
     basis = []
     span = {zero}
-    for x in range(a.size):
+    for x in a.carrier() if scan is None else scan:
         if x not in span:
             basis.append(x)
             span = {zero}
@@ -1060,7 +1073,7 @@ def standardize_vect(a: FinAlgebra):
         perm[acc] = code
     if any(v is None for v in perm):
         raise StructureError("VECT basis does not span the carrier")
-    return relabel_algebra(a, tuple(perm)), tuple(perm)
+    return tuple(perm)
 
 
 def _span_elements(add, smul, basis, zero, p):

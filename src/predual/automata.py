@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
-from operator import and_, or_
 
 from .algebra import (
     AlgMorphism,
@@ -37,12 +35,12 @@ from .algebra import (
     derived,
     downset_masks,
     explore,
-    free_algebra,
     make_algebra,
     product,
     relabel_algebra,
     shortlex_words,
-    standardize_vect,
+    signature,
+    standard_basis_perm,
     validate_algebra,
     vect_prime,
 )
@@ -57,6 +55,7 @@ from .duality import (
     dual_object,
     eta,
     out_from_dual_init,
+    set_ops,
     state_output,
 )
 from .langlib import (
@@ -64,10 +63,10 @@ from .langlib import (
     RegularLanguage,
     _canonical,
     _nerode,
-    closure_under_ops_and_derivs,
     free_word,
     free_zero,
     make_free,
+    mask_preimage,
     rev_free,
     syntactic_masks,
 )
@@ -136,21 +135,13 @@ def _make(cls, tag, last_errors, pair, alphabet, states, trans, last):
     return m
 
 
-def validate_coalgebra(q: Coalgebra) -> list:
-    return _automaton_errors(q, _output_errors)
-
-
-def validate_lalgebra(a: LAlgebra) -> list:
-    return _automaton_errors(a, _init_errors)
-
-
 def _automaton_errors(m, last_errors) -> list:
     """The laws the coalgebra or L-algebra m breaks: its states' if any
     break, else its transitions' and then last_errors(m), its last field's."""
     states = m.states
     errs = validate_algebra(states)
     if vect_prime(states.tag) is not None:
-        if standardize_vect(states)[1] != tuple(range(states.size)):
+        if standard_basis_perm(states) != tuple(range(states.size)):
             errs = errs + ["VECT states must use the standard basis encoding"]
     if errs:
         return [f"states: {e}" for e in errs]
@@ -449,35 +440,35 @@ def generated_local_variety(pair: str, seeds, cap: int = 4096) -> Coalgebra:
 
     Its states are its languages in sort-key order with the pair's C-side
     structure, transitions are left derivatives and the output is acceptance
-    of the empty word.  For BA, DL01 and BR it is the dual of the syntactic
-    L-algebra; JSL0 and VECT2 close the seeds as masks over their syntactic
-    monoid (closure_under_ops_and_derivs).  CapExceeded is raised above cap.
+    of the empty word; VECT2 states then take the standard basis encoding,
+    which dual maps read.  For every pair it is the dual coalgebra of the
+    syntactic L-algebra as _column_lalgebra builds it, renumbered.  The
+    languages of its states, read off the coalgebra's kept Nerode
+    partition, must be pairwise distinct, the first criterion of
+    is_subcoalgebra_of_rho.  CapExceeded is raised above cap languages
+    (_column_lalgebra).
     """
-    if pair in BIRKHOFF_PAIRS:
-        return _dual_variety(pair, seeds, cap)
-    tag = c_tag(pair)
-    langs = closure_under_ops_and_derivs(tag, seeds, cap)
-    alphabet = langs[0].alphabet
-    states = FinAlgebra(tag, len(langs), tuple(sorted(langs.ops.items())), None)
-    errors = validate_algebra(states)
-    if errors:
-        raise StructureError(f"closure is not a valid {tag} algebra: {errors[0]}")
-    trans = langs.trans
-    out = tuple(1 if l.accepts("") else 0 for l in langs)
-    if vect_prime(tag) is not None:
-        # dual maps read matrices off the standard basis encoding
-        states, perm = standardize_vect(states)
-        inv = [0] * len(langs)
-        for old, new in enumerate(perm):
-            inv[new] = old
-        trans = {
-            a: tuple(perm[t[inv[x]]] for x in range(len(langs)))
-            for a, t in trans.items()
-        }
-        out = tuple(out[inv[x]] for x in range(len(langs)))
-    return Coalgebra(
-        pair, alphabet, states, tuple(sorted((a, t) for a, t in trans.items())), out
-    )
+    q = dual_automaton_inv(_column_lalgebra(pair, seeds, cap, variety=True))
+    distinct = len(set(_partition(q)[2].values())) == q.states.size
+    check_invariant(distinct, "two states of the dual coalgebra accept one language")
+    langs = languages_of(q)
+    order = sorted(range(len(langs)), key=lambda s: langs[s].sort_key())
+    if vect_prime(q.states.tag) is not None:
+        # standardize_vect of the states in language order
+        order = sorted(order, key=standard_basis_perm(q.states, order).__getitem__)
+    return _reordered(q, order)
+
+
+def _reordered(m, order):
+    """The coalgebra or L-algebra m with its states renumbered, order[x]
+    becoming x."""
+    perm = [0] * len(order)
+    for new, old in enumerate(order):
+        perm[old] = new
+    states, trans = relabel_algebra(m.states, perm), _relabel_trans(order, m.trans)
+    if isinstance(m, LAlgebra):
+        return LAlgebra(m.pair, m.alphabet, states, trans, perm[m.init])
+    return Coalgebra(m.pair, m.alphabet, states, trans, tuple(map(m.out.__getitem__, order)))
 
 
 # ---------------------------------------------------------------------------
@@ -489,101 +480,97 @@ SYNTACTIC_CAP = 512
 def syntactic_lalgebra(pair: str, seeds) -> LAlgebra:
     """The dual L-algebra of the local variety generated by the seeds.
 
-    For the Birkhoff pairs BA, DL01 and BR it is built on the syntactic
-    monoid, never on the variety: the syntactic D-monoid is the transition
-    D-monoid of the minimal automaton (Adamek, Milius and Urbat).  M is the
-    transition monoid of the disjoint union of the seeds' minimal DFAs, that
-    is Syn(L) for one seed and the subdirect product of the seeds' syntactic
-    monoids for several; CapExceeded is raised above SYNTACTIC_CAP elements.
-    init is the unit and a letter a acts by m -> [a] m, so a word is read as
-    the class of its reversal: the transition monoid of the reversed
-    language, acting on the right.  The carrier is labelled as dual_object
-    labels the points of the variety, by the sort keys of their languages;
-    a quotient u^-1 L v^-1 is a set of elements (langlib.syntactic_masks):
-
-    - BA: the atoms, the class of one element;
-    - DL01: the join-irreducibles, the up-set of one element in the
-      syntactic order (m <= n iff every quotient holding m holds n); the
-      carrier is ordered by their inclusion;
-    - BR: the atoms behind the basepoint, into which the element that lies
-      in no quotient, if there is one, merges.
-
-    JSL0 and VECT2 dualize generated_local_variety, checked as a local
-    variety.
+    For the Birkhoff pairs BA, DL01 and BR it is _column_lalgebra's, built on
+    the syntactic monoid under SYNTACTIC_CAP and labelled as dual_object
+    labels the points of the variety.  For JSL0 and VECT2 it is the dual of
+    generated_local_variety, which is built from the same L-algebra and
+    checked as a local variety, so that its carrier is labelled by the
+    variety's languages.
     """
     if pair in BIRKHOFF_PAIRS:
-        return _birkhoff_syntactic(pair, seeds, SYNTACTIC_CAP)[0]
+        return _column_lalgebra(pair, seeds, SYNTACTIC_CAP)
     q = generated_local_variety(pair, seeds)
     if not is_local_variety(q):
         raise StructureError("the closure of the seeds is not a local variety")
     return dual_automaton(q)
 
 
-def _birkhoff_syntactic(pair, seeds, cap):
-    """(a, elements): syntactic_lalgebra's a and elements[x] the monoid
-    element of carrier element x (None for the basepoint)."""
-    seeds = list(seeds)
-    left, derivatives, masks, language = syntactic_masks(seeds, cap, "syntactic monoid")
-    alphabet = seeds[0].alphabet
-    quotients = closure(dict.fromkeys(masks), derivatives)[0]  # the u^-1 L v^-1
-    tag = d_tag(pair)
-    points = range(len(left))
-    if tag == "POS":
-        # the up-set of m: the elements in every quotient that holds m
-        full = (1 << len(left)) - 1
-        up = [reduce(and_, (q for q in quotients if q >> m & 1), full) for m in points]
-        langs = {m: language(up[m]) for m in points}
-    else:
-        if tag == "SET_STAR":
-            live = reduce(or_, quotients)
-            points = [m for m in points if live >> m & 1]
-        langs = {m: language(1 << m) for m in points}
-    ranked = sorted(points, key=lambda m: langs[m].sort_key())
-    if len(set(langs.values())) < len(ranked):
-        raise StructureError("two elements of the syntactic monoid have one language")
-    elements = [None] * (tag == "SET_STAR") + ranked
-    label = {m: x for x, m in enumerate(elements)}
-    if tag == "POS":
-        order = tuple(tuple(bool(up[n] >> m & 1) for n in ranked) for m in ranked)
-        carrier = make_algebra(tag, len(ranked), {}, order)
-    else:
-        carrier = free_algebra(tag, ranked)[0]
-    # an element missing from label is the one that merges into the basepoint
-    trans = {
-        a: tuple(0 if m is None else label.get(left[m][i], 0) for m in elements)
-        for i, a in enumerate(alphabet)
-    }
-    a = LAlgebra(pair, alphabet, carrier, tuple(sorted(trans.items())), label.get(0, 0))
-    return a, elements
+def _column_lalgebra(pair, seeds, cap, variety=False):
+    """The syntactic L-algebra of the seeds, the dual of their local
+    variety, built on their syntactic monoid M for every pair: the
+    syntactic D-monoid is the transition D-monoid of the minimal automaton
+    (Adamek, Milius and Urbat).
 
+    M is Syn(L) for one seed, the subdirect product of the seeds' syntactic
+    monoids for several (langlib.syntactic_masks).  The quotients
+    q_i = u^-1 L v^-1 of the seeds are sets of elements, and the column of
+    m is Q(m) = {i : m in q_i}, a bitmask, distinct for distinct elements.
+    The carrier is the closure of the columns under the letters and the
+    D-side operations as set operations (duality.set_ops): JSL0's union
+    gives Polak's syntactic semiring, VECT2's sum Reutenauer's syntactic
+    algebra, and these tables satisfy the laws by construction, masks
+    closed under union with the empty mask being a JSL0 and masks closed
+    under sum a GF(2) subspace.  A letter a acts by bit i of a s = bit j
+    of s, where q_j = a^-1 q_i, a preimage, which preserves union, sum and
+    the empty mask, and sends Q(m) to Q([a] m).  init is the unit's column,
+    so a word is read as the class of its reversal.  The carrier is
+    numbered as dual_object numbers the points of the variety, by the sort
+    keys of their languages: BA ranks a column by the language of its
+    element, DL01 a column c by that of its up-set {n : Q(n) contains c}
+    and orders columns by reverse inclusion, and BR ranks as BA behind the
+    basepoint, the empty column; JSL0 keeps closure order and VECT2 takes
+    the standard basis encoding.
 
-def _dual_variety(pair, seeds, cap):
-    """generated_local_variety for a Birkhoff pair: the dual coalgebra of the
-    syntactic L-algebra, its states relabelled into language order.
-
-    The state of a down-set S of the carrier accepts the words whose class
-    lies in S; these languages, read off the coalgebra's kept Nerode
-    partition, must be pairwise distinct, the first criterion of
-    is_subcoalgebra_of_rho.
+    M is explored and the columns closed under cap, which only JSL0 and
+    VECT2 add to; the stage named is the syntactic monoid for a Birkhoff
+    pair and the language closure for JSL0 and VECT2, whose varieties have
+    one language per column.  With variety, a Birkhoff pair also raises
+    CapExceeded past cap down-sets of its points, its variety's languages.
     """
-    a, elements = _birkhoff_syntactic(pair, seeds, cap)
-    base = int(elements[0] is None)
-    points_leq = [row[base:] for row in a.states.leq[base:]]
-    if len(downset_masks(points_leq, cap)) > cap:
-        raise CapExceeded(f"local variety exceeded cap {cap}")
-    q = dual_automaton_inv(a)
-    if len(set(_partition(q)[2].values())) < q.states.size:
-        raise StructureError("two states of the dual coalgebra accept one language")
-    langs = languages_of(q)
-    order = sorted(range(len(langs)), key=lambda s: langs[s].sort_key())
-    perm = [0] * len(order)
-    for new, old in enumerate(order):
-        perm[old] = new
-    trans = {x: tuple(perm[t[old]] for old in order) for x, t in q.trans}
-    return Coalgebra(
-        pair, q.alphabet, relabel_algebra(q.states, perm),
-        tuple(sorted(trans.items())), tuple(q.out[old] for old in order),
-    )
+    seeds = list(seeds)
+    tag = d_tag(pair)
+    birkhoff = pair in BIRKHOFF_PAIRS
+    stage = "syntactic monoid" if birkhoff else "language closure"
+    left, derivatives, masks, language = syntactic_masks(seeds, cap, stage)
+    alphabet = seeds[0].alphabet
+    quotients, _, lefts = closure(dict.fromkeys(masks), derivatives)  # the u^-1 L v^-1
+    elements = range(len(left))
+    columns = [sum(1 << i for i, q in enumerate(quotients) if q >> m & 1) for m in elements]
+    element = {c: m for m, c in enumerate(columns)}
+    check_invariant(len(element) == len(columns), "two monoid elements lie in the same quotients")
+
+    def letter(i):
+        preimage = mask_preimage(lefts[i])
+
+        def act(s):  # a column's image is read off left
+            m = element.get(s)
+            return preimage(s) if m is None else columns[left[m][i]]
+
+        return 1, act, False
+
+    ops = [letter(i) for i in range(len(alphabet))] + set_ops(tag, (1 << len(quotients)) - 1)
+    base, first = int(tag == "SET_STAR"), columns
+    if birkhoff:  # the closure adds no column, so it starts from them in rank order
+        if tag == "POS":
+            key = [sum(1 << n for n in elements if columns[n] & c == c) for c in columns]
+        else:
+            key = [1 << m for m in elements]
+        langs = {columns[m]: language(key[m]) for m in elements if columns[m] or not base}
+        first = [0] * base + sorted(langs, key=lambda c: langs[c].sort_key())
+    closed, _, tables = closure(dict.fromkeys(first), ops, cap, stage=stage)
+    structure = dict(zip(signature(tag), tables[len(alphabet):]))
+    order = [[c & d == d for d in closed] for c in closed] if tag == "POS" else None
+    carrier = make_algebra(tag, len(closed), structure, order)
+    trans = tuple(sorted(zip(alphabet, map(tuple, tables))))
+    a = LAlgebra(pair, alphabet, carrier, trans, closed.index(columns[0]))
+    if vect_prime(tag) is not None:
+        # dual maps read matrices off the standard basis encoding
+        a = _reordered(a, sorted(carrier.carrier(), key=standard_basis_perm(carrier).__getitem__))
+    if variety and birkhoff:
+        points_leq = [row[base:] for row in carrier.leq[base:]]
+        if len(downset_masks(points_leq, cap)) > cap:
+            raise CapExceeded(f"local variety exceeded cap {cap}")
+    return a
 
 
 # ---------------------------------------------------------------------------

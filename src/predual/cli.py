@@ -138,6 +138,14 @@ def cmd_dualize(args):
     if args.infile is None:
         raise DocumentError("dualize needs --in or --check")
     value = _load(args.infile)
+    if not isinstance(value, (FinAlgebra, AlgMorphism)):
+        raise DocumentError("dualize expects an algebra or morphism document")
+    ends = (value,) if isinstance(value, FinAlgebra) else (value.source, value.target)
+    for a in ends:
+        if a.tag not in (args.pair, d_tag(args.pair)):
+            raise DocumentError(f"tag {a.tag} does not belong to pair {args.pair}")
+    if ends[0].tag != ends[-1].tag:
+        raise DocumentError(f"a morphism from {ends[0].tag} to {ends[-1].tag} joins two tags")
     if isinstance(value, FinAlgebra):
         problems = validate_algebra(value)
         if problems:
@@ -148,9 +156,7 @@ def cmd_dualize(args):
             sys.stdout.write(dot_hasse(dual))
             return OK
         return _emit(args, dual)
-    if isinstance(value, AlgMorphism):
-        return _emit(args, dual_morphism(args.pair, value))
-    raise DocumentError("dualize expects an algebra or morphism document")
+    return _emit(args, dual_morphism(args.pair, value))
 
 
 def cmd_minimize(args):

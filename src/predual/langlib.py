@@ -22,8 +22,6 @@ from .algebra import (
     closure,
     derived,
     explore,
-    signature,
-    sort_closure,
     vect_prime,
 )
 from .duality import MAIN_PAIRS, set_ops
@@ -660,6 +658,16 @@ def preimage_language(l: RegularLanguage, f: DMonoidMorphismFree) -> RegularLang
 # the languages of a local variety as sets of syntactic-monoid elements
 
 
+def mask_preimage(table):
+    """The preimage under table, a map of {0..n-1} into itself, as a
+    function on bitmasks over {0..n-1}: bit m of the result is bit
+    table[m] of the mask."""
+    pre = [0] * len(table)  # pre[n]: the m with table[m] = n
+    for m, n in enumerate(table):
+        pre[n] |= 1 << m
+    return lambda mask: sum(p for n, p in enumerate(pre) if mask >> n & 1)
+
+
 def syntactic_masks(seeds, cap, stage):
     """The syntactic monoid M of the seeds, over which every language of
     their local variety is a set of elements (Gehrke, Grigorieff and Pin).
@@ -694,14 +702,9 @@ def syntactic_masks(seeds, cap, stage):
     index = {t: m for m, t in enumerate(tables)}
     left = [[index[tuple(map(t.__getitem__, column))] for column in columns] for t in tables]
 
-    def preimage(cayley, i):
-        pre = [0] * len(tables)  # pre[n]: the elements m with cayley[m][i] = n
-        for m, row in enumerate(cayley):
-            pre[row[i]] |= 1 << m
-        return lambda mask: sum(p for n, p in enumerate(pre) if mask >> n & 1)
-
     derivatives = [
-        (1, preimage(cayley, i), False) for cayley in (left, right) for i in range(len(columns))
+        (1, mask_preimage([row[i] for row in cayley]), False)
+        for cayley in (left, right) for i in range(len(columns))
     ]
     masks = [sum(1 << m for m, t in enumerate(tables) if t[s] in finals) for s in starts]
 
@@ -711,25 +714,19 @@ def syntactic_masks(seeds, cap, stage):
     return left, derivatives, masks, language
 
 
-class LanguageClosure(list):
-    """The languages of a closure in sort order, with the closure's tables
-    over that order: ``ops`` maps each operation of the tag's signature to
-    its table, ``trans`` each letter to the table of left derivatives."""
-
-
-def closure_under_ops_and_derivs(tag: str, seeds, cap: int = 4096):
+def closure_under_ops_and_derivs(tag: str, seeds, cap: int = 4096) -> list:
     """Least set of languages containing seeds, closed under both derivatives
-    and the tag's language operations (with constants).  Returns a sorted list
-    (a LanguageClosure, which also carries the operation tables).
+    and the tag's language operations (with constants), as a sorted list.
 
-    The closure runs on bitmasks over the seeds' syntactic monoid
-    (syntactic_masks): a derivative is the preimage of a mask under a Cayley
-    table and an operation is its set operation in duality.SET_OPS.  Each
-    language is built once, from its mask, when the closure is complete: the
-    closed masks with their left-derivative tables are a DFA whose finals
-    are the masks holding the unit, element 0, and which is already minimal,
-    since distinct masks are distinct languages; each language is read off
-    it by _canonical, with no refinement.
+    automata builds every local variety from its dual instead; this closure
+    stays as the tests' mask-level reference, and because the benchmark's
+    per-layer report times it by name.  It runs on bitmasks over the seeds'
+    syntactic monoid (syntactic_masks): a derivative is the preimage of a
+    mask under a Cayley table and an operation is its set operation in
+    duality.SET_OPS.  The closed masks with their left-derivative tables are
+    a minimal DFA, distinct masks being distinct languages, whose finals are
+    the masks holding the unit, element 0: each language is read off it by
+    _canonical, with no refinement.
     """
     if tag not in MAIN_PAIRS:
         raise StructureError(f"{tag} has no operations on languages")
@@ -742,20 +739,13 @@ def closure_under_ops_and_derivs(tag: str, seeds, cap: int = 4096):
     # seeds, which the closure does not count, are at most cap.
     left, derivatives, masks, _ = syntactic_masks(seeds, cap, "language closure")
     ops = derivatives + set_ops(tag, (1 << len(left)) - 1)
-    closed = closure(dict.fromkeys(masks), ops, cap, stage="language closure")
-    elements, alphabet = closed[0], seeds[0].alphabet
-    lefts = closed[2][: len(alphabet)]
-    delta = [tuple(t[x] for t in lefts) for x in range(len(elements))]
-    finals = {x for x, mask in enumerate(elements) if mask & 1}
+    elements, _, tables = closure(dict.fromkeys(masks), ops, cap, stage="language closure")
+    alphabet = seeds[0].alphabet
     block = range(len(elements))
-    langs = {
-        mask: _canonical(alphabet, delta, block, finals, x) for x, mask in enumerate(elements)
-    }
-    masks, _, tables = sort_closure(closed, key=lambda mask: langs[mask].sort_key())
-    result = LanguageClosure(map(langs.get, masks))
-    result.trans = dict(zip(alphabet, tables))
-    result.ops = dict(zip(signature(tag), tables[2 * len(alphabet):]))
-    return result
+    delta = [tuple(t[x] for t in tables[: len(alphabet)]) for x in block]
+    finals = {x for x, mask in enumerate(elements) if mask & 1}
+    langs = [_canonical(alphabet, delta, block, finals, x) for x in block]
+    return sorted(langs, key=RegularLanguage.sort_key)
 
 
 # ---------------------------------------------------------------------------

@@ -100,7 +100,9 @@ def simple_variety_languages(q: Coalgebra, delta, cap: int = 4096) -> Coalgebra:
 
 def _algebraic_closure(tag, seeds, cap):
     """The seeds closed under the tag's operations alone, as bitmasks over
-    their syntactic monoid (the masks of closure_under_ops_and_derivs)."""
+    their syntactic monoid (langlib.syntactic_masks), each operation read as
+    its set operation (duality.SET_OPS).  generated_local_variety builds the
+    variety from its dual instead, so the two counts are independent."""
     left, _, masks, _ = syntactic_masks(seeds, cap, "algebraic closure")
     elements, _, _ = closure(
         dict.fromkeys(masks), set_ops(tag, (1 << len(left)) - 1), cap, stage="algebraic closure"

@@ -8,7 +8,10 @@ That oracle does not touch the duality pipeline.  validate_dmonoid tests the
 D-monoid laws on every triple and every section, where predual tests them
 on a generating set (Light's test).  closure_under_ops_and_derivs
 closes whole languages under DFA products and derivatives, where predual
-closes bitmasks over the syntactic monoid.  verify_preduality_by_compose
+closes bitmasks over the syntactic monoid, and closure_local_variety reads
+the local variety off that closure's tables, validated as an algebra, as
+generated_local_variety once did, where predual dualizes the L-algebra
+built on the syntactic monoid's quotient columns.  verify_preduality_by_compose
 shares the dualization formulas with predual and evaluates the duality laws
 on AlgMorphism objects with compose, as verify_preduality once did.
 make_free, free_mul, free_combine, eval_language, apply_free and
@@ -80,7 +83,6 @@ from predual.duality import MAIN_PAIRS, PAIRS, _objects_for, dual_morphism, dual
 from predual.langlib import (
     DMonoidMorphismFree,
     FreeElement,
-    LanguageClosure,
     RegularLanguage,
     _shortlex,
     complement,
@@ -243,11 +245,16 @@ def signature_ops(tag: str, lang: RegularLanguage) -> list:
     return [(arity, op(name, arity), True) for name, arity in signature(tag).items()]
 
 
-def closure_under_ops_and_derivs(tag: str, seeds, cap: int = 4096):
+def closure_under_ops_and_derivs(tag: str, seeds, cap: int = 4096) -> list:
     """Least set of languages containing seeds, closed under both derivatives
-    and the tag's language operations (with constants).  Returns a sorted list
-    (a LanguageClosure, which also carries the operation tables).
-    """
+    and the tag's language operations (with constants), as a sorted list."""
+    return _language_closure(tag, seeds, cap)[0]
+
+
+def _language_closure(tag, seeds, cap):
+    """(langs, trans, ops): closure_under_ops_and_derivs's languages, with
+    the table of each letter's left derivative and of each operation of the
+    tag's signature over them."""
     seeds = list(seeds)
     if not seeds:
         raise StructureError("need at least one seed language")
@@ -261,23 +268,29 @@ def closure_under_ops_and_derivs(tag: str, seeds, cap: int = 4096):
         closure(dict.fromkeys(seeds), ops, cap, stage="language closure"),
         key=RegularLanguage.sort_key,
     )
-    result = LanguageClosure(langs)
-    result.trans = dict(zip(alphabet, tables))
-    result.ops = dict(zip(signature(tag), tables[2 * len(alphabet):]))
-    return result
+    trans = dict(zip(alphabet, tables))
+    return langs, trans, dict(zip(signature(tag), tables[2 * len(alphabet):]))
 
 
 def closure_local_variety(pair, seeds, cap=4096):
-    """Reference for generated_local_variety on BA, DL01 and BR: the seeds
-    closed under both derivatives and the pair's language operations, the
-    coalgebra read off the closure's tables (these pairs need no basis
-    encoding).  Its states are the languages in sort-key order."""
-    langs = closure_under_ops_and_derivs(pair, seeds, cap)
-    states = FinAlgebra(pair, len(langs), tuple(sorted(langs.ops.items())), None)
+    """Reference for generated_local_variety: the seeds closed under both
+    derivatives and the pair's language operations, the coalgebra read off
+    the closure's tables.  Its states are the languages in sort-key order,
+    and for VECT2 then in the standard basis encoding that dual maps read."""
+    langs, trans, ops = _language_closure(pair, seeds, cap)
+    states = FinAlgebra(pair, len(langs), tuple(sorted(ops.items())), None)
+    errors = validate_algebra(states)
+    if errors:
+        raise StructureError(f"closure is not a valid {pair} algebra: {errors[0]}")
     out = tuple(1 if l.accepts("") else 0 for l in langs)
-    return Coalgebra(
-        pair, langs[0].alphabet, states, tuple(sorted(langs.trans.items())), out
-    )
+    if vect_prime(pair) is not None:
+        states, perm = standardize_vect(states)
+        inv = [0] * len(langs)
+        for old, new in enumerate(perm):
+            inv[new] = old
+        trans = {a: tuple(perm[t[inv[x]]] for x in range(len(langs))) for a, t in trans.items()}
+        out = tuple(out[inv[x]] for x in range(len(langs)))
+    return Coalgebra(pair, langs[0].alphabet, states, tuple(sorted(trans.items())), out)
 
 
 # ---------------------------------------------------------------------------

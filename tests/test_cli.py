@@ -444,8 +444,23 @@ def test_language_document_with_a_final_state_out_of_range_is_a_usage_error(caps
 
 
 # input files by name; each name in an argv below stands for its path
+CHAIN2 = {"kind": "algebra", "tag": "JSL0", "size": 2, "ops": {"join": [[0, 1], [1, 1]], "zero": 0}}
+
 INPUT_FILES = {
     "text.json": b"not JSON",
+    # the README's JSL0 chain and its identity morphism
+    "chain2.alg": json.dumps(CHAIN2).encode(),
+    "chain2.hom": json.dumps({
+        "kind": "morphism", "tag": "JSL0", "source": CHAIN2, "target": CHAIN2, "map": [0, 1],
+    }).encode(),
+    # a morphism from a BA to a SET, the two sides of one pair
+    "mixed.hom": json.dumps({
+        "kind": "morphism", "tag": "BA", "target": {"kind": "algebra", "tag": "SET", "size": 1,
+                                                     "ops": {}},
+        "source": {"kind": "algebra", "tag": "BA", "size": 1,
+                   "ops": {"meet": [[0]], "join": [[0]], "not": [0], "zero": 0, "one": 0}},
+        "map": [0],
+    }).encode(),
     "bytes.json": b"\xff\xfe\x00",
     "z2.mon": json.dumps({
         "kind": "dmonoid", "tag": "SET",
@@ -585,6 +600,10 @@ INPUT_FILES = {
         ["minimize", "--in", "z2.gen"],
         ["deriv", "--side", "left", "--letter", "a", "--in", "z2.gen"],
         ["dualize", "--pair", "BA", "--in", "a.lang"],
+        # an algebra or morphism document whose tag is not of --pair
+        ["dualize", "--pair", "BA", "--in", "chain2.alg"],
+        ["dualize", "--pair", "BA", "--in", "chain2.hom"],
+        ["dualize", "--pair", "BA", "--in", "mixed.hom"],
         # a command that reads a language given none, dualize given nothing to read
         ["minimize"],
         ["deriv", "--side", "left", "--letter", "a"],
@@ -686,8 +705,9 @@ def test_automaton_document_breaking_its_laws_is_a_usage_error(
     assert err.count("\n") == 1
 
 
-# the Nerode partition puts every state in one class, so the two criteria
-# of is_subcoalgebra_of_rho disagree on the JSL0 local variety
+# the Nerode partition puts every state in one class, so the states of the
+# JSL0 local variety, the dual of the syntactic L-algebra, seem to accept
+# one language
 INJECTED_FAULT = """
 import sys
 import predual.automata as automata
@@ -707,7 +727,7 @@ def test_a_failed_cross_check_exits_4_under_python_O():
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert (run.returncode, run.stdout) == (4, "")
-    assert run.stderr == "internal error: rho-subcoalgebra criteria disagree\n"
+    assert run.stderr == "internal error: two states of the dual coalgebra accept one language\n"
 
 
 def _readme_calls(tmp_path):

@@ -96,12 +96,12 @@ def test_an_empty_alphabet_gives_one_state_per_language():
 
 @pytest.mark.parametrize("pair", ["JSL0", "VECT2"])
 def test_syntactic_refines_each_automaton_once_per_output_table(monkeypatch, capsys, pair):
-    """A syntactic call refines its local variety once, by its output, and
-    once beside each letter's right-derivative view; the closure reads its
-    languages off its own tables and minimizes nothing."""
-    refined, minimized, in_closure = Counter(), [0], []
+    """A syntactic call refines the dual of the L-algebra built on the
+    syntactic monoid once, by its output, then its local variety once, by
+    its output, and once beside each letter's right-derivative view; the
+    L-algebra's columns minimize nothing."""
+    refined, minimized = Counter(), [0]
     nerode, minimize = langlib._nerode, langlib._minimize
-    closure = automata.closure_under_ops_and_derivs
 
     def count_nerode(delta, finals, states):
         refined[tuple(map(tuple, delta)), frozenset(finals), tuple(states)] += 1
@@ -111,18 +111,11 @@ def test_syntactic_refines_each_automaton_once_per_output_table(monkeypatch, cap
         minimized[0] += 1
         return minimize(*args)
 
-    def count_closure(*args):
-        before = minimized[0]
-        result = closure(*args)
-        in_closure.append(minimized[0] - before)
-        return result
-
     monkeypatch.setattr(automata, "_nerode", count_nerode)
     monkeypatch.setattr(langlib, "_minimize", count_minimize)
-    monkeypatch.setattr(automata, "closure_under_ops_and_derivs", count_closure)
     assert main(["syntactic", "--tag", pair, "--regex", "(ab)*"]) == 0
     assert capsys.readouterr().out.startswith("order ")
-    assert in_closure == [0]
     assert minimized[0] == 1  # parse_regex
-    # the variety, then the variety beside its view under a and under b
-    assert len(refined) == 3 and set(refined.values()) == {1}
+    # the dual of the L-algebra, the variety, then the variety beside its
+    # view under a and under b
+    assert len(refined) == 4 and set(refined.values()) == {1}
