@@ -250,22 +250,17 @@ def _freeze_table(table, arity, size):
         return table
     if arity == 1:
         table = tuple(table)
-        if len(table) != size or not _in_range(table, size):
+        if len(table) != size or any(not (0 <= v < size) for v in table):
             raise StructureError("unary table has wrong shape")
         return table
     if arity == 2:
         table = tuple(tuple(row) for row in table)
-        if len(table) != size or not all(
-            len(row) == size and _in_range(row, size) for row in table
+        if len(table) != size or any(
+            len(row) != size or any(not (0 <= v < size) for v in row) for row in table
         ):
             raise StructureError("binary table has wrong shape")
         return table
     raise StructureError(f"unsupported arity {arity}")
-
-
-def _in_range(row, size) -> bool:
-    """Whether 0 <= v < size for every v of row."""
-    return not row or (min(row) >= 0 and max(row) < size)
 
 
 def make_algebra(tag: str, size: int, ops: dict, order=None) -> FinAlgebra:
@@ -1007,29 +1002,29 @@ def free_algebra(tag: str, names) -> tuple:
 
 
 def relabel_algebra(a: FinAlgebra, perm) -> FinAlgebra:
-    """Apply a carrier permutation (old index -> new index) to all structure.
-
-    A permutation keeps every table in shape, so only perm is checked."""
-    if sorted(perm) != list(a.carrier()):
-        raise StructureError("relabelling needs a permutation of the carrier")
+    """Apply a carrier permutation (old index -> new index) to all structure."""
     inv = [0] * a.size
     for old, new in enumerate(perm):
         inv[new] = old
-    renamed = perm.__getitem__
-
-    def pick(row):  # row's entries in the new order
-        return map(row.__getitem__, inv)
-
-    def relabel(arity, t):
+    ops = {}
+    for name, arity in signature(a.tag).items():
+        t = a.op(name)
         if arity == 0:
-            return perm[t]
-        if arity == 1:
-            return tuple(map(renamed, pick(t)))
-        return tuple(tuple(map(renamed, pick(row))) for row in pick(t))
-
-    ops = tuple((name, relabel(arity, t)) for (name, t), (arity, _) in zip(a.ops, a.sig_ops))
-    order = None if a.order is None else tuple(tuple(pick(row)) for row in pick(a.order))
-    return FinAlgebra(a.tag, a.size, ops, order)
+            ops[name] = perm[t]
+        elif arity == 1:
+            ops[name] = tuple(perm[t[inv[x]]] for x in range(a.size))
+        else:
+            ops[name] = tuple(
+                tuple(perm[t[inv[x]][inv[y]]] for y in range(a.size))
+                for x in range(a.size)
+            )
+    order = None
+    if a.order is not None:
+        order = tuple(
+            tuple(a.order[inv[x]][inv[y]] for y in range(a.size))
+            for x in range(a.size)
+        )
+    return make_algebra(a.tag, a.size, ops, order)
 
 
 def standardize_vect(a: FinAlgebra):

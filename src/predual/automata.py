@@ -445,10 +445,17 @@ def generated_local_variety(pair: str, seeds, cap: int = 4096) -> Coalgebra:
     syntactic L-algebra as _column_lalgebra builds it, renumbered.  The
     languages of its states, read off the coalgebra's kept Nerode
     partition, must be pairwise distinct, the first criterion of
-    is_subcoalgebra_of_rho.  CapExceeded is raised above cap languages
-    (_column_lalgebra).
+    is_subcoalgebra_of_rho.  CapExceeded is raised above cap languages,
+    before the dual is taken: by _column_lalgebra for JSL0 and VECT2, one
+    language per column, and here for a Birkhoff pair, one per down-set of
+    the points.
     """
-    q = dual_automaton_inv(_column_lalgebra(pair, seeds, cap, variety=True))
+    a = _column_lalgebra(pair, seeds, cap)
+    if pair in BIRKHOFF_PAIRS:  # one language per down-set of the points
+        base = int(d_tag(pair) == "SET_STAR")
+        if len(downset_masks([row[base:] for row in a.states.leq[base:]], cap)) > cap:
+            raise CapExceeded(f"local variety exceeded cap {cap}")
+    q = dual_automaton_inv(a)
     distinct = len(set(_partition(q)[2].values())) == q.states.size
     check_invariant(distinct, "two states of the dual coalgebra accept one language")
     langs = languages_of(q)
@@ -495,7 +502,7 @@ def syntactic_lalgebra(pair: str, seeds) -> LAlgebra:
     return dual_automaton(q)
 
 
-def _column_lalgebra(pair, seeds, cap, variety=False):
+def _column_lalgebra(pair, seeds, cap):
     """The syntactic L-algebra of the seeds, the dual of their local
     variety, built on their syntactic monoid M for every pair: the
     syntactic D-monoid is the transition D-monoid of the minimal automaton
@@ -508,24 +515,21 @@ def _column_lalgebra(pair, seeds, cap, variety=False):
     The carrier is the closure of the columns under the letters and the
     D-side operations as set operations (duality.set_ops): JSL0's union
     gives Polak's syntactic semiring, VECT2's sum Reutenauer's syntactic
-    algebra, and these tables satisfy the laws by construction, masks
-    closed under union with the empty mask being a JSL0 and masks closed
-    under sum a GF(2) subspace.  A letter a acts by bit i of a s = bit j
-    of s, where q_j = a^-1 q_i, a preimage, which preserves union, sum and
-    the empty mask, and sends Q(m) to Q([a] m).  init is the unit's column,
-    so a word is read as the class of its reversal.  The carrier is
-    numbered as dual_object numbers the points of the variety, by the sort
-    keys of their languages: BA ranks a column by the language of its
-    element, DL01 a column c by that of its up-set {n : Q(n) contains c}
-    and orders columns by reverse inclusion, and BR ranks as BA behind the
-    basepoint, the empty column; JSL0 keeps closure order and VECT2 takes
-    the standard basis encoding.
+    algebra, and the tables satisfy the laws by construction, masks closed
+    under union with the empty mask being a JSL0 and masks closed under sum
+    a GF(2) subspace.  A letter a acts by bit i of a s = bit j of s, where
+    q_j = a^-1 q_i, a preimage, which preserves union, sum and the empty
+    mask, and sends Q(m) to Q([a] m).  init is the unit's column, so a word
+    is read as the class of its reversal.  Carriers are numbered as
+    dual_object numbers the points of the variety, by their languages' sort
+    keys: BA ranks a column by the language of its element, DL01 a column c
+    by that of its up-set {n : Q(n) contains c} and orders columns by
+    reverse inclusion, BR ranks as BA behind the basepoint, the empty
+    column; JSL0 keeps closure order and VECT2 takes the standard basis.
 
     M is explored and the columns closed under cap, which only JSL0 and
-    VECT2 add to; the stage named is the syntactic monoid for a Birkhoff
-    pair and the language closure for JSL0 and VECT2, whose varieties have
-    one language per column.  With variety, a Birkhoff pair also raises
-    CapExceeded past cap down-sets of its points, its variety's languages.
+    VECT2 add to, one language of their variety per column; the stage is
+    the syntactic monoid for a Birkhoff pair, else the language closure.
     """
     seeds = list(seeds)
     tag = d_tag(pair)
@@ -566,10 +570,6 @@ def _column_lalgebra(pair, seeds, cap, variety=False):
     if vect_prime(tag) is not None:
         # dual maps read matrices off the standard basis encoding
         a = _reordered(a, sorted(carrier.carrier(), key=standard_basis_perm(carrier).__getitem__))
-    if variety and birkhoff:
-        points_leq = [row[base:] for row in carrier.leq[base:]]
-        if len(downset_masks(points_leq, cap)) > cap:
-            raise CapExceeded(f"local variety exceeded cap {cap}")
     return a
 
 

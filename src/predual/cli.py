@@ -33,7 +33,9 @@ from .automata import (
     languages_of,
     syntactic_lalgebra,
 )
-from .duality import MAIN_PAIRS, PAIRS, d_tag, dual_morphism, dual_object, verify_preduality
+from .duality import (
+    MAIN_PAIRS, PAIRS, d_tag, dual_morphism, dual_object, side_of, verify_preduality
+)
 from .langlib import (
     DMonoidMorphismFree,
     RegexSyntaxError,
@@ -142,8 +144,10 @@ def cmd_dualize(args):
         raise DocumentError("dualize expects an algebra or morphism document")
     ends = (value,) if isinstance(value, FinAlgebra) else (value.source, value.target)
     for a in ends:
-        if a.tag not in (args.pair, d_tag(args.pair)):
-            raise DocumentError(f"tag {a.tag} does not belong to pair {args.pair}")
+        try:
+            side_of(args.pair, a.tag)
+        except StructureError as e:
+            raise DocumentError(str(e)) from None
     if ends[0].tag != ends[-1].tag:
         raise DocumentError(f"a morphism from {ends[0].tag} to {ends[-1].tag} joins two tags")
     if isinstance(value, FinAlgebra):

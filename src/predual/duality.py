@@ -227,13 +227,17 @@ def _vect_matrix(h: AlgMorphism, p: int):
     return cols, src_dim, tgt_dim
 
 
-def _vect_table_from_matrix(cols, tgt_dim, p):
-    """Table of the linear map sending digit vectors through the column list:
-    x = r + d p^i, with r < p^i, goes to the image of r plus d column i."""
-    table = [(0,) * tgt_dim]
-    for col in cols:
-        table = [tuple((u + d * c) % p for u, c in zip(t, col)) for d in range(p) for t in table]
-    return tuple(sum(v * p**j for j, v in enumerate(t)) for t in table)
+def _vect_table_from_matrix(cols, src_dim, tgt_dim, p):
+    """Table of the linear map sending digit vectors through the column list."""
+    table = []
+    for x in range(p**src_dim):
+        digits = [(x // p**i) % p for i in range(src_dim)]
+        out = [0] * tgt_dim
+        for i, d in enumerate(digits):
+            for j in range(tgt_dim):
+                out[j] = (out[j] + d * cols[i][j]) % p
+        table.append(sum(v * p**j for j, v in enumerate(out)))
+    return tuple(table)
 
 
 def dual_morphism(pair: str, h: AlgMorphism) -> AlgMorphism:
@@ -251,7 +255,7 @@ def _build_dual_morphism(pair: str, h: AlgMorphism) -> AlgMorphism:
     if p is not None:
         cols, sd, td = _vect_matrix(h, p)
         transposed = [[cols[i][j] for i in range(sd)] for j in range(td)]
-        table = _vect_table_from_matrix(transposed, sd, p)
+        table = _vect_table_from_matrix(transposed, td, sd, p)
         return AlgMorphism(dr, dq, table)
 
     if pair in _BASEPOINTS and side == "C":

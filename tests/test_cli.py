@@ -705,29 +705,51 @@ def test_automaton_document_breaking_its_laws_is_a_usage_error(
     assert err.count("\n") == 1
 
 
-# the Nerode partition puts every state in one class, so the states of the
-# JSL0 local variety, the dual of the syntactic L-algebra, seem to accept
-# one language
+# a Nerode partition that puts every state in one class
 INJECTED_FAULT = """
 import sys
 import predual.automata as automata
 from predual.cli import main
 
 assert False  # stripped under -O
-automata._nerode = lambda delta, finals, states: dict.fromkeys(states, 0)
+def one_class(delta, finals, states):
+    return dict.fromkeys(states, 0)
+{}
 sys.exit(main(["syntactic", "--tag", "JSL0", "--regex", "(ab)*"]))
 """
 
 
-def test_a_failed_cross_check_exits_4_under_python_O():
+def run_with_fault(fault):
+    """Exit code, stdout and stderr of syntactic under python -O with fault."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     run = subprocess.run(
-        [sys.executable, "-O", "-c", INJECTED_FAULT],
+        [sys.executable, "-O", "-c", INJECTED_FAULT.format(fault)],
         capture_output=True, text=True, env=env, timeout=120,
     )
-    assert (run.returncode, run.stdout) == (4, "")
-    assert run.stderr == "internal error: two states of the dual coalgebra accept one language\n"
+    return run.returncode, run.stdout, run.stderr
+
+
+def test_a_failed_cross_check_exits_4_under_python_O():
+    # the states of the JSL0 local variety, the dual of the syntactic
+    # L-algebra, seem to accept one language
+    assert run_with_fault("automata._nerode = one_class") == (
+        4, "", "internal error: two states of the dual coalgebra accept one language\n",
+    )
+
+
+def test_disagreeing_rho_criteria_exit_4_under_python_O():
+    # the variety is built, then the two criteria of is_subcoalgebra_of_rho
+    # disagree on it
+    fault = """
+build = automata.generated_local_variety
+def built_then_faulty(*args):
+    q = build(*args)
+    automata._nerode = one_class
+    return q
+automata.generated_local_variety = built_then_faulty
+"""
+    assert run_with_fault(fault) == (4, "", "internal error: rho-subcoalgebra criteria disagree\n")
 
 
 def _readme_calls(tmp_path):

@@ -24,14 +24,13 @@ import re
 import subprocess
 import sys
 import time
-import traceback
 from pathlib import Path
 
 import oracle
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from predual import algebra
+from predual import algebra, automata, duality
 from predual.algebra import CapExceeded, explore, free_algebra, make_algebra
 from predual.automata import (
     dual_automaton,
@@ -226,22 +225,32 @@ def test_an_element_no_word_reaches_gets_a_scaled_word():
 
 
 def test_syntactic_builds_its_monoid_without_per_entry_combinations(monkeypatch):
-    calls = []
-    for name in ("combine_elements", "generated_subalgebra"):
-        original = getattr(algebra, name)
+    # each combination of the whole command, with the watched calls it is made in
+    calls, within = [], []
+    homes = {
+        "combine_elements": algebra, "generated_subalgebra": algebra,
+        "init_selector_table": duality, "dual_generated_monoid": automata,
+    }
+    for name, home in homes.items():
+        original = getattr(home, name)
 
-        def counted(*args, name=name, original=original):
-            # the L-algebra's dual may combine; building the monoid may not
-            if any(f.name == "dual_generated_monoid" for f in traceback.extract_stack()):
-                calls.append(name)
-            return original(*args)
+        def watched(*args, name=name, original=original, home=home):
+            if home is algebra:
+                calls.append((name, *within))
+            within.append(name)
+            try:
+                return original(*args)
+            finally:
+                within.pop()
 
         for module in [m for key, m in sys.modules.items() if key.startswith("predual")]:
             if getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counted)
+                monkeypatch.setattr(module, name, watched)
     code, out, _ = run_cli("syntactic", "--tag", "VECT2", "--regex", "(a|b)*abb", "--json")
     assert code == 0 and json.loads(out)["kind"] == "generated-dmonoid"
-    assert calls == []
+    # none builds the monoid; the dual of the column L-algebra combines its
+    # initial state, the generator of one_D and both of one_D's elements
+    assert calls == [("combine_elements", "init_selector_table")] * 3
 
 
 @pytest.mark.parametrize("pair", MAIN_PAIRS)
