@@ -380,8 +380,8 @@ def find_coalgebra_hom(src: Coalgebra, dst: Coalgebra):
 HOM_SEARCH_BOUND = 8
 
 
-def _rho_languages(q: Coalgebra) -> bool:
-    """Whether q's states accept the languages of a subcoalgebra of rho.
+def is_subcoalgebra_of_rho(q: Coalgebra) -> bool:
+    """True iff q embeds in the coalgebra of all regular languages.
 
     Computes both criteria and checks that they agree: (i) all states accept
     pairwise distinct languages, read off q's kept Nerode partition, whose
@@ -398,12 +398,6 @@ def _rho_languages(q: Coalgebra) -> bool:
     return crit_langs
 
 
-def is_subcoalgebra_of_rho(q: Coalgebra) -> bool:
-    """True iff q embeds in the coalgebra of all regular languages (both
-    criteria of _rho_languages, checked against each other)."""
-    return _rho_languages(q)
-
-
 def is_local_variety(q: Coalgebra) -> bool:
     """True iff q (a subcoalgebra of rho) is closed under right derivatives.
 
@@ -415,7 +409,7 @@ def is_local_variety(q: Coalgebra) -> bool:
     HOM_SEARCH_BOUND: a coalgebra homomorphism (Q)_a -> Q exists for every
     letter.  Both are computed and must agree.
     """
-    if not _rho_languages(q):
+    if not is_subcoalgebra_of_rho(q):
         raise StructureError("is_local_variety requires a subcoalgebra of rho")
     views = [right_derivative_view(q, a) for a in q.alphabet]
     n = q.states.size
@@ -441,14 +435,14 @@ def generated_local_variety(pair: str, seeds, cap: int = 4096) -> Coalgebra:
     Its states are its languages in sort-key order with the pair's C-side
     structure, transitions are left derivatives and the output is acceptance
     of the empty word; VECT2 states then take the standard basis encoding,
-    which dual maps read.  For every pair it is the dual coalgebra of the
-    syntactic L-algebra as _column_lalgebra builds it, renumbered.  The
-    languages of its states, read off the coalgebra's kept Nerode
-    partition, must be pairwise distinct, the first criterion of
-    is_subcoalgebra_of_rho.  CapExceeded is raised above cap languages,
-    before the dual is taken: by _column_lalgebra for JSL0 and VECT2, one
-    language per column, and here for a Birkhoff pair, one per down-set of
-    the points.
+    which dual maps read.  For every pair it is the dual coalgebra of
+    _column_lalgebra's L-algebra, renumbered, a local variety by that
+    construction and not checked as one.  The languages of its states,
+    read off the coalgebra's kept Nerode partition, must be pairwise
+    distinct, the first criterion of is_subcoalgebra_of_rho.  CapExceeded
+    is raised above cap languages, before the dual is taken: by
+    _column_lalgebra for JSL0 and VECT2, one language per column, and here
+    for a Birkhoff pair, one per down-set of the points.
     """
     a = _column_lalgebra(pair, seeds, cap)
     if pair in BIRKHOFF_PAIRS:  # one language per down-set of the points
@@ -490,16 +484,13 @@ def syntactic_lalgebra(pair: str, seeds) -> LAlgebra:
     For the Birkhoff pairs BA, DL01 and BR it is _column_lalgebra's, built on
     the syntactic monoid under SYNTACTIC_CAP and labelled as dual_object
     labels the points of the variety.  For JSL0 and VECT2 it is the dual of
-    generated_local_variety, which is built from the same L-algebra and
-    checked as a local variety, so that its carrier is labelled by the
-    variety's languages.
+    generated_local_variety, built from the same L-algebra, so that its
+    carrier is labelled by the variety's languages.  Neither is checked as
+    a local variety: it is one by construction (_column_lalgebra).
     """
     if pair in BIRKHOFF_PAIRS:
         return _column_lalgebra(pair, seeds, SYNTACTIC_CAP)
-    q = generated_local_variety(pair, seeds)
-    if not is_local_variety(q):
-        raise StructureError("the closure of the seeds is not a local variety")
-    return dual_automaton(q)
+    return dual_automaton(generated_local_variety(pair, seeds))
 
 
 def _column_lalgebra(pair, seeds, cap):
@@ -526,6 +517,12 @@ def _column_lalgebra(pair, seeds, cap):
     by that of its up-set {n : Q(n) contains c} and orders columns by
     reverse inclusion, BR ranks as BA behind the basepoint, the empty
     column; JSL0 keeps closure order and VECT2 takes the standard basis.
+
+    The dual coalgebra is a local variety for every pair, its languages the
+    quotients' combinations under the C-side operations: the letters act
+    as left derivatives, a^-1 q_i = q_j; a right derivative of a quotient,
+    u^-1 L (v a)^-1, is a quotient; a derivative is a preimage, and the
+    C-side operations are set operations, which commute with preimages.
 
     M is explored and the columns closed under cap, which only JSL0 and
     VECT2 add to, one language of their variety per column; the stage is

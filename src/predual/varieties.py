@@ -149,7 +149,8 @@ def languages_of_simple_pseudovariety(d: DMonoid, sigma, pair: str, cap: int = 4
     Returns the local variety of all languages recognized by the free monoid
     of the pseudovariety; checks that it agrees with the dual coalgebra of that
     free monoid (language sets coincide) and that its dual monoid is
-    isomorphic to the free monoid.
+    isomorphic to the free monoid.  The variety, a local variety by
+    construction, is not checked as one.
     """
     if d.carrier.tag != d_tag(pair):
         raise StructureError(f"generator must be a {d_tag(pair)}-monoid")
@@ -161,7 +162,7 @@ def languages_of_simple_pseudovariety(d: DMonoid, sigma, pair: str, cap: int = 4
         set(languages_of(variety)) == set(languages_of(dual_coalg)),
         "recognized languages differ from the dual coalgebra's state languages",
     )
-    g = dual_generated_monoid(variety)
+    g = dual_generated_monoid(dual_automaton(variety))
     check_invariant(
         are_dmonoids_isomorphic(g.base, free.base) is not None,
         "dual monoid of the language variety differs from the free monoid",

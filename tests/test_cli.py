@@ -739,13 +739,14 @@ def test_a_failed_cross_check_exits_4_under_python_O():
 
 
 def test_disagreeing_rho_criteria_exit_4_under_python_O():
-    # the variety is built, then the two criteria of is_subcoalgebra_of_rho
-    # disagree on it
+    # the variety is built, then the fault runs is_subcoalgebra_of_rho on
+    # it, as syntactic no longer does, and its two criteria disagree
     fault = """
 build = automata.generated_local_variety
 def built_then_faulty(*args):
     q = build(*args)
     automata._nerode = one_class
+    automata.is_subcoalgebra_of_rho(q)
     return q
 automata.generated_local_variety = built_then_faulty
 """
