@@ -1139,20 +1139,43 @@ def combine_columns(a: FinAlgebra, weighted, n: int) -> tuple:
 # morphism enumeration / isomorphism search
 
 
-def _search_maps(
-    src_ops, dst_ops, n, m, src_order, dst_order, bijective, fixed=None, allowed=None
-):
+def _search_maps(src_ops, dst_ops, n, m, src_order, dst_order, bijective, allowed=None):
     """Backtracking enumeration of structure-preserving tables with forcing.
 
     src_ops/dst_ops: lists of (arity, table) pairs, matched positionally.
-    Yields tuples of length n with values < m.  Forced values are propagated
-    eagerly (all op applications with fully assigned arguments pin results).
+    Yields tuples of length n with values < m, in lexicographic order.
     allowed(x, v) may veto individual assignments.
+
+    Values are forced semi-naively, as closure evaluates.  The trail of
+    assigned elements is the queue.  When x leaves it, x is checked against
+    itself and against every element y that left before it: each unary
+    operation at x, and each binary operation and the order at (x, y) and
+    at (y, x).  The (y, x) check reads the transposed tables at (x, y); a
+    pair of symmetric tables (commutative operations) skips it.  So each
+    argument tuple is checked once, when the last of its arguments leaves
+    the queue, and a drained queue leaves no tuple of assigned arguments
+    unchecked.  The constants are assigned before the first node.
+
+    The search tree is the same as for any other order of forcing: a
+    node's forced values are the least fixpoint of forcing from its
+    assignments, which does not depend on the order they are found in, and
+    the node fails exactly when that fixpoint has a conflict (two values
+    for one element, a vetoed or reused value, or an order violation).
     """
     table = [None] * n
     used = [False] * m
+    trail = []
+    pairs = list(zip(src_ops, dst_ops))
+    unary = [(ts, td) for (ar, ts), (_, td) in pairs if ar == 1]
+    binary = [(ts, td) for (ar, ts), (_, td) in pairs if ar == 2]
+    orders = [] if src_order is None else [(src_order, dst_order)]
+    for tables in (binary, orders):
+        for ts, td in list(tables):
+            flipped = tuple(zip(*ts)), tuple(zip(*td))
+            if flipped != (ts, td):
+                tables.append(flipped)
 
-    def assign(x, v, trail):
+    def assign(x, v):
         if table[x] is not None:
             return table[x] == v
         if bijective and used[v]:
@@ -1165,58 +1188,33 @@ def _search_maps(
         trail.append(x)
         return True
 
-    def undo(trail):
-        for x in reversed(trail):
+    def undo(mark):
+        for x in trail[mark:]:
             if bijective:
                 used[table[x]] = False
             table[x] = None
-        trail.clear()
+        del trail[mark:]
 
-    def propagate(trail):
-        changed = True
-        while changed:
-            changed = False
-            for (ar, ts), (_, td) in zip(src_ops, dst_ops):
-                if ar == 0:
-                    before = table[ts]
-                    if not assign(ts, td, trail):
+    def propagate(head):
+        while head < len(trail):
+            x = trail[head]
+            head += 1
+            v = table[x]
+            for ts, td in unary:
+                r, img = ts[x], td[v]
+                if not (table[r] == img or assign(r, img)):
+                    return False
+            done = trail[:head]
+            for ts, td in binary:
+                row, drow = ts[x], td[v]
+                for y in done:
+                    r, img = row[y], drow[table[y]]
+                    if not (table[r] == img or assign(r, img)):
                         return False
-                    changed = changed or before is None
-                elif ar == 1:
-                    for x in range(n):
-                        if table[x] is None:
-                            continue
-                        r, img = ts[x], td[table[x]]
-                        if table[r] is None:
-                            if not assign(r, img, trail):
-                                return False
-                            changed = True
-                        elif table[r] != img:
-                            return False
-                else:
-                    for x in range(n):
-                        if table[x] is None:
-                            continue
-                        row = ts[x]
-                        drow = td[table[x]]
-                        for y in range(n):
-                            if table[y] is None:
-                                continue
-                            r, img = row[y], drow[table[y]]
-                            if table[r] is None:
-                                if not assign(r, img, trail):
-                                    return False
-                                changed = True
-                            elif table[r] != img:
-                                return False
-        if src_order is not None:
-            for x in range(n):
-                if table[x] is None:
-                    continue
-                for y in range(n):
-                    if table[y] is None:
-                        continue
-                    if src_order[x][y] and not dst_order[table[x]][table[y]]:
+            for so, do in orders:
+                up, down = so[x], do[v]
+                for y in done:
+                    if up[y] and not down[table[y]]:
                         return False
         return True
 
@@ -1226,44 +1224,38 @@ def _search_maps(
         except ValueError:
             yield tuple(table)
             return
+        mark = len(trail)
         for v in range(m):
             if bijective and used[v]:
                 continue
-            trail = []
-            if assign(x, v, trail) and propagate(trail):
+            if assign(x, v) and propagate(mark):
                 yield from rec()
-            undo(trail)
+            undo(mark)
 
-    root = []
-    ok = True
-    if fixed:
-        for k, v in fixed.items():
-            if not assign(k, v, root):
-                ok = False
-                break
-    if ok and propagate(root):
+    if all(assign(ts, td) for (ar, ts), (_, td) in pairs if ar == 0) and propagate(0):
         yield from rec()
-    undo(root)
+    undo(0)
 
 
-def all_morphisms(a: FinAlgebra, b: FinAlgebra, fixed=None) -> list:
+def all_morphisms(a: FinAlgebra, b: FinAlgebra) -> list:
     """All homomorphisms a -> b (monotone for ordered tags), in ascending
     (lexicographic) order of their tables.
 
     _search_maps yields exactly these tables, so none is checked again.  It
     yields a table once it is full, after the propagate that followed the
-    last assignment returned True.  That propagate repeats its sweep until
-    one sweep assigns nothing, so its last sweep ran on the full table: it
-    compared the image of every constant, of every unary operation at every
-    element and of every binary operation at every pair with the table's
-    value there, and then tested monotonicity at every pair.
+    last assignment returned True, which it does only when its queue is
+    drained.  Every argument tuple was checked when the last of its
+    arguments left the queue, so every constant (assigned when the search
+    began), every unary operation at every element and every binary
+    operation at every pair was compared with the table's value there, and
+    monotonicity was tested at every pair.
     """
     if a.tag != b.tag:
         return []
     return [
         AlgMorphism(a, b, table)
         for table in _search_maps(
-            a.sig_ops, b.sig_ops, a.size, b.size, a.order, b.order, False, fixed
+            a.sig_ops, b.sig_ops, a.size, b.size, a.order, b.order, False
         )
     ]
 
@@ -1273,9 +1265,11 @@ def table_isomorphism(n, ops_a, ops_b, order_a=None, order_b=None):
 
     ops_a/ops_b: lists of (arity, table), matched positionally.
     Returns a table or None.  The search has compared every operation at
-    every argument of each table it yields (as all_morphisms proves), so
-    only the order is checked here: the search tests that the table is
-    monotone, and an isomorphism must reflect the order too.
+    every argument of each table it yields, each argument tuple when the
+    last of its arguments left the queue, which is drained before a table
+    is yielded (as all_morphisms proves), so only the order is checked
+    here: the search tests that the table is monotone, and an isomorphism
+    must reflect the order too.
     """
     for table in _search_maps(ops_a, ops_b, n, n, order_a, order_b, True):
         if order_a is None or all(

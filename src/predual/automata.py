@@ -358,8 +358,10 @@ def find_coalgebra_hom(src: Coalgebra, dst: Coalgebra):
     the generic forced-propagation search of _search_maps applies, and the
     first table it yields is returned unchecked: as all_morphisms proves,
     the search has compared every operation, the letters among them, at
-    every argument of the full table and tested it monotone, and every
-    entry passed the output test when it was assigned.
+    every argument of the full table, each argument tuple when the last of
+    its arguments left the queue, which is drained before a table is
+    yielded, and tested it monotone, and every entry passed the output
+    test when it was assigned.
     """
     if src.pair != dst.pair or src.alphabet != dst.alphabet:
         raise StructureError("mismatched automata")
@@ -367,7 +369,7 @@ def find_coalgebra_hom(src: Coalgebra, dst: Coalgebra):
     dst_ops = [*dst.states.sig_ops, *((1, dst.tr(a)) for a in src.alphabet)]
     found = _search_maps(
         src_ops, dst_ops, src.states.size, dst.states.size,
-        src.states.order, dst.states.order, False, None,
+        src.states.order, dst.states.order, False,
         lambda x, v: dst.out[v] == src.out[x],
     )
     return next(found, None)

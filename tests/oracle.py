@@ -38,6 +38,10 @@ first two close under multiplication and the D-operations at once, and
 subdirect_product does so inside the whole product D-monoid.
 language_quotient, local_variety_witness, identity_free_morphism,
 run_word_co and morphism_from_images are references some tests build on.
+search_maps_by_sweeps is the hom and isomorphism search as predual had it:
+after every assignment it sweeps every operation at every tuple of
+assigned arguments until a sweep forces nothing, where predual checks each
+argument tuple once, when the last of its arguments leaves the queue.
 """
 
 import argparse
@@ -936,6 +940,110 @@ def preimage_language(l: RegularLanguage, f: DMonoidMorphismFree) -> RegularLang
     states, delta = explore(start, src, vector_step, 4096, "preimage vector states")
     finals = {i for i, cur in enumerate(states) if sum(cur[s] for s in l.finals) % p == 1}
     return minimize(src, len(delta), delta, finals, 0)
+
+
+# ---------------------------------------------------------------------------
+# algebra._search_maps as it was: after every assignment, sweep every
+# operation at every tuple of assigned arguments until a sweep forces nothing
+
+
+def search_maps_by_sweeps(src_ops, dst_ops, n, m, src_order, dst_order, bijective, allowed=None):
+    """Backtracking enumeration of structure-preserving tables with forcing.
+
+    src_ops/dst_ops: lists of (arity, table) pairs, matched positionally.
+    Yields tuples of length n with values < m.  Forced values are propagated
+    eagerly (all op applications with fully assigned arguments pin results).
+    allowed(x, v) may veto individual assignments.
+    """
+    table = [None] * n
+    used = [False] * m
+
+    def assign(x, v, trail):
+        if table[x] is not None:
+            return table[x] == v
+        if bijective and used[v]:
+            return False
+        if allowed is not None and not allowed(x, v):
+            return False
+        table[x] = v
+        if bijective:
+            used[v] = True
+        trail.append(x)
+        return True
+
+    def undo(trail):
+        for x in reversed(trail):
+            if bijective:
+                used[table[x]] = False
+            table[x] = None
+        trail.clear()
+
+    def propagate(trail):
+        changed = True
+        while changed:
+            changed = False
+            for (ar, ts), (_, td) in zip(src_ops, dst_ops):
+                if ar == 0:
+                    before = table[ts]
+                    if not assign(ts, td, trail):
+                        return False
+                    changed = changed or before is None
+                elif ar == 1:
+                    for x in range(n):
+                        if table[x] is None:
+                            continue
+                        r, img = ts[x], td[table[x]]
+                        if table[r] is None:
+                            if not assign(r, img, trail):
+                                return False
+                            changed = True
+                        elif table[r] != img:
+                            return False
+                else:
+                    for x in range(n):
+                        if table[x] is None:
+                            continue
+                        row = ts[x]
+                        drow = td[table[x]]
+                        for y in range(n):
+                            if table[y] is None:
+                                continue
+                            r, img = row[y], drow[table[y]]
+                            if table[r] is None:
+                                if not assign(r, img, trail):
+                                    return False
+                                changed = True
+                            elif table[r] != img:
+                                return False
+        if src_order is not None:
+            for x in range(n):
+                if table[x] is None:
+                    continue
+                for y in range(n):
+                    if table[y] is None:
+                        continue
+                    if src_order[x][y] and not dst_order[table[x]][table[y]]:
+                        return False
+        return True
+
+    def rec():
+        try:
+            x = table.index(None)
+        except ValueError:
+            yield tuple(table)
+            return
+        for v in range(m):
+            if bijective and used[v]:
+                continue
+            trail = []
+            if assign(x, v, trail) and propagate(trail):
+                yield from rec()
+            undo(trail)
+
+    root = []
+    if propagate(root):
+        yield from rec()
+    undo(root)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from predual.algebra import (
     table_isomorphism,
     validate_algebra,
 )
-from predual.duality import dual_morphism, dual_object, eta
+from predual.duality import _objects_for, dual_morphism, dual_object, eta
 from predual.serialize import dumps
 
 
@@ -297,6 +297,28 @@ def test_table_isomorphism_is_the_first_bijection_that_keeps_the_laws_and_the_or
             assert table_isomorphism(n, a.sig_ops, b.sig_ops, a.order, b.order) == expected
             found += expected is not None
     assert found > 0
+
+
+# criterion 1's bounds, and VECT3 at 9 elements
+_DUALITY_LAW_BOUNDS = {"BA": 8, "BR": 8, "JSL0": 5, "JSL01": 5, "DL01": 5, "VECT2": 8, "VECT3": 9}
+
+
+@pytest.mark.parametrize("pair", sorted(_DUALITY_LAW_BOUNDS))
+def test_all_morphisms_gives_the_sweep_search_tables_on_the_duality_objects(pair):
+    # the same tables in the same order as the search that sweeps every
+    # operation to a fixpoint after each assignment, for every ordered pair
+    # of objects on each side; the D side stops where verify_preduality
+    # stops it, at the largest dual of a C-side object (SET has 8^8 maps
+    # from its 8-element object to itself)
+    most = _DUALITY_LAW_BOUNDS[pair]
+    c_objs = _objects_for(pair, "C", most)
+    d_most = min(most, max(dual_object(pair, q).size for q in c_objs))
+    for objs in (c_objs, _objects_for(pair, "D", d_most)):
+        for a, b in itertools.product(objs, repeat=2):
+            expected = list(oracle.search_maps_by_sweeps(
+                a.sig_ops, b.sig_ops, a.size, b.size, a.order, b.order, False
+            ))
+            assert [h.table for h in all_morphisms(a, b)] == expected
 
 
 def test_combine_elements():

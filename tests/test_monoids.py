@@ -4,6 +4,7 @@ import oracle
 import pytest
 
 from predual.algebra import (
+    AlgMorphism,
     CapExceeded,
     are_isomorphic,
     free_algebra,
@@ -180,6 +181,75 @@ def test_transition_dmonoid_of_associated_lalgebra_is_the_monoid():
     g = dual_generated_monoid(q)
     _, t = transition_dmonoid(associated_lalgebra(g))
     assert are_dmonoids_isomorphic(t.base, g.base) is not None
+
+
+def _first_dmonoid_isomorphism(m1, m2):
+    """The first permutation, in lexicographic order, that keeps the unit,
+    the multiplication and the carrier's operations and order, and reflects
+    the order."""
+    n, o1, o2 = m1.size, m1.carrier.order, m2.carrier.order
+    return next(
+        (
+            t
+            for t in itertools.permutations(range(n))
+            if t[m1.unit] == m2.unit
+            and all(t[m1.mult[x][y]] == m2.mult[t[x]][t[y]] for x in range(n) for y in range(n))
+            and oracle.check_morphism(AlgMorphism(m1.carrier, m2.carrier, t))[0]
+            and (o1 is None or all(
+                o1[x][y] == o2[t[x]][t[y]] for x in range(n) for y in range(n)
+            ))
+        ),
+        None,
+    )
+
+
+def _relabel_dmonoid(m, perm):
+    inv = sorted(range(m.size), key=perm.__getitem__)
+    mult = tuple(
+        tuple(perm[m.mult[inv[x]][inv[y]]] for y in range(m.size)) for x in range(m.size)
+    )
+    return make_dmonoid(relabel_algebra(m.carrier, perm), mult, perm[m.unit])
+
+
+def _opposite(m):
+    return make_dmonoid(m.carrier, tuple(zip(*m.mult)), m.unit)
+
+
+def _dmonoid_pairs():
+    # a left-zero band with unit 0 against the chain 0 < 1 < 2 under max: the
+    # identity keeps every product but 1 * 2 (1 against 2), and the search
+    # assigns its first factor before its second
+    s3 = make_algebra("SET", 3, {})
+    yield (
+        make_dmonoid(s3, ((0, 1, 2), (1, 1, 1), (2, 2, 2)), 0),
+        make_dmonoid(s3, ((0, 1, 2), (1, 1, 2), (2, 2, 2)), 0),
+    )
+    # the two-element semilattice against Z2: the identity keeps every
+    # product but 1 * 1
+    s2 = make_algebra("SET", 2, {})
+    yield make_dmonoid(s2, ((0, 1), (1, 1)), 0), z2_group()
+    # transition D-monoids of small languages over {a, b}, none commutative,
+    # against relabelled copies and their opposites
+    for pair in FIVE_PAIRS:
+        for regex in ("(a|b)*a", "a(a|b)*", "a*b*", "a*b", "ab*", "b*a"):
+            _, g = transition_dmonoid(syntactic_lalgebra(pair, [parse_regex(regex, "ab")]))
+            m = g.base
+            flip = tuple(reversed(range(m.size)))
+            for other in (m, _opposite(m)):
+                yield m, other
+                yield m, _relabel_dmonoid(other, flip)
+
+
+def test_dmonoid_isomorphism_is_the_first_bijection_that_keeps_every_product():
+    # are_dmonoids_isomorphic is table_isomorphism on the carrier's
+    # operations, the multiplication and the unit, so the search must read
+    # each product at (x, y), at (y, x) and at (x, x)
+    found = []
+    for m, other in _dmonoid_pairs():
+        expected = _first_dmonoid_isomorphism(m, other)
+        assert are_dmonoids_isomorphic(m, other) == expected
+        found.append(expected is not None)
+    assert any(found) and not all(found)
 
 
 def test_rev_free_is_an_antimorphism():
