@@ -21,7 +21,7 @@ and SET and SET_STAR are discretely ordered.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from operator import getitem, itemgetter
 
 
@@ -92,6 +92,37 @@ _SIGNATURES = {
 }
 
 ALL_TAGS = tuple(sorted(_SIGNATURES)) + tuple(vect_tag(p) for p in VECT_PRIMES)
+
+# each operation as an operation on the subsets (bitmasks) of a set whose
+# full subset is top: powerset algebras, the down-sets of a Birkhoff dual,
+# in langlib the languages of a local variety as sets of syntactic-monoid
+# elements, and in automata (D-side operations) the sets of quotients that
+# hold an element
+SET_OPS = {
+    "meet": lambda top, x, y: x & y,
+    "mul": lambda top, x, y: x & y,
+    "join": lambda top, x, y: x | y,
+    "add": lambda top, x, y: x ^ y,
+    "not": lambda top, x: top ^ x,
+    "zero": lambda top: 0,
+    "one": lambda top: top,
+    "smul0": lambda top, x: 0,
+    "smul1": lambda top, x: x,
+    "point": lambda top: 0,
+}
+
+
+def set_ops(tag: str, top: int) -> list:
+    """The tag's operations, in signature order, as closure() ops on subsets of top."""
+    return [(arity, partial(SET_OPS[name], top), True) for name, arity in signature(tag).items()]
+
+
+def set_algebra(tag: str, masks, top: int) -> FinAlgebra:
+    """The algebra of subsets of top that the masks generate under the tag's
+    set operations, its elements numbered in closure() order (the masks
+    first, in the given order)."""
+    elements, _, tables = closure(dict.fromkeys(masks), set_ops(tag, top))
+    return make_algebra(tag, len(elements), dict(zip(signature(tag), tables)))
 
 
 def is_ordered_tag(tag: str) -> bool:
@@ -205,18 +236,26 @@ class FinAlgebra(KeepsDerived):
     def meets(self) -> tuple:
         """Meet table of a finite join-semilattice: the join of the common
         lower bounds, or None where there is none (JSL without zero)."""
-        leq = self.leq
-        down = [
-            sum(1 << z for z in self.carrier() if leq[z][x]) for x in self.carrier()
-        ]
-        by_down = {mask: x for x, mask in enumerate(down)}
-        return tuple(tuple(by_down.get(dx & dy) for dy in down) for dx in down)
+        return bound_table(zip(*self.leq))
 
     @cached_property
     def downsets(self) -> tuple:
         """The down-closed subsets as bitmasks, ascending (SET, SET_STAR: all
         subsets)."""
         return tuple(sorted(downset_masks(self.leq)))
+
+
+def bound_table(leq) -> tuple:
+    """The least upper bounds in the order leq[x][y] (x <= y), None where
+    there is none; in its transpose, zip(*leq), the greatest lower bounds.
+
+    They are read off the up-sets as bitmasks: the common upper bounds of x
+    and y, up[x] & up[y], are the up-set of some z exactly when z is the
+    least of them.
+    """
+    up = [sum(1 << y for y, v in enumerate(row) if v) for row in leq]
+    by_mask = {mask: x for x, mask in enumerate(up)}
+    return tuple(tuple(by_mask.get(mx & my) for my in up) for mx in up)
 
 
 def downset_masks(leq, limit=None) -> list:
@@ -732,21 +771,7 @@ def subalgebra_on(a: FinAlgebra, subset) -> tuple:
     standard space are not index-aligned), so dualization stays valid.
     """
     elems = sorted(subset)
-    index = {e: i for i, e in enumerate(elems)}
-    sig = signature(a.tag)
-    ops = {}
-    for name, arity in sig.items():
-        t = a.op(name)
-        if arity == 0:
-            ops[name] = index[t]
-        elif arity == 1:
-            ops[name] = tuple(index[t[e]] for e in elems)
-        else:
-            ops[name] = tuple(tuple(index[t[e][f]] for f in elems) for e in elems)
-    order = None
-    if a.order is not None:
-        order = tuple(tuple(a.order[e][f] for f in elems) for e in elems)
-    sub = make_algebra(a.tag, len(elems), ops, order)
+    sub = _renumber_algebra(a, elems, {e: i for i, e in enumerate(elems)})
     inclusion_table = list(elems)
     if vect_prime(a.tag) is not None:
         sub, perm = standardize_vect(sub)
@@ -889,19 +914,29 @@ def sort_closure(closed, key=None):
     pos = [0] * len(order)
     for new, old in enumerate(order):
         pos[old] = new
-
-    def relabel(t):
-        if isinstance(t, int):
-            return pos[t]
-        if isinstance(t[0], int):
-            return tuple(pos[t[i]] for i in order)
-        return tuple(tuple(pos[t[i][j]] for j in order) for i in order)
-
     return (
         [elements[i] for i in order],
         [witnesses[i] for i in order],
-        [relabel(t) for t in tables],
+        [_renumber(t, order, pos) for t in tables],
     )
+
+
+def _renumber(table, order, pos):
+    """A constant, unary or binary table on the elements taken in the new
+    order: new element k is old element order[k], and an old value v is
+    written pos[v]."""
+    if isinstance(table, int):
+        return pos[table]
+    if not table or isinstance(table[0], int):
+        return tuple(pos[table[i]] for i in order)
+    return tuple(tuple(pos[row[j]] for j in order) for row in map(table.__getitem__, order))
+
+
+def _renumber_algebra(a: FinAlgebra, order, pos) -> FinAlgebra:
+    """a's structure, each table and the order matrix, renumbered (_renumber)."""
+    ops = {name: _renumber(t, order, pos) for name, t in a.ops}
+    matrix = None if a.order is None else tuple(tuple(a.order[i][j] for j in order) for i in order)
+    return make_algebra(a.tag, len(order), ops, matrix)
 
 
 def table_fn(arity, table):
@@ -976,10 +1011,7 @@ def free_algebra(tag: str, names) -> tuple:
     if tag == "SET_STAR":
         return make_algebra("SET_STAR", k + 1, {"point": 0}), tuple(range(1, k + 1))
     if tag == "JSL0":
-        size = 1 << k
-        join = tuple(tuple(x | y for y in range(size)) for x in range(size))
-        alg = make_algebra("JSL0", size, {"join": join, "zero": 0})
-        return alg, tuple(1 << i for i in range(k))
+        return set_algebra("JSL0", range(1 << k), (1 << k) - 1), tuple(1 << i for i in range(k))
     if p is not None:
         size = p**k
 
@@ -1006,25 +1038,7 @@ def relabel_algebra(a: FinAlgebra, perm) -> FinAlgebra:
     inv = [0] * a.size
     for old, new in enumerate(perm):
         inv[new] = old
-    ops = {}
-    for name, arity in signature(a.tag).items():
-        t = a.op(name)
-        if arity == 0:
-            ops[name] = perm[t]
-        elif arity == 1:
-            ops[name] = tuple(perm[t[inv[x]]] for x in range(a.size))
-        else:
-            ops[name] = tuple(
-                tuple(perm[t[inv[x]][inv[y]]] for y in range(a.size))
-                for x in range(a.size)
-            )
-    order = None
-    if a.order is not None:
-        order = tuple(
-            tuple(a.order[inv[x]][inv[y]] for y in range(a.size))
-            for x in range(a.size)
-        )
-    return make_algebra(a.tag, a.size, ops, order)
+    return _renumber_algebra(a, inv, perm)
 
 
 def standardize_vect(a: FinAlgebra):
@@ -1340,53 +1354,6 @@ def _posets_upto(n: int):
     return tuple(found)
 
 
-def _poset_joins(order, n):
-    """Binary join table from an order matrix, or None if some join is missing."""
-    join = [[None] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            ubs = [z for z in range(n) if order[x][z] and order[y][z]]
-            least = [z for z in ubs if all(order[z][w] for w in ubs)]
-            if len(least) != 1:
-                return None
-            join[x][y] = least[0]
-    return tuple(tuple(row) for row in join)
-
-
-def _poset_meets(order, n):
-    rev = tuple(tuple(order[j][i] for j in range(n)) for i in range(n))
-    return _poset_joins(rev, n)
-
-
-def _powerset_ba(k: int) -> FinAlgebra:
-    size = 1 << k
-    full = size - 1
-    return make_algebra(
-        "BA",
-        size,
-        {
-            "meet": tuple(tuple(x & y for y in range(size)) for x in range(size)),
-            "join": tuple(tuple(x | y for y in range(size)) for x in range(size)),
-            "not": tuple(full ^ x for x in range(size)),
-            "zero": 0,
-            "one": full,
-        },
-    )
-
-
-def _powerset_br(k: int) -> FinAlgebra:
-    size = 1 << k
-    return make_algebra(
-        "BR",
-        size,
-        {
-            "add": tuple(tuple(x ^ y for y in range(size)) for x in range(size)),
-            "mul": tuple(tuple(x & y for y in range(size)) for x in range(size)),
-            "zero": 0,
-        },
-    )
-
-
 def enumerate_algebras(tag: str, n: int) -> list:
     """All algebras of the tag with exactly n elements, up to isomorphism."""
     p = vect_prime(tag)
@@ -1401,55 +1368,30 @@ def enumerate_algebras(tag: str, n: int) -> list:
         return [make_algebra("SET_STAR", n, {"point": 0})] if n else []
     if tag == "POS":
         return [make_algebra("POS", n, {}, order) for order in _posets_upto(n)]
-    if tag == "JSL":
-        if n == 0:
-            return [make_algebra("JSL", 0, {"join": ()})]
-        out = []
+    if tag in ("JSL", "JSL0", "JSL01", "DL01"):
+        # the posets whose joins all exist, with a bottom where the tag has a
+        # zero; a top (the join of all) and, for DL01, the meets then exist
+        sig, out = signature(tag), []
         for order in _posets_upto(n):
-            join = _poset_joins(order, n)
-            if join is not None:
-                out.append(make_algebra("JSL", n, {"join": join}))
-        return out
-    if tag in ("JSL0", "JSL01"):
-        out = []
-        for order in _posets_upto(n):
-            join = _poset_joins(order, n)
-            if join is None:
+            join = bound_table(order)
+            bottom = next((z for z, row in enumerate(order) if all(row)), None)
+            if any(None in row for row in join) or ("zero" in sig and bottom is None):
                 continue
-            bottoms = [z for z in range(n) if all(order[z][w] for w in range(n))]
-            if not bottoms:
-                continue
-            ops = {"join": join, "zero": bottoms[0]}
-            if tag == "JSL01":
-                tops = [z for z in range(n) if all(order[w][z] for w in range(n))]
-                if not tops:
-                    continue
-                ops["one"] = tops[0]
-            out.append(make_algebra(tag, n, ops))
-        return out
-    if tag == "DL01":
-        out = []
-        for order in _posets_upto(n):
-            join = _poset_joins(order, n)
-            meet = _poset_meets(order, n)
-            if join is None or meet is None:
-                continue
-            bottoms = [z for z in range(n) if all(order[z][w] for w in range(n))]
-            tops = [z for z in range(n) if all(order[w][z] for w in range(n))]
-            if not bottoms or not tops:
-                continue
-            alg = make_algebra(
-                "DL01", n,
-                {"meet": meet, "join": join, "zero": bottoms[0], "one": tops[0]},
-            )
-            if not validate_algebra(alg):
+            ops = {"join": join}
+            if "zero" in sig:
+                ops["zero"] = bottom
+            if "one" in sig:
+                ops["one"] = next(z for z, column in enumerate(zip(*order)) if all(column))
+            if "meet" in sig:
+                ops["meet"] = bound_table(zip(*order))
+            alg = make_algebra(tag, n, ops)
+            if tag != "DL01" or not validate_algebra(alg):  # only the distributive lattices
                 out.append(alg)
         return out
     if tag in ("BA", "BR"):
         if n not in (1, 2, 4, 8, 16):
             raise BoundExceeded("BA/BR sizes restricted to powers of two up to 16")
-        k = n.bit_length() - 1
-        return [_powerset_ba(k) if tag == "BA" else _powerset_br(k)]
+        return [set_algebra(tag, range(n), n - 1)]
     if p is not None:
         dim = 0
         size = 1

@@ -38,6 +38,7 @@ from .algebra import (
     make_algebra,
     product,
     relabel_algebra,
+    set_ops,
     shortlex_words,
     signature,
     standard_basis_perm,
@@ -55,7 +56,6 @@ from .duality import (
     dual_object,
     eta,
     out_from_dual_init,
-    set_ops,
     state_output,
 )
 from .langlib import (
@@ -506,7 +506,7 @@ def _column_lalgebra(pair, seeds, cap):
     q_i = u^-1 L v^-1 of the seeds are sets of elements, and the column of
     m is Q(m) = {i : m in q_i}, a bitmask, distinct for distinct elements.
     The carrier is the closure of the columns under the letters and the
-    D-side operations as set operations (duality.set_ops): JSL0's union
+    D-side operations as set operations (algebra.set_ops): JSL0's union
     gives Polak's syntactic semiring, VECT2's sum Reutenauer's syntactic
     algebra, and the tables satisfy the laws by construction, masks closed
     under union with the empty mask being a JSL0 and masks closed under sum

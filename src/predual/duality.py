@@ -12,9 +12,10 @@ Pairs are named by their C-side tag:
 BA, DL01 and BR are one construction, finite Birkhoff duality.  The points
 of a C-side algebra are its join-irreducibles (in BA and BR, its atoms) in
 the algebra's order; the dual of a D-side object is the lattice of its
-down-closed subsets, each C-side operation read as a set operation.  SET
-and SET_STAR carry the discrete order, so every subset is down-closed: that
-is Stone duality.  The pointed case puts a basepoint in front of the points
+down-closed subsets, each C-side operation read as a set operation
+(algebra.SET_OPS, the algebra built by algebra.set_algebra).  SET and
+SET_STAR carry the discrete order, so every subset is down-closed: that is
+Stone duality.  The pointed case puts a basepoint in front of the points
 and keeps only the subsets that avoid it.
 
 Dual objects reuse ascending carrier-index order for points and ascending
@@ -34,7 +35,6 @@ from .algebra import (
     StructureError,
     all_morphisms,
     check_morphism,
-    closure,
     combine_elements,
     derived,
     enumerate_algebras,
@@ -42,7 +42,7 @@ from .algebra import (
     identity_morphism,
     make_algebra,
     relabel_algebra,
-    signature,
+    set_algebra,
     validate_algebra,
     vect_prime,
 )
@@ -95,28 +95,6 @@ def _bad_side(pair, tag):
 _BASEPOINTS = {"BA": 0, "DL01": 0, "BR": 1}
 BIRKHOFF_PAIRS = tuple(_BASEPOINTS)
 
-# each operation as an operation on the subsets (bitmasks) of a set whose
-# full subset is top: the down-sets of a Birkhoff dual, in langlib the
-# languages of a local variety as sets of syntactic-monoid elements, and in
-# automata (D-side operations) the sets of quotients that hold an element
-SET_OPS = {
-    "meet": lambda top, x, y: x & y,
-    "mul": lambda top, x, y: x & y,
-    "join": lambda top, x, y: x | y,
-    "add": lambda top, x, y: x ^ y,
-    "not": lambda top, x: top ^ x,
-    "zero": lambda top: 0,
-    "one": lambda top: top,
-    "smul0": lambda top, x: 0,
-    "smul1": lambda top, x: x,
-    "point": lambda top: 0,
-}
-
-
-def set_ops(tag: str, top: int) -> list:
-    """The tag's operations, in signature order, as closure() ops on subsets of top."""
-    return [(arity, partial(SET_OPS[name], top), True) for name, arity in signature(tag).items()]
-
 
 def _points(a: FinAlgebra) -> tuple:
     """The join-irreducibles of a C-side algebra, ascending.
@@ -164,8 +142,7 @@ def _build_dual(pair: str, side: str, a: FinAlgebra) -> FinAlgebra:
     if pair in _BASEPOINTS:
         # the down-set lattice, each C-side operation read as a set operation
         index = downset_index(a)
-        _, _, tables = closure(dict.fromkeys(index), set_ops(pair, max(index)))
-        return make_algebra(pair, len(index), dict(zip(signature(pair), tables)))
+        return set_algebra(pair, index, max(index))
 
     if pair == "JSL0":
         join = a.op("join")

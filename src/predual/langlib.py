@@ -22,9 +22,10 @@ from .algebra import (
     closure,
     derived,
     explore,
+    set_ops,
     vect_prime,
 )
-from .duality import MAIN_PAIRS, set_ops
+from .duality import MAIN_PAIRS
 
 
 class RegexSyntaxError(ValueError):
@@ -723,7 +724,7 @@ def closure_under_ops_and_derivs(tag: str, seeds, cap: int = 4096) -> list:
     per-layer report times it by name.  It runs on bitmasks over the seeds'
     syntactic monoid (syntactic_masks): a derivative is the preimage of a
     mask under a Cayley table and an operation is its set operation in
-    duality.SET_OPS.  The closed masks with their left-derivative tables are
+    algebra.SET_OPS.  The closed masks with their left-derivative tables are
     a minimal DFA, distinct masks being distinct languages, whose finals are
     the masks holding the unit, element 0: each language is read off it by
     _canonical, with no refinement.

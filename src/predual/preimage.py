@@ -172,7 +172,7 @@ def default_morphisms(tag: str):
     ]
 
 
-def default_corpus(pairs=("BA", "DL01", "JSL0", "VECT2", "BR"), state_cap: int = 16):
+def default_corpus(pairs=("BA", "DL01", "JSL0", "VECT2", "BR")):
     """Local varieties per pair (built from the seed regexes) plus morphisms."""
     corpus = {}
     for pair in pairs:

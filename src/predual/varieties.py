@@ -19,6 +19,7 @@ from .algebra import (
     closure_ops,
     componentwise_fn,
     explore,
+    set_ops,
 )
 from .automata import (
     Coalgebra,
@@ -31,7 +32,7 @@ from .automata import (
     languages_of,
     syntactic_lalgebra,
 )
-from .duality import canonical_constants, d_tag, set_ops
+from .duality import canonical_constants, d_tag
 from .langlib import (
     RegularLanguage,
     make_free_morphism,
@@ -101,7 +102,7 @@ def simple_variety_languages(q: Coalgebra, delta, cap: int = 4096) -> Coalgebra:
 def _algebraic_closure(tag, seeds, cap):
     """The seeds closed under the tag's operations alone, as bitmasks over
     their syntactic monoid (langlib.syntactic_masks), each operation read as
-    its set operation (duality.SET_OPS).  generated_local_variety builds the
+    its set operation (algebra.SET_OPS).  generated_local_variety builds the
     variety from its dual instead, so the two counts are independent."""
     left, _, masks, _ = syntactic_masks(seeds, cap, "algebraic closure")
     elements, _, _ = closure(
@@ -130,12 +131,16 @@ def free_monoid_in_simple_pseudovariety(d: DMonoid, sigma) -> GeneratedDMonoid:
     return free
 
 
-def recognized_languages(g: GeneratedDMonoid, pair: str, output_cap: int = 4096):
+# the most output morphisms recognized_languages reads languages off
+OUTPUT_CAP = 4096
+
+
+def recognized_languages(g: GeneratedDMonoid, pair: str):
     """All languages recognized by the monoid via some output morphism."""
     a = associated_lalgebra(g)
     bundle = canonical_constants(pair)
     outs = all_morphisms(a.states, bundle.O_D)
-    if len(outs) > output_cap:
+    if len(outs) > OUTPUT_CAP:
         raise CapExceeded("too many output morphisms")
     return sorted(
         {language_of_output(a, out.table) for out in outs},

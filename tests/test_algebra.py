@@ -13,6 +13,7 @@ from predual.algebra import (
     StructureError,
     _posets_upto,
     all_morphisms,
+    bound_table,
     are_isomorphic,
     check_morphism,
     combine_elements,
@@ -29,6 +30,7 @@ from predual.algebra import (
     pairing,
     product,
     relabel_algebra,
+    set_algebra,
     signature,
     table_isomorphism,
     validate_algebra,
@@ -210,6 +212,75 @@ def test_enumerate_bounds():
         enumerate_algebras("JSL0", 7)
     with pytest.raises(BoundExceeded):
         enumerate_algebras("BA", 6)
+
+
+# the powerset tables of each set algebra over {0..k-1}, written out as
+# bitwise operations on the subsets 0..2^k-1 with top the full set
+POWERSET_OPS = {
+    "BA": lambda top, r: {
+        "meet": tuple(tuple(x & y for y in r) for x in r),
+        "join": tuple(tuple(x | y for y in r) for x in r),
+        "not": tuple(top ^ x for x in r), "zero": 0, "one": top,
+    },
+    "BR": lambda top, r: {
+        "add": tuple(tuple(x ^ y for y in r) for x in r),
+        "mul": tuple(tuple(x & y for y in r) for x in r), "zero": 0,
+    },
+    "JSL0": lambda top, r: {"join": tuple(tuple(x | y for y in r) for x in r), "zero": 0},
+}
+
+
+@pytest.mark.parametrize("tag", sorted(POWERSET_OPS))
+def test_set_algebra_gives_the_bitwise_powerset_tables(tag):
+    for k in range(5):
+        n = 1 << k
+        expected = make_algebra(tag, n, POWERSET_OPS[tag](n - 1, range(n)))
+        assert set_algebra(tag, range(n), n - 1) == expected
+        if tag == "JSL0":
+            assert free_algebra("JSL0", [f"x{i}" for i in range(k)])[0] == expected
+        else:
+            assert enumerate_algebras(tag, n) == [expected]
+
+
+def test_set_algebra_numbers_the_elements_in_closure_order():
+    # the seeds come first; 1 | 2 = 3 is found at the join, before the zero
+    elements = [1, 2, 3, 0]
+    join = tuple(tuple(elements.index(x | y) for y in elements) for x in elements)
+    assert set_algebra("JSL0", [1, 2], 3) == make_algebra("JSL0", 4, {"join": join, "zero": 3})
+
+
+def test_bound_table_is_the_brute_force_lub_and_glb_on_every_poset():
+    def bounds(leq, x, y, n):  # least upper bound in leq, or None
+        upper = [z for z in range(n) if leq[x][z] and leq[y][z]]
+        least = [z for z in upper if all(leq[z][w] for w in upper)]
+        return least[0] if least else None
+
+    missing = 0
+    for n in range(7):
+        for order in _posets_upto(n):
+            above = tuple(zip(*order))  # the transpose: greatest lower bounds
+            for leq, table in ((order, bound_table(order)), (above, bound_table(zip(*order)))):
+                expected = tuple(tuple(bounds(leq, x, y, n) for y in range(n)) for x in range(n))
+                assert table == expected, order
+                missing += sum(row.count(None) for row in expected)
+    assert missing > 0
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS)
+def test_relabel_algebra_by_a_permutation_and_back_is_the_identity(tag):
+    moved = 0
+    for a in _algebras_up_to(tag, 8 if tag in ("BA", "BR", "VECT2") else 5):
+        n = a.size
+        perm = tuple((3 * x + 1) % n for x in range(n)) if n % 3 else tuple(range(n))[::-1]
+        inverse = tuple(perm.index(x) for x in range(n))
+        b = relabel_algebra(a, perm)
+        assert oracle.check_morphism(AlgMorphism(a, b, perm))[0]
+        if a.order is not None:
+            pairs = itertools.product(range(n), repeat=2)
+            assert all(a.order[x][y] == b.order[perm[x]][perm[y]] for x, y in pairs)
+        assert relabel_algebra(b, inverse) == a
+        moved += b != a
+    assert moved > 0 or tag == "SET"
 
 
 def test_are_isomorphic_examples():
