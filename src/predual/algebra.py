@@ -775,10 +775,7 @@ def subalgebra_on(a: FinAlgebra, subset) -> tuple:
     inclusion_table = list(elems)
     if vect_prime(a.tag) is not None:
         sub, perm = standardize_vect(sub)
-        relocated = [None] * len(elems)
-        for old, new in enumerate(perm):
-            relocated[new] = inclusion_table[old]
-        inclusion_table = relocated
+        inclusion_table = [inclusion_table[old] for old in inverse_perm(perm)]
     return sub, AlgMorphism(sub, a, tuple(inclusion_table))
 
 
@@ -911,14 +908,20 @@ def sort_closure(closed, key=None):
     elements, witnesses, tables = closed
     key = key or (lambda x: x)
     order = sorted(range(len(elements)), key=lambda i: key(elements[i]))
-    pos = [0] * len(order)
-    for new, old in enumerate(order):
-        pos[old] = new
+    pos = inverse_perm(order)
     return (
         [elements[i] for i in order],
         [witnesses[i] for i in order],
         [_renumber(t, order, pos) for t in tables],
     )
+
+
+def inverse_perm(perm) -> list:
+    """The inverse of a permutation of range(len(perm)): inv[perm[x]] = x."""
+    inv = [0] * len(perm)
+    for x, y in enumerate(perm):
+        inv[y] = x
+    return inv
 
 
 def _renumber(table, order, pos):
@@ -1035,10 +1038,7 @@ def free_algebra(tag: str, names) -> tuple:
 
 def relabel_algebra(a: FinAlgebra, perm) -> FinAlgebra:
     """Apply a carrier permutation (old index -> new index) to all structure."""
-    inv = [0] * a.size
-    for old, new in enumerate(perm):
-        inv[new] = old
-    return _renumber_algebra(a, inv, perm)
+    return _renumber_algebra(a, inverse_perm(perm), perm)
 
 
 def standardize_vect(a: FinAlgebra):

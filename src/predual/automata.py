@@ -23,6 +23,7 @@ from .algebra import (
     FinAlgebra,
     KeepsDerived,
     StructureError,
+    _renumber,
     _search_maps,
     all_morphisms,
     along_shortlex_words,
@@ -35,6 +36,7 @@ from .algebra import (
     derived,
     downset_masks,
     explore,
+    inverse_perm,
     make_algebra,
     product,
     relabel_algebra,
@@ -66,6 +68,7 @@ from .langlib import (
     free_word,
     free_zero,
     make_free,
+    mask_languages,
     mask_preimage,
     rev_free,
     syntactic_masks,
@@ -238,10 +241,8 @@ def relabel_double_dual(pair: str, states: FinAlgebra, qdd: Coalgebra) -> Coalge
 
 def _relabel_trans(e, trans) -> tuple:
     """Each table of trans conjugated by the bijection e: x -> inv[t[e[x]]]."""
-    inv = [0] * len(e)
-    for x, v in enumerate(e):
-        inv[v] = x
-    return tuple((a, tuple(inv[t[v]] for v in e)) for a, t in trans)
+    inv = inverse_perm(e)
+    return tuple((a, _renumber(t, e, inv)) for a, t in trans)
 
 
 # ---------------------------------------------------------------------------
@@ -438,36 +439,35 @@ def generated_local_variety(pair: str, seeds, cap: int = 4096) -> Coalgebra:
     structure, transitions are left derivatives and the output is acceptance
     of the empty word; VECT2 states then take the standard basis encoding,
     which dual maps read.  For every pair it is the dual coalgebra of
-    _column_lalgebra's L-algebra, renumbered, a local variety by that
-    construction and not checked as one.  The languages of its states,
-    read off the coalgebra's kept Nerode partition, must be pairwise
-    distinct, the first criterion of is_subcoalgebra_of_rho.  CapExceeded
-    is raised above cap languages, before the dual is taken: by
+    _column_lalgebra's L-algebra, a local variety by that construction and
+    not checked as one.  That L-algebra numbers a JSL0 or VECT2 carrier so
+    that its dual is already in this order; the dual of a Birkhoff pair's
+    numbers its down-sets as bitmasks and is renumbered here.  The languages
+    of its states, read off the coalgebra's kept Nerode partition, must be
+    pairwise distinct, the first criterion of is_subcoalgebra_of_rho.
+    CapExceeded is raised above cap languages, before the dual is taken: by
     _column_lalgebra for JSL0 and VECT2, one language per column, and here
     for a Birkhoff pair, one per down-set of the points.
     """
     a = _column_lalgebra(pair, seeds, cap)
-    if pair in BIRKHOFF_PAIRS:  # one language per down-set of the points
+    birkhoff = pair in BIRKHOFF_PAIRS
+    if birkhoff:  # one language per down-set of the points
         base = int(d_tag(pair) == "SET_STAR")
         if len(downset_masks([row[base:] for row in a.states.leq[base:]], cap)) > cap:
             raise CapExceeded(f"local variety exceeded cap {cap}")
     q = dual_automaton_inv(a)
     distinct = len(set(_partition(q)[2].values())) == q.states.size
     check_invariant(distinct, "two states of the dual coalgebra accept one language")
+    if not birkhoff:
+        return q
     langs = languages_of(q)
-    order = sorted(range(len(langs)), key=lambda s: langs[s].sort_key())
-    if vect_prime(q.states.tag) is not None:
-        # standardize_vect of the states in language order
-        order = sorted(order, key=standard_basis_perm(q.states, order).__getitem__)
-    return _reordered(q, order)
+    return _reordered(q, sorted(range(len(langs)), key=lambda s: langs[s].sort_key()))
 
 
 def _reordered(m, order):
     """The coalgebra or L-algebra m with its states renumbered, order[x]
     becoming x."""
-    perm = [0] * len(order)
-    for new, old in enumerate(order):
-        perm[old] = new
+    perm = inverse_perm(order)
     states, trans = relabel_algebra(m.states, perm), _relabel_trans(order, m.trans)
     if isinstance(m, LAlgebra):
         return LAlgebra(m.pair, m.alphabet, states, trans, perm[m.init])
@@ -481,18 +481,15 @@ SYNTACTIC_CAP = 512
 
 
 def syntactic_lalgebra(pair: str, seeds) -> LAlgebra:
-    """The dual L-algebra of the local variety generated by the seeds.
-
-    For the Birkhoff pairs BA, DL01 and BR it is _column_lalgebra's, built on
-    the syntactic monoid under SYNTACTIC_CAP and labelled as dual_object
-    labels the points of the variety.  For JSL0 and VECT2 it is the dual of
-    generated_local_variety, built from the same L-algebra, so that its
-    carrier is labelled by the variety's languages.  Neither is checked as
-    a local variety: it is one by construction (_column_lalgebra).
+    """The dual L-algebra of the local variety generated by the seeds:
+    _column_lalgebra's, built on their syntactic monoid, its carrier
+    labelled as dual_object labels the points of the variety for BA, DL01
+    and BR and by the variety's languages for JSL0 and VECT2.  It is not
+    checked as a local variety: it is one by construction.  Its cap is
+    SYNTACTIC_CAP for a Birkhoff pair and generated_local_variety's, 4096
+    languages, for JSL0 and VECT2.
     """
-    if pair in BIRKHOFF_PAIRS:
-        return _column_lalgebra(pair, seeds, SYNTACTIC_CAP)
-    return dual_automaton(generated_local_variety(pair, seeds))
+    return _column_lalgebra(pair, seeds, SYNTACTIC_CAP if pair in BIRKHOFF_PAIRS else 4096)
 
 
 def _column_lalgebra(pair, seeds, cap):
@@ -513,18 +510,51 @@ def _column_lalgebra(pair, seeds, cap):
     a GF(2) subspace.  A letter a acts by bit i of a s = bit j of s, where
     q_j = a^-1 q_i, a preimage, which preserves union, sum and the empty
     mask, and sends Q(m) to Q([a] m).  init is the unit's column, so a word
-    is read as the class of its reversal.  Carriers are numbered as
-    dual_object numbers the points of the variety, by their languages' sort
-    keys: BA ranks a column by the language of its element, DL01 a column c
-    by that of its up-set {n : Q(n) contains c} and orders columns by
-    reverse inclusion, BR ranks as BA behind the basepoint, the empty
-    column; JSL0 keeps closure order and VECT2 takes the standard basis.
+    is read as the class of its reversal.
 
     The dual coalgebra is a local variety for every pair, its languages the
     quotients' combinations under the C-side operations: the letters act
     as left derivatives, a^-1 q_i = q_j; a right derivative of a quotient,
     u^-1 L (v a)^-1, is a quotient; a derivative is a preimage, and the
     C-side operations are set operations, which commute with preimages.
+
+    Carriers are numbered as dual_object numbers the points of the variety
+    for a Birkhoff pair, by their languages' sort keys: BA ranks a column by
+    the language of its element, DL01 a column c by that of its up-set
+    {n : Q(n) contains c} and orders columns by reverse inclusion, BR ranks
+    as BA behind the basepoint, the empty column.  JSL0 and VECT2 number
+    their carriers so that the dual coalgebra's states, the variety's
+    languages, are in sort-key order and, for VECT2, in the standard basis
+    encoding: the element s is paired with the state of the dual that
+    accepts the language of the words whose class lies in K_s, a set of
+    elements of M.
+
+    - JSL0: K_s = {m : Q(m) is not below s}.  The dual's transition by a is
+      the right adjoint of a's action and its output is 1 at s iff init is
+      not below s, so s accepts w iff Q([w]) = a_1 ... a_n init is not
+      below s.  Every s is a union of columns (the letters send columns to
+      columns), so s != t, say s not below t, gives a column below s but
+      not below t: the K_s are pairwise distinct.  a^-1 K_s is
+      K_{s'}, s' the adjoint's image of s.
+    - VECT2: with c(m) the standard-form index of Q(m) and y an element in
+      standard form, K_y = {m : y . c(m) = 1}, for the dot product over
+      GF(2) under which the dual's transition by a is the transpose A^T of
+      a's matrix A and its output at y is y . init, so y accepts w iff
+      y . c([w]) = 1.  The columns span the carrier and the product is
+      nondegenerate, so the K_y are pairwise distinct, and a^-1 K_y is
+      K_{A^T y}.
+
+    Each K is a language of the variety, and the K are closed under left
+    derivatives (a preimage under M's left Cayley table), so with those
+    tables they are a minimal DFA whose finals hold the unit, and every
+    language is read off it by _canonical, with no refinement; a K met
+    twice, or a derivative that is no K, is an internal error.  JSL0 is
+    renumbered in language order.  For VECT2, P takes the standard form to
+    the standard basis picked along language order, the states' relabelling
+    of standardize_vect; the dual of a coalgebra relabelled by P is the
+    L-algebra relabelled by (P^-1)^T, which keeps the dot product, so the
+    standard-form element y becomes the vector of the y . b over the
+    basis vectors b, and both steps are one renumbering.
 
     M is explored and the columns closed under cap, which only JSL0 and
     VECT2 add to, one language of their variety per column; the stage is
@@ -566,10 +596,30 @@ def _column_lalgebra(pair, seeds, cap):
     carrier = make_algebra(tag, len(closed), structure, order)
     trans = tuple(sorted(zip(alphabet, map(tuple, tables))))
     a = LAlgebra(pair, alphabet, carrier, trans, closed.index(columns[0]))
-    if vect_prime(tag) is not None:
-        # dual maps read matrices off the standard basis encoding
-        a = _reordered(a, sorted(carrier.carrier(), key=standard_basis_perm(carrier).__getitem__))
-    return a
+    if birkhoff:
+        return a
+    xs = range(len(closed))
+    if tag == "JSL0":
+        ks = [sum(1 << m for m in elements if columns[m] & ~s) for s in closed]
+    else:
+        code, index = standard_basis_perm(carrier), {s: x for x, s in enumerate(closed)}
+        c = [code[index[column]] for column in columns]
+        ks = [sum(1 << m for m in elements if (code[x] & c[m]).bit_count() & 1) for x in xs]
+    state = {k: x for x, k in enumerate(ks)}
+    check_invariant(len(state) == len(ks), "two elements of the L-algebra pair with one language")
+    delta = [tuple(state.get(d(k)) for _, d, _ in derivatives[: len(alphabet)]) for k in ks]
+    check_invariant(
+        all(None not in row for row in delta), "a derivative of a paired language is not paired"
+    )
+    langs = mask_languages(alphabet, ks, delta)
+    order = sorted(xs, key=lambda x: langs[x].sort_key())
+    if tag != "JSL0":  # y becomes the vector of the b . y, b the basis along language order
+        basis = inverse_perm(standard_basis_perm(carrier, order))
+        rows = [code[basis[1 << i]] for i in range(len(closed).bit_length() - 1)]
+        order = inverse_perm([
+            sum(((b & code[x]).bit_count() & 1) << i for i, b in enumerate(rows)) for x in xs
+        ])
+    return _reordered(a, order)
 
 
 # ---------------------------------------------------------------------------

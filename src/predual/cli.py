@@ -171,6 +171,8 @@ def cmd_minimize(args):
 
 def cmd_deriv(args):
     lang = _read_language(args)
+    if args.letter not in lang.alphabet:
+        raise DocumentError(f"letter {args.letter!r} not in alphabet {lang.alphabet}")
     fn = left_deriv if args.side == "left" else right_deriv
     return _emit(args, fn(lang, args.letter))
 

@@ -40,6 +40,7 @@ from .algebra import (
     enumerate_algebras,
     free_algebra,
     identity_morphism,
+    inverse_perm,
     make_algebra,
     relabel_algebra,
     set_algebra,
@@ -503,10 +504,7 @@ def _out_from_dual_init(pair: str, states_d: FinAlgebra, init: int) -> tuple:
     sel = init_selector_table(pair, states_d, init)
     # not kept on the cached 1_D, as in state_output
     dual_sel = _build_dual_morphism(pair, sel)
-    e = eta(pair, bundle.O_C)
-    inv = [0] * bundle.O_C.size
-    for x, v in enumerate(e.table):
-        inv[v] = x
+    inv = inverse_perm(eta(pair, bundle.O_C).table)
     return tuple(inv[v] for v in dual_sel.table)
 
 

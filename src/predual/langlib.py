@@ -724,10 +724,9 @@ def closure_under_ops_and_derivs(tag: str, seeds, cap: int = 4096) -> list:
     per-layer report times it by name.  It runs on bitmasks over the seeds'
     syntactic monoid (syntactic_masks): a derivative is the preimage of a
     mask under a Cayley table and an operation is its set operation in
-    algebra.SET_OPS.  The closed masks with their left-derivative tables are
-    a minimal DFA, distinct masks being distinct languages, whose finals are
-    the masks holding the unit, element 0: each language is read off it by
-    _canonical, with no refinement.
+    algebra.SET_OPS.  The closed masks, distinct masks being distinct
+    languages, are closed under left derivatives, so mask_languages reads
+    their languages off the closure's tables.
     """
     if tag not in MAIN_PAIRS:
         raise StructureError(f"{tag} has no operations on languages")
@@ -742,11 +741,20 @@ def closure_under_ops_and_derivs(tag: str, seeds, cap: int = 4096) -> list:
     ops = derivatives + set_ops(tag, (1 << len(left)) - 1)
     elements, _, tables = closure(dict.fromkeys(masks), ops, cap, stage="language closure")
     alphabet = seeds[0].alphabet
-    block = range(len(elements))
-    delta = [tuple(t[x] for t in tables[: len(alphabet)]) for x in block]
-    finals = {x for x, mask in enumerate(elements) if mask & 1}
-    langs = [_canonical(alphabet, delta, block, finals, x) for x in block]
-    return sorted(langs, key=RegularLanguage.sort_key)
+    delta = [tuple(t[x] for t in tables[: len(alphabet)]) for x in range(len(elements))]
+    return sorted(mask_languages(alphabet, elements, delta), key=RegularLanguage.sort_key)
+
+
+def mask_languages(alphabet, masks, delta) -> list:
+    """The language of each of the pairwise distinct masks over a
+    syntactic_masks monoid, the words whose class lies in it, where
+    delta[x][i] is the index of the left derivative of masks[x] by the i-th
+    letter: the masks are then a minimal DFA whose finals hold the unit,
+    element 0, and each language is read off it by _canonical, with no
+    refinement."""
+    block = range(len(masks))
+    finals = {x for x, mask in enumerate(masks) if mask & 1}
+    return [_canonical(alphabet, delta, block, finals, x) for x in block]
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,14 @@ closes whole languages under DFA products and derivatives, where predual
 closes bitmasks over the syntactic monoid, and closure_local_variety reads
 the local variety off that closure's tables, validated as an algebra, as
 generated_local_variety once did, where predual dualizes the L-algebra
-built on the syntactic monoid's quotient columns.  verify_preduality_by_compose
-shares the dualization formulas with predual and evaluates the duality laws
-on AlgMorphism objects with compose, as verify_preduality once did.
+built on the syntactic monoid's quotient columns.
+generated_local_variety_by_duals and syntactic_lalgebra_by_duals are the
+routes predual had before it read the JSL0 and VECT2 languages off masks
+over the syntactic monoid: the column closure in closure order, its dual
+refined, sorted by its languages and dualized back.
+verify_preduality_by_compose shares the dualization formulas with predual
+and evaluates the duality laws on AlgMorphism objects with compose, as
+verify_preduality once did.
 make_free, free_mul, free_combine, eval_language, apply_free and
 preimage_language are the per-tag rules predual had before its one
 D-combination rule, and _posets_upto tests a candidate poset for
@@ -48,9 +53,11 @@ import argparse
 import itertools
 
 import predual.langlib as langlib
+from predual import automata
 
 from predual.algebra import (
     AlgMorphism,
+    CapExceeded,
     FinAlgebra,
     StructureError,
     all_morphisms,
@@ -58,12 +65,15 @@ from predual.algebra import (
     closure_ops,
     componentwise_fn,
     compose,
+    downset_masks,
     explore,
     identity_morphism,
     make_algebra,
+    set_ops,
     signature,
     shortlex_words,
     sort_closure,
+    standard_basis_perm,
     standardize_vect,
     subalgebra_on,
     table_fn,
@@ -83,7 +93,16 @@ from predual.cli import (
     cmd_syntactic,
     cmd_varlang,
 )
-from predual.duality import MAIN_PAIRS, PAIRS, _objects_for, dual_morphism, dual_object, eta
+from predual.duality import (
+    BIRKHOFF_PAIRS,
+    MAIN_PAIRS,
+    PAIRS,
+    _objects_for,
+    d_tag,
+    dual_morphism,
+    dual_object,
+    eta,
+)
 from predual.langlib import (
     DMonoidMorphismFree,
     FreeElement,
@@ -295,6 +314,63 @@ def closure_local_variety(pair, seeds, cap=4096):
         trans = {a: tuple(perm[t[inv[x]]] for x in range(len(langs))) for a, t in trans.items()}
         out = tuple(out[inv[x]] for x in range(len(langs)))
     return Coalgebra(pair, langs[0].alphabet, states, tuple(sorted(trans.items())), out)
+
+
+# ---------------------------------------------------------------------------
+# the syntactic L-algebra through its dual, as syntactic_lalgebra and
+# generated_local_variety once built it for JSL0 and VECT2
+
+
+def column_lalgebra_in_closure_order(pair, seeds, cap=4096):
+    """automata._column_lalgebra as it was for JSL0 and VECT2: the columns
+    closed under the letters, each acting on a mask as the preimage under
+    its left-derivative table of the quotients, and the pair's set
+    operations, numbered in closure order, VECT2 then in the standard basis
+    encoding."""
+    seeds = list(seeds)
+    tag = d_tag(pair)
+    left, derivatives, masks, _ = langlib.syntactic_masks(seeds, cap, "language closure")
+    alphabet = seeds[0].alphabet
+    quotients, _, lefts = closure(dict.fromkeys(masks), derivatives)
+    columns = [sum(1 << i for i, q in enumerate(quotients) if q >> m & 1) for m in range(len(left))]
+    ops = [(1, langlib.mask_preimage(lefts[i]), False) for i in range(len(alphabet))]
+    ops += set_ops(tag, (1 << len(quotients)) - 1)
+    closed, _, tables = closure(dict.fromkeys(columns), ops, cap, stage="language closure")
+    carrier = make_algebra(tag, len(closed), dict(zip(signature(tag), tables[len(alphabet):])))
+    trans = tuple(sorted(zip(alphabet, map(tuple, tables))))
+    a = LAlgebra(pair, alphabet, carrier, trans, closed.index(columns[0]))
+    if vect_prime(tag) is None:
+        return a
+    code = standard_basis_perm(carrier)
+    return automata._reordered(a, sorted(range(len(closed)), key=code.__getitem__))
+
+
+def generated_local_variety_by_duals(pair, seeds, cap=4096):
+    """generated_local_variety as it was: the dual coalgebra of the column
+    L-algebra, its states sorted by their languages and, for VECT2, put in
+    the standard basis taken along that order, for every pair."""
+    if pair not in BIRKHOFF_PAIRS:
+        q = automata.dual_automaton_inv(column_lalgebra_in_closure_order(pair, seeds, cap))
+    else:
+        a = automata._column_lalgebra(pair, seeds, cap)
+        base = int(pair == "BR")
+        if len(downset_masks([row[base:] for row in a.states.leq[base:]], cap)) > cap:
+            raise CapExceeded(f"local variety exceeded cap {cap}")
+        q = automata.dual_automaton_inv(a)
+    langs = automata.languages_of(q)
+    if len(set(langs)) != len(langs):
+        raise StructureError("two states of the dual coalgebra accept one language")
+    order = sorted(range(len(langs)), key=lambda s: langs[s].sort_key())
+    if vect_prime(pair) is not None:
+        order = sorted(order, key=standard_basis_perm(q.states, order).__getitem__)
+    return automata._reordered(q, order)
+
+
+def syntactic_lalgebra_by_duals(pair, seeds):
+    """syntactic_lalgebra as it was for JSL0 and VECT2: the dual of
+    generated_local_variety_by_duals, whose states number the variety's
+    languages."""
+    return automata.dual_automaton(generated_local_variety_by_duals(pair, seeds))
 
 
 # ---------------------------------------------------------------------------

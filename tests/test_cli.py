@@ -653,6 +653,10 @@ INPUT_FILES = {
         ["minimize", "--in", "aa.lang"],
         ["preimage", "--map", "id.map", "--automaton", "aa.lalg"],
         ["varlang", "--monoid", "aa.gen", "--alphabet", "a", "--pair", "BA"],
+        # a derivative by a letter outside the language's alphabet
+        ["deriv", "--side", "left", "--letter", "c", "--regex", "(ab)*"],
+        ["deriv", "--side", "left", "--letter", "ab", "--regex", "(ab)*"],
+        ["deriv", "--side", "left", "--letter", "", "--regex", "(ab)*"],
     ],
 )
 def test_malformed_cli_input_is_a_usage_error(capsys, tmp_path, argv):
@@ -709,18 +713,19 @@ def test_automaton_document_breaking_its_laws_is_a_usage_error(
 INJECTED_FAULT = """
 import sys
 import predual.automata as automata
+import predual.cli as cli
 from predual.cli import main
 
 assert False  # stripped under -O
 def one_class(delta, finals, states):
     return dict.fromkeys(states, 0)
 {}
-sys.exit(main(["syntactic", "--tag", "JSL0", "--regex", "(ab)*"]))
+sys.exit(main(["localvariety", "--tag", "BA", "--regex", "(ab)*"]))
 """
 
 
 def run_with_fault(fault):
-    """Exit code, stdout and stderr of syntactic under python -O with fault."""
+    """Exit code, stdout and stderr of localvariety under python -O with fault."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     run = subprocess.run(
@@ -731,7 +736,7 @@ def run_with_fault(fault):
 
 
 def test_a_failed_cross_check_exits_4_under_python_O():
-    # the states of the JSL0 local variety, the dual of the syntactic
+    # the states of the BA local variety, the dual of the syntactic
     # L-algebra, seem to accept one language
     assert run_with_fault("automata._nerode = one_class") == (
         4, "", "internal error: two states of the dual coalgebra accept one language\n",
@@ -739,16 +744,17 @@ def test_a_failed_cross_check_exits_4_under_python_O():
 
 
 def test_disagreeing_rho_criteria_exit_4_under_python_O():
-    # the variety is built, then the fault runs is_subcoalgebra_of_rho on
-    # it, as syntactic no longer does, and its two criteria disagree
+    # the variety is built, renumbered into language order after its dual's
+    # partition was kept, then the fault runs is_subcoalgebra_of_rho on it,
+    # as localvariety does not, and its two criteria disagree
     fault = """
-build = automata.generated_local_variety
+build = cli.generated_local_variety
 def built_then_faulty(*args):
     q = build(*args)
     automata._nerode = one_class
     automata.is_subcoalgebra_of_rho(q)
     return q
-automata.generated_local_variety = built_then_faulty
+cli.generated_local_variety = built_then_faulty
 """
     assert run_with_fault(fault) == (4, "", "internal error: rho-subcoalgebra criteria disagree\n")
 

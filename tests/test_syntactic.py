@@ -45,6 +45,7 @@ from predual.cli import main
 from predual.duality import MAIN_PAIRS
 from predual.langlib import closure_under_ops_and_derivs, free_mul, parse_regex
 from predual.monoids import DMonoid, make_dmonoid, transition_dmonoid, validate_dmonoid
+from predual.preimage import default_seed_languages
 from predual.serialize import dumps, generated_dmonoid_doc
 
 PAIRS = ("BA", "DL01", "BR")
@@ -184,6 +185,69 @@ def test_mask_closure_equals_the_product_closure_on_random_regexes(regex):
             assert syntactic_lalgebra(tag, seeds) == dual_automaton(reference), (tag, regex)
 
 
+# JSL0 and VECT2 varieties of 5 to 512 languages over syntactic monoids of
+# 5 to 31 elements
+LARGE = ("(aab)*", "(ab|ba)*", "(a|b)*abb", "(a|b)*a(a|b)(a|b)(a|b)", "a*b*", "(ab)*")
+
+
+def by_duals(tag, seeds, cap):
+    """generated_local_variety at cap, or its CapExceeded message, against
+    oracle.generated_local_variety_by_duals; for JSL0 and VECT2 also
+    syntactic_lalgebra against oracle.syntactic_lalgebra_by_duals."""
+    results = []
+    for route in (generated_local_variety, oracle.generated_local_variety_by_duals):
+        try:
+            results.append(route(tag, seeds, cap))
+        except CapExceeded as e:
+            results.append(str(e))
+    assert results[0] == results[1], (tag, seeds)
+    if tag in ("JSL0", "VECT2") and not isinstance(results[0], str):
+        assert syntactic_lalgebra(tag, seeds) == oracle.syntactic_lalgebra_by_duals(tag, seeds)
+
+
+@pytest.mark.parametrize("tag", MAIN_PAIRS)
+def test_the_column_lalgebra_is_numbered_as_the_dual_of_the_variety(tag):
+    # the Birkhoff pairs at 512 languages: BA on (aab)* has 4096
+    cases = [([rx], alphabet) for alphabet, rxs in default_seed_languages().items() for rx in rxs]
+    cases += [(list(regexes), "ab") for regexes in SEED_SETS]
+    cases += [([rx], "ab") for rx in LARGE] + [(["ε"], "")]
+    for regexes, alphabet in cases:
+        by_duals(tag, [parse_regex(rx, alphabet) for rx in regexes], 512)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(regexes(3))
+def test_the_column_lalgebra_is_numbered_as_the_dual_of_the_variety_on_random_regexes(regex):
+    for tag in MAIN_PAIRS:
+        by_duals(tag, [parse_regex(regex, "ab")], 256)
+
+
+def _merged(perm):
+    """A standard form that gives the element coded 1 the code 2 too."""
+    return tuple(2 if v == 1 else v for v in perm)
+
+
+def _not_linear(perm):
+    """The standard form with the codes 1 and 3 swapped, not a linear map."""
+    return tuple({1: 3, 3: 1}.get(v, v) for v in perm)
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        (_merged, "two elements of the L-algebra pair with one language"),
+        (_not_linear, "a derivative of a paired language is not paired"),
+    ],
+)
+def test_a_broken_pairing_is_an_internal_error(monkeypatch, fault, message):
+    standard_form = automata.standard_basis_perm
+    monkeypatch.setattr(
+        automata, "standard_basis_perm", lambda a, scan=None: fault(standard_form(a, scan))
+    )
+    with pytest.raises(algebra.InternalInvariantError, match=f"^{message}$"):
+        syntactic_lalgebra("VECT2", [parse_regex("(ab)*")])
+
+
 @pytest.mark.parametrize("pair", MAIN_PAIRS)
 def test_multiplication_is_evaluation_of_free_products(pair):
     zeros = combinations = 0
@@ -248,9 +312,8 @@ def test_syntactic_builds_its_monoid_without_per_entry_combinations(monkeypatch)
                 monkeypatch.setattr(module, name, watched)
     code, out, _ = run_cli("syntactic", "--tag", "VECT2", "--regex", "(a|b)*abb", "--json")
     assert code == 0 and json.loads(out)["kind"] == "generated-dmonoid"
-    # none builds the monoid; the dual of the column L-algebra combines its
-    # initial state, the generator of one_D and both of one_D's elements
-    assert calls == [("combine_elements", "init_selector_table")] * 3
+    # none builds the monoid, and no dual of the column L-algebra is taken
+    assert calls == []
 
 
 @pytest.mark.parametrize("pair", MAIN_PAIRS)
