@@ -52,8 +52,8 @@ argument tuple once, when the last of its arguments leaves the queue.
 import argparse
 import itertools
 
+import predual.automata as automata
 import predual.langlib as langlib
-from predual import automata
 
 from predual.algebra import (
     AlgMorphism,

@@ -2,11 +2,14 @@
 they replaced.
 
 For every pair, generated_local_variety dualizes the L-algebra built on the
-syntactic monoid from the columns of its quotients, and for BA, DL01 and BR
-syntactic returns that L-algebra.  oracle.closure_local_variety closes the
-seed languages under derivatives and the language operations instead, as
-generated_local_variety once did; both routes must give the same variety,
-tables included, and the same bytes.  For all five pairs,
+syntactic monoid from the columns of its quotients, and syntactic returns
+that L-algebra; for JSL0 and VECT2 it is numbered by the languages read off
+masks over the monoid, where oracle.syntactic_lalgebra_by_duals dualizes
+the variety back, as syntactic once did, and both must be equal.
+oracle.closure_local_variety closes the seed languages under derivatives
+and the language operations instead, as generated_local_variety once did;
+both routes must give the same variety, tables included, and the same
+bytes.  For all five pairs,
 closure_under_ops_and_derivs closes bitmasks over the syntactic monoid;
 oracle.closure_under_ops_and_derivs closes the languages themselves by DFA
 products, and both must give the same languages.  validate_dmonoid
@@ -227,8 +230,9 @@ def _merged(perm):
     return tuple(2 if v == 1 else v for v in perm)
 
 
-def _not_linear(perm):
-    """The standard form with the codes 1 and 3 swapped, not a linear map."""
+def _skewed(perm):
+    """The standard form with the codes 1 and 3 swapped, a linear map that
+    does not keep the dot product."""
     return tuple({1: 3, 3: 1}.get(v, v) for v in perm)
 
 
@@ -236,7 +240,7 @@ def _not_linear(perm):
     "fault, message",
     [
         (_merged, "two elements of the L-algebra pair with one language"),
-        (_not_linear, "a derivative of a paired language is not paired"),
+        (_skewed, "a derivative of a paired language is not paired"),
     ],
 )
 def test_a_broken_pairing_is_an_internal_error(monkeypatch, fault, message):
