@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .algebra import (
     AlgMorphism,
+    CapExceeded,
     FinAlgebra,
     StructureError,
     check_invariant,
@@ -31,6 +32,7 @@ from .algebra import (
     shortlex_words,
     signature,
     sort_closure,
+    standard_basis_perm,
     standardize_vect,
     table_fn,
     table_isomorphism,
@@ -39,6 +41,7 @@ from .algebra import (
 from .langlib import (
     DMonoidMorphismFree,
     FreeElement,
+    _rref,
     free_combine,
     free_word,
     make_free_morphism,
@@ -199,11 +202,16 @@ def generated_dmonoid(carriers, mult, unit, alphabet, gens, cap=None, stage="gen
     are sorted and the carrier is ordered pointwise; a VECT carrier is put in
     standard form (standardize_vect) and the elements renumbered with it, so
     the table, unit, generators and witnesses follow.  cap bounds the words
-    and the closure alike; stage names them in a CapExceeded message.
+    and the closure alike; stage names them in a CapExceeded message.  A
+    VECT(p) closure is the span of the words' elements, so it is not built
+    when p^rank exceeds cap.
     """
     tag = carriers[0].tag
     alphabet = tuple(alphabet)
     reached, delta = explore(unit, alphabet, lambda x, a: mult(x, gens[a]), cap, stage)
+    p = vect_prime(tag)
+    if p is not None and cap is not None and p ** _span_rank(carriers, reached, p) > cap:
+        raise CapExceeded(f"{stage} exceeded cap {cap}")
     words = zip(reached, shortlex_words(delta, alphabet))
     seeds = {x: free_word(tag, alphabet, w) for x, w in words}
     elements, witnesses, tables = sort_closure(dmonoid_closure(seeds, carriers, cap, stage))
@@ -234,6 +242,19 @@ def generated_dmonoid(carriers, mult, unit, alphabet, gens, cap=None, stage="gen
         tuple(enumerate(witnesses)),
     )
     return elements, g
+
+
+def _span_rank(carriers, elements, p) -> int:
+    """The GF(p) rank of elements, tuples over the VECT(p) carriers, each
+    entry read in its carrier's standard-basis coordinates
+    (standard_basis_perm, computed once per distinct carrier)."""
+    perms = {c: standard_basis_perm(c) for c in dict.fromkeys(carriers)}
+    digits = [(perms[c], next(k for k in itertools.count() if p**k >= c.size)) for c in carriers]
+    vectors = [
+        [perm[e] // p**k % p for e, (perm, dim) in zip(x, digits) for k in range(dim)]
+        for x in elements
+    ]
+    return len(_rref(vectors, p)[0])
 
 
 def dmonoid_closure(seeds: dict, carriers, cap=None, stage="closure"):

@@ -197,13 +197,25 @@ def default_corpus(pairs=("BA", "DL01", "JSL0", "VECT2", "BR")):
 
 
 def _sample_states(q: Coalgebra, cap: int):
+    """At most cap states of q, evenly spaced from state 0."""
     if q.states.size <= cap:
         return list(range(q.states.size))
+    if cap <= 0:
+        return []
     step = q.states.size // cap
     return list(range(0, q.states.size, step))[:cap]
 
 
 LAWS = ("lrev", "cpre", "proppre", "lempre", "qfprops", "frcom", "tpre")
+
+
+def _once(table: dict, build, *args):
+    """build(*args), or the result of an earlier call of build on equal
+    arguments, kept in table (a law battery keeps one table per pair)."""
+    key = (build, *args)
+    if key not in table:
+        table[key] = build(*args)
+    return table[key]
 
 
 def check_preimage_laws(corpus=None, state_cap: int = 12) -> dict:
@@ -217,6 +229,11 @@ def check_preimage_laws(corpus=None, state_cap: int = 12) -> dict:
     (a family is preimage-closed iff the preimage maps are homomorphisms).
     All comparisons are equalities of canonical automata or raw tables; a
     counterexample fails the law with a witness.
+
+    Each side of a law is built by its own construction.  Q^f, L . f, Q_x
+    and the free elements of short words are built once per pair for each
+    distinct value of their arguments: a table local to the pair returns the
+    earlier result when a construction is called again on equal arguments.
     """
     if corpus is None:
         corpus = default_corpus()
@@ -229,6 +246,7 @@ def check_preimage_laws(corpus=None, state_cap: int = 12) -> dict:
 
     for pair, data in corpus.items():
         tag = d_tag(pair)
+        table = {}  # (construction, arguments) -> result, for this pair
         hom_checked = set()  # the morphisms whose transition law has been checked
         for rx, q in data["varieties"]:
             a = dual_automaton(q)
@@ -251,16 +269,16 @@ def check_preimage_laws(corpus=None, state_cap: int = 12) -> dict:
                 for s in states:
                     out = state_output_morphism(q, s)
                     lhs = language_of_output(af, out)
-                    rhs = preimage_language(language_of_output(a, out), f)
+                    rhs = _once(table, preimage_language, language_of_output(a, out), f)
                     report["cpre"]["checked"] += 1
                     if lhs != rhs:
                         fail("cpre", (pair, rx, f.images, s))
 
                 # proppre: states of Q^f accept preimages
-                qf = coalgebra_preimage(q, f)
+                qf = _once(table, coalgebra_preimage, q, f)
                 for s in states:
                     lhs = language_of_state(qf, s)
-                    rhs = preimage_language(language_of_state(q, s), f)
+                    rhs = _once(table, preimage_language, language_of_state(q, s), f)
                     report["proppre"]["checked"] += 1
                     if lhs != rhs:
                         fail("proppre", (pair, rx, f.images, s))
@@ -271,22 +289,23 @@ def check_preimage_laws(corpus=None, state_cap: int = 12) -> dict:
                 # involve q: it is checked at the first variety f applies to.
                 letters = () if f in hom_checked else f.source_alphabet
                 hom_checked.add(f)
-                for w in _short_words(f.source_alphabet, 4):
-                    x = free_word(tag, f.source_alphabet, w)
+                words, samples = _once(table, _free_elements, tag, f.source_alphabet)
+                for w, x in words.items():
                     fx = apply_free(f, x)
                     report["lempre"]["checked"] += 1
                     if run_word(af, w) != eval_free(a, fx):
                         fail("lempre", ("run-map", pair, rx, f.images, w))
                     for b in letters:
-                        lhs = apply_free(f, free_mul(x, free_word(tag, f.source_alphabet, b)))
+                        lhs = apply_free(f, free_mul(x, words[b]))
                         rhs = free_mul(fx, f.image(b))
                         if lhs != rhs:
                             fail("lempre", ("transition-hom", pair, f.images, w, b))
 
                 # frcom: (Q^f)_x = (Q_{fx})^f
-                for x in _sample_free_elements(tag, f.source_alphabet):
-                    lhs = shift_initial_co(qf, x)
-                    rhs = coalgebra_preimage(shift_initial_co(q, apply_free(f, x)), f)
+                for x in samples:
+                    lhs = _once(table, shift_initial_co, qf, x)
+                    qfx = _once(table, shift_initial_co, q, apply_free(f, x))
+                    rhs = _once(table, coalgebra_preimage, qfx, f)
                     report["frcom"]["checked"] += 1
                     if lhs != rhs:
                         fail("frcom", (pair, rx, f.images, x.pairs))
@@ -298,8 +317,8 @@ def check_preimage_laws(corpus=None, state_cap: int = 12) -> dict:
                 for g in data["morphisms"]:
                     if g.target_alphabet != f.source_alphabet:
                         continue
-                    lhs = coalgebra_preimage(coalgebra_preimage(q, f), g)
-                    rhs = coalgebra_preimage(q, compose_free(f, g))
+                    lhs = _once(table, coalgebra_preimage, _once(table, coalgebra_preimage, q, f), g)
+                    rhs = _once(table, coalgebra_preimage, q, compose_free(f, g))
                     report["qfprops"]["checked"] += 1
                     if lhs != rhs:
                         fail("qfprops", ("composition", pair, rx, f.images, g.images))
@@ -319,9 +338,10 @@ def check_preimage_laws(corpus=None, state_cap: int = 12) -> dict:
                     if tuple(f.target_alphabet) != q1.alphabet:
                         continue
                     cop = coalgebra_coproduct(q1, q2)
-                    lhs = coalgebra_preimage(cop, f)
+                    lhs = _once(table, coalgebra_preimage, cop, f)
                     rhs_pair = coalgebra_coproduct(
-                        coalgebra_preimage(q1, f), coalgebra_preimage(q2, f)
+                        _once(table, coalgebra_preimage, q1, f),
+                        _once(table, coalgebra_preimage, q2, f),
                     )
                     report["qfprops"]["checked"] += 1
                     if lhs != rhs_pair:
@@ -340,7 +360,8 @@ def check_preimage_laws(corpus=None, state_cap: int = 12) -> dict:
                     break
 
         # tpre: preimage-closure of a family iff coalgebra homs exist
-        tpre = check_tpre_family(pair, data)
+        families = _tpre_families(pair, data["varieties"])
+        tpre = _check_tpre_family(pair, data["morphisms"], families, table)
         report["tpre"]["checked"] += tpre["checked"]
         if tpre["witness"] is not None:
             fail("tpre", tpre["witness"])
@@ -355,15 +376,19 @@ def _short_words(alphabet, n):
     return out
 
 
-def _sample_free_elements(tag, alphabet):
-    xs = [free_word(tag, alphabet, ""), free_word(tag, alphabet, alphabet[0])]
+def _free_elements(tag, alphabet):
+    """(words, samples): lempre's words, the free element of each word of
+    length at most 4 in shortlex order, and frcom's sample free elements,
+    the words ε, a and a z (a and z the first and last letters) and, where
+    the tag has them, a + a z and zero."""
+    words = {w: free_word(tag, alphabet, w) for w in _short_words(alphabet, 4)}
     w2 = alphabet[0] + alphabet[-1]
-    xs.append(free_word(tag, alphabet, w2))
+    samples = [words[""], words[alphabet[0]], words[w2]]
     if tag in ("JSL0", "VECT2"):
-        xs.append(make_free(tag, alphabet, [(alphabet[0], 1), (w2, 1)]))
+        samples.append(make_free(tag, alphabet, [(alphabet[0], 1), (w2, 1)]))
     if tag == "SET_STAR":
-        xs.append(free_zero(tag, alphabet))
-    return xs
+        samples.append(free_zero(tag, alphabet))
+    return words, samples
 
 
 def _is_lalgebra_hom(src: LAlgebra, dst: LAlgebra, table) -> bool:
@@ -384,19 +409,33 @@ def check_tpre_family(pair: str, data=None, families=None) -> dict:
     each f (of data["morphisms"], or default_morphisms) the languages {L . f}
     all lie in V Delta; positively, the language-preimage map is exhibited as
     a coalgebra homomorphism."""
-    result = {"checked": 0, "witness": None}
-    if families is None:
-        base = {
-            "a": generated_local_variety(pair, [parse_regex("(aa)*", "a")]),
-            "b": generated_local_variety(pair, [parse_regex("(bb)*", "b")]),
-        }
-        closed_families = [base]
-        trivial_b = generated_local_variety(pair, [parse_regex("∅", "b")])
-        open_families = [{"ab": generated_local_variety(pair, [parse_regex("(ab)*", "ab")]), "b": trivial_b}]
-        families = [(f, None) for f in closed_families] + [
-            (f, "open") for f in open_families
-        ]
     morphisms = default_morphisms(d_tag(pair)) if data is None else data["morphisms"]
+    if families is None:
+        families = _tpre_families(pair, ())
+    return _check_tpre_family(pair, morphisms, families, {})
+
+
+def _tpre_families(pair: str, varieties):
+    """tpre's default (family, kind) list: the preimage-closed family of
+    (aa)* over {a} and (bb)* over {b}, and the open family of (ab)* over
+    {a,b} and the empty language over {b}.  A variety that varieties, a
+    list of (seed regex, variety), holds for the same seed over the same
+    alphabet is read from it, not built again."""
+    known = {(rx, q.alphabet): q for rx, q in varieties}
+
+    def variety(rx, alphabet):
+        q = known.get((rx, tuple(alphabet)))
+        return generated_local_variety(pair, [parse_regex(rx, alphabet)]) if q is None else q
+
+    return [
+        ({"a": variety("(aa)*", "a"), "b": variety("(bb)*", "b")}, None),
+        ({"ab": variety("(ab)*", "ab"), "b": variety("∅", "b")}, "open"),
+    ]
+
+
+def _check_tpre_family(pair: str, morphisms, families, table: dict) -> dict:
+    """check_tpre_family, building L . f and Q^f through the battery's table."""
+    result = {"checked": 0, "witness": None}
     for family, kind in families:
         for f in morphisms:
             src = "".join(f.source_alphabet)
@@ -407,10 +446,10 @@ def check_tpre_family(pair: str, data=None, families=None) -> dict:
             v_delta = family[src]
             delta_langs = set(languages_of(v_delta))
             preimages = [
-                preimage_language(l, f) for l in languages_of(v_sigma)
+                _once(table, preimage_language, l, f) for l in languages_of(v_sigma)
             ]
             closed = all(p in delta_langs for p in preimages)
-            qf = coalgebra_preimage(v_sigma, f)
+            qf = _once(table, coalgebra_preimage, v_sigma, f)
             hom = find_coalgebra_hom(qf, v_delta) if v_delta.states.size <= 8 else None
             hom_exists = hom is not None
             if v_delta.states.size <= 8:

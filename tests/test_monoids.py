@@ -3,6 +3,7 @@ import itertools
 import oracle
 import pytest
 
+from predual import monoids
 from predual.algebra import (
     AlgMorphism,
     CapExceeded,
@@ -483,6 +484,49 @@ def test_free_monoid_of_a_vect2_generator_off_standard_form_is_put_in_standard_f
         assert standardize_vect(new.base.carrier)[1] == tuple(range(new.base.size))
         assert validate_dmonoid(new.base) == []
         assert_shortlex_witnesses(new)
+
+
+def test_a_vect_span_of_rank_r_has_p_to_the_r_elements_and_is_capped_before_closing(monkeypatch):
+    """A VECT(p) sub-D-monoid is the span of its words' elements.  On
+    criterion 6's VECT2 generators (and GF(2) off standard form) over {a}
+    and {a, b}, 2^rank is the closure's size wherever the closure stays
+    under the cap, each rank reading one standard basis per call.  The
+    dual numbers over {a, b} (rank 12, so 4,096 elements) raise the cap's
+    message without closing anything (the parent built 513 elements)."""
+    ranks, sizes, perms = [], [], []
+    span_rank, closure, basis_perm = monoids._span_rank, monoids.closure, monoids.standard_basis_perm
+
+    def record_rank(*args):
+        ranks.append(span_rank(*args))
+        return ranks[-1]
+
+    def record_closure(*args, **kwargs):
+        result = closure(*args, **kwargs)
+        sizes.append(len(result[0]))
+        return result
+
+    def record_perm(a):
+        perms.append(a)
+        return basis_perm(a)
+
+    monkeypatch.setattr(monoids, "_span_rank", record_rank)
+    monkeypatch.setattr(monoids, "closure", record_closure)
+    monkeypatch.setattr(monoids, "standard_basis_perm", record_perm)
+    dim1, _ = free_algebra("VECT2", ["x"])
+    generators = {
+        **_generators_for("VECT2"),
+        "gf2-off-standard": make_dmonoid(relabel_algebra(dim1, (1, 0)), ((0, 1), (1, 1)), 0),
+    }
+    for name, d in generators.items():
+        for sigma in ("a", "ab"):
+            ranks.clear(), sizes.clear(), perms.clear()
+            outcome = _outcome(free_monoid_in_simple_pseudovariety, d, sigma)
+            assert perms == [d.carrier], (name, sigma)
+            if (name, sigma) == ("dual-numbers", "ab"):
+                assert outcome == "free monoid exceeded cap 512"
+                assert ranks == [12] and sizes == []
+            else:
+                assert sizes == [2 ** ranks[0]] == [outcome.base.size], (name, sigma)
 
 
 @pytest.mark.parametrize("pair", FIVE_PAIRS)

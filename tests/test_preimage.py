@@ -29,6 +29,7 @@ from predual.preimage import (
     alpha_x,
     check_preimage_laws,
     check_tpre_family,
+    LAWS,
     coalgebra_preimage,
     default_corpus,
     default_morphisms,
@@ -328,6 +329,129 @@ def test_the_transition_law_runs_once_per_morphism_and_still_fails(monkeypatch):
         law: e["checked"] for law, e in clean.items()
     }
     assert len(products) == 2 * instances  # x b and f(x) f(b), once per instance
+
+
+# the check counts of a clean battery on _law_corpus(pair)
+LAW_COUNTS = {
+    "JSL0": {"lrev": 14, "cpre": 70, "proppre": 70, "lempre": 257, "qfprops": 2, "frcom": 80, "tpre": 6},
+    "DL01": {"lrev": 15, "cpre": 68, "proppre": 68, "lempre": 252, "qfprops": 7, "frcom": 54, "tpre": 5},
+    "VECT2": {"lrev": 18, "cpre": 90, "proppre": 90, "lempre": 257, "qfprops": 2, "frcom": 80, "tpre": 6},
+}
+
+
+def test_the_battery_builds_each_law_input_once_per_distinct_value(monkeypatch):
+    """Within one battery Q^f, L . f, Q_x and the free elements of short
+    words are each built once per pair for each distinct value of their
+    arguments (the parent built them 325, 659, 428 and 1,766 times on these
+    three corpora), and tpre reads (aa)* over {a} from the corpus instead
+    of building its variety again."""
+    calls = {name: Counter() for name in
+             ("coalgebra_preimage", "preimage_language", "shift_initial_co", "free_word")}
+    varieties = []
+
+    def counted(name):
+        build = getattr(preimage, name)
+
+        def count(*args):
+            calls[name][args] += 1
+            return build(*args)
+        return count
+
+    def record_variety(pair, langs):
+        varieties.append((pair, *langs))
+        return generated_local_variety(pair, langs)
+
+    corpus = {pair: _law_corpus(pair)[pair] for pair in LAW_COUNTS}
+    for name in calls:
+        monkeypatch.setattr(preimage, name, counted(name))
+    monkeypatch.setattr(preimage, "generated_local_variety", record_variety)
+    report = check_preimage_laws(corpus)
+    assert all(entry["status"] == "holds" for entry in report.values())
+    for pair in LAW_COUNTS:
+        single = check_preimage_laws({pair: corpus[pair]})
+        assert {law: e["checked"] for law, e in single.items()} == LAW_COUNTS[pair]
+    for name, counter in calls.items():
+        assert counter and set(counter.values()) == {2}, name  # once per battery
+    assert {name: len(counter) for name, counter in calls.items()} == {
+        "coalgebra_preimage": 148, "preimage_language": 371,
+        "shift_initial_co": 275, "free_word": 206,
+    }
+    assert len(varieties) == 2 * 3 * len(LAW_COUNTS)  # (bb)*, ∅ over {b} and (ab)*
+    assert all(langs[1] != parse_regex("(aa)*", "a") for langs in varieties)
+
+
+def _stand_in(pair, index):
+    """A morphism of the same alphabets as default_morphisms(tag)[index],
+    with other images: the next default morphism, or for the swap of a
+    and b the identity."""
+    tag = d_tag(pair)
+    return identity_free_morphism(tag, "ab") if index == 9 else default_morphisms(tag)[index + 1]
+
+
+# (pair, construction, index of the morphism read wrongly, the failing
+# laws' witnesses with m the morphism's images and g those of the
+# composition's second morphism), as the battery gave them before it kept
+# its inputs in a table
+LAW_FAULTS = (
+    ("JSL0", "preimage_language", 0, lambda m, g: {
+        "cpre": ("JSL0", "(aa)*", m, 2),
+        "proppre": ("JSL0", "(aa)*", m, 2),
+        "tpre": ("JSL0", None, m),
+    }),
+    ("JSL0", "coalgebra_preimage", 9, lambda m, g: {
+        "proppre": ("JSL0", "(a|b)*a", m, 2),
+        "qfprops": ("composition", "JSL0", "(a|b)*a", m, g),
+        "frcom": ("JSL0", "(a|b)*a", m, (("a", 1),)),
+    }),
+    ("DL01", "preimage_language", 3, lambda m, g: {
+        "cpre": ("DL01", "(a|b)*a", m, 2),
+        "proppre": ("DL01", "(a|b)*a", m, 2),
+    }),
+    ("DL01", "coalgebra_preimage", 9, lambda m, g: {
+        "proppre": ("DL01", "(a|b)*a", m, 2),
+        "qfprops": ("composition", "DL01", "(a|b)*a", m, g),
+        "frcom": ("DL01", "(a|b)*a", m, (("a", 1),)),
+    }),
+    ("VECT2", "preimage_language", 9, lambda m, g: {
+        "cpre": ("VECT2", "(a|b)*a", m, 2),
+        "proppre": ("VECT2", "(a|b)*a", m, 2),
+    }),
+    ("VECT2", "coalgebra_preimage", 9, lambda m, g: {
+        "proppre": ("VECT2", "(a|b)*a", m, 2),
+        "qfprops": ("composition", "VECT2", "(a|b)*a", m, g),
+        "frcom": ("VECT2", "(a|b)*a", m, (("a", 1),)),
+    }),
+)
+
+
+@pytest.mark.parametrize("pair, name, index, witnesses", LAW_FAULTS,
+                         ids=[f"{p}-{n}-{i}" for p, n, i, _ in LAW_FAULTS])
+def test_a_fault_in_one_morphism_still_fails_its_laws(monkeypatch, pair, name, index, witnesses):
+    """L . f or Q^f built along a wrong morphism for one f (every value
+    equal to f, the composition's included) fails the laws that read it,
+    with the witnesses and check counts the battery gave before it built
+    each input once: the table returns an earlier result only for equal
+    arguments, so a fault reaches every law it reached before."""
+    morphisms = default_morphisms(d_tag(pair))
+    bad, stand_in, build = morphisms[index], _stand_in(pair, index), getattr(preimage, name)
+    monkeypatch.setattr(preimage, name, lambda x, f: build(x, stand_in if f == bad else f))
+    report = check_preimage_laws(_law_corpus(pair))
+    second = morphisms[4 if pair in ("JSL0", "VECT2") else 3].images  # the first g into {a, b}
+    expected = witnesses(bad.images, second)
+    assert {law: e["witness"] for law, e in report.items() if e["status"] == "fails"} == expected
+    assert all(report[law]["status"] == "holds" for law in LAWS if law not in expected)
+    assert {law: e["checked"] for law, e in report.items()} == LAW_COUNTS[pair]
+
+
+def test_a_state_cap_of_zero_samples_no_state():
+    """state_cap=0 runs the laws that read no sampled state and checks
+    none of lrev, cpre and proppre (it divided by zero before)."""
+    report = check_preimage_laws(_law_corpus("JSL0"), state_cap=0)
+    assert {law: e["checked"] for law, e in report.items()} == {
+        **LAW_COUNTS["JSL0"], "lrev": 0, "cpre": 0, "proppre": 0,
+    }
+    assert all(entry["status"] == "holds" for entry in report.values())
+    assert preimage._sample_states(_law_corpus("JSL0")["JSL0"]["varieties"][0][1], 0) == []
 
 
 PREIMAGE_SWEEP = SEED_REGEXES + ("(a|b)*abb", "(ab|ba)*", "a*b*", "(aab)*")
