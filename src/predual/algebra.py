@@ -282,6 +282,18 @@ def downset_masks(leq, limit=None) -> list:
     return found
 
 
+def _in_range(values, size) -> bool:
+    """Whether 0 <= v < size for every v in values, read off their min and
+    max.  A NaN compares false with everything, so min and max can pass it
+    by; it makes the sum unequal to itself."""
+    if not values:
+        return True
+    if not (0 <= min(values) and max(values) < size):
+        return False
+    total = sum(values)
+    return total == total
+
+
 def _freeze_table(table, arity, size):
     if arity == 0:
         if not isinstance(table, int) or not (0 <= table < size):
@@ -289,13 +301,13 @@ def _freeze_table(table, arity, size):
         return table
     if arity == 1:
         table = tuple(table)
-        if len(table) != size or any(not (0 <= v < size) for v in table):
+        if len(table) != size or not _in_range(table, size):
             raise StructureError("unary table has wrong shape")
         return table
     if arity == 2:
         table = tuple(tuple(row) for row in table)
         if len(table) != size or any(
-            len(row) != size or any(not (0 <= v < size) for v in row) for row in table
+            len(row) != size or not _in_range(row, size) for row in table
         ):
             raise StructureError("binary table has wrong shape")
         return table

@@ -65,8 +65,10 @@ from .langlib import (
     RegularLanguage,
     _canonical,
     _nerode,
+    element_languages,
     free_word,
     free_zero,
+    from_components,
     make_free,
     mask_languages,
     mask_preimage,
@@ -522,7 +524,11 @@ def _column_lalgebra(pair, seeds, cap):
     for a Birkhoff pair, by their languages' sort keys: BA ranks a column by
     the language of its element, DL01 a column c by that of its up-set
     {n : Q(n) contains c} and orders columns by reverse inclusion, BR ranks
-    as BA behind the basepoint, the empty column.  JSL0 and VECT2 number
+    as BA behind the basepoint, the empty column.  BA and BR read the
+    languages of all elements off the fibers of one multiplication table of
+    M (langlib.element_languages), with no refinement; DL01 minimizes one
+    language per up-set.  The closure adds no column to a Birkhoff pair's,
+    so it starts from them in rank order.  JSL0 and VECT2 number
     their carriers so that the dual coalgebra's states, the variety's
     languages, are in sort-key order and, for VECT2, in the standard basis
     encoding: the element s is paired with the state of the dual that
@@ -554,7 +560,10 @@ def _column_lalgebra(pair, seeds, cap):
     of standardize_vect; the dual of a coalgebra relabelled by P is the
     L-algebra relabelled by (P^-1)^T, which keeps the dot product, so the
     standard-form element y becomes the vector of the y . b over the
-    basis vectors b, and both steps are one renumbering.
+    basis vectors b, and both steps are one renumbering.  The K, the
+    language order and the change of basis are read off the closure's own
+    tables (_variety_order), so every carrier's tables are renumbered once,
+    into their final order, and checked once, by make_algebra.
 
     M is explored and the columns closed under cap, which only JSL0 and
     VECT2 add to, one language of their variety per column; the stage is
@@ -564,7 +573,7 @@ def _column_lalgebra(pair, seeds, cap):
     tag = d_tag(pair)
     birkhoff = pair in BIRKHOFF_PAIRS
     stage = "syntactic monoid" if birkhoff else "language closure"
-    left, derivatives, masks, language = syntactic_masks(seeds, cap, stage)
+    left, derivatives, masks, right = syntactic_masks(seeds, cap, stage)
     alphabet = seeds[0].alphabet
     quotients, _, lefts = closure(dict.fromkeys(masks), derivatives)  # the u^-1 L v^-1
     elements = range(len(left))
@@ -583,26 +592,43 @@ def _column_lalgebra(pair, seeds, cap):
 
     ops = [letter(i) for i in range(len(alphabet))] + set_ops(tag, (1 << len(quotients)) - 1)
     base, first = int(tag == "SET_STAR"), columns
-    if birkhoff:  # the closure adds no column, so it starts from them in rank order
+    if birkhoff:
         if tag == "POS":
-            key = [sum(1 << n for n in elements if columns[n] & c == c) for c in columns]
+            ups = [[n for n in elements if columns[n] & c == c] for c in columns]
+            langs = [from_components(alphabet, right, up, 0) for up in ups]
         else:
-            key = [1 << m for m in elements]
-        langs = {columns[m]: language(key[m]) for m in elements if columns[m] or not base}
-        first = [0] * base + sorted(langs, key=lambda c: langs[c].sort_key())
+            langs = element_languages(alphabet, right)
+        live = [m for m in elements if columns[m] or not base]
+        first = [0] * base + [columns[m] for m in sorted(live, key=lambda m: langs[m].sort_key())]
     closed, _, tables = closure(dict.fromkeys(first), ops, cap, stage=stage)
     structure = dict(zip(signature(tag), tables[len(alphabet):]))
-    order = [[c & d == d for d in closed] for c in closed] if tag == "POS" else None
-    carrier = make_algebra(tag, len(closed), structure, order)
-    trans = tuple(sorted(zip(alphabet, map(tuple, tables))))
-    a = LAlgebra(pair, alphabet, carrier, trans, closed.index(columns[0]))
     if birkhoff:
-        return a
-    xs = range(len(closed))
+        order = range(len(closed))
+    else:
+        order = _variety_order(tag, alphabet, derivatives, columns, closed, structure)
+    pos = inverse_perm(order)
+    closed = [closed[x] for x in order]
+    matrix = [[c & d == d for d in closed] for c in closed] if tag == "POS" else None
+    carrier = make_algebra(
+        tag, len(closed), {name: _renumber(t, order, pos) for name, t in structure.items()}, matrix
+    )
+    trans = tuple(sorted((a, _renumber(t, order, pos)) for a, t in zip(alphabet, tables)))
+    return LAlgebra(pair, alphabet, carrier, trans, closed.index(columns[0]))
+
+
+def _variety_order(tag, alphabet, derivatives, columns, closed, structure) -> list:
+    """The numbering _column_lalgebra gives a JSL0 or VECT2 column closure,
+    as the old index of each new element.  closed and structure are the
+    closure's elements and D-side tables; the K, their languages and, for
+    VECT2, the standard forms are read off them, the tables viewed unchecked
+    as an algebra, of which standard_basis_perm reads only the zero, the sum
+    and the scalings."""
+    elements, xs = range(len(columns)), range(len(closed))
     if tag == "JSL0":
         ks = [sum(1 << m for m in elements if columns[m] & ~s) for s in closed]
     else:
-        code, index = standard_basis_perm(carrier), {s: x for x, s in enumerate(closed)}
+        raw = FinAlgebra(tag, len(closed), tuple(sorted(structure.items())))
+        code, index = standard_basis_perm(raw), {s: x for x, s in enumerate(closed)}
         c = [code[index[column]] for column in columns]
         ks = [sum(1 << m for m in elements if (code[x] & c[m]).bit_count() & 1) for x in xs]
     state = {k: x for x, k in enumerate(ks)}
@@ -613,13 +639,14 @@ def _column_lalgebra(pair, seeds, cap):
     )
     langs = mask_languages(alphabet, ks, delta)
     order = sorted(xs, key=lambda x: langs[x].sort_key())
-    if tag != "JSL0":  # y becomes the vector of the b . y, b the basis along language order
-        basis = inverse_perm(standard_basis_perm(carrier, order))
-        rows = [code[basis[1 << i]] for i in range(len(closed).bit_length() - 1)]
-        order = inverse_perm([
-            sum(((b & code[x]).bit_count() & 1) << i for i, b in enumerate(rows)) for x in xs
-        ])
-    return _reordered(a, order)
+    if tag == "JSL0":
+        return order
+    # y becomes the vector of the b . y, b the basis along language order
+    basis = inverse_perm(standard_basis_perm(raw, order))
+    rows = [code[basis[1 << i]] for i in range(len(closed).bit_length() - 1)]
+    return inverse_perm([
+        sum(((b & code[x]).bit_count() & 1) << i for i, b in enumerate(rows)) for x in xs
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -632,12 +659,17 @@ def dual_generated_monoid(a) -> GeneratedDMonoid:
     a is an L-algebra such as syntactic_lalgebra's; a local variety given as
     a coalgebra is checked and dualized first.  The carrier is a's states;
     the unit is e(eps) = init, the multiplication is defined on
-    representatives via e(x) o e(y) = e(x * y).  Word representatives are
-    shortlex-minimal (breadth-first); elements not reachable by words alone
-    (possible outside SET/POS) get canonical D-combinations of word
-    representatives.  StructureError is raised unless the carrier is
-    generated by words and D-operations, the table passes validate_dmonoid
-    and its associated L-algebra is a.
+    representatives via e(x) o e(y) = e(x * y).  Each element's
+    representative is the least combination, in FreeElement.sort_key order,
+    of the shortlex-minimal words (found breadth-first) that evaluates to it
+    (_shortlex_reprs); elements no word reaches (possible outside SET/POS)
+    get a D-combination of words.  Only where that search misses an element
+    (SET and POS, more than 12 words, or a carrier the words do not
+    generate) are the words closed under the D-operations (dmonoid_closure):
+    each element then keeps its shortlex-minimal word or closure witness
+    unless the search found it.  StructureError is raised unless the carrier
+    is generated by words and D-operations, the table passes
+    validate_dmonoid and its associated L-algebra is a.
 
     The table is built column by column.  The column of a word w is alpha_w
     as a table, x -> e(x * w); each explored word's column is read off its
@@ -662,13 +694,16 @@ def dual_generated_monoid(a) -> GeneratedDMonoid:
         delta, [a.tr(letter) for letter in alphabet], tuple(range(n)),
         lambda column, t: tuple(map(t.__getitem__, column)),
     )
-    reprs = {s: free_word(tag, alphabet, w) for s, w in zip(states, words)}
-    if len(reprs) < n:
-        elements, witnesses, _ = dmonoid_closure(reprs, a.states)
-        reprs = dict(zip(elements, witnesses))
-    if len(reprs) < n:
-        raise StructureError("carrier not generated by words and D-operations")
-    _minimize_reprs(a, reprs, dict(zip(words, states)))
+    reprs = _shortlex_reprs(a, dict(zip(words, states)))
+    if len(reprs) < n:  # the search missed an element: build the rest from the words
+        found = reprs
+        reprs = {s: free_word(tag, alphabet, w) for s, w in zip(states, words)}
+        if len(reprs) < n:
+            elements, witnesses, _ = dmonoid_closure(reprs, a.states)
+            reprs = dict(zip(elements, witnesses))
+        if len(reprs) < n:
+            raise StructureError("carrier not generated by words and D-operations")
+        reprs.update(found)
     column_of = dict(zip(words, columns))
     mult = tuple(zip(*(
         combine_columns(a.states, [(column_of[w], c) for w, c in reprs[y].pairs], n)
@@ -685,31 +720,29 @@ def dual_generated_monoid(a) -> GeneratedDMonoid:
     return g
 
 
-def _minimize_reprs(a: LAlgebra, reprs: dict, state_of: dict):
-    """Replace representatives by shortlex-minimal combinations of word reps.
+def _shortlex_reprs(a: LAlgebra, state_of: dict) -> dict:
+    """Each element's least combination of the words of state_of, a dict
+    from each shortlex-minimal word to the state it reaches, as a dict from
+    element to FreeElement; an element the search misses is left out.
 
     The candidates are the zero and the canonical combinations of the
-    representatives' words, in FreeElement.sort_key order (SET_STAR: the
-    zero and single words; no candidates above 12 words); each element
-    takes the first candidate that evaluates to it.  state_of maps each
-    word to the state it reaches, so a candidate is evaluated by folding
-    the carrier's tables over its terms in order, as combine_elements does;
-    a FreeElement is made only for a candidate that is kept.
+    words, in FreeElement.sort_key order (SET_STAR: the zero and single
+    words; none for SET and POS, or above 12 words); each element takes the
+    first candidate that evaluates to it.  A candidate is evaluated by
+    folding the carrier's tables over its terms in order, as
+    combine_elements does; a FreeElement is made only for a candidate that
+    is kept.  The search stops once every element has one.
     """
     tag = a.states.tag
-    if tag in ("SET", "POS"):
-        return
-    words = sorted(
-        {w for fe in reprs.values() for w, _ in fe.pairs}, key=lambda w: (len(w), w)
-    )
+    words = sorted(state_of, key=lambda w: (len(w), w))
+    if tag in ("SET", "POS") or (tag != "SET_STAR" and len(words) > 12):
+        return {}
     zero = a.states.op("point" if tag == "SET_STAR" else "zero")  # the empty combination
     best = {zero: free_zero(tag, a.alphabet)}
     if tag == "SET_STAR":
         for w in words:
             if state_of[w] not in best:
                 best[state_of[w]] = free_word(tag, a.alphabet, w)
-    elif len(words) > 12:
-        return  # candidate pool too large; keep constructed reps
     else:
         p = vect_prime(tag)
         plus = a.states.op("join" if p is None else "add")
@@ -736,9 +769,7 @@ def _minimize_reprs(a: LAlgebra, reprs: dict, state_of: dict):
         for r in range(1, len(words) + 1):
             if len(best) == a.states.size or not extend(zero, 0, r, ()):
                 break
-    for elem in reprs:
-        if elem in best:
-            reprs[elem] = best[elem]
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from operator import or_, xor
 from .algebra import (
     KeepsDerived,
     StructureError,
+    along_shortlex_words,
     closure,
     derived,
     explore,
@@ -675,14 +676,17 @@ def syntactic_masks(seeds, cap, stage):
 
     M is the transition monoid of the disjoint union of the seeds' minimal
     DFAs (Syn(L) for one seed), built by explore from the unit, element 0,
-    under cap and stage.  Returns (left, derivatives, masks, language):
+    under cap and stage.  Returns (left, derivatives, masks, right):
 
     - left[m][i] is a m for the i-th letter a;
     - derivatives are the left and then the right derivative by each letter
       as closure() ops on bitmasks over M, the preimage of a mask under the
       left or right Cayley table;
     - masks[k] is the bitmask of the elements whose words lie in seeds[k];
-    - language(mask) is the language of the words whose class lies in mask.
+    - right[m][i] is m a, the right Cayley table: read from the unit it is
+      a DFA that the words of class m take to the state m, so the language
+      of the words whose class lies in a mask is
+      from_components(alphabet, right, the mask's elements, 0).
     """
     seeds = list(seeds)
     if not seeds:
@@ -708,11 +712,31 @@ def syntactic_masks(seeds, cap, stage):
         for cayley in (left, right) for i in range(len(columns))
     ]
     masks = [sum(1 << m for m, t in enumerate(tables) if t[s] in finals) for s in starts]
+    return left, derivatives, masks, right
 
-    def language(mask):
-        return from_components(alphabet, right, [m for m in range(len(right)) if mask >> m & 1], 0)
 
-    return left, derivatives, masks, language
+def element_languages(alphabet, right) -> list:
+    """The language {w : [w] = m} of each element m of a syntactic_masks
+    monoid, from its right Cayley table right, with no refinement.
+
+    Read from the unit, right is a DFA whose state s accepts the words w
+    with s [w] = m for the language of m, so the Nerode class of s is told
+    by its fiber {x : s x = m}, a bitmask over M.  One multiplication table gives every
+    fiber: the column x -> s x of each x is filled along the breadth-first
+    word tree of the table, from its parent's column, and the fibers, passed
+    to _canonical as the partition, number each language.
+    """
+    n = len(right)
+    columns = along_shortlex_words(
+        right, range(len(alphabet)), tuple(range(n)),
+        lambda column, i: tuple([right[t][i] for t in column]),
+    )
+    fibers = [[0] * n for _ in range(n)]  # fibers[m][s]: the x with s x = m
+    for x, column in enumerate(columns):
+        bit = 1 << x
+        for s, m in enumerate(column):
+            fibers[m][s] |= bit
+    return [_canonical(alphabet, right, fibers[m], {m}, 0) for m in range(n)]
 
 
 def closure_under_ops_and_derivs(tag: str, seeds, cap: int = 4096) -> list:

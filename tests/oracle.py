@@ -15,7 +15,10 @@ built on the syntactic monoid's quotient columns.
 generated_local_variety_by_duals and syntactic_lalgebra_by_duals are the
 routes predual had before it read the JSL0 and VECT2 languages off masks
 over the syntactic monoid: the column closure in closure order, its dual
-refined, sorted by its languages and dualized back.
+refined, sorted by its languages and dualized back.  For BA, DL01 and BR
+they rank the columns as predual did before it read each element's
+language off the fibers of one multiplication table: one _minimize of the
+right Cayley DFA per element (element_languages_by_minimize).
 verify_preduality_by_compose shares the dualization formulas with predual
 and evaluates the duality laws on AlgMorphism objects with compose, as
 verify_preduality once did.
@@ -318,31 +321,68 @@ def closure_local_variety(pair, seeds, cap=4096):
 
 # ---------------------------------------------------------------------------
 # the syntactic L-algebra through its dual, as syntactic_lalgebra and
-# generated_local_variety once built it for JSL0 and VECT2
+# generated_local_variety once built it: JSL0 and VECT2 in closure order,
+# BA, DL01 and BR ranked by one minimization per element
 
 
-def column_lalgebra_in_closure_order(pair, seeds, cap=4096):
-    """automata._column_lalgebra as it was for JSL0 and VECT2: the columns
-    closed under the letters, each acting on a mask as the preimage under
-    its left-derivative table of the quotients, and the pair's set
-    operations, numbered in closure order, VECT2 then in the standard basis
-    encoding."""
+def _column_closure(pair, seeds, cap, stage, rank=None):
+    """The L-algebra on the closure of the seeds' quotient columns under the
+    letters, each acting on a mask as the preimage under its left-derivative
+    table of the quotients, and the pair's set operations, numbered in
+    closure order from rank(alphabet, columns, right), the columns in rank
+    order (default: in element order)."""
     seeds = list(seeds)
     tag = d_tag(pair)
-    left, derivatives, masks, _ = langlib.syntactic_masks(seeds, cap, "language closure")
+    left, derivatives, masks, right = langlib.syntactic_masks(seeds, cap, stage)
     alphabet = seeds[0].alphabet
     quotients, _, lefts = closure(dict.fromkeys(masks), derivatives)
     columns = [sum(1 << i for i, q in enumerate(quotients) if q >> m & 1) for m in range(len(left))]
+    first = columns if rank is None else rank(alphabet, columns, right)
     ops = [(1, langlib.mask_preimage(lefts[i]), False) for i in range(len(alphabet))]
     ops += set_ops(tag, (1 << len(quotients)) - 1)
-    closed, _, tables = closure(dict.fromkeys(columns), ops, cap, stage="language closure")
-    carrier = make_algebra(tag, len(closed), dict(zip(signature(tag), tables[len(alphabet):])))
+    closed, _, tables = closure(dict.fromkeys(first), ops, cap, stage=stage)
+    order = [[c & d == d for d in closed] for c in closed] if tag == "POS" else None
+    structure = dict(zip(signature(tag), tables[len(alphabet):]))
+    carrier = make_algebra(tag, len(closed), structure, order)
     trans = tuple(sorted(zip(alphabet, map(tuple, tables))))
-    a = LAlgebra(pair, alphabet, carrier, trans, closed.index(columns[0]))
-    if vect_prime(tag) is None:
+    return LAlgebra(pair, alphabet, carrier, trans, closed.index(columns[0]))
+
+
+def column_lalgebra_in_closure_order(pair, seeds, cap=4096):
+    """automata._column_lalgebra as it was for JSL0 and VECT2: the column
+    closure in closure order, VECT2 then in the standard basis encoding."""
+    a = _column_closure(pair, seeds, cap, "language closure")
+    if vect_prime(a.states.tag) is None:
         return a
-    code = standard_basis_perm(carrier)
-    return automata._reordered(a, sorted(range(len(closed)), key=code.__getitem__))
+    code = standard_basis_perm(a.states)
+    return automata._reordered(a, sorted(range(a.states.size), key=code.__getitem__))
+
+
+def element_languages_by_minimize(alphabet, right):
+    """langlib.element_languages as automata had it: the language of each
+    element m, one _minimize of the right Cayley DFA with m its one final."""
+    return [langlib.from_components(alphabet, right, [m], 0) for m in range(len(right))]
+
+
+def column_lalgebra_ranked_by_minimize(pair, seeds, cap=4096):
+    """automata._column_lalgebra as it was for BA, DL01 and BR: the column
+    closure, which adds no column, from the columns sorted by a language
+    minimized per element, BA and BR's the element's
+    (element_languages_by_minimize), DL01's that of its up-set
+    {n : Q(n) contains Q(m)}; BR's basepoint, the empty column, first."""
+    tag = d_tag(pair)
+    base = int(tag == "SET_STAR")
+
+    def rank(alphabet, columns, right):
+        if tag == "POS":
+            ups = [[n for n, d in enumerate(columns) if d & c == c] for c in columns]
+            langs = [langlib.from_components(alphabet, right, up, 0) for up in ups]
+        else:
+            langs = element_languages_by_minimize(alphabet, right)
+        live = [m for m, c in enumerate(columns) if c or not base]
+        return [0] * base + [columns[m] for m in sorted(live, key=lambda m: langs[m].sort_key())]
+
+    return _column_closure(pair, seeds, cap, "syntactic monoid", rank)
 
 
 def generated_local_variety_by_duals(pair, seeds, cap=4096):
@@ -352,7 +392,7 @@ def generated_local_variety_by_duals(pair, seeds, cap=4096):
     if pair not in BIRKHOFF_PAIRS:
         q = automata.dual_automaton_inv(column_lalgebra_in_closure_order(pair, seeds, cap))
     else:
-        a = automata._column_lalgebra(pair, seeds, cap)
+        a = column_lalgebra_ranked_by_minimize(pair, seeds, cap)
         base = int(pair == "BR")
         if len(downset_masks([row[base:] for row in a.states.leq[base:]], cap)) > cap:
             raise CapExceeded(f"local variety exceeded cap {cap}")

@@ -5,6 +5,7 @@ import re
 import pytest
 
 import oracle
+from predual import algebra
 from predual.algebra import (
     ALL_TAGS,
     AlgMorphism,
@@ -710,3 +711,35 @@ def test_morphisms_at_generators_accept_what_the_full_check_accepts(tag):
         assert ok or _preserved_fails_at(f, why), why
         maps, rejected = maps + 1, rejected + (not ok)
     assert maps > rejected > 0
+
+
+BA2 = {"meet": ((0, 0), (0, 1)), "join": ((0, 1), (1, 1)), "not": (1, 0), "zero": 0, "one": 1}
+
+
+@pytest.mark.parametrize(
+    "name, table, message",
+    [
+        ("not", (1, 2), "unary table has wrong shape"),
+        ("not", (-1, 0), "unary table has wrong shape"),
+        ("not", (1,), "unary table has wrong shape"),
+        ("not", (1, float("nan")), "unary table has wrong shape"),
+        ("not", (float("nan"), 1), "unary table has wrong shape"),
+        ("not", (1, float("inf")), "unary table has wrong shape"),
+        ("meet", ((0, 0), (0, 2)), "binary table has wrong shape"),
+        ("meet", ((0, 0), (-1, 1)), "binary table has wrong shape"),
+        ("meet", ((0, 0), (0,)), "binary table has wrong shape"),
+        ("meet", ((0, 0), (0, 1), (0, 1)), "binary table has wrong shape"),
+        ("meet", ((0, 0), (float("nan"), 1)), "binary table has wrong shape"),
+        ("zero", 2, "constant out of range: 2"),
+    ],
+)
+def test_make_algebra_checks_each_entry_range(name, table, message):
+    with pytest.raises(StructureError, match=f"^{re.escape(message)}$"):
+        make_algebra("BA", 2, {**BA2, name: table})
+
+
+def test_an_empty_table_is_in_range():
+    # the carrier of size 0 has no entry to take a min or max of
+    assert algebra._freeze_table([], 1, 0) == ()
+    assert algebra._freeze_table([], 2, 0) == ()
+    assert make_algebra("BA", 2, BA2).op("not") == (1, 0)

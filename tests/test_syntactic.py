@@ -33,9 +33,10 @@ import oracle
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from predual import algebra, automata, duality
-from predual.algebra import CapExceeded, explore, free_algebra, make_algebra
+from predual import algebra, automata, duality, langlib
+from predual.algebra import CapExceeded, StructureError, explore, free_algebra, make_algebra
 from predual.automata import (
+    SYNTACTIC_CAP,
     dual_automaton,
     dual_generated_monoid,
     eval_free,
@@ -46,7 +47,13 @@ from predual.automata import (
 )
 from predual.cli import main
 from predual.duality import MAIN_PAIRS
-from predual.langlib import closure_under_ops_and_derivs, free_mul, parse_regex
+from predual.langlib import (
+    closure_under_ops_and_derivs,
+    element_languages,
+    free_mul,
+    parse_regex,
+    syntactic_masks,
+)
 from predual.monoids import DMonoid, make_dmonoid, transition_dmonoid, validate_dmonoid
 from predual.preimage import default_seed_languages
 from predual.serialize import dumps, generated_dmonoid_doc
@@ -159,11 +166,11 @@ def test_mask_closure_equals_the_product_closure(tag):
             assert closures_of(tag, seeds, size - 1) == [message] * 2, (tag, regexes)
 
 
-def regexes(depth):
-    """Regexes over {a, b} of nesting depth at most depth."""
+def regexes(depth, letters="ab"):
+    """Regexes over letters of nesting depth at most depth."""
     if depth == 0:
-        return st.sampled_from(["a", "b", "ε", "∅"])
-    sub = regexes(depth - 1)
+        return st.sampled_from([*letters, "ε", "∅"])
+    sub = regexes(depth - 1, letters)
     return st.one_of(
         sub,
         st.builds("({}{})".format, sub, sub),
@@ -290,6 +297,114 @@ def test_an_element_no_word_reaches_gets_a_scaled_word():
     assert [fe.pairs for _, fe in g.reprs] == [(), (("", 1),), (("", 2),)]
     assert g.base.mult == ((0, 0, 0), (0, 1, 2), (0, 2, 1))
     assert (g.base.mult, g.reprs) == oracle.dual_monoid_entries(a)
+
+
+def ranked_alike(regex, alphabet):
+    """Each element's language read off the fibers of one multiplication
+    table against one _minimize per element, and the BA and BR syntactic
+    L-algebras, which rank their carriers by them, against the per-element
+    ranking of oracle.column_lalgebra_ranked_by_minimize."""
+    seeds = [parse_regex(regex, alphabet)]
+    try:
+        right = syntactic_masks(seeds, SYNTACTIC_CAP, "syntactic monoid")[3]
+    except CapExceeded:
+        return
+    languages = element_languages(alphabet, right)
+    assert languages == oracle.element_languages_by_minimize(alphabet, right), (regex, alphabet)
+    for pair in ("BA", "BR"):
+        want = oracle.column_lalgebra_ranked_by_minimize(pair, seeds, SYNTACTIC_CAP)
+        assert syntactic_lalgebra(pair, seeds) == want, (pair, regex, alphabet)
+
+
+def test_fiber_ranking_equals_one_minimization_per_element():
+    for rx, alphabet in CORPUS:
+        ranked_alike(rx, alphabet)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(["a", "ab", "ba"]).flatmap(
+        lambda alphabet: st.tuples(regexes(3, "a" if alphabet == "a" else "ab"), st.just(alphabet))
+    )
+)
+def test_fiber_ranking_equals_one_minimization_per_element_on_random_regexes(case):
+    ranked_alike(*case)
+
+
+def watch(monkeypatch, home, names):
+    """Record (name, whether within _column_lalgebra) for each call of the
+    named functions of home, a module, while the test runs."""
+    calls, within = [], []
+    column_lalgebra = automata._column_lalgebra
+
+    def watched_column_lalgebra(*args):
+        within.append(True)
+        try:
+            return column_lalgebra(*args)
+        finally:
+            within.pop()
+
+    monkeypatch.setattr(automata, "_column_lalgebra", watched_column_lalgebra)
+    for name in names:
+        original = getattr(home, name)
+
+        def watched(*args, name=name, original=original):
+            calls.append((name, bool(within)))
+            return original(*args)
+
+        monkeypatch.setattr(home, name, watched)
+    return calls
+
+
+@pytest.mark.parametrize("tag", ["JSL0", "VECT2"])
+def test_a_jsl0_or_vect2_carrier_is_built_once_in_its_final_order(monkeypatch, tag):
+    calls = watch(monkeypatch, automata, ["make_algebra", "dmonoid_closure", "_reordered"])
+    code, out, err = run_cli("syntactic", "--tag", tag, "--regex", "(ab)*")
+    assert (code, err) == (0, "") and out.startswith("order 16 dual generated D-monoid\n")
+    # one checked carrier, no copy, and the words' search needs no closure
+    assert calls == [("make_algebra", True)]
+    seeds = [parse_regex("(ab)*")]
+    assert syntactic_lalgebra(tag, seeds) == oracle.syntactic_lalgebra_by_duals(tag, seeds)
+
+
+def test_ba_syntactic_ranks_its_carrier_with_no_minimization(monkeypatch):
+    calls = watch(monkeypatch, langlib, ["_minimize"])
+    for tag, inside in [("BA", 0), ("BR", 0), ("DL01", 6)]:  # DL01: one per up-set
+        calls.clear()
+        code, out, err = run_cli("syntactic", "--tag", tag, "--regex", "(ab)*")
+        assert (code, err) == (0, "")
+        assert calls.count(("_minimize", True)) == inside, tag
+
+
+@pytest.mark.parametrize(
+    "pair, regex, closures",
+    [
+        ("JSL0", "(ab)*", 0), ("VECT2", "(ab)*", 0), ("BR", "(ab)*", 0),
+        ("JSL0", "(a|b)*abb", 0), ("BR", "(ab|ba)*", 0),
+        # 15 words: too many to search, so the words are closed
+        ("VECT2", "(ab|ba)*", 1), ("JSL0", "(ab|ba)*", 1),
+    ],
+)
+def test_representatives_are_searched_first_and_closed_where_the_search_misses(
+    monkeypatch, pair, regex, closures
+):
+    a = syntactic_lalgebra(pair, [parse_regex(regex)])
+    calls = watch(monkeypatch, automata, ["dmonoid_closure"])
+    g = dual_generated_monoid(a)
+    assert len(calls) == closures
+    assert (g.base.mult, g.reprs) == oracle.dual_monoid_entries(a)
+
+
+@pytest.mark.parametrize("tag", ["JSL0", "VECT2"])
+def test_a_carrier_the_words_do_not_generate_is_refused(monkeypatch, tag):
+    # the letter fixes the first generator, which alone the words reach
+    # (the pair and its D-side share the tag)
+    carrier, gens = free_algebra(tag, ["u", "v"])
+    a = make_lalgebra(tag, "a", carrier, {"a": tuple(range(carrier.size))}, gens[0])
+    calls = watch(monkeypatch, automata, ["dmonoid_closure"])
+    with pytest.raises(StructureError, match="^carrier not generated by words and D-operations$"):
+        dual_generated_monoid(a)
+    assert len(calls) == 1
 
 
 def test_syntactic_builds_its_monoid_without_per_entry_combinations(monkeypatch):
