@@ -5,7 +5,10 @@ For every pair, generated_local_variety dualizes the L-algebra built on the
 syntactic monoid from the columns of its quotients, and syntactic returns
 that L-algebra; for JSL0 and VECT2 it is numbered by the languages read off
 masks over the monoid, where oracle.syntactic_lalgebra_by_duals dualizes
-the variety back, as syntactic once did, and both must be equal.
+the variety back, as syntactic once did, and both must be equal.  For BA
+and BR it is ranked by each element's language, read off the fibers of one
+multiplication table (langlib.element_languages), where
+oracle.column_lalgebra_ranked_by_minimize minimizes once per element.
 oracle.closure_local_variety closes the seed languages under derivatives
 and the language operations instead, as generated_local_variety once did;
 both routes must give the same variety, tables included, and the same
