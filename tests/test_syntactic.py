@@ -370,7 +370,7 @@ def test_a_jsl0_or_vect2_carrier_is_built_once_in_its_final_order(monkeypatch, t
     assert syntactic_lalgebra(tag, seeds) == oracle.syntactic_lalgebra_by_duals(tag, seeds)
 
 
-def test_ba_syntactic_ranks_its_carrier_with_no_minimization(monkeypatch):
+def test_ba_and_br_syntactic_rank_their_carriers_with_no_minimization(monkeypatch):
     calls = watch(monkeypatch, langlib, ["_minimize"])
     for tag, inside in [("BA", 0), ("BR", 0), ("DL01", 6)]:  # DL01: one per up-set
         calls.clear()
