@@ -39,7 +39,7 @@ from .algebra import (
     inverse_perm,
     make_algebra,
     product,
-    relabel_algebra,
+    set_algebra,
     set_ops,
     shortlex_words,
     signature,
@@ -440,40 +440,37 @@ def generated_local_variety(pair: str, seeds, cap: int = 4096) -> Coalgebra:
     Its states are its languages in sort-key order with the pair's C-side
     structure, transitions are left derivatives and the output is acceptance
     of the empty word; VECT2 states then take the standard basis encoding,
-    which dual maps read.  For every pair it is the dual coalgebra of
-    _column_lalgebra's L-algebra, a local variety by that construction and
-    not checked as one.  That L-algebra numbers a JSL0 or VECT2 carrier so
-    that its dual is already in this order; the dual of a Birkhoff pair's
-    numbers its down-sets as bitmasks and is renumbered here.  The languages
-    of its states, read off the coalgebra's kept Nerode partition, must be
-    pairwise distinct, the first criterion of is_subcoalgebra_of_rho.
-    CapExceeded is raised above cap languages, before the dual is taken: by
-    _column_lalgebra for JSL0 and VECT2, one language per column, and here
-    for a Birkhoff pair, one per down-set of the points.
+    which dual maps read.  It is the dual of _column_lalgebra's L-algebra, a
+    local variety by that construction and not checked as one.  JSL0 and
+    VECT2 take that dual, already in this order, and its states' languages,
+    read off its kept Nerode partition, must be pairwise distinct.  For a
+    Birkhoff pair a down-set of the points accepts the OR of its points'
+    masks over M, by Birkhoff duality a lattice isomorphism onto the
+    variety: the points' languages are its join-irreducibles (BA and BR
+    {w : [w] = m}; DL01, after Pin, the up-set {n : Q(n) contains Q(m)},
+    held by every down-set that holds m, so 1 << m gives the same OR) and
+    each language is the join of those below it.  The masks, in
+    _language_order, are the states and their set algebra the carrier.
+    CapExceeded is raised above cap languages, one per column for JSL0 and
+    VECT2 (by _column_lalgebra) and one per down-set for a Birkhoff pair.
     """
-    a = _column_lalgebra(pair, seeds, cap)
-    birkhoff = pair in BIRKHOFF_PAIRS
-    if birkhoff:  # one language per down-set of the points
-        base = int(d_tag(pair) == "SET_STAR")
-        if len(downset_masks([row[base:] for row in a.states.leq[base:]], cap)) > cap:
-            raise CapExceeded(f"local variety exceeded cap {cap}")
-    q = dual_automaton_inv(a)
-    distinct = len(set(_partition(q)[2].values())) == q.states.size
-    check_invariant(distinct, "two states of the dual coalgebra accept one language")
-    if not birkhoff:
+    a, points, derivatives = _column_lalgebra(pair, seeds, cap)
+    if points is None:
+        q = dual_automaton_inv(a)
+        distinct = len(set(_partition(q)[2].values())) == q.states.size
+        check_invariant(distinct, "two states of the dual coalgebra accept one language")
         return q
-    langs = languages_of(q)
-    return _reordered(q, sorted(range(len(langs)), key=lambda s: langs[s].sort_key()))
-
-
-def _reordered(m, order):
-    """The coalgebra or L-algebra m with its states renumbered, order[x]
-    becoming x."""
-    perm = inverse_perm(order)
-    states, trans = relabel_algebra(m.states, perm), _relabel_trans(order, m.trans)
-    if isinstance(m, LAlgebra):
-        return LAlgebra(m.pair, m.alphabet, states, trans, perm[m.init])
-    return Coalgebra(m.pair, m.alphabet, states, trans, tuple(map(m.out.__getitem__, order)))
+    base = int(d_tag(pair) == "SET_STAR")
+    downsets = downset_masks([row[base:] for row in a.states.leq[base:]], cap)
+    if len(downsets) > cap:
+        raise CapExceeded(f"local variety exceeded cap {cap}")
+    ks = [sum(1 << m for i, m in enumerate(points) if d >> i & 1) for d in downsets]
+    order, delta = _language_order(a.alphabet, derivatives, ks)
+    pos, masks = inverse_perm(order), [ks[x] for x in order]
+    states = set_algebra(pair, masks, max(masks))
+    check_invariant(states.size == len(masks), "the languages of the down-sets are not closed")
+    trans = sorted((c, tuple(pos[delta[x][i]] for x in order)) for i, c in enumerate(a.alphabet))
+    return Coalgebra(pair, a.alphabet, states, tuple(trans), tuple(k & 1 for k in masks))
 
 
 # ---------------------------------------------------------------------------
@@ -491,14 +488,16 @@ def syntactic_lalgebra(pair: str, seeds) -> LAlgebra:
     SYNTACTIC_CAP for a Birkhoff pair and generated_local_variety's, 4096
     languages, for JSL0 and VECT2.
     """
-    return _column_lalgebra(pair, seeds, SYNTACTIC_CAP if pair in BIRKHOFF_PAIRS else 4096)
+    return _column_lalgebra(pair, seeds, SYNTACTIC_CAP if pair in BIRKHOFF_PAIRS else 4096)[0]
 
 
 def _column_lalgebra(pair, seeds, cap):
     """The syntactic L-algebra of the seeds, the dual of their local
-    variety, built on their syntactic monoid M for every pair: the
-    syntactic D-monoid is the transition D-monoid of the minimal automaton
-    (Adamek, Milius and Urbat).
+    variety, built on their syntactic monoid M for every pair (Adamek,
+    Milius and Urbat: the syntactic D-monoid is the transition D-monoid of
+    the minimal automaton), returned with a Birkhoff carrier's points, in
+    its order behind BR's basepoint, as elements of M (None for JSL0 and
+    VECT2) and with syntactic_masks' derivatives.
 
     M is Syn(L) for one seed, the subdirect product of the seeds' syntactic
     monoids for several (langlib.syntactic_masks).  The quotients
@@ -520,20 +519,19 @@ def _column_lalgebra(pair, seeds, cap):
     u^-1 L (v a)^-1, is a quotient; a derivative is a preimage, and the
     C-side operations are set operations, which commute with preimages.
 
-    Carriers are numbered as dual_object numbers the points of the variety
-    for a Birkhoff pair, by their languages' sort keys: BA ranks a column by
-    the language of its element, DL01 a column c by that of its up-set
+    A Birkhoff carrier is numbered as dual_object numbers the points of the
+    variety, by their languages' sort keys: BA ranks a column by the
+    language of its element, DL01 a column c by that of its up-set
     {n : Q(n) contains c} and orders columns by reverse inclusion, BR ranks
     as BA behind the basepoint, the empty column.  BA and BR read the
     languages of all elements off the fibers of one multiplication table of
     M (langlib.element_languages), with no refinement; DL01 minimizes one
-    language per up-set.  The closure adds no column to a Birkhoff pair's,
-    so it starts from them in rank order.  JSL0 and VECT2 number
-    their carriers so that the dual coalgebra's states, the variety's
-    languages, are in sort-key order and, for VECT2, in the standard basis
-    encoding: the element s is paired with the state of the dual that
-    accepts the language of the words whose class lies in K_s, a set of
-    elements of M.
+    language per up-set.  The closure adds no column to these, so it starts
+    from them in rank order.  JSL0 and VECT2 number their carriers so that
+    the dual's states, the variety's languages, are in sort-key order and,
+    for VECT2, in the standard basis encoding: the element s is paired with
+    the state of the dual that accepts the words whose class lies in K_s, a
+    set of elements of M.
 
     - JSL0: K_s = {m : Q(m) is not below s}.  The dual's transition by a is
       the right adjoint of a's action and its output is 1 at s iff init is
@@ -551,19 +549,17 @@ def _column_lalgebra(pair, seeds, cap):
       K_{A^T y}.
 
     Each K is a language of the variety, and the K are closed under left
-    derivatives (a preimage under M's left Cayley table), so with those
-    tables they are a minimal DFA whose finals hold the unit, and every
-    language is read off it by _canonical, with no refinement; a K met
-    twice, or a derivative that is no K, is an internal error.  JSL0 is
-    renumbered in language order.  For VECT2, P takes the standard form to
-    the standard basis picked along language order, the states' relabelling
-    of standardize_vect; the dual of a coalgebra relabelled by P is the
-    L-algebra relabelled by (P^-1)^T, which keeps the dot product, so the
-    standard-form element y becomes the vector of the y . b over the
-    basis vectors b, and both steps are one renumbering.  The K, the
-    language order and the change of basis are read off the closure's own
-    tables (_variety_order), so every carrier's tables are renumbered once,
-    into their final order, and checked once, by make_algebra.
+    derivatives (a preimage under M's left Cayley table), so they are read
+    as languages by _language_order.  JSL0 is renumbered in language order.
+    For VECT2, P takes the standard form to the standard basis picked along
+    language order, the states' relabelling of standardize_vect; the dual
+    of a coalgebra relabelled by P is the L-algebra relabelled by
+    (P^-1)^T, which keeps the dot product, so the standard-form element y
+    becomes the vector of the y . b over the basis vectors b, and both
+    steps are one renumbering.  The K, the language order and the change of
+    basis are read off the closure's own tables (_variety_order), so every
+    carrier's tables are renumbered once, into their final order, and
+    checked once, by make_algebra.
 
     M is explored and the columns closed under cap, which only JSL0 and
     VECT2 add to, one language of their variety per column; the stage is
@@ -591,21 +587,21 @@ def _column_lalgebra(pair, seeds, cap):
         return 1, act, False
 
     ops = [letter(i) for i in range(len(alphabet))] + set_ops(tag, (1 << len(quotients)) - 1)
-    base, first = int(tag == "SET_STAR"), columns
+    base, first, points = int(tag == "SET_STAR"), columns, None
     if birkhoff:
         if tag == "POS":
             ups = [[n for n in elements if columns[n] & c == c] for c in columns]
             langs = [from_components(alphabet, right, up, 0) for up in ups]
         else:
             langs = element_languages(alphabet, right)
-        live = [m for m in elements if columns[m] or not base]
-        first = [0] * base + [columns[m] for m in sorted(live, key=lambda m: langs[m].sort_key())]
+        live = (m for m in elements if columns[m] or not base)
+        points = sorted(live, key=lambda m: langs[m].sort_key())
+        first = [0] * base + [columns[m] for m in points]
     closed, _, tables = closure(dict.fromkeys(first), ops, cap, stage=stage)
     structure = dict(zip(signature(tag), tables[len(alphabet):]))
-    if birkhoff:
-        order = range(len(closed))
-    else:
-        order = _variety_order(tag, alphabet, derivatives, columns, closed, structure)
+    order = range(len(closed)) if birkhoff else _variety_order(
+        tag, alphabet, derivatives, columns, closed, structure
+    )
     pos = inverse_perm(order)
     closed = [closed[x] for x in order]
     matrix = [[c & d == d for d in closed] for c in closed] if tag == "POS" else None
@@ -613,7 +609,7 @@ def _column_lalgebra(pair, seeds, cap):
         tag, len(closed), {name: _renumber(t, order, pos) for name, t in structure.items()}, matrix
     )
     trans = tuple(sorted((a, _renumber(t, order, pos)) for a, t in zip(alphabet, tables)))
-    return LAlgebra(pair, alphabet, carrier, trans, closed.index(columns[0]))
+    return LAlgebra(pair, alphabet, carrier, trans, closed.index(columns[0])), points, derivatives
 
 
 def _variety_order(tag, alphabet, derivatives, columns, closed, structure) -> list:
@@ -631,14 +627,7 @@ def _variety_order(tag, alphabet, derivatives, columns, closed, structure) -> li
         code, index = standard_basis_perm(raw), {s: x for x, s in enumerate(closed)}
         c = [code[index[column]] for column in columns]
         ks = [sum(1 << m for m in elements if (code[x] & c[m]).bit_count() & 1) for x in xs]
-    state = {k: x for x, k in enumerate(ks)}
-    check_invariant(len(state) == len(ks), "two elements of the L-algebra pair with one language")
-    delta = [tuple(state.get(d(k)) for _, d, _ in derivatives[: len(alphabet)]) for k in ks]
-    check_invariant(
-        all(None not in row for row in delta), "a derivative of a paired language is not paired"
-    )
-    langs = mask_languages(alphabet, ks, delta)
-    order = sorted(xs, key=lambda x: langs[x].sort_key())
+    order, _ = _language_order(alphabet, derivatives, ks)
     if tag == "JSL0":
         return order
     # y becomes the vector of the b . y, b the basis along language order
@@ -647,6 +636,20 @@ def _variety_order(tag, alphabet, derivatives, columns, closed, structure) -> li
     return inverse_perm([
         sum(((b & code[x]).bit_count() & 1) << i for i, b in enumerate(rows)) for x in xs
     ])
+
+
+def _language_order(alphabet, derivatives, ks):
+    """(order, delta) for the masks ks over M, a variety's languages: delta
+    is their minimal DFA of left derivatives, order their sort-key order.  A
+    mask met twice, or a derivative that is no mask, is an internal error."""
+    state = {k: x for x, k in enumerate(ks)}
+    check_invariant(len(state) == len(ks), "two elements of the L-algebra pair with one language")
+    delta = [tuple(state.get(d(k)) for _, d, _ in derivatives[: len(alphabet)]) for k in ks]
+    check_invariant(
+        all(None not in row for row in delta), "a derivative of a paired language is not paired"
+    )
+    langs = mask_languages(alphabet, ks, delta)
+    return sorted(range(len(ks)), key=lambda x: langs[x].sort_key()), delta
 
 
 # ---------------------------------------------------------------------------

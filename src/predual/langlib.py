@@ -743,8 +743,8 @@ def closure_under_ops_and_derivs(tag: str, seeds, cap: int = 4096) -> list:
     """Least set of languages containing seeds, closed under both derivatives
     and the tag's language operations (with constants), as a sorted list.
 
-    automata builds every local variety from its dual instead; this closure
-    stays as the tests' mask-level reference, and because the benchmark's
+    automata builds every local variety on the syntactic L-algebra instead;
+    this closure stays as the tests' mask-level reference, and the benchmark's
     per-layer report times it by name.  It runs on bitmasks over the seeds'
     syntactic monoid (syntactic_masks): a derivative is the preimage of a
     mask under a Cayley table and an operation is its set operation in

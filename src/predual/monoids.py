@@ -140,12 +140,6 @@ class GeneratedDMonoid:
                 return e
         raise StructureError(f"letter {letter!r} not a generator")
 
-    def repr_of(self, elem) -> FreeElement:
-        for e, fe in self.reprs:
-            if e == elem:
-                return fe
-        raise StructureError(f"element {elem} has no representative")
-
 
 def eval_in_dmonoid(m: DMonoid, gen_images: dict, x: FreeElement) -> int:
     """Evaluate a free element through letter images, using the D-structure."""

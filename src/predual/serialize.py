@@ -13,6 +13,7 @@ from .algebra import (
     AlgMorphism,
     FinAlgebra,
     StructureError,
+    covers,
     make_algebra,
     make_morphism,
     signature,
@@ -58,7 +59,10 @@ def algebra_from_doc(doc) -> FinAlgebra:
     order = doc.get("order")
     if order is not None:
         order = [[bool(v) for v in row] for row in order]
-    return make_algebra(doc["tag"], doc["size"], _object(doc, "ops"), order)
+    ops, sig = _object(doc, "ops"), signature(doc["tag"])
+    for name in ops.keys() & sig.keys():
+        _integers(ops, name, sig[name])
+    return make_algebra(doc["tag"], _integers(doc, "size", 0), ops, order)
 
 
 def morphism_doc(f: AlgMorphism) -> dict:
@@ -75,7 +79,7 @@ def morphism_from_doc(doc) -> AlgMorphism:
     return make_morphism(
         algebra_from_doc(_object(doc, "source")),
         algebra_from_doc(_object(doc, "target")),
-        doc["map"],
+        _integers(doc, "map", 1),
     )
 
 
@@ -105,6 +109,18 @@ def language_from_doc(doc) -> RegularLanguage:
     if not (isinstance(finals, list) and _states(finals + [initial], n)):
         raise DocumentError(f"language finals and initial must be states below {n}")
     return from_components(alphabet, delta, finals, initial)
+
+
+def _integers(doc, key, arity):
+    """doc[key], which must be an integer (arity 0), a list of integers (1)
+    or a list of lists of integers (2), as a table of that arity is."""
+    rows = [[doc[key]]] if arity == 0 else [doc[key]] if arity == 1 else doc[key]
+    if not isinstance(rows, list) or any(
+        not isinstance(row, list) or set(map(type, row)) - {int} for row in rows
+    ):
+        kind = ("an integer", "a list of integers", "a list of lists of integers")[arity]
+        raise DocumentError(f"{key!r} must be {kind}")
+    return doc[key]
 
 
 def _states(values, n) -> bool:
@@ -207,7 +223,8 @@ def dmonoid_doc(m: DMonoid) -> dict:
 
 
 def dmonoid_from_doc(doc) -> DMonoid:
-    m = make_dmonoid(algebra_from_doc(_object(doc, "carrier")), doc["mult"], doc["unit"])
+    carrier = algebra_from_doc(_object(doc, "carrier"))
+    m = make_dmonoid(carrier, _integers(doc, "mult", 2), _integers(doc, "unit", 0))
     # validate_dmonoid tests the sections at the carrier's generators, which
     # needs a lawful carrier
     problems = [f"carrier: {e}" for e in validate_algebra(m.carrier)] or validate_dmonoid(m)
@@ -389,16 +406,12 @@ def loads(text: str):
 def dot_automaton(value) -> str:
     """Transition graph; order edges of ordered state algebras are dashed."""
     lines = ["digraph automaton {", "  rankdir=LR;"]
-    if isinstance(value, Coalgebra):
-        accepting = {s for s in range(value.states.size) if value.out[s] == 1}
-        for s in range(value.states.size):
-            shape = "doublecircle" if s in accepting else "circle"
-            lines.append(f'  q{s} [shape={shape} label="{s}"];')
-    else:
-        for s in range(value.states.size):
-            lines.append(f'  q{s} [shape=circle label="{s}"];')
-        lines.append(f"  start [shape=point];")
-        lines.append(f"  start -> q{value.init};")
+    coalgebra = isinstance(value, Coalgebra)
+    for s in range(value.states.size):
+        shape = "doublecircle" if coalgebra and value.out[s] == 1 else "circle"
+        lines.append(f'  q{s} [shape={shape} label="{s}"];')
+    if not coalgebra:
+        lines += ["  start [shape=point];", f"  start -> q{value.init};"]
     for a, t in value.trans:
         for s, v in enumerate(t):
             lines.append(f'  q{s} -> q{v} [label="{a}"];')
@@ -412,20 +425,9 @@ def dot_automaton(value) -> str:
 
 
 def dot_hasse(a: FinAlgebra) -> str:
-    """Hasse diagram of a lattice-like algebra or poset."""
-    leq = a.leq
+    """Hasse diagram of a lattice-like algebra or poset, read off algebra.covers."""
     lines = ["digraph hasse {", "  rankdir=BT;"]
-    for x in range(a.size):
-        lines.append(f'  n{x} [shape=none label="{x}"];')
-    for x in range(a.size):
-        for y in range(a.size):
-            if x == y or not leq[x][y]:
-                continue
-            if any(
-                leq[x][z] and leq[z][y] and z not in (x, y)
-                for z in range(a.size)
-            ):
-                continue
-            lines.append(f"  n{x} -> n{y};")
+    lines += [f'  n{x} [shape=none label="{x}"];' for x in range(a.size)]
+    lines += [f"  n{x} -> n{y};" for x, above in enumerate(covers(a)) for y in above]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -71,7 +71,9 @@ from predual.algebra import (
     downset_masks,
     explore,
     identity_morphism,
+    inverse_perm,
     make_algebra,
+    relabel_algebra,
     set_ops,
     signature,
     shortlex_words,
@@ -83,7 +85,7 @@ from predual.algebra import (
     table_isomorphism,
     vect_prime,
 )
-from predual.automata import Coalgebra, LAlgebra, run_word, word_table
+from predual.automata import Coalgebra, LAlgebra, _relabel_trans, run_word, word_table
 from predual.cli import (
     cmd_check_laws,
     cmd_deriv,
@@ -348,6 +350,16 @@ def _column_closure(pair, seeds, cap, stage, rank=None):
     return LAlgebra(pair, alphabet, carrier, trans, closed.index(columns[0]))
 
 
+def _reordered(m, order):
+    """The coalgebra or L-algebra m with its states renumbered, order[x]
+    becoming x."""
+    perm = inverse_perm(order)
+    states, trans = relabel_algebra(m.states, perm), _relabel_trans(order, m.trans)
+    if isinstance(m, LAlgebra):
+        return LAlgebra(m.pair, m.alphabet, states, trans, perm[m.init])
+    return Coalgebra(m.pair, m.alphabet, states, trans, tuple(map(m.out.__getitem__, order)))
+
+
 def column_lalgebra_in_closure_order(pair, seeds, cap=4096):
     """automata._column_lalgebra as it was for JSL0 and VECT2: the column
     closure in closure order, VECT2 then in the standard basis encoding."""
@@ -355,7 +367,7 @@ def column_lalgebra_in_closure_order(pair, seeds, cap=4096):
     if vect_prime(a.states.tag) is None:
         return a
     code = standard_basis_perm(a.states)
-    return automata._reordered(a, sorted(range(a.states.size), key=code.__getitem__))
+    return _reordered(a, sorted(range(a.states.size), key=code.__getitem__))
 
 
 def element_languages_by_minimize(alphabet, right):
@@ -403,7 +415,7 @@ def generated_local_variety_by_duals(pair, seeds, cap=4096):
     order = sorted(range(len(langs)), key=lambda s: langs[s].sort_key())
     if vect_prime(pair) is not None:
         order = sorted(order, key=standard_basis_perm(q.states, order).__getitem__)
-    return automata._reordered(q, order)
+    return _reordered(q, order)
 
 
 def syntactic_lalgebra_by_duals(pair, seeds):

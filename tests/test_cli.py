@@ -445,6 +445,14 @@ def test_language_document_with_a_final_state_out_of_range_is_a_usage_error(caps
 
 # input files by name; each name in an argv below stands for its path
 CHAIN2 = {"kind": "algebra", "tag": "JSL0", "size": 2, "ops": {"join": [[0, 1], [1, 1]], "zero": 0}}
+BA2 = {
+    "kind": "algebra", "tag": "BA", "size": 2,
+    "ops": {"meet": [[0, 0], [0, 1]], "join": [[0, 1], [1, 1]], "not": [1, 0], "zero": 0, "one": 1},
+}
+Z2 = {
+    "kind": "dmonoid", "tag": "SET", "carrier": {"kind": "algebra", "tag": "SET", "size": 2, "ops": {}},
+    "mult": [[0, 1], [1, 0]], "unit": 0,
+}
 
 INPUT_FILES = {
     "text.json": b"not JSON",
@@ -462,11 +470,7 @@ INPUT_FILES = {
         "map": [0],
     }).encode(),
     "bytes.json": b"\xff\xfe\x00",
-    "z2.mon": json.dumps({
-        "kind": "dmonoid", "tag": "SET",
-        "carrier": {"kind": "algebra", "tag": "SET", "size": 2, "ops": {}},
-        "mult": [[0, 1], [1, 0]], "unit": 0,
-    }).encode(),
+    "z2.mon": json.dumps(Z2).encode(),
     "trivial.mon": json.dumps({
         "kind": "dmonoid", "tag": "SET",
         "carrier": {"kind": "algebra", "tag": "SET", "size": 1, "ops": {}},
@@ -534,6 +538,26 @@ INPUT_FILES = {
             ("int-alphabet", 5, [["a", 1]]),
         ]
     },
+    # an integer field of an algebra, a morphism or a D-monoid that holds a
+    # string, a float or null
+    **{
+        f"{name}.alg": json.dumps({**BA2, **field, "ops": {**BA2["ops"], **ops}}).encode()
+        for name, field, ops in [
+            ("string-entry", {}, {"not": [1, "x"]}),
+            ("float-entry", {}, {"not": [1, 0.0]}),
+            ("float-constant", {}, {"zero": 0.0}),
+            ("row-entries", {}, {"not": [[1], [0]]}),
+            ("string-size", {"size": "2"}, {}),
+        ]
+    },
+    **{
+        f"{name}.hom": json.dumps({
+            "kind": "morphism", "tag": "BA", "source": BA2, "target": BA2, "map": table,
+        }).encode()
+        for name, table in [("string-map", [0, "x"]), ("null-map", [0, None]), ("float-map", [0, 1.0])]
+    },
+    "float-unit.mon": json.dumps({**Z2, "unit": 0.0}).encode(),
+    "float-mult.mon": json.dumps({**Z2, "mult": [[0.0, 1], [1, 0]]}).encode(),
     **{
         f"{name}.map": json.dumps({
             "kind": "free-morphism", "tag": tag, "target_alphabet": ["a"],
@@ -657,6 +681,15 @@ INPUT_FILES = {
         ["deriv", "--side", "left", "--letter", "c", "--regex", "(ab)*"],
         ["deriv", "--side", "left", "--letter", "ab", "--regex", "(ab)*"],
         ["deriv", "--side", "left", "--letter", "", "--regex", "(ab)*"],
+        # an integer field that holds no integer
+        *(
+            ["dualize", "--pair", "BA", "--in", name]
+            for name in ("string-entry.alg", "float-entry.alg", "float-constant.alg",
+                         "row-entries.alg", "string-size.alg", "string-map.hom", "null-map.hom",
+                         "float-map.hom")
+        ),
+        ["eilenberg-check", "--monoid", "float-unit.mon", "--samples", "a-aa.json"],
+        ["eilenberg-check", "--monoid", "float-mult.mon", "--samples", "a-aa.json"],
     ],
 )
 def test_malformed_cli_input_is_a_usage_error(capsys, tmp_path, argv):
@@ -719,34 +752,47 @@ from predual.cli import main
 assert False  # stripped under -O
 def one_class(delta, finals, states):
     return dict.fromkeys(states, 0)
-{}
-sys.exit(main(["localvariety", "--tag", "BA", "--regex", "(ab)*"]))
+{fault}
+sys.exit(main(["localvariety", "--tag", "{tag}", "--regex", "(ab)*"]))
 """
 
 
-def run_with_fault(fault):
-    """Exit code, stdout and stderr of localvariety under python -O with fault."""
+def run_with_fault(fault, tag="BA"):
+    """Exit code, stdout and stderr of localvariety --tag tag under python -O
+    with fault."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     run = subprocess.run(
-        [sys.executable, "-O", "-c", INJECTED_FAULT.format(fault)],
+        [sys.executable, "-O", "-c", INJECTED_FAULT.format(fault=fault, tag=tag)],
         capture_output=True, text=True, env=env, timeout=120,
     )
     return run.returncode, run.stdout, run.stderr
 
 
 def test_a_failed_cross_check_exits_4_under_python_O():
-    # the states of the BA local variety, the dual of the syntactic
+    # the states of the JSL0 local variety, the dual of the syntactic
     # L-algebra, seem to accept one language
-    assert run_with_fault("automata._nerode = one_class") == (
+    assert run_with_fault("automata._nerode = one_class", "JSL0") == (
         4, "", "internal error: two states of the dual coalgebra accept one language\n",
     )
 
 
+def test_a_failed_birkhoff_cross_check_exits_4_under_python_O():
+    # the empty down-set of the BA variety's points is enumerated twice, so
+    # two of its states would accept the empty language
+    fault = """
+downsets = automata.downset_masks
+automata.downset_masks = lambda leq, cap: [0] + downsets(leq, cap)
+"""
+    assert run_with_fault(fault) == (
+        4, "", "internal error: two elements of the L-algebra pair with one language\n",
+    )
+
+
 def test_disagreeing_rho_criteria_exit_4_under_python_O():
-    # the variety is built, renumbered into language order after its dual's
-    # partition was kept, then the fault runs is_subcoalgebra_of_rho on it,
-    # as localvariety does not, and its two criteria disagree
+    # the BA variety is built with no Nerode partition kept, then the fault
+    # runs is_subcoalgebra_of_rho on it, as localvariety does not, and its
+    # two criteria disagree
     fault = """
 build = cli.generated_local_variety
 def built_then_faulty(*args):

@@ -205,8 +205,8 @@ LARGE = ("(aab)*", "(ab|ba)*", "(a|b)*abb", "(a|b)*a(a|b)(a|b)(a|b)", "a*b*", "(
 
 def by_duals(tag, seeds, cap):
     """generated_local_variety at cap, or its CapExceeded message, against
-    oracle.generated_local_variety_by_duals; for JSL0 and VECT2 also
-    syntactic_lalgebra against oracle.syntactic_lalgebra_by_duals."""
+    oracle.generated_local_variety_by_duals, and returned; for JSL0 and
+    VECT2 also syntactic_lalgebra against oracle.syntactic_lalgebra_by_duals."""
     results = []
     for route in (generated_local_variety, oracle.generated_local_variety_by_duals):
         try:
@@ -216,6 +216,7 @@ def by_duals(tag, seeds, cap):
     assert results[0] == results[1], (tag, seeds)
     if tag in ("JSL0", "VECT2") and not isinstance(results[0], str):
         assert syntactic_lalgebra(tag, seeds) == oracle.syntactic_lalgebra_by_duals(tag, seeds)
+    return results[0]
 
 
 @pytest.mark.parametrize("tag", MAIN_PAIRS)
@@ -226,6 +227,17 @@ def test_the_column_lalgebra_is_numbered_as_the_dual_of_the_variety(tag):
     cases += [([rx], "ab") for rx in LARGE] + [(["ε"], "")]
     for regexes, alphabet in cases:
         by_duals(tag, [parse_regex(rx, alphabet) for rx in regexes], 512)
+    if tag not in PAIRS:
+        return
+    # each Birkhoff variety of LARGE within 512 languages at the cap edge:
+    # its n down-sets fit at cap n and exceed cap n - 1
+    for rx in LARGE:
+        seeds = [parse_regex(rx, "ab")]
+        q = by_duals(tag, seeds, 512)
+        if not isinstance(q, str):
+            n = q.states.size
+            assert by_duals(tag, seeds, n) == q, (tag, rx)
+            assert by_duals(tag, seeds, n - 1) == f"local variety exceeded cap {n - 1}", (tag, rx)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -334,9 +346,10 @@ def test_fiber_ranking_equals_one_minimization_per_element_on_random_regexes(cas
     ranked_alike(*case)
 
 
-def watch(monkeypatch, home, names):
+def watch(monkeypatch, homes, names):
     """Record (name, whether within _column_lalgebra) for each call of the
-    named functions of home, a module, while the test runs."""
+    named functions of homes, a module or a tuple of modules, while the test
+    runs; each name is watched in every module of homes that has it."""
     calls, within = [], []
     column_lalgebra = automata._column_lalgebra
 
@@ -348,26 +361,44 @@ def watch(monkeypatch, home, names):
             within.pop()
 
     monkeypatch.setattr(automata, "_column_lalgebra", watched_column_lalgebra)
+    homes = homes if isinstance(homes, tuple) else (homes,)
     for name in names:
-        original = getattr(home, name)
+        assert any(hasattr(home, name) for home in homes), name
+        for home in homes:
+            if not hasattr(home, name):
+                continue
+            original = getattr(home, name)
 
-        def watched(*args, name=name, original=original):
-            calls.append((name, bool(within)))
-            return original(*args)
+            def watched(*args, name=name, original=original):
+                calls.append((name, bool(within)))
+                return original(*args)
 
-        monkeypatch.setattr(home, name, watched)
+            monkeypatch.setattr(home, name, watched)
     return calls
 
 
 @pytest.mark.parametrize("tag", ["JSL0", "VECT2"])
 def test_a_jsl0_or_vect2_carrier_is_built_once_in_its_final_order(monkeypatch, tag):
-    calls = watch(monkeypatch, automata, ["make_algebra", "dmonoid_closure", "_reordered"])
+    calls = watch(monkeypatch, automata, ["make_algebra", "dmonoid_closure"])
     code, out, err = run_cli("syntactic", "--tag", tag, "--regex", "(ab)*")
     assert (code, err) == (0, "") and out.startswith("order 16 dual generated D-monoid\n")
     # one checked carrier, no copy, and the words' search needs no closure
     assert calls == [("make_algebra", True)]
     seeds = [parse_regex("(ab)*")]
     assert syntactic_lalgebra(tag, seeds) == oracle.syntactic_lalgebra_by_duals(tag, seeds)
+
+
+@pytest.mark.parametrize("tag", PAIRS)
+def test_a_birkhoff_variety_is_built_once_in_language_order(monkeypatch, tag):
+    names = ["make_algebra", "dual_automaton_inv", "downset_masks"]
+    calls = watch(monkeypatch, (automata, algebra, duality), names)
+    code, out, err = run_cli("localvariety", "--tag", tag, "--regex", "(ab)*")
+    assert (code, err) == (0, "") and out.startswith("local variety with ")
+    # the down-sets enumerated once, and one checked carrier besides the
+    # L-algebra's, with no dual taken and no copy
+    assert [c for c in calls if not c[1]] == [("downset_masks", False), ("make_algebra", False)]
+    seeds = [parse_regex("(ab)*")]
+    assert generated_local_variety(tag, seeds) == oracle.generated_local_variety_by_duals(tag, seeds)
 
 
 def test_ba_and_br_syntactic_rank_their_carriers_with_no_minimization(monkeypatch):
