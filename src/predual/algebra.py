@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache, partial
-from operator import getitem, itemgetter
+from itertools import repeat
+from operator import and_, getitem, itemgetter, or_, xor
 
 
 class StructureError(ValueError):
@@ -94,15 +95,15 @@ _SIGNATURES = {
 ALL_TAGS = tuple(sorted(_SIGNATURES)) + tuple(vect_tag(p) for p in VECT_PRIMES)
 
 # each operation as an operation on the subsets (bitmasks) of a set whose
-# full subset is top: powerset algebras, the down-sets of a Birkhoff dual,
-# in langlib the languages of a local variety as sets of syntactic-monoid
-# elements, and in automata (D-side operations) the sets of quotients that
-# hold an element
+# full subset is top, top taken by the constants and unary operations only:
+# powerset algebras, the down-sets of a Birkhoff dual, in langlib the
+# languages of a local variety as sets of syntactic-monoid elements, and in
+# automata (D-side operations) the sets of quotients that hold an element
 SET_OPS = {
-    "meet": lambda top, x, y: x & y,
-    "mul": lambda top, x, y: x & y,
-    "join": lambda top, x, y: x | y,
-    "add": lambda top, x, y: x ^ y,
+    "meet": and_,
+    "mul": and_,
+    "join": or_,
+    "add": xor,
     "not": lambda top, x: top ^ x,
     "zero": lambda top: 0,
     "one": lambda top: top,
@@ -114,15 +115,38 @@ SET_OPS = {
 
 def set_ops(tag: str, top: int) -> list:
     """The tag's operations, in signature order, as closure() ops on subsets of top."""
-    return [(arity, partial(SET_OPS[name], top), True) for name, arity in signature(tag).items()]
+    return [
+        (arity, SET_OPS[name] if arity == 2 else partial(SET_OPS[name], top), True)
+        for name, arity in signature(tag).items()
+    ]
 
 
 def set_algebra(tag: str, masks, top: int) -> FinAlgebra:
-    """The algebra of subsets of top that the masks generate under the tag's
-    set operations, its elements numbered in closure() order (the masks
-    first, in the given order)."""
-    elements, _, tables = closure(dict.fromkeys(masks), set_ops(tag, top))
-    return make_algebra(tag, len(elements), dict(zip(signature(tag), tables)))
+    """The algebra of the masks, distinct subsets of top closed under the
+    tag's set operations, numbered in the given order, each table entry one
+    lookup of its mask; other masks are an InternalInvariantError."""
+    index = {x: i for i, x in enumerate(masks)}
+    at = index.__getitem__
+    try:
+        tables = {
+            name: at(fn()) if arity == 0 else tuple(map(at, map(fn, masks))) if arity == 1
+            else tuple(tuple(map(at, map(fn, repeat(x), masks))) for x in masks)
+            for name, (arity, fn, _) in zip(signature(tag), set_ops(tag, top))
+        }
+    except KeyError:
+        tables = None
+    check_invariant(tables is not None and len(index) == len(masks),
+                    f"the masks are not the elements of a {tag} set algebra")
+    return make_algebra(tag, len(masks), tables)
+
+
+def mask_preimage(table, n: int):
+    """The preimage under table, a map into {0..n-1}, as a function on
+    bitmasks: bit m of the result is bit table[m] of the mask."""
+    pre = [0] * n  # pre[t]: the m with table[m] = t
+    for m, t in enumerate(table):
+        pre[t] |= 1 << m
+    return lambda mask: sum(p for t, p in enumerate(pre) if mask >> t & 1)
 
 
 def is_ordered_tag(tag: str) -> bool:

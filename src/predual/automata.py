@@ -38,6 +38,7 @@ from .algebra import (
     explore,
     inverse_perm,
     make_algebra,
+    mask_preimage,
     product,
     set_algebra,
     set_ops,
@@ -68,10 +69,8 @@ from .langlib import (
     element_languages,
     free_word,
     free_zero,
-    from_components,
     make_free,
     mask_languages,
-    mask_preimage,
     rev_free,
     syntactic_masks,
 )
@@ -450,7 +449,8 @@ def generated_local_variety(pair: str, seeds, cap: int = 4096) -> Coalgebra:
     {w : [w] = m}; DL01, after Pin, the up-set {n : Q(n) contains Q(m)},
     held by every down-set that holds m, so 1 << m gives the same OR) and
     each language is the join of those below it.  The masks, in
-    _language_order, are the states and their set algebra the carrier.
+    _language_order, are the states and their set algebra, read off the
+    masks, closed under the set operations as the down-sets are, the carrier.
     CapExceeded is raised above cap languages, one per column for JSL0 and
     VECT2 (by _column_lalgebra) and one per down-set for a Birkhoff pair.
     """
@@ -468,7 +468,6 @@ def generated_local_variety(pair: str, seeds, cap: int = 4096) -> Coalgebra:
     order, delta = _language_order(a.alphabet, derivatives, ks)
     pos, masks = inverse_perm(order), [ks[x] for x in order]
     states = set_algebra(pair, masks, max(masks))
-    check_invariant(states.size == len(masks), "the languages of the down-sets are not closed")
     trans = sorted((c, tuple(pos[delta[x][i]] for x in order)) for i, c in enumerate(a.alphabet))
     return Coalgebra(pair, a.alphabet, states, tuple(trans), tuple(k & 1 for k in masks))
 
@@ -523,11 +522,11 @@ def _column_lalgebra(pair, seeds, cap):
     variety, by their languages' sort keys: BA ranks a column by the
     language of its element, DL01 a column c by that of its up-set
     {n : Q(n) contains c} and orders columns by reverse inclusion, BR ranks
-    as BA behind the basepoint, the empty column.  BA and BR read the
-    languages of all elements off the fibers of one multiplication table of
-    M (langlib.element_languages), with no refinement; DL01 minimizes one
-    language per up-set.  The closure adds no column to these, so it starts
-    from them in rank order.  JSL0 and VECT2 number their carriers so that
+    as BA behind the basepoint, the empty column.  All three read these
+    languages off the fibers of one multiplication table of M
+    (langlib.element_languages), with no refinement, an up-set's fiber
+    being the OR of its elements'.  The closure adds no column to these, so
+    it starts from them in rank order.  JSL0 and VECT2 number their carriers so that
     the dual's states, the variety's languages, are in sort-key order and,
     for VECT2, in the standard basis encoding: the element s is paired with
     the state of the dual that accepts the words whose class lies in K_s, a
@@ -578,7 +577,7 @@ def _column_lalgebra(pair, seeds, cap):
     check_invariant(len(element) == len(columns), "two monoid elements lie in the same quotients")
 
     def letter(i):
-        preimage = mask_preimage(lefts[i])
+        preimage = mask_preimage(lefts[i], len(quotients))
 
         def act(s):  # a column's image is read off left
             m = element.get(s)
@@ -589,11 +588,11 @@ def _column_lalgebra(pair, seeds, cap):
     ops = [letter(i) for i in range(len(alphabet))] + set_ops(tag, (1 << len(quotients)) - 1)
     base, first, points = int(tag == "SET_STAR"), columns, None
     if birkhoff:
-        if tag == "POS":
-            ups = [[n for n in elements if columns[n] & c == c] for c in columns]
-            langs = [from_components(alphabet, right, up, 0) for up in ups]
-        else:
-            langs = element_languages(alphabet, right)
+        targets = [  # the up-set of m in the carrier's order, {m} for BA and BR
+            {n for n in elements if columns[n] & c == c} if tag == "POS" else {m}
+            for m, c in enumerate(columns)
+        ]
+        langs = element_languages(alphabet, right, targets)
         live = (m for m in elements if columns[m] or not base)
         points = sorted(live, key=lambda m: langs[m].sort_key())
         first = [0] * base + [columns[m] for m in points]

@@ -13,10 +13,12 @@ BA, DL01 and BR are one construction, finite Birkhoff duality.  The points
 of a C-side algebra are its join-irreducibles (in BA and BR, its atoms) in
 the algebra's order; the dual of a D-side object is the lattice of its
 down-closed subsets, each C-side operation read as a set operation
-(algebra.SET_OPS, the algebra built by algebra.set_algebra).  SET and
-SET_STAR carry the discrete order, so every subset is down-closed: that is
-Stone duality.  The pointed case puts a basepoint in front of the points
-and keeps only the subsets that avoid it.
+(algebra.SET_OPS), its tables read off the down-sets' bitmasks
+(algebra.set_algebra), and a D-side morphism's dual is preimage on them
+(algebra.mask_preimage).  SET and SET_STAR carry the discrete order, so
+every subset is down-closed: that is Stone duality.  The pointed case
+puts a basepoint in front of the points and keeps only the subsets that
+avoid it.
 
 Dual objects reuse ascending carrier-index order for points and ascending
 bitmask order for down-sets, so dualization is deterministic and
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 
 from .algebra import (
     AlgMorphism,
@@ -42,6 +44,7 @@ from .algebra import (
     identity_morphism,
     inverse_perm,
     make_algebra,
+    mask_preimage,
     relabel_algebra,
     set_algebra,
     validate_algebra,
@@ -237,33 +240,20 @@ def _build_dual_morphism(pair: str, h: AlgMorphism) -> AlgMorphism:
         return AlgMorphism(dr, dq, table)
 
     if pair in _BASEPOINTS and side == "C":
-        # a point r goes to the point meet { q : h(q) >= r }, and in BR to the
-        # basepoint when h(q) >= r for no q
-        base, pts_q, leq_q, leq_r = _BASEPOINTS[pair], _points(q), q.leq, r.leq
+        # a point r goes to the point meet { q : h(q) >= r }, one of them as h
+        # preserves meets, and in BR to the basepoint when h(q) >= r for no q
+        base, pts_q, leq_r = _BASEPOINTS[pair], _points(q), r.leq
+        meet = q.op("mul" if pair == "BR" else "meet")
         table = [0] * base
         for rr in _points(r):
             above = [x for x in q.carrier() if leq_r[rr][h.table[x]]]
-            if not above:
-                table.append(0)
-                continue
-            least = above[0]  # h preserves meets, so the meet lies in above
-            for x in above[1:]:
-                if leq_q[x][least]:
-                    least = x
-            table.append(base + pts_q.index(least))
+            table.append(base + pts_q.index(reduce(lambda x, y: meet[x][y], above)) if above else 0)
         return AlgMorphism(dr, dq, tuple(table))
 
     if pair in _BASEPOINTS:
         # the dual of g: X -> Y is preimage on down-sets
-        index_q = downset_index(q)
-        table = []
-        for mask in downset_index(r):
-            pre = 0
-            for x in q.carrier():
-                if mask >> h.table[x] & 1:
-                    pre |= 1 << x
-            table.append(index_q[pre])
-        return AlgMorphism(dr, dq, tuple(table))
+        index_q, preimage = downset_index(q), mask_preimage(h.table, r.size)
+        return AlgMorphism(dr, dq, tuple(index_q[preimage(mask)] for mask in downset_index(r)))
 
     if pair == "JSL0":
         # hat h(r) = join { q : h(q) <= r }, join formed in the source
@@ -329,25 +319,14 @@ def _build_eta(pair: str, side: str, a: FinAlgebra) -> AlgMorphism:
     if pair in _BASEPOINTS and side == "C":
         # x goes to the down-set of the points below it
         base, pts, leq, index = _BASEPOINTS[pair], _points(a), a.leq, downset_index(d)
-        table = []
-        for x in a.carrier():
-            mask = 0
-            for i, j in enumerate(pts):
-                if leq[j][x]:
-                    mask |= 1 << (base + i)
-            table.append(index[mask])
-        return AlgMorphism(a, dd, tuple(table))
+        below = (sum(1 << (base + i) for i, j in enumerate(pts) if leq[j][x]) for x in a.carrier())
+        return AlgMorphism(a, dd, tuple(map(index.__getitem__, below)))
     if pair in _BASEPOINTS:
         # x goes to the point that is its principal down-set; the point of a
         # SET_STAR, whose down-set is not in the dual, goes to the basepoint
         base, pts, leq, index = _BASEPOINTS[pair], _points(d), a.leq, downset_index(a)
-        table = []
-        for x in a.carrier():
-            down = 0
-            for y in a.carrier():
-                if leq[y][x]:
-                    down |= 1 << y
-            table.append(base + pts.index(index[down]) if down in index else 0)
+        downs = (sum(1 << y for y in a.carrier() if leq[y][x]) for x in a.carrier())
+        table = (base + pts.index(index[down]) if down in index else 0 for down in downs)
         return AlgMorphism(a, dd, tuple(table))
     if pair == "JSL01" and side == "C":
         one = a.op("one")

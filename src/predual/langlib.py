@@ -23,6 +23,7 @@ from .algebra import (
     closure,
     derived,
     explore,
+    mask_preimage,
     set_ops,
     vect_prime,
 )
@@ -660,16 +661,6 @@ def preimage_language(l: RegularLanguage, f: DMonoidMorphismFree) -> RegularLang
 # the languages of a local variety as sets of syntactic-monoid elements
 
 
-def mask_preimage(table):
-    """The preimage under table, a map of {0..n-1} into itself, as a
-    function on bitmasks over {0..n-1}: bit m of the result is bit
-    table[m] of the mask."""
-    pre = [0] * len(table)  # pre[n]: the m with table[m] = n
-    for m, n in enumerate(table):
-        pre[n] |= 1 << m
-    return lambda mask: sum(p for n, p in enumerate(pre) if mask >> n & 1)
-
-
 def syntactic_masks(seeds, cap, stage):
     """The syntactic monoid M of the seeds, over which every language of
     their local variety is a set of elements (Gehrke, Grigorieff and Pin).
@@ -708,23 +699,25 @@ def syntactic_masks(seeds, cap, stage):
     left = [[index[tuple(map(t.__getitem__, column))] for column in columns] for t in tables]
 
     derivatives = [
-        (1, mask_preimage([row[i] for row in cayley]), False)
+        (1, mask_preimage([row[i] for row in cayley], len(tables)), False)
         for cayley in (left, right) for i in range(len(columns))
     ]
     masks = [sum(1 << m for m, t in enumerate(tables) if t[s] in finals) for s in starts]
     return left, derivatives, masks, right
 
 
-def element_languages(alphabet, right) -> list:
-    """The language {w : [w] = m} of each element m of a syntactic_masks
-    monoid, from its right Cayley table right, with no refinement.
+def element_languages(alphabet, right, targets) -> list:
+    """The language {w : [w] in T} of each target T, a set of elements of a
+    syntactic_masks monoid, from its right Cayley table right, with no
+    refinement.
 
     Read from the unit, right is a DFA whose state s accepts the words w
-    with s [w] = m for the language of m, so the Nerode class of s is told
-    by its fiber {x : s x = m}, a bitmask over M.  One multiplication table gives every
-    fiber: the column x -> s x of each x is filled along the breadth-first
-    word tree of the table, from its parent's column, and the fibers, passed
-    to _canonical as the partition, number each language.
+    with s [w] in T for the language of T, so the Nerode class of s is told
+    by its fiber {x : s x in T}, a bitmask over M, the OR of the fibers of
+    the m in T.  One multiplication table gives every fiber: the column
+    x -> s x of each x is filled along the breadth-first word tree of the
+    table, from its parent's column, and the fibers, passed to _canonical as
+    the partition, number each language.
     """
     n = len(right)
     columns = along_shortlex_words(
@@ -736,7 +729,11 @@ def element_languages(alphabet, right) -> list:
         bit = 1 << x
         for s, m in enumerate(column):
             fibers[m][s] |= bit
-    return [_canonical(alphabet, right, fibers[m], {m}, 0) for m in range(n)]
+
+    def fiber(target):  # fibers[m] ORed, state by state, over the m in target
+        return reduce(lambda f, g: list(map(or_, f, g)), map(fibers.__getitem__, target))
+
+    return [_canonical(alphabet, right, fiber(t), t, 0) for t in targets]
 
 
 def closure_under_ops_and_derivs(tag: str, seeds, cap: int = 4096) -> list:

@@ -56,9 +56,7 @@ def algebra_doc(a: FinAlgebra) -> dict:
 
 
 def algebra_from_doc(doc) -> FinAlgebra:
-    order = doc.get("order")
-    if order is not None:
-        order = [[bool(v) for v in row] for row in order]
+    order = None if doc.get("order") is None else _integers(doc, "order", 2)
     ops, sig = _object(doc, "ops"), signature(doc["tag"])
     for name in ops.keys() & sig.keys():
         _integers(ops, name, sig[name])
@@ -197,10 +195,11 @@ def _automaton_doc(kind, m, last, value) -> dict:
 
 def _automaton_from_doc(kind, doc, last, make):
     """make's automaton from a document of the kind, its last field read
-    from the key last."""
-    states = algebra_from_doc(_object(doc, "states"))
-    trans = {a: tuple(t) for a, t in _object(doc, "trans").items()}
-    return _lawful(kind, make, doc["pair"], _letters(doc, "alphabet"), states, trans, doc[last])
+    from the key last, a list of integers for "out" and else an integer."""
+    states, trans = algebra_from_doc(_object(doc, "states")), _object(doc, "trans")
+    trans = {a: tuple(_integers(trans, a, 1)) for a in trans}
+    last = _integers(doc, last, int(last == "out"))
+    return _lawful(kind, make, doc["pair"], _letters(doc, "alphabet"), states, trans, last)
 
 
 def _lawful(kind, make, *args):

@@ -16,9 +16,10 @@ generated_local_variety_by_duals and syntactic_lalgebra_by_duals are the
 routes predual had before it read the JSL0 and VECT2 languages off masks
 over the syntactic monoid: the column closure in closure order, its dual
 refined, sorted by its languages and dualized back.  For BA, DL01 and BR
-they rank the columns as predual did before it read each element's
+they rank the columns as predual did before it read each point's
 language off the fibers of one multiplication table: one _minimize of the
-right Cayley DFA per element (element_languages_by_minimize).
+right Cayley DFA per element, of the element's language or, for DL01, of
+its up-set's (element_languages_by_minimize).
 verify_preduality_by_compose shares the dualization formulas with predual
 and evaluates the duality laws on AlgMorphism objects with compose, as
 verify_preduality once did.
@@ -73,6 +74,7 @@ from predual.algebra import (
     identity_morphism,
     inverse_perm,
     make_algebra,
+    mask_preimage,
     relabel_algebra,
     set_ops,
     signature,
@@ -340,7 +342,7 @@ def _column_closure(pair, seeds, cap, stage, rank=None):
     quotients, _, lefts = closure(dict.fromkeys(masks), derivatives)
     columns = [sum(1 << i for i, q in enumerate(quotients) if q >> m & 1) for m in range(len(left))]
     first = columns if rank is None else rank(alphabet, columns, right)
-    ops = [(1, langlib.mask_preimage(lefts[i]), False) for i in range(len(alphabet))]
+    ops = [(1, mask_preimage(lefts[i], len(quotients)), False) for i in range(len(alphabet))]
     ops += set_ops(tag, (1 << len(quotients)) - 1)
     closed, _, tables = closure(dict.fromkeys(first), ops, cap, stage=stage)
     order = [[c & d == d for d in closed] for c in closed] if tag == "POS" else None
@@ -370,10 +372,19 @@ def column_lalgebra_in_closure_order(pair, seeds, cap=4096):
     return _reordered(a, sorted(range(a.states.size), key=code.__getitem__))
 
 
-def element_languages_by_minimize(alphabet, right):
+def element_languages_by_minimize(alphabet, right, targets):
     """langlib.element_languages as automata had it: the language of each
-    element m, one _minimize of the right Cayley DFA with m its one final."""
-    return [langlib.from_components(alphabet, right, [m], 0) for m in range(len(right))]
+    target, a set of elements, one _minimize of the right Cayley DFA with
+    the target its finals."""
+    return [langlib.from_components(alphabet, right, t, 0) for t in targets]
+
+
+def upsets(quotients, n):
+    """The up-set {k : Q(k) contains Q(m)} of each of the n elements m of a
+    syntactic monoid in DL01's order: the elements in every quotient (a
+    bitmask over the elements) that holds m."""
+    return [{k for k in range(n) if all(q >> k & 1 for q in quotients if q >> m & 1)}
+            for m in range(n)]
 
 
 def column_lalgebra_ranked_by_minimize(pair, seeds, cap=4096):
@@ -387,10 +398,10 @@ def column_lalgebra_ranked_by_minimize(pair, seeds, cap=4096):
 
     def rank(alphabet, columns, right):
         if tag == "POS":
-            ups = [[n for n, d in enumerate(columns) if d & c == c] for c in columns]
-            langs = [langlib.from_components(alphabet, right, up, 0) for up in ups]
+            targets = [[n for n, d in enumerate(columns) if d & c == c] for c in columns]
         else:
-            langs = element_languages_by_minimize(alphabet, right)
+            targets = [[m] for m in range(len(columns))]
+        langs = element_languages_by_minimize(alphabet, right, targets)
         live = [m for m, c in enumerate(columns) if c or not base]
         return [0] * base + [columns[m] for m in sorted(live, key=lambda m: langs[m].sort_key())]
 

@@ -4,7 +4,8 @@ of a fixed list of CLI calls.
 The calls are every CLI example of the README (the documents they read are
 written into the working directory first), `syntactic --json` and
 `localvariety --json` on test_syntactic.CORPUS under the five language
-tags, `dualize --check` for every pair of duality.PAIRS at the default
+tags and on BIRKHOFF_REGEXES, whose carriers are large, under BA, DL01
+and BR, `dualize --check` for every pair of duality.PAIRS at the default
 size, the full law battery, `check-laws --corpus`, for JSL0, DL01 and
 VECT2 over criterion 2's seed languages, `preimage` of languages and of
 local varieties along JSL0, VECT2 and SET_STAR maps with a multi-word and a
@@ -29,7 +30,7 @@ from pathlib import Path
 
 from predual.automata import generated_local_variety
 from predual.cli import main
-from predual.duality import MAIN_PAIRS, PAIRS
+from predual.duality import BIRKHOFF_PAIRS, MAIN_PAIRS, PAIRS
 from predual.langlib import parse_regex
 from predual.serialize import to_doc
 from test_syntactic import CORPUS
@@ -71,6 +72,7 @@ PREIMAGE_MAPS = {  # (map, pair of the local varieties it reindexes)
     "VECT2": (_map("VECT2", {"b": [("", 1), ("ab", 1), ("b", 3)], "c": []}), "VECT2"),
     "SET_STAR": (_map("SET_STAR", {"b": [("ab", 1)], "c": []}), "BR"),
 }
+BIRKHOFF_REGEXES = ("(a|b)*a(a|b)(a|b)(a|b)", "(aab)*", "(ab|ba)*")
 PREIMAGE_REGEXES = ("(ab)*", "(a|b)*a", "~(a*)", "(a|b)*b(a|b)*")
 DOCUMENTS.update({f"map-{tag}.json": fdoc for tag, (fdoc, _) in PREIMAGE_MAPS.items()})
 DOCUMENTS.update({
@@ -109,6 +111,9 @@ def golden_calls():
         for command in ("syntactic", "localvariety"):
             calls += [[command, "--tag", pair, "--regex", rx, "--alphabet", alphabet, "--json"]
                       for rx, alphabet in CORPUS]
+    for pair in BIRKHOFF_PAIRS:
+        for command in ("syntactic", "localvariety"):
+            calls += [[command, "--tag", pair, "--regex", rx, "--json"] for rx in BIRKHOFF_REGEXES]
     calls += [["dualize", "--pair", pair, "--check"] for pair in PAIRS]
     calls += [["check-laws", "--corpus", f"corpus-{pair}.json"] for pair in LAW_PAIRS]
     for tag in PREIMAGE_MAPS:

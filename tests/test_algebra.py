@@ -11,6 +11,7 @@ from predual.algebra import (
     AlgMorphism,
     BoundExceeded,
     FinAlgebra,
+    InternalInvariantError,
     StructureError,
     _posets_upto,
     all_morphisms,
@@ -243,11 +244,16 @@ def test_set_algebra_gives_the_bitwise_powerset_tables(tag):
             assert enumerate_algebras(tag, n) == [expected]
 
 
-def test_set_algebra_numbers_the_elements_in_closure_order():
-    # the seeds come first; 1 | 2 = 3 is found at the join, before the zero
+def test_set_algebra_numbers_the_closed_masks_in_the_given_order(monkeypatch):
+    # the tables are read off the masks, with no closure: masks that are
+    # not closed, or not distinct, are a fault of the caller
+    monkeypatch.setattr(algebra, "closure", lambda *args, **kw: pytest.fail("closure called"))
     elements = [1, 2, 3, 0]
     join = tuple(tuple(elements.index(x | y) for y in elements) for x in elements)
-    assert set_algebra("JSL0", [1, 2], 3) == make_algebra("JSL0", 4, {"join": join, "zero": 3})
+    assert set_algebra("JSL0", elements, 3) == make_algebra("JSL0", 4, {"join": join, "zero": 3})
+    for masks in ([1, 2], [1, 2, 3], [0, 0]):
+        with pytest.raises(InternalInvariantError, match="not the elements of a JSL0 set algebra"):
+            set_algebra("JSL0", masks, 3)
 
 
 def test_bound_table_is_the_brute_force_lub_and_glb_on_every_poset():

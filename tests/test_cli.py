@@ -556,6 +556,10 @@ INPUT_FILES = {
         }).encode()
         for name, table in [("string-map", [0, "x"]), ("null-map", [0, None]), ("float-map", [0, 1.0])]
     },
+    "int-order.alg": json.dumps({"kind": "algebra", "tag": "POS", "size": 1, "ops": {},
+                                 "order": 5}).encode(),
+    "int-trans.coalg": json.dumps({"kind": "coalgebra", "pair": "BA", "alphabet": ["a"],
+                                   "states": BA2, "trans": {"a": 5}, "out": [0, 1]}).encode(),
     "float-unit.mon": json.dumps({**Z2, "unit": 0.0}).encode(),
     "float-mult.mon": json.dumps({**Z2, "mult": [[0.0, 1], [1, 0]]}).encode(),
     **{
@@ -690,6 +694,9 @@ INPUT_FILES = {
         ),
         ["eilenberg-check", "--monoid", "float-unit.mon", "--samples", "a-aa.json"],
         ["eilenberg-check", "--monoid", "float-mult.mon", "--samples", "a-aa.json"],
+        # an order matrix or a transition that is an integer, not a list
+        ["dualize", "--pair", "DL01", "--in", "int-order.alg"],
+        ["preimage", "--map", "id.map", "--automaton", "int-trans.coalg"],
     ],
 )
 def test_malformed_cli_input_is_a_usage_error(capsys, tmp_path, argv):

@@ -5,10 +5,11 @@ For every pair, generated_local_variety dualizes the L-algebra built on the
 syntactic monoid from the columns of its quotients, and syntactic returns
 that L-algebra; for JSL0 and VECT2 it is numbered by the languages read off
 masks over the monoid, where oracle.syntactic_lalgebra_by_duals dualizes
-the variety back, as syntactic once did, and both must be equal.  For BA
-and BR it is ranked by each element's language, read off the fibers of one
-multiplication table (langlib.element_languages), where
-oracle.column_lalgebra_ranked_by_minimize minimizes once per element.
+the variety back, as syntactic once did, and both must be equal.  For BA,
+DL01 and BR it is ranked by the language of each element (of its up-set
+for DL01), read off the fibers of one multiplication table
+(langlib.element_languages), where oracle.column_lalgebra_ranked_by_minimize
+minimizes once per element.
 oracle.closure_local_variety closes the seed languages under derivatives
 and the language operations instead, as generated_local_variety once did;
 both routes must give the same variety, tables included, and the same
@@ -315,18 +316,22 @@ def test_an_element_no_word_reaches_gets_a_scaled_word():
 
 
 def ranked_alike(regex, alphabet):
-    """Each element's language read off the fibers of one multiplication
-    table against one _minimize per element, and the BA and BR syntactic
-    L-algebras, which rank their carriers by them, against the per-element
-    ranking of oracle.column_lalgebra_ranked_by_minimize."""
+    """The languages of each element and of each element's up-set (DL01's
+    order) read off the fibers of one multiplication table against one
+    _minimize per target, and the BA, DL01 and BR syntactic L-algebras,
+    which rank their carriers by them, against the per-element ranking of
+    oracle.column_lalgebra_ranked_by_minimize."""
     seeds = [parse_regex(regex, alphabet)]
     try:
-        right = syntactic_masks(seeds, SYNTACTIC_CAP, "syntactic monoid")[3]
+        _, derivatives, masks, right = syntactic_masks(seeds, SYNTACTIC_CAP, "syntactic monoid")
     except CapExceeded:
         return
-    languages = element_languages(alphabet, right)
-    assert languages == oracle.element_languages_by_minimize(alphabet, right), (regex, alphabet)
-    for pair in ("BA", "BR"):
+    quotients = algebra.closure(dict.fromkeys(masks), derivatives)[0]
+    for targets in ([{m} for m in range(len(right))], oracle.upsets(quotients, len(right))):
+        languages = element_languages(alphabet, right, targets)
+        want = oracle.element_languages_by_minimize(alphabet, right, targets)
+        assert languages == want, (regex, alphabet, targets)
+    for pair in PAIRS:
         want = oracle.column_lalgebra_ranked_by_minimize(pair, seeds, SYNTACTIC_CAP)
         assert syntactic_lalgebra(pair, seeds) == want, (pair, regex, alphabet)
 
@@ -369,9 +374,9 @@ def watch(monkeypatch, homes, names):
                 continue
             original = getattr(home, name)
 
-            def watched(*args, name=name, original=original):
+            def watched(*args, name=name, original=original, **kwargs):
                 calls.append((name, bool(within)))
-                return original(*args)
+                return original(*args, **kwargs)
 
             monkeypatch.setattr(home, name, watched)
     return calls
@@ -390,24 +395,25 @@ def test_a_jsl0_or_vect2_carrier_is_built_once_in_its_final_order(monkeypatch, t
 
 @pytest.mark.parametrize("tag", PAIRS)
 def test_a_birkhoff_variety_is_built_once_in_language_order(monkeypatch, tag):
-    names = ["make_algebra", "dual_automaton_inv", "downset_masks"]
+    names = ["make_algebra", "dual_automaton_inv", "downset_masks", "closure"]
     calls = watch(monkeypatch, (automata, algebra, duality), names)
     code, out, err = run_cli("localvariety", "--tag", tag, "--regex", "(ab)*")
     assert (code, err) == (0, "") and out.startswith("local variety with ")
     # the down-sets enumerated once, and one checked carrier besides the
-    # L-algebra's, with no dual taken and no copy
+    # L-algebra's, read off their masks with no closure, no dual taken and
+    # no copy
     assert [c for c in calls if not c[1]] == [("downset_masks", False), ("make_algebra", False)]
     seeds = [parse_regex("(ab)*")]
     assert generated_local_variety(tag, seeds) == oracle.generated_local_variety_by_duals(tag, seeds)
 
 
-def test_ba_and_br_syntactic_rank_their_carriers_with_no_minimization(monkeypatch):
+def test_ba_dl01_and_br_syntactic_rank_their_carriers_with_no_minimization(monkeypatch):
     calls = watch(monkeypatch, langlib, ["_minimize"])
-    for tag, inside in [("BA", 0), ("BR", 0), ("DL01", 6)]:  # DL01: one per up-set
+    for tag in PAIRS:
         calls.clear()
         code, out, err = run_cli("syntactic", "--tag", tag, "--regex", "(ab)*")
         assert (code, err) == (0, "")
-        assert calls.count(("_minimize", True)) == inside, tag
+        assert ("_minimize", True) not in calls, tag
 
 
 @pytest.mark.parametrize(
