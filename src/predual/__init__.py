@@ -72,7 +72,6 @@ from .automata import (
     languages_of,
     make_coalgebra,
     make_lalgebra,
-    right_derivative_view,
     run_word,
     shift_initial,
     shift_initial_co,

@@ -142,11 +142,26 @@ def set_algebra(tag: str, masks, top: int) -> FinAlgebra:
 
 def mask_preimage(table, n: int):
     """The preimage under table, a map into {0..n-1}, as a function on
-    bitmasks: bit m of the result is bit table[m] of the mask."""
+    bitmasks: bit m of the result is bit table[m] of the mask.  It joins
+    the fibers of the mask's bits or, when the mask's complement in the
+    target has fewer bits, removes the complement's fibers from the whole
+    source (the fibers are disjoint, so both are XORs)."""
     pre = [0] * n  # pre[t]: the m with table[m] = t
     for m, t in enumerate(table):
         pre[t] |= 1 << m
-    return lambda mask: sum(p for t, p in enumerate(pre) if mask >> t & 1)
+    top, whole = (1 << n) - 1, (1 << len(table)) - 1
+
+    def preimage(mask):
+        mask &= top
+        rest = top ^ mask
+        out, bits = (whole, rest) if rest.bit_count() < mask.bit_count() else (0, mask)
+        while bits:
+            low = bits & -bits
+            out ^= pre[low.bit_length() - 1]
+            bits ^= low
+        return out
+
+    return preimage
 
 
 def is_ordered_tag(tag: str) -> bool:
@@ -1143,21 +1158,23 @@ def combine_columns(a: FinAlgebra, weighted, n: int) -> tuple:
     columns of elements entry by entry: entry i of the result combines the
     entries i of the columns.
 
-    SET/POS expect exactly one pair; JSL0/JSL fold joins; VECT(p) folds
-    weighted sums; SET_STAR treats the empty combination as the basepoint.
+    SET/POS, and BA/DL01 on the C-side, expect exactly one pair; JSL0/JSL
+    fold joins; VECT(p) folds weighted sums; SET_STAR, and BR on the C-side,
+    have at most one pair and treat the empty combination as the basepoint,
+    BR's zero.
     """
     tag = a.tag
     p = vect_prime(tag)
     items = list(weighted)
-    if tag in ("SET", "POS"):
+    if tag in ("SET", "POS", "BA", "DL01"):
         if len(items) != 1 or items[0][1] != 1:
             raise StructureError(f"{tag} elements are single points")
         return tuple(items[0][0])
-    if tag == "SET_STAR":
+    if tag in ("SET_STAR", "BR"):
         if not items:
-            return (a.op("point"),) * n
+            return (a.op("point" if tag == "SET_STAR" else "zero"),) * n
         if len(items) != 1 or items[0][1] != 1:
-            raise StructureError("SET_STAR combinations have at most one point")
+            raise StructureError(f"{tag} combinations have at most one point")
         return tuple(items[0][0])
     if tag in ("JSL0", "JSL01"):
         join = a.op("join")

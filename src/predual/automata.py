@@ -57,7 +57,6 @@ from .duality import (
     d_tag,
     dual_morphism,
     dual_object,
-    eta,
     out_from_dual_init,
     state_output,
 )
@@ -71,7 +70,6 @@ from .langlib import (
     free_zero,
     make_free,
     mask_languages,
-    rev_free,
     syntactic_masks,
 )
 from .monoids import (
@@ -226,26 +224,6 @@ def _build_dual_trans(m) -> tuple:
     )
 
 
-def relabel_double_dual(pair: str, states: FinAlgebra, qdd: Coalgebra) -> Coalgebra:
-    """Transport a coalgebra on dual(dual(states)) back onto the carrier.
-
-    The transported transitions are kept on states by (pair, qdd.states,
-    qdd.trans), everything besides states they depend on.
-    """
-    e = eta(pair, states).table
-    trans = derived(
-        states, "_relabelled_trans", _relabel_trans, e, qdd.trans,
-        key=(pair, qdd.states, qdd.trans),
-    )
-    return Coalgebra(pair, qdd.alphabet, states, trans, tuple(map(qdd.out.__getitem__, e)))
-
-
-def _relabel_trans(e, trans) -> tuple:
-    """Each table of trans conjugated by the bijection e: x -> inv[t[e[x]]]."""
-    inv = inverse_perm(e)
-    return tuple((a, _renumber(t, e, inv)) for a, t in trans)
-
-
 # ---------------------------------------------------------------------------
 # running words, languages
 
@@ -265,6 +243,14 @@ def word_table(m, word) -> tuple:
     for letter in word:
         table = tuple(map(m.tr(letter).__getitem__, table))
     return table
+
+
+def alpha_x(m, x: FreeElement) -> tuple:
+    """The endomorphism alpha_x of the L-algebra m, or gamma_x of the
+    coalgebra m: the word tables of x combined pointwise in m's states."""
+    if x.tag != d_tag(m.pair) or tuple(x.alphabet) != m.alphabet:
+        raise StructureError("free element does not match the automaton")
+    return combine_columns(m.states, [(word_table(m, w), c) for w, c in x.pairs], m.states.size)
 
 
 def eval_free(a: LAlgebra, x: FreeElement) -> int:
@@ -326,26 +312,25 @@ def state_output_morphism(q: Coalgebra, state: int) -> tuple:
     return state_output(q.pair, q.states, state)
 
 
-def right_derivative_view(q: Coalgebra, a) -> Coalgebra:
-    """Same states and transitions; output becomes out . gamma_a."""
-    step = q.tr(a)
-    return Coalgebra(
-        q.pair, q.alphabet, q.states, q.trans,
-        tuple(q.out[step[s]] for s in range(q.states.size)),
-    )
-
-
 def shift_initial(a: LAlgebra, x: FreeElement) -> LAlgebra:
     """Same transitions, initial state e_A(x)."""
     return LAlgebra(a.pair, a.alphabet, a.states, a.trans, eval_free(a, x))
 
 
 def shift_initial_co(q: Coalgebra, x: FreeElement) -> Coalgebra:
-    """Q_x, defined through the dual: dual(Q_x) = dual(Q) with init e(rev x)."""
-    shifted = shift_initial(dual_automaton(q), rev_free(x))
-    qx = relabel_double_dual(q.pair, q.states, dual_automaton_inv(shifted))
-    check_invariant(qx.trans == q.trans, "shifting the initial state changed the transitions")
-    return qx
+    """Q_x: same states and transitions, output out . gamma_x, so that each
+    state accepts the right derivative of its language by x.
+
+    It is dual(dual(Q) with init e(rev x)) read on Q's own carrier: the
+    duality sends the initial-state selector e(rev x) to out . gamma_x, as
+    it sends a D-combination of morphisms to the same C-combination of
+    their duals.  In JSL0 the right adjoint of a join of maps is the join
+    of their adjoints, the words reversed; in VECT2 transposing is linear;
+    in BR the empty combination, the constant basepoint, dualizes to the
+    zero map; in BA and DL01 x is a single word.
+    """
+    out = tuple(map(q.out.__getitem__, alpha_x(q, x)))
+    return Coalgebra(q.pair, q.alphabet, q.states, q.trans, out)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +391,7 @@ def is_local_variety(q: Coalgebra) -> bool:
     """True iff q (a subcoalgebra of rho) is closed under right derivatives.
 
     Criterion (i): every right derivative of a state language is again a state
-    language.  The state s of right_derivative_view(q, a) accepts the right
+    language.  The state s of shift_initial_co(q, a) accepts the right
     derivative by a of s's language, so (i) holds iff, in one Nerode
     partition of q beside each view, every class that holds a state of the
     view holds a state of q.  Criterion (ii), checked for carriers up to
@@ -415,7 +400,7 @@ def is_local_variety(q: Coalgebra) -> bool:
     """
     if not is_subcoalgebra_of_rho(q):
         raise StructureError("is_local_variety requires a subcoalgebra of rho")
-    views = [right_derivative_view(q, a) for a in q.alphabet]
+    views = [shift_initial_co(q, free_word(d_tag(q.pair), q.alphabet, a)) for a in q.alphabet]
     n = q.states.size
     delta, finals, _ = _partition(q)
     # q beside a view: the view's state s is state n + s

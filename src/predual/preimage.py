@@ -1,14 +1,15 @@
 """The preimage calculus: reindexing automata along free D-monoid morphisms.
 
-alpha_x extends the word action of an L-algebra to all free-monoid elements;
-A^f reindexes an L-algebra along f by alpha_{f(b)}; Q^f reindexes a finite
-coalgebra through its dual, conjugating f by reversal.  check_preimage_laws
-runs the whole battery of exact laws over a corpus of local varieties and
-free morphisms.
+alpha_x (from automata) extends the word action of an L-algebra or a
+coalgebra to all free-monoid elements; A^f and Q^f reindex an L-algebra
+and a finite coalgebra along f on their own carriers, the transition by b
+alpha_{f(b)}.  check_preimage_laws runs the whole battery of exact laws
+over a corpus of local varieties and free morphisms.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 from .algebra import (
@@ -17,15 +18,14 @@ from .algebra import (
     InternalInvariantError,
     StructureError,
     check_morphism,
-    combine_columns,
     derived,
 )
 from .automata import (
     Coalgebra,
     LAlgebra,
+    alpha_x,
     coalgebra_coproduct,
     dual_automaton,
-    dual_automaton_inv,
     eval_free,
     find_coalgebra_hom,
     generated_local_variety,
@@ -33,16 +33,13 @@ from .automata import (
     language_of_state,
     languages_of,
     lalgebra_product,
-    relabel_double_dual,
     run_word,
     shift_initial_co,
     state_output_morphism,
-    word_table,
 )
 from .duality import d_tag
 from .langlib import (
     DMonoidMorphismFree,
-    FreeElement,
     apply_free,
     compose_free,
     free_mul,
@@ -57,43 +54,41 @@ from .langlib import (
 from .monoids import dagger_free
 
 
-def alpha_x(a: LAlgebra, x: FreeElement):
-    """The endomorphism alpha_x: words compose, payloads combine pointwise."""
-    if x.tag != d_tag(a.pair) or tuple(x.alphabet) != a.alphabet:
-        raise StructureError("free element does not match the automaton")
-    return combine_columns(
-        a.states, [(word_table(a, w), c) for w, c in x.pairs], a.states.size
-    )
+def algebra_preimage(m, f: DMonoidMorphismFree):
+    """A^f of an L-algebra, or Q^f of a coalgebra: the same states and the
+    same last field (init or out), the transition by b alpha_{f(b)}, the
+    D-combination of the word tables of f(b) in the state algebra.
 
+    On a coalgebra this is dual(dual(Q)^(f dagger)) read on Q's own
+    carrier: the duality sends a D-combination of morphisms to the same
+    C-combination of their duals.  In JSL0 the right adjoint of a join of
+    maps is the join of their adjoints, the words reversed; in VECT2
+    transposing is linear; in BR the empty combination, the constant
+    basepoint, dualizes to the zero map; SET and POS images are single
+    words.
 
-def algebra_preimage(a: LAlgebra, f: DMonoidMorphismFree) -> LAlgebra:
-    """A^f: same states and initial state, transitions alpha_{f(b)}.
-
-    The transitions depend on a's pair, states and transitions and on f
-    alone, so they are kept on a.states by (pair, trans, f): equal
-    L-algebras on one carrier are reindexed along f once, and the
-    cross-check that each alpha_{f(b)} is an endomorphism (raising
-    InternalInvariantError) runs once per distinct value.
+    The transitions depend on m's pair, states and transitions and on f
+    alone, so they are kept on m.states by (pair, trans, f): equal automata
+    on one carrier are reindexed along f once, and the cross-check that
+    each alpha_{f(b)} is an endomorphism (raising InternalInvariantError)
+    runs once per distinct value.
     """
-    if tuple(f.target_alphabet) != a.alphabet or f.tag != d_tag(a.pair):
+    if tuple(f.target_alphabet) != m.alphabet or f.tag != d_tag(m.pair):
         raise StructureError("morphism does not match the automaton")
-    trans = derived(a.states, "_preimage_trans", _preimage_trans, a, f, key=(a.pair, a.trans, f))
-    return LAlgebra(a.pair, tuple(f.source_alphabet), a.states, trans, a.init)
+    trans = derived(m.states, "_preimage_trans", _preimage_trans, m, f, key=(m.pair, m.trans, f))
+    return dataclasses.replace(m, alphabet=tuple(f.source_alphabet), trans=trans)
 
 
-def _preimage_trans(a: LAlgebra, f: DMonoidMorphismFree) -> tuple:
-    trans = {b: alpha_x(a, f.image(b)) for b in f.source_alphabet}
+coalgebra_preimage = algebra_preimage
+
+
+def _preimage_trans(m, f: DMonoidMorphismFree) -> tuple:
+    trans = {b: alpha_x(m, f.image(b)) for b in f.source_alphabet}
     for b, t in trans.items():
-        ok, why = check_morphism(AlgMorphism(a.states, a.states, t))
+        ok, why = check_morphism(AlgMorphism(m.states, m.states, t))
         if not ok:
             raise InternalInvariantError(f"alpha_x left the endomorphisms at {b!r}: {why}")
     return tuple(sorted(trans.items()))
-
-
-def coalgebra_preimage(q: Coalgebra, f: DMonoidMorphismFree) -> Coalgebra:
-    """Q^f, defined through the dual: dual(Q^f) = dual(Q)^(f dagger)."""
-    shifted = algebra_preimage(dual_automaton(q), dagger_free(f))
-    return relabel_double_dual(q.pair, q.states, dual_automaton_inv(shifted))
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,12 @@ transition_dmonoid are the three constructions predual had before its one
 kernel for letter-generated sub-D-monoids (monoids.generated_dmonoid): the
 first two close under multiplication and the D-operations at once, and
 subdirect_product does so inside the whole product D-monoid.
+mask_preimage_by_scan is algebra.mask_preimage as it was, a scan of every
+target bit for each mask.
+coalgebra_preimage_by_duals and shift_initial_co_by_duals are Q^f and Q_x
+as predual built them before it reindexed and shifted a coalgebra on its
+own carrier: through the dual L-algebra and back, relabelled along eta
+(relabel_double_dual).
 language_quotient, local_variety_witness, identity_free_morphism,
 run_word_co and morphism_from_images are references some tests build on.
 search_maps_by_sweeps is the hom and isomorphism search as predual had it:
@@ -64,6 +70,7 @@ from predual.algebra import (
     CapExceeded,
     FinAlgebra,
     StructureError,
+    _renumber,
     all_morphisms,
     closure,
     closure_ops,
@@ -87,7 +94,7 @@ from predual.algebra import (
     table_isomorphism,
     vect_prime,
 )
-from predual.automata import Coalgebra, LAlgebra, _relabel_trans, run_word, word_table
+from predual.automata import Coalgebra, LAlgebra, run_word, shift_initial, word_table
 from predual.cli import (
     cmd_check_laws,
     cmd_deriv,
@@ -122,6 +129,7 @@ from predual.langlib import (
     left_deriv,
     make_free_morphism,
     parse_regex,
+    rev_free,
     right_deriv,
     symmetric_difference,
     union,
@@ -129,11 +137,13 @@ from predual.langlib import (
 from predual.monoids import (
     DMonoid,
     GeneratedDMonoid,
+    dagger_free,
     dmonoid_closure,
     dmonoid_product,
     eval_in_dmonoid,
     make_dmonoid,
 )
+from predual.preimage import algebra_preimage
 
 
 def transition_monoid(l: RegularLanguage):
@@ -350,6 +360,43 @@ def _column_closure(pair, seeds, cap, stage, rank=None):
     carrier = make_algebra(tag, len(closed), structure, order)
     trans = tuple(sorted(zip(alphabet, map(tuple, tables))))
     return LAlgebra(pair, alphabet, carrier, trans, closed.index(columns[0]))
+
+
+def mask_preimage_by_scan(table, n: int):
+    """algebra.mask_preimage as it was: each mask scans every target bit."""
+    pre = [0] * n  # pre[t]: the m with table[m] = t
+    for m, t in enumerate(table):
+        pre[t] |= 1 << m
+    return lambda mask: sum(p for t, p in enumerate(pre) if mask >> t & 1)
+
+
+def _relabel_trans(e, trans) -> tuple:
+    """Each table of trans conjugated by the bijection e: x -> inv[t[e[x]]]."""
+    inv = inverse_perm(e)
+    return tuple((a, _renumber(t, e, inv)) for a, t in trans)
+
+
+def relabel_double_dual(pair: str, states: FinAlgebra, qdd: Coalgebra) -> Coalgebra:
+    """Transport a coalgebra on dual(dual(states)) back onto the carrier
+    along eta."""
+    e = eta(pair, states).table
+    return Coalgebra(pair, qdd.alphabet, states, _relabel_trans(e, qdd.trans),
+                     tuple(map(qdd.out.__getitem__, e)))
+
+
+def coalgebra_preimage_by_duals(q: Coalgebra, f: DMonoidMorphismFree) -> Coalgebra:
+    """Q^f as predual built it before it reindexed Q on its own carrier:
+    dual(Q^f) = dual(Q)^(f dagger), dualized back and relabelled by eta."""
+    shifted = algebra_preimage(automata.dual_automaton(q), dagger_free(f))
+    return relabel_double_dual(q.pair, q.states, automata.dual_automaton_inv(shifted))
+
+
+def shift_initial_co_by_duals(q: Coalgebra, x: FreeElement) -> Coalgebra:
+    """Q_x as predual built it before it read the output off gamma_x:
+    dual(Q_x) = dual(Q) with initial state e(rev x), dualized back and
+    relabelled by eta."""
+    shifted = shift_initial(automata.dual_automaton(q), rev_free(x))
+    return relabel_double_dual(q.pair, q.states, automata.dual_automaton_inv(shifted))
 
 
 def _reordered(m, order):

@@ -7,9 +7,10 @@ written into the working directory first), `syntactic --json` and
 tags and on BIRKHOFF_REGEXES, whose carriers are large, under BA, DL01
 and BR, `dualize --check` for every pair of duality.PAIRS at the default
 size, the full law battery, `check-laws --corpus`, for JSL0, DL01 and
-VECT2 over criterion 2's seed languages, `preimage` of languages and of
-local varieties along JSL0, VECT2 and SET_STAR maps with a multi-word and a
-zero image, and one `--json` call for each document the other calls do not
+VECT2 over criterion 2's seed languages, `check-laws --pairs` for BA and
+BR, `preimage` of languages and of local varieties along SET and POS maps
+and along JSL0, VECT2 and SET_STAR maps with a multi-word and a zero
+image, and one `--json` call for each document the other calls do not
 write: an `enumerate` list, a `varlang` language set, a derivative, a
 language over a non-ASCII letter and a quote, and the `violations` of an
 algebra that breaks its laws.
@@ -68,6 +69,8 @@ def _map(tag, images):
 
 
 PREIMAGE_MAPS = {  # (map, pair of the local varieties it reindexes)
+    "SET": (_map("SET", {"b": [("ab", 1)], "c": [("", 1)]}), "BA"),
+    "POS": (_map("POS", {"b": [("ba", 1)], "c": [("bb", 1)]}), "DL01"),
     "JSL0": (_map("JSL0", {"b": [("a", 1), ("ab", 1), ("bb", 1)], "c": []}), "JSL0"),
     "VECT2": (_map("VECT2", {"b": [("", 1), ("ab", 1), ("b", 3)], "c": []}), "VECT2"),
     "SET_STAR": (_map("SET_STAR", {"b": [("ab", 1)], "c": []}), "BR"),
@@ -116,6 +119,7 @@ def golden_calls():
             calls += [[command, "--tag", pair, "--regex", rx, "--json"] for rx in BIRKHOFF_REGEXES]
     calls += [["dualize", "--pair", pair, "--check"] for pair in PAIRS]
     calls += [["check-laws", "--corpus", f"corpus-{pair}.json"] for pair in LAW_PAIRS]
+    calls += [["check-laws", "--pairs", pair] for pair in ("BA", "BR")]
     for tag in PREIMAGE_MAPS:
         calls += [["preimage", "--map", f"map-{tag}.json", "--regex", rx, "--alphabet", "ab"]
                   for rx in PREIMAGE_REGEXES]

@@ -3,6 +3,8 @@ import pickle
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from predual import algebra
@@ -28,6 +30,7 @@ from predual.algebra import (
     identity_morphism,
     make_algebra,
     make_morphism,
+    mask_preimage,
     order_matrix_violations,
     pairing,
     product,
@@ -254,6 +257,22 @@ def test_set_algebra_numbers_the_closed_masks_in_the_given_order(monkeypatch):
     for masks in ([1, 2], [1, 2, 3], [0, 0]):
         with pytest.raises(InternalInvariantError, match="not the elements of a JSL0 set algebra"):
             set_algebra("JSL0", masks, 3)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 70).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.integers(0, n - 1), max_size=80),
+    st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=8),
+)))
+def test_mask_preimage_equals_the_scan_of_every_target_bit(case):
+    # sparse and dense masks: the preimage of the complement is the
+    # complement of the preimage
+    n, table, masks = case
+    top = (1 << n) - 1
+    preimage, scan = mask_preimage(table, n), oracle.mask_preimage_by_scan(table, n)
+    for mask in masks + [0, top] + [top ^ mask for mask in masks]:
+        assert preimage(mask) == scan(mask)
 
 
 def test_bound_table_is_the_brute_force_lub_and_glb_on_every_poset():

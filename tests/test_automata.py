@@ -31,8 +31,6 @@ from predual.automata import (
     languages_of,
     make_coalgebra,
     make_lalgebra,
-    relabel_double_dual,
-    right_derivative_view,
     run_word,
     shift_initial,
     shift_initial_co,
@@ -159,7 +157,7 @@ def test_dual_roundtrip_is_isomorphic_via_eta():
         "JSL0", 3, {"join": tuple(tuple(max(x, y) for y in range(3)) for x in range(3)), "zero": 0}
     )
     q = make_coalgebra("JSL0", "a", chain3, {"a": (0, 1, 2)}, (0, 0, 1))
-    back = relabel_double_dual(q.pair, q.states, dual_automaton_inv(dual_automaton(q)))
+    back = oracle.relabel_double_dual(q.pair, q.states, dual_automaton_inv(dual_automaton(q)))
     assert back == q
 
 
@@ -192,16 +190,18 @@ def test_language_of_output_cycle():
 
 
 def test_right_derivative_view():
+    # the right-derivative view by a letter is the shift by that letter
     q = ba_parity()
+    a = free_word("SET", "a", "a")
     ident = make_coalgebra(
         "BA", "a", q.states, {"a": tuple(range(4))}, q.out
     )
-    assert right_derivative_view(ident, "a") == ident
-    qa = right_derivative_view(q, "a")
+    assert shift_initial_co(ident, a) == ident
+    qa = shift_initial_co(q, a)
     langs = languages_of(q)
     for s in range(q.states.size):
         assert language_of_state(qa, s) == right_deriv(langs[s], "a")
-    qab = right_derivative_view(right_derivative_view(q, "a"), "a")
+    qab = shift_initial_co(shift_initial_co(q, a), a)
     for s in range(q.states.size):
         assert language_of_state(qab, s) == right_deriv(right_deriv(langs[s], "a"), "a")
 
@@ -215,8 +215,9 @@ def test_shift_initial():
     q = ba_parity()
     qx = shift_initial_co(q, free_word("SET", "a", "a"))
     assert qx.trans == q.trans
-    # Q_a coincides with the right-derivative view at a single letter
-    assert qx.out == right_derivative_view(q, "a").out
+    # Q_a reads its output after the letter, as the dual route shifts it
+    assert qx.out == tuple(q.out[t] for t in q.tr("a"))
+    assert qx == oracle.shift_initial_co_by_duals(q, free_word("SET", "a", "a"))
 
 
 def test_is_subcoalgebra_of_rho():

@@ -760,17 +760,18 @@ assert False  # stripped under -O
 def one_class(delta, finals, states):
     return dict.fromkeys(states, 0)
 {fault}
-sys.exit(main(["localvariety", "--tag", "{tag}", "--regex", "(ab)*"]))
+sys.exit(main({argv}))
 """
 
 
-def run_with_fault(fault, tag="BA"):
-    """Exit code, stdout and stderr of localvariety --tag tag under python -O
-    with fault."""
+def run_with_fault(fault, tag="BA", argv=None):
+    """Exit code, stdout and stderr of localvariety --tag tag, or of the
+    command argv, under python -O with fault."""
+    argv = argv or ["localvariety", "--tag", tag, "--regex", "(ab)*"]
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     run = subprocess.run(
-        [sys.executable, "-O", "-c", INJECTED_FAULT.format(fault=fault, tag=tag)],
+        [sys.executable, "-O", "-c", INJECTED_FAULT.format(fault=fault, argv=repr(argv))],
         capture_output=True, text=True, env=env, timeout=120,
     )
     return run.returncode, run.stdout, run.stderr
@@ -810,6 +811,26 @@ def built_then_faulty(*args):
 cli.generated_local_variety = built_then_faulty
 """
     assert run_with_fault(fault) == (4, "", "internal error: rho-subcoalgebra criteria disagree\n")
+
+
+def test_a_reindexed_transition_that_is_no_endomorphism_exits_4_under_python_O(tmp_path):
+    # Q^f is reindexed on the BA variety's own carrier, and every
+    # combination of word tables is made the constant zero, which does not
+    # keep the top
+    from predual.automata import generated_local_variety
+    from predual.langlib import free_word, make_free_morphism, parse_regex
+
+    f = make_free_morphism("SET", "b", "ab", {"b": free_word("SET", "ab", "ab")})
+    q = generated_local_variety("BA", [parse_regex("(ab)*")])
+    for name, value in (("f.json", f), ("q.json", q)):
+        (tmp_path / name).write_text(dumps(value))
+    fault = "automata.combine_columns = lambda a, weighted, n: (a.op('zero'),) * n"
+    argv = ["preimage", "--map", str(tmp_path / "f.json"),
+            "--automaton", str(tmp_path / "q.json"), "--side", "C"]
+    code, out, err = run_with_fault(fault, argv=argv)
+    assert (code, out) == (4, "")
+    assert err.startswith("internal error: alpha_x left the endomorphisms at 'b': ")
+    assert err.count("\n") == 1
 
 
 def _readme_calls(tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import pickle
+import sys
 from collections import Counter
 
 import oracle
@@ -10,9 +11,11 @@ from predual.algebra import make_algebra
 from predual.automata import (
     dual_automaton,
     dual_automaton_inv,
+    enumerate_coalgebras,
     generated_local_variety,
     language_of_state,
     make_lalgebra,
+    shift_initial_co,
 )
 from predual.langlib import (
     free_word,
@@ -34,7 +37,7 @@ from predual.preimage import (
     default_corpus,
     default_morphisms,
 )
-from predual.duality import d_tag
+from predual.duality import MAIN_PAIRS, d_tag
 from predual.serialize import dumps, loads
 
 from oracle import identity_free_morphism, run_word_co
@@ -140,6 +143,77 @@ def test_coalgebra_preimage_functorial_identities():
     q = generated_local_variety("BA", [parse_regex("(aa)*")])
     ident = identity_free_morphism("SET", "a")
     assert coalgebra_preimage(q, ident) == q
+
+
+def test_q_f_and_q_x_on_the_carrier_equal_the_routes_through_the_duals():
+    """Q^f and Q_x built on Q's own carrier equal by value the dual round
+    trips they replaced (oracle.*_by_duals), on the first 300 coalgebras of
+    up to four states of each main pair over {a} and over {a, b} and on the
+    default corpus, along every default morphism into Q's alphabet and at
+    every one of frcom's sample free elements."""
+    cases = [
+        (q, default_morphisms(d_tag(pair)))
+        for pair in MAIN_PAIRS for alphabet in ("a", "ab")
+        for q in enumerate_coalgebras(pair, alphabet, 4, limit=300)
+    ]
+    cases += [(q, data["morphisms"]) for data in default_corpus().values()
+              for _, q in data["varieties"]]
+    compared = 0
+    for q, morphisms in cases:
+        for f in morphisms:
+            if tuple(f.target_alphabet) == q.alphabet:
+                qf = coalgebra_preimage(q, f)
+                assert qf == oracle.coalgebra_preimage_by_duals(q, f), (q.pair, f.images)
+                compared += 1
+        for x in preimage._free_elements(d_tag(q.pair), q.alphabet)[1]:
+            assert shift_initial_co(q, x) == oracle.shift_initial_co_by_duals(q, x), (
+                q.pair, x.pairs,
+            )
+            compared += 1
+    assert compared == 14497
+
+
+def test_q_f_q_x_and_the_derivative_views_take_no_dual(monkeypatch):
+    """No dual automaton, dual morphism or eta is built inside Q^f, Q_x or
+    the right-derivative views of is_local_variety, which take the views as
+    shifts by letters; is_subcoalgebra_of_rho, which it runs first, still
+    reads the dual L-algebra."""
+    calls, within, entered_views = [], [], Counter()
+    modules = [m for key, m in sys.modules.items() if key.startswith("predual")]
+
+    def patch(original, wrapper):
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, wrapper)
+
+    for original in (preimage.coalgebra_preimage, automata.shift_initial_co):
+        def entered(*args, original=original):
+            within.append(original.__name__)
+            entered_views[original.__name__] += 1
+            try:
+                return original(*args)
+            finally:
+                within.pop()
+        patch(original, entered)
+    for original in (automata.dual_automaton, automata.dual_automaton_inv,
+                     duality.dual_morphism, duality.eta):
+        def watched(*args, original=original, **kwargs):
+            calls.append((original.__name__, tuple(within)))
+            return original(*args, **kwargs)
+        patch(original, watched)
+    for pair in MAIN_PAIRS:
+        q = generated_local_variety(pair, [parse_regex("(ab)*")])
+        assert automata.is_local_variety(q)
+        for f in default_morphisms(d_tag(pair)):
+            if f.target_alphabet == q.alphabet:
+                qf = preimage.coalgebra_preimage(q, f)
+                for x in preimage._free_elements(d_tag(pair), qf.alphabet)[1]:
+                    automata.shift_initial_co(qf, x)
+    assert [c for c in calls if c[1]] == []
+    assert ("dual_automaton", ()) in calls  # is_subcoalgebra_of_rho's
+    # both were entered, the shifts by the views' letters among them
+    assert len(entered_views) == 2 and entered_views["shift_initial_co"] > 2 * len(MAIN_PAIRS)
 
 
 def test_lrev_spot_value_palindromic():
@@ -258,8 +332,8 @@ def test_law_battery_builds_each_word_image_and_dagger_once(monkeypatch):
 
 @pytest.mark.parametrize("pair", ["BA", "DL01", "JSL0", "VECT2", "BR"])
 def test_kept_transitions_are_shared_on_the_carrier_and_stay_out_of_documents(pair):
-    """Dual, reindexed and relabelled transitions are kept on the state
-    algebra by value: equal but distinct automata on one carrier get the
+    """Dual and reindexed transitions are kept on the state algebra by
+    value (a coalgebra's Q^f is reindexed on its own carrier): equal but distinct automata on one carrier get the
     identical tuple, and the carrier's equality, hash, document and pickle
     still see only its four fields."""
     q = generated_local_variety(pair, [parse_regex("(a|b)*a")])
@@ -276,7 +350,7 @@ def test_kept_transitions_are_shared_on_the_carrier_and_stay_out_of_documents(pa
     assert reindexed[0] is not reindexed[1] and reindexed[0].trans is reindexed[1].trans
     qfs = [coalgebra_preimage(q, f), coalgebra_preimage(dataclasses.replace(q), f)]
     assert qfs[0] == qfs[1] and qfs[0] is not qfs[1] and qfs[0].trans is qfs[1].trans
-    assert {"_dual_trans", "_relabelled_trans"} <= set(vars(q.states))
+    assert {"_dual_trans", "_preimage_trans"} <= set(vars(q.states))
     assert {"_dual_trans", "_preimage_trans"} <= set(vars(a.states))
     for states in (q.states, a.states):
         fresh = loads(dumps(states))
