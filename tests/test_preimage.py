@@ -333,9 +333,10 @@ def test_law_battery_builds_each_word_image_and_dagger_once(monkeypatch):
 @pytest.mark.parametrize("pair", ["BA", "DL01", "JSL0", "VECT2", "BR"])
 def test_kept_transitions_are_shared_on_the_carrier_and_stay_out_of_documents(pair):
     """Dual and reindexed transitions are kept on the state algebra by
-    value (a coalgebra's Q^f is reindexed on its own carrier): equal but distinct automata on one carrier get the
-    identical tuple, and the carrier's equality, hash, document and pickle
-    still see only its four fields."""
+    value (a coalgebra's Q^f is reindexed on its own carrier): equal but
+    distinct automata on one carrier get the identical tuple, and the
+    carrier's equality, hash, document and pickle still see only its four
+    fields."""
     q = generated_local_variety(pair, [parse_regex("(a|b)*a")])
     a = dual_automaton(q)
     f = default_morphisms(d_tag(pair))[5]  # a morphism into {a, b}
