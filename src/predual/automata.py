@@ -421,38 +421,45 @@ def is_local_variety(q: Coalgebra) -> bool:
 def generated_local_variety(pair: str, seeds, cap: int = 4096) -> Coalgebra:
     """Least local variety containing the seed languages, as a coalgebra.
 
-    Its states are its languages in sort-key order with the pair's C-side
-    structure, transitions are left derivatives and the output is acceptance
-    of the empty word; VECT2 states then take the standard basis encoding,
-    which dual maps read.  It is the dual of _column_lalgebra's L-algebra, a
-    local variety by that construction and not checked as one.  JSL0 and
-    VECT2 take that dual, already in this order, and its states' languages,
-    read off its kept Nerode partition, must be pairwise distinct.  For a
-    Birkhoff pair a down-set of the points accepts the OR of its points'
-    masks over M, by Birkhoff duality a lattice isomorphism onto the
-    variety: the points' languages are its join-irreducibles (BA and BR
-    {w : [w] = m}; DL01, after Pin, the up-set {n : Q(n) contains Q(m)},
-    held by every down-set that holds m, so 1 << m gives the same OR) and
-    each language is the join of those below it.  The masks, in
-    _language_order, are the states and their set algebra, read off the
-    masks, closed under the set operations as the down-sets are, the carrier.
+    Its states are its languages in sort-key order (VECT2: then in the
+    standard basis encoding, which dual maps read), each the mask of the
+    elements of the seeds' syntactic monoid M whose words it holds; its
+    transitions are their left derivatives, its output bit 0 (the unit's),
+    and its carrier is read off the masks.  It is the dual of
+    _column_lalgebra's L-algebra, a local variety by that construction and
+    not checked as one, with no dual taken.  Every element of M is the
+    class of a word, so distinct masks are distinct languages, which
+    _language_order checks with no Nerode partition.  JSL0 and VECT2 take
+    _column_lalgebra's K: the JSL0 carrier is their set algebra, by value
+    the dual's opposite semilattice (K of a meet is the union, K of the top
+    empty), and the VECT2 carrier the L-algebra's standard space, each
+    state checked to hold the sum of the basis masks at its set bits.  For
+    a Birkhoff pair a down-set of the points accepts the OR of its points'
+    masks, by Birkhoff duality a lattice isomorphism onto the variety: the
+    points' languages are its join-irreducibles (BA and BR {w : [w] = m};
+    DL01, after Pin, the up-set {n : Q(n) contains Q(m)}, held by every
+    down-set that holds m, so 1 << m gives the same OR) and each language
+    is the join of those below it; their set algebra is the carrier.
     CapExceeded is raised above cap languages, one per column for JSL0 and
     VECT2 (by _column_lalgebra) and one per down-set for a Birkhoff pair.
     """
-    a, points, derivatives = _column_lalgebra(pair, seeds, cap)
-    if points is None:
-        q = dual_automaton_inv(a)
-        distinct = len(set(_partition(q)[2].values())) == q.states.size
-        check_invariant(distinct, "two states of the dual coalgebra accept one language")
-        return q
-    base = int(d_tag(pair) == "SET_STAR")
-    downsets = downset_masks([row[base:] for row in a.states.leq[base:]], cap)
-    if len(downsets) > cap:
-        raise CapExceeded(f"local variety exceeded cap {cap}")
-    ks = [sum(1 << m for i, m in enumerate(points) if d >> i & 1) for d in downsets]
-    order, delta = _language_order(a.alphabet, derivatives, ks)
+    a, points, derivatives, variety = _column_lalgebra(pair, seeds, cap)
+    if points is not None:
+        base = int(d_tag(pair) == "SET_STAR")
+        downsets = downset_masks([row[base:] for row in a.states.leq[base:]], cap)
+        if len(downsets) > cap:
+            raise CapExceeded(f"local variety exceeded cap {cap}")
+        ks = [sum(1 << m for i, m in enumerate(points) if d >> i & 1) for d in downsets]
+        order, delta = _language_order(a.alphabet, derivatives, ks)
+        variety = ks, delta, order
+    ks, delta, order = variety  # state j is ks[order[j]]
     pos, masks = inverse_perm(order), [ks[x] for x in order]
-    states = set_algebra(pair, masks, max(masks))
+    if vect_prime(pair) is None:
+        states = set_algebra(pair, masks, max(masks))
+    else:
+        states, basis = a.states, [1 << i for i in range(len(masks).bit_length() - 1)]
+        linear = all(masks[x ^ b] == masks[x] ^ masks[b] for b in basis for x in range(len(masks)))
+        check_invariant(linear, "a VECT2 state is not the sum of its basis languages")
     trans = sorted((c, tuple(pos[delta[x][i]] for x in order)) for i, c in enumerate(a.alphabet))
     return Coalgebra(pair, a.alphabet, states, tuple(trans), tuple(k & 1 for k in masks))
 
@@ -481,7 +488,9 @@ def _column_lalgebra(pair, seeds, cap):
     Milius and Urbat: the syntactic D-monoid is the transition D-monoid of
     the minimal automaton), returned with a Birkhoff carrier's points, in
     its order behind BR's basepoint, as elements of M (None for JSL0 and
-    VECT2) and with syntactic_masks' derivatives.
+    VECT2), with syntactic_masks' derivatives and, for JSL0 and VECT2, with
+    the variety's languages as masks over M (_variety_order; None for a
+    Birkhoff pair).
 
     M is Syn(L) for one seed, the subdirect product of the seeds' syntactic
     monoids for several (langlib.syntactic_masks).  The quotients
@@ -511,11 +520,10 @@ def _column_lalgebra(pair, seeds, cap):
     languages off the fibers of one multiplication table of M
     (langlib.element_languages), with no refinement, an up-set's fiber
     being the OR of its elements'.  The closure adds no column to these, so
-    it starts from them in rank order.  JSL0 and VECT2 number their carriers so that
-    the dual's states, the variety's languages, are in sort-key order and,
-    for VECT2, in the standard basis encoding: the element s is paired with
-    the state of the dual that accepts the words whose class lies in K_s, a
-    set of elements of M.
+    it starts from them in rank order.  JSL0 and VECT2 pair each element s
+    with K_s, the elements of M whose words the dual's state s accepts, and
+    number the carrier so that these states are in sort-key order (VECT2:
+    then in the standard basis encoding).
 
     - JSL0: K_s = {m : Q(m) is not below s}.  The dual's transition by a is
       the right adjoint of a's action and its output is 1 at s iff init is
@@ -532,18 +540,16 @@ def _column_lalgebra(pair, seeds, cap):
       nondegenerate, so the K_y are pairwise distinct, and a^-1 K_y is
       K_{A^T y}.
 
-    Each K is a language of the variety, and the K are closed under left
-    derivatives (a preimage under M's left Cayley table), so they are read
-    as languages by _language_order.  JSL0 is renumbered in language order.
-    For VECT2, P takes the standard form to the standard basis picked along
-    language order, the states' relabelling of standardize_vect; the dual
-    of a coalgebra relabelled by P is the L-algebra relabelled by
-    (P^-1)^T, which keeps the dot product, so the standard-form element y
-    becomes the vector of the y . b over the basis vectors b, and both
-    steps are one renumbering.  The K, the language order and the change of
-    basis are read off the closure's own tables (_variety_order), so every
-    carrier's tables are renumbered once, into their final order, and
-    checked once, by make_algebra.
+    The K are closed under left derivatives (preimages under M's left
+    Cayley table) and read as languages by _language_order.  JSL0 is
+    numbered in language order.  For VECT2, P takes the standard form to
+    the standard basis picked along language order; the dual of a
+    coalgebra relabelled by P is the L-algebra relabelled by (P^-1)^T,
+    which keeps the dot product, so y becomes the vector of the y . b over
+    that basis, in one renumbering; the dual's state j is the element P
+    codes j, not the L-algebra's element j.  All of it is read off the
+    closure's own tables (_variety_order), so the carrier is renumbered
+    and checked (make_algebra) once.
 
     M is explored and the columns closed under cap, which only JSL0 and
     VECT2 add to, one language of their variety per column; the stage is
@@ -583,7 +589,7 @@ def _column_lalgebra(pair, seeds, cap):
         first = [0] * base + [columns[m] for m in points]
     closed, _, tables = closure(dict.fromkeys(first), ops, cap, stage=stage)
     structure = dict(zip(signature(tag), tables[len(alphabet):]))
-    order = range(len(closed)) if birkhoff else _variety_order(
+    order, variety = (range(len(closed)), None) if birkhoff else _variety_order(
         tag, alphabet, derivatives, columns, closed, structure
     )
     pos = inverse_perm(order)
@@ -593,16 +599,19 @@ def _column_lalgebra(pair, seeds, cap):
         tag, len(closed), {name: _renumber(t, order, pos) for name, t in structure.items()}, matrix
     )
     trans = tuple(sorted((a, _renumber(t, order, pos)) for a, t in zip(alphabet, tables)))
-    return LAlgebra(pair, alphabet, carrier, trans, closed.index(columns[0])), points, derivatives
+    init = closed.index(columns[0])
+    return LAlgebra(pair, alphabet, carrier, trans, init), points, derivatives, variety
 
 
-def _variety_order(tag, alphabet, derivatives, columns, closed, structure) -> list:
-    """The numbering _column_lalgebra gives a JSL0 or VECT2 column closure,
-    as the old index of each new element.  closed and structure are the
-    closure's elements and D-side tables; the K, their languages and, for
-    VECT2, the standard forms are read off them, the tables viewed unchecked
-    as an algebra, of which standard_basis_perm reads only the zero, the sum
-    and the scalings."""
+def _variety_order(tag, alphabet, derivatives, columns, closed, structure):
+    """(order, variety) for a JSL0 or VECT2 column closure: the numbering
+    _column_lalgebra gives it, as the old index of each new element, and
+    (ks, delta, states), the K with _language_order's delta, the dual's
+    state j being ks[states[j]].  closed and structure are the closure's
+    elements and D-side tables; the K, their languages and, for VECT2, the
+    standard forms are read off them, the tables viewed unchecked as an
+    algebra, of which standard_basis_perm reads only the zero, the sum and
+    the scalings."""
     elements, xs = range(len(columns)), range(len(closed))
     if tag == "JSL0":
         ks = [sum(1 << m for m in elements if columns[m] & ~s) for s in closed]
@@ -611,15 +620,15 @@ def _variety_order(tag, alphabet, derivatives, columns, closed, structure) -> li
         code, index = standard_basis_perm(raw), {s: x for x, s in enumerate(closed)}
         c = [code[index[column]] for column in columns]
         ks = [sum(1 << m for m in elements if (code[x] & c[m]).bit_count() & 1) for x in xs]
-    order, _ = _language_order(alphabet, derivatives, ks)
+    order, delta = _language_order(alphabet, derivatives, ks)
     if tag == "JSL0":
-        return order
-    # y becomes the vector of the b . y, b the basis along language order
+        return order, (ks, delta, order)
+    # the state j is the element basis[j]; y becomes the vector of the b . y
     basis = inverse_perm(standard_basis_perm(raw, order))
     rows = [code[basis[1 << i]] for i in range(len(closed).bit_length() - 1)]
     return inverse_perm([
         sum(((b & code[x]).bit_count() & 1) << i for i, b in enumerate(rows)) for x in xs
-    ])
+    ]), (ks, delta, basis)
 
 
 def _language_order(alphabet, derivatives, ks):

@@ -40,6 +40,7 @@ from .langlib import (
     DMonoidMorphismFree,
     RegexSyntaxError,
     RegularLanguage,
+    alphabet_error,
     language_to_regex,
     left_deriv,
     parse_regex,
@@ -84,6 +85,13 @@ def _load(path):
 
 def _strings(value) -> bool:
     return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
+def _alphabet(alphabet, source):
+    """alphabet, which must be the alphabet of a regex (langlib.alphabet_error)."""
+    if why := alphabet_error(alphabet):
+        raise DocumentError(f"{source} {alphabet} {why}")
+    return alphabet
 
 
 def _language_tags(pairs, source):
@@ -241,8 +249,6 @@ def _load_dmonoid(args):
 
 
 def cmd_varlang(args):
-    if len(set(args.alphabet)) < len(args.alphabet):
-        raise DocumentError(f"--alphabet {args.alphabet} repeats a letter")
     m = _load_dmonoid(args)
     v = languages_of_simple_pseudovariety(m, args.alphabet, args.pair)
     langs = languages_of(v)
@@ -268,7 +274,8 @@ def cmd_eilenberg_check(args):
         isinstance(s, str) or _strings(s) and len(s) == 2 for s in samples
     ):
         raise DocumentError("samples must be a JSON list of regexes and [regex, alphabet] pairs")
-    samples = [tuple(s) if isinstance(s, list) else s for s in samples]
+    samples = [(s[0], _alphabet(s[1], "sample alphabet")) if isinstance(s, list) else s
+               for s in samples]
     report = check_eilenberg_simple(m, args.pair, samples, args.nmax)
     sys.stdout.write(dumps(report))
     if report["mismatches"]:
@@ -280,10 +287,10 @@ def cmd_eilenberg_check(args):
 
 def cmd_check_laws(args):
     aliases = {"qfcomp": "qfprops"}
-    laws = [aliases.get(l, l) for l in args.laws.split(",")] if args.laws else list(LAWS)
+    laws = list(LAWS) if args.laws is None else [aliases.get(l, l) for l in args.laws.split(",")]
     unknown = [l for l in laws if l not in LAWS]
-    if unknown:
-        raise DocumentError(f"unknown law(s) {', '.join(unknown)}; "
+    if unknown:  # an empty name among them
+        raise DocumentError(f"unknown law(s) {', '.join(map(repr, unknown))}; "
                             f"choose from {', '.join(LAWS)} (qfcomp = qfprops)")
     if args.max_states is not None and args.max_states < 0:
         raise DocumentError(f"--max-states must be at least 0, got {args.max_states}")
@@ -302,6 +309,7 @@ def cmd_check_laws(args):
         for pair in _language_tags(spec.get("pairs", ["BA", "JSL0"]), "corpus pairs"):
             varieties = []
             for alphabet, regexes in spec["seeds"].items():
+                _alphabet(alphabet, "corpus alphabet")
                 for rx in regexes:
                     varieties.append(
                         (rx, generated_local_variety(pair, [parse_regex(rx, alphabet)]))
@@ -372,7 +380,8 @@ def parse_args(argv):
     per option of the command (--in is infile, --max-size max_size).  An
     option is given as --opt value or --opt=value, never abbreviated; the
     token after a valued option is its value whatever it looks like.  -h or
-    --help makes fn cmd_help; any other malformed call raises DocumentError."""
+    --help makes fn cmd_help; any other malformed call, an --alphabet that
+    is no regex's among them, raises DocumentError."""
     command = argv[0] if argv else None
     if command in HELP:
         return SimpleNamespace(command=None, fn=cmd_help)
@@ -408,6 +417,8 @@ def parse_args(argv):
             raise DocumentError(f"{command} needs {option}")
         dest = "infile" if option == "--in" else option[2:].replace("-", "_")
         setattr(args, dest, values.get(option, default))
+    if getattr(args, "alphabet", None) is not None:
+        _alphabet(args.alphabet, "--alphabet")
     return args
 
 

@@ -33,12 +33,14 @@ from functools import lru_cache, partial, reduce
 
 from .algebra import (
     AlgMorphism,
+    CapExceeded,
     FinAlgebra,
     StructureError,
     all_morphisms,
     check_morphism,
     combine_elements,
     derived,
+    downset_masks,
     enumerate_algebras,
     free_algebra,
     identity_morphism,
@@ -98,6 +100,8 @@ def _bad_side(pair, tag):
 # the Birkhoff pairs, with the number of basepoints in front of the points
 _BASEPOINTS = {"BA": 0, "DL01": 0, "BR": 1}
 BIRKHOFF_PAIRS = tuple(_BASEPOINTS)
+# the most down-sets a D-side object's dual may have
+DUAL_CAP = 4096
 
 
 def _points(a: FinAlgebra) -> tuple:
@@ -144,7 +148,15 @@ def _build_dual(pair: str, side: str, a: FinAlgebra) -> FinAlgebra:
         return free_algebra(d, pts)[0]  # atoms are pairwise incomparable
 
     if pair in _BASEPOINTS:
-        # the down-set lattice, each C-side operation read as a set operation
+        # the down-set lattice, each C-side operation read as a set
+        # operation, refused above DUAL_CAP down-sets before any table: the
+        # 2^n subsets of a SET's n points (a SET_STAR's but its point) are all
+        if a.tag == "POS":
+            over = len(downset_masks(a.leq, DUAL_CAP)) > DUAL_CAP
+        else:  # 2^n > DUAL_CAP, with no order built and no 2^n formed
+            over = a.size - _BASEPOINTS[pair] >= DUAL_CAP.bit_length()
+        if over:
+            raise CapExceeded(f"dual object exceeded cap {DUAL_CAP}")
         index = downset_index(a)
         return set_algebra(pair, index, max(index))
 

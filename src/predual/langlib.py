@@ -105,6 +105,17 @@ def _mk_not(r):
 _META = set("()|&*~")
 _EMPTY_CHARS = {"∅", "@"}
 _EPS_CHARS = {"ε", "%"}
+_RESERVED = "()|&*~∅@ε%"  # _META, _EMPTY_CHARS and _EPS_CHARS: no letter
+
+
+def alphabet_error(alphabet):
+    """Why alphabet, a sequence of strings, cannot be a regex's, or None: a
+    letter that is not one character outside _RESERVED, which a printed
+    regex would misread, or a letter named twice."""
+    bad = [a for a in alphabet if len(a) != 1 or a in _RESERVED]
+    if bad:
+        return f"has the letter {bad[0]!r}, not one character outside {_RESERVED}"
+    return "repeats a letter" if len(set(alphabet)) < len(alphabet) else None
 
 
 def _parse(text):

@@ -24,6 +24,7 @@ from .langlib import (
     DMonoidMorphismFree,
     FreeElement,
     RegularLanguage,
+    alphabet_error,
     from_components,
     make_free,
     free_zero,
@@ -289,7 +290,7 @@ def to_doc(value) -> dict:
 class DocumentError(ValueError):
     """A document that is not a JSON object, names no known kind, lacks a
     required key, names a state a language does not have, has an alphabet
-    that is not a list of distinct strings or free-element pairs that are
+    that is not a list of distinct letters or free-element pairs that are
     not [word, integer] pairs, or describes a D-monoid, coalgebra or
     L-algebra that breaks its laws."""
 
@@ -303,12 +304,13 @@ def _object(doc, key):
 
 
 def _letters(doc, key):
-    """doc[key], which must be a list of distinct strings."""
+    """doc[key], which must be a list of strings that is a regex's
+    alphabet (langlib.alphabet_error)."""
     value = doc[key]
     if not (isinstance(value, list) and all(isinstance(a, str) for a in value)):
         raise DocumentError(f"{key!r} must be a list of strings")
-    if len(set(value)) < len(value):
-        raise DocumentError(f"{key!r} {value} repeats a letter")
+    if why := alphabet_error(value):
+        raise DocumentError(f"{key!r} {value} {why}")
     return value
 
 

@@ -5,12 +5,13 @@ The calls are every CLI example of the README (the documents they read are
 written into the working directory first), `syntactic --json` and
 `localvariety --json` on test_syntactic.CORPUS under the five language
 tags and on BIRKHOFF_REGEXES, whose carriers are large, under BA, DL01
-and BR, `dualize --check` for every pair of duality.PAIRS at the default
-size, the full law battery, `check-laws --corpus`, for JSL0, DL01 and
-VECT2 over criterion 2's seed languages, `check-laws --pairs` for BA and
-BR, `preimage` of languages and of local varieties along SET and POS maps
-and along JSL0, VECT2 and SET_STAR maps with a multi-word and a zero
-image, and one `--json` call for each document the other calls do not
+and BR, `localvariety --json` on BIRKHOFF_REGEXES under JSL0 and VECT2,
+whose varieties are large, `dualize --check` for every pair of
+duality.PAIRS at the default size, the full law battery, `check-laws
+--corpus`, for JSL0, DL01 and VECT2 over criterion 2's seed languages,
+`check-laws --pairs` for BA and BR, `preimage` of languages and of local
+varieties along SET and POS maps and along JSL0, VECT2 and SET_STAR maps
+with a multi-word and a zero image, and one `--json` call for each document the other calls do not
 write: an `enumerate` list, a `varlang` language set, a derivative, a
 language over a non-ASCII letter and a quote, and the `violations` of an
 algebra that breaks its laws.
@@ -117,6 +118,9 @@ def golden_calls():
     for pair in BIRKHOFF_PAIRS:
         for command in ("syntactic", "localvariety"):
             calls += [[command, "--tag", pair, "--regex", rx, "--json"] for rx in BIRKHOFF_REGEXES]
+    for pair in ("JSL0", "VECT2"):
+        calls += [["localvariety", "--tag", pair, "--regex", rx, "--json"]
+                  for rx in BIRKHOFF_REGEXES]
     calls += [["dualize", "--pair", pair, "--check"] for pair in PAIRS]
     calls += [["check-laws", "--corpus", f"corpus-{pair}.json"] for pair in LAW_PAIRS]
     calls += [["check-laws", "--pairs", pair] for pair in ("BA", "BR")]

@@ -310,6 +310,47 @@ def test_check_laws_rejects_an_unknown_law_before_running(capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("laws", ["", "lrev,", ",lrev"])
+def test_check_laws_quotes_an_empty_law_name(capsys, laws):
+    code, out, err = run_cli(capsys, "check-laws", "--laws", laws, "--pairs", "BA")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: unknown law(s) ''; choose from lrev, ")
+
+
+@pytest.mark.parametrize(
+    "tag, size, pair",
+    [("SET", 13, "BA"), ("SET", 10**9, "BA"), ("SET_STAR", 14, "BR"), ("POS", 13, "DL01")],
+)
+def test_a_dual_of_more_than_4096_down_sets_is_refused_at_once(capsys, tmp_path, tag, size, pair):
+    # 2^13 subsets, 2^13 subsets that avoid the point, 2^13 down-sets of an antichain
+    ops = {"point": 0} if tag == "SET_STAR" else {}
+    doc = {"kind": "algebra", "tag": tag, "size": size, "ops": ops}
+    if tag == "POS":
+        doc["order"] = [[int(i == j) for j in range(size)] for i in range(size)]
+    path = tmp_path / "big.alg"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "dualize", "--pair", pair, "--in", str(path))
+    assert (code, out, err) == (3, "", "cap exceeded: dual object exceeded cap 4096\n")
+
+
+@pytest.mark.parametrize("tag, pair", [("SET", "BA"), ("SET_STAR", "BR"), ("POS", "DL01")])
+def test_the_dual_object_cap_admits_exactly_its_number_of_down_sets(monkeypatch, tag, pair):
+    # at cap 8: 3 points or antichain elements have 8 down-sets, 4 have 16
+    from predual import duality
+    from predual.algebra import CapExceeded, make_algebra
+
+    monkeypatch.setattr(duality, "DUAL_CAP", 8)
+    for n, fits in ((3, True), (4, False)):
+        size = n + (tag == "SET_STAR")
+        order = [[i == j for j in range(size)] for i in range(size)] if tag == "POS" else None
+        a = make_algebra(tag, size, {"point": 0} if tag == "SET_STAR" else {}, order)
+        if fits:
+            assert duality.dual_object(pair, a).size == 8
+        else:
+            with pytest.raises(CapExceeded, match="^dual object exceeded cap 8$"):
+                duality.dual_object(pair, a)
+
+
 @pytest.mark.parametrize("sample", ["ε", "∅"])
 def test_eilenberg_check_sample_without_letters_is_a_usage_error(capsys, tmp_path, sample):
     monoid = {
@@ -507,6 +548,17 @@ INPUT_FILES = {
     }).encode(),
     "aa-samples.json": b'[["a*", "aa"]]',
     "aa-corpus.json": b'{"seeds": {"aa": ["a*"]}}',
+    # a letter of two characters, which a printed regex reads as two letters
+    "ab.lang": json.dumps({
+        "kind": "language", "alphabet": ["ab"], "states": 1, "delta": [[0]], "finals": [0],
+    }).encode(),
+    "eps.lalg": json.dumps({
+        "kind": "lalgebra", "pair": "BA", "alphabet": ["ε"],
+        "states": {"kind": "algebra", "tag": "SET", "size": 1, "ops": {}},
+        "trans": {"ε": [0]}, "init": 0,
+    }).encode(),
+    "star-samples.json": b'[["a*", "a*"]]',
+    "pipe-corpus.json": b'{"seeds": {"a|": ["a*"]}}',
     "ints.json": b"[1]",
     "object.json": b'{"x": 1}',
     "bogus.json": b'{"kind": "bogus"}',
@@ -681,6 +733,16 @@ INPUT_FILES = {
         ["minimize", "--in", "aa.lang"],
         ["preimage", "--map", "id.map", "--automaton", "aa.lalg"],
         ["varlang", "--monoid", "aa.gen", "--alphabet", "a", "--pair", "BA"],
+        # a letter is one character that the regex grammar does not reserve
+        ["minimize", "--regex", "a", "--alphabet", "aε"],
+        ["minimize", "--regex", "a", "--alphabet", "a*"],
+        ["syntactic", "--tag", "BA", "--regex", "a", "--alphabet", "a|"],
+        ["localvariety", "--tag", "JSL0", "--regex", "a", "--alphabet", "a%"],
+        ["varlang", "--monoid", "z2.mon", "--alphabet", "a(", "--pair", "BA"],
+        ["eilenberg-check", "--monoid", "z2.mon", "--samples", "star-samples.json"],
+        ["check-laws", "--corpus", "pipe-corpus.json"],
+        ["minimize", "--in", "ab.lang"],
+        ["preimage", "--map", "id.map", "--automaton", "eps.lalg"],
         # a derivative by a letter outside the language's alphabet
         ["deriv", "--side", "left", "--letter", "c", "--regex", "(ab)*"],
         ["deriv", "--side", "left", "--letter", "ab", "--regex", "(ab)*"],
@@ -777,11 +839,32 @@ def run_with_fault(fault, tag="BA", argv=None):
     return run.returncode, run.stdout, run.stderr
 
 
-def test_a_failed_cross_check_exits_4_under_python_O():
-    # the states of the JSL0 local variety, the dual of the syntactic
-    # L-algebra, seem to accept one language
-    assert run_with_fault("automata._nerode = one_class", "JSL0") == (
-        4, "", "internal error: two states of the dual coalgebra accept one language\n",
+def test_a_doubled_jsl0_mask_exits_4_under_python_O():
+    # the JSL0 variety's first mask over the syntactic monoid is met twice,
+    # so two of its states would accept one language
+    fault = """
+order = automata._language_order
+automata._language_order = lambda alphabet, derivatives, ks: order(
+    alphabet, derivatives, ks[:1] + ks[:-1])
+"""
+    assert run_with_fault(fault, "JSL0") == (
+        4, "", "internal error: two elements of the L-algebra pair with one language\n",
+    )
+
+
+def test_a_flipped_bit_in_a_vect2_basis_mask_exits_4_under_python_O():
+    # the first basis language of the VECT2 variety gains or loses the empty
+    # word, so the states that hold it are no longer sums of basis languages
+    fault = """
+column_lalgebra = automata._column_lalgebra
+def flipped(*args):
+    a, points, derivatives, (ks, delta, basis) = column_lalgebra(*args)
+    ks[basis[1]] ^= 1
+    return a, points, derivatives, (ks, delta, basis)
+automata._column_lalgebra = flipped
+"""
+    assert run_with_fault(fault, "VECT2") == (
+        4, "", "internal error: a VECT2 state is not the sum of its basis languages\n",
     )
 
 

@@ -407,6 +407,15 @@ def test_a_birkhoff_variety_is_built_once_in_language_order(monkeypatch, tag):
     assert generated_local_variety(tag, seeds) == oracle.generated_local_variety_by_duals(tag, seeds)
 
 
+@pytest.mark.parametrize("tag", MAIN_PAIRS)
+def test_every_variety_is_read_off_its_masks_with_no_dual_and_no_refinement(monkeypatch, tag):
+    seeds = [parse_regex("(ab)*")]
+    calls = watch(monkeypatch, (automata, langlib), ["dual_automaton_inv", "_nerode"])
+    q = generated_local_variety(tag, seeds)
+    assert calls == []
+    assert q == oracle.generated_local_variety_by_duals(tag, seeds)
+
+
 def test_ba_dl01_and_br_syntactic_rank_their_carriers_with_no_minimization(monkeypatch):
     calls = watch(monkeypatch, langlib, ["_minimize"])
     for tag in PAIRS:
